@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import DofMap, stiffness_diagonal
+from .fem import DofMap, assemble_laplacian, stiffness_diagonal
 from .mesh import Mesh
 
 
@@ -45,11 +45,10 @@ class _Level:
 class MultilevelPreconditioner:
     """Additive Schwarz over the refinement hierarchy (see module docstring)."""
 
-    def __init__(self, coarse_solve: Optional[Callable], levels: tuple,
-                 n_coarse_dofs: int, finest_dofmap: DofMap):
+    def __init__(self, coarse_solve: Callable, levels: tuple,
+                 finest_dofmap: DofMap):
         self._coarse_solve = coarse_solve
         self._levels = levels
-        self._n_coarse_dofs = n_coarse_dofs
         self._finest_dofmap = finest_dofmap
 
     @property
@@ -61,10 +60,7 @@ class MultilevelPreconditioner:
         for lev in reversed(self._levels):
             residuals.append(lev.restriction @ residuals[-1])
         residuals.reverse()
-        if self._coarse_solve is not None:
-            y = self._coarse_solve(residuals[0])
-        else:
-            y = np.zeros(self._n_coarse_dofs)
+        y = self._coarse_solve(residuals[0])
         for lev, r in zip(self._levels, residuals[1:]):
             y = lev.prolongation @ y
             if lev.local_dofs.size:
@@ -75,7 +71,7 @@ class MultilevelPreconditioner:
         """Preconditioner for the hierarchy with one more refinement level."""
         lev = _make_level(self._finest_dofmap, fine_dofmap)
         return MultilevelPreconditioner(self._coarse_solve, self._levels + (lev,),
-                                        self._n_coarse_dofs, fine_dofmap)
+                                        fine_dofmap)
 
 
 def _vertex_prolongation(coarse_dofmap: DofMap, fine_dofmap: DofMap) -> sp.csr_matrix:
@@ -134,13 +130,7 @@ def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
     if len(levels) != len(dofmaps) or not levels:
         raise ValueError("need matching, nonempty mesh and dofmap lists")
     coarse = dofmaps[0]
-    if coarse.n_dofs:
-        from .fem import assemble_laplacian
-        lu = spla.splu(sp.csc_matrix(assemble_laplacian(coarse)))
-        coarse_solve = lu.solve
-    else:
-        coarse_solve = None
-    pre = MultilevelPreconditioner(coarse_solve, (), coarse.n_dofs, coarse)
+    pre = MultilevelPreconditioner(factorized(assemble_laplacian(coarse)), (), coarse)
     for dm in dofmaps[1:]:
         pre = pre.extended(dm)
     return pre
@@ -156,9 +146,7 @@ class SolverState:
     """
 
     operator: sp.csr_matrix
-    rhs: np.ndarray
     iterate: np.ndarray
-    previous_iterate: np.ndarray
     residual: np.ndarray
     direction: Optional[np.ndarray]
     rz: float
@@ -179,8 +167,7 @@ def init_solver_state(operator: sp.csr_matrix, rhs: np.ndarray,
     rhs = np.asarray(rhs, dtype=float)
     r = rhs - operator @ x0
     n = x0.size
-    return SolverState(operator=operator, rhs=rhs, iterate=x0, previous_iterate=x0,
-                       residual=r, direction=None, rz=0.0,
+    return SolverState(operator=operator, iterate=x0, residual=r, direction=None, rz=0.0,
                        drift=np.zeros(n), operator_drift=np.zeros(n),
                        iterations=0, increment=0.0, converged=(n == 0))
 
@@ -188,13 +175,11 @@ def init_solver_state(operator: sp.csr_matrix, rhs: np.ndarray,
 def pcg_step(state: SolverState, precond) -> SolverState:
     """One PCG iteration; a converged or broken-down state is a fixed point."""
     if state.converged:
-        return replace(state, previous_iterate=state.iterate,
-                       iterations=state.iterations + 1, increment=0.0)
+        return replace(state, iterations=state.iterations + 1, increment=0.0)
     z = precond.apply(state.residual)
     rz = float(state.residual @ z)
     if not np.isfinite(rz) or rz <= 0.0:
-        return replace(state, previous_iterate=state.iterate,
-                       iterations=state.iterations + 1, increment=0.0, converged=True)
+        return replace(state, iterations=state.iterations + 1, increment=0.0, converged=True)
     if state.direction is None:
         p = z
     else:
@@ -202,12 +187,10 @@ def pcg_step(state: SolverState, precond) -> SolverState:
     ap = state.operator @ p
     pap = float(p @ ap)
     if not np.isfinite(pap) or pap <= 0.0:
-        return replace(state, previous_iterate=state.iterate,
-                       iterations=state.iterations + 1, increment=0.0, converged=True)
+        return replace(state, iterations=state.iterations + 1, increment=0.0, converged=True)
     alpha = rz / pap
     return replace(state,
                    iterate=state.iterate + alpha * p,
-                   previous_iterate=state.iterate,
                    residual=state.residual - alpha * ap,
                    direction=p, rz=rz,
                    drift=state.drift + alpha * p,
@@ -217,22 +200,20 @@ def pcg_step(state: SolverState, precond) -> SolverState:
                    converged=False)
 
 
-def solve_exact(operator: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse solve; verifies the residual to 1e-12 relative."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.size == 0:
-        return np.zeros(0)
-    x = spla.splu(sp.csc_matrix(operator)).solve(rhs)
-    res = np.linalg.norm(operator @ x - rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if res > 1e-12 * max(scale, np.linalg.norm(x) * np.abs(operator).sum(axis=1).max()):
-        raise ArithmeticError(f"direct solve residual too large: {res:.3e}")
-    return x
-
-
 def factorized(operator: sp.csr_matrix) -> Callable:
     """Reusable direct solver handle (empty systems solve to empty)."""
     if operator.shape[0] == 0:
         return lambda b: np.zeros(0)
-    lu = spla.splu(sp.csc_matrix(operator))
-    return lu.solve
+    return spla.splu(sp.csc_matrix(operator)).solve
+
+
+def solve_exact(operator: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Direct sparse solve; verifies the residual to 1e-12 relative."""
+    rhs = np.asarray(rhs, dtype=float)
+    x = factorized(operator)(rhs)
+    res = np.linalg.norm(operator @ x - rhs)
+    scale = max(np.linalg.norm(rhs), 1e-300)
+    row_sum = np.asarray(np.abs(operator).sum(axis=1)).max(initial=0.0)
+    if res > 1e-12 * max(scale, np.linalg.norm(x) * row_sum):
+        raise ArithmeticError(f"direct solve residual too large: {res:.3e}")
+    return x

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
-from .driver import AdaptiveConfig
+from .driver import AdaptiveConfig, field_types
 from .experiments import (collect_rates, parse_sweep_spec, rates_report,
                           run_benchmark)
+
+# a one-off run stops at 1e5 elements rather than the library's 1e6
+_RUN_DEFAULTS = {"max_elements": 10 ** 5}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,25 +31,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="adaptive finite elements for quasilinear problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a single adaptive run")
-    run.add_argument("--domain", default="zshape",
-                     help="zshape, lshape, or square_linear")
-    run.add_argument("--theta", type=float, default=0.5,
-                     help="bulk marking parameter in (0, 1]")
-    run.add_argument("--lambda-alg", type=float, default=1e-2,
-                     help="algebraic stopping threshold")
-    run.add_argument("--lambda-pic", type=float, default=1e-2,
-                     help="linearization stopping threshold")
-    run.add_argument("--max-elements", type=int, default=10 ** 5,
-                     help="stop after solving on a mesh this large")
-    run.add_argument("--eta-tol", type=float, default=0.0,
-                     help="stop once the estimator drops this low")
-    run.add_argument("--uniform", action="store_true",
-                     help="refine every element instead of marking")
-    run.add_argument("--track-error", action="store_true",
-                     help="log the energy error when the solution is known")
-    run.add_argument("--diagnostics", action="store_true",
-                     help="also log algebraic error and quasi-error")
+    run = sub.add_parser("run", help="execute a single adaptive run",
+                         description=AdaptiveConfig.__doc__)
+    types = field_types(AdaptiveConfig)
+    for f in fields(AdaptiveConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if types[f.name] is bool:
+            run.add_argument(flag, action="store_true")
+        else:
+            run.add_argument(flag, type=types[f.name], help="default %(default)s",
+                             default=_RUN_DEFAULTS.get(f.name, f.default))
     run.add_argument("--out", required=True, help="output directory")
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
@@ -64,12 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        config = AdaptiveConfig(
-            domain=args.domain, theta=args.theta,
-            lambda_alg=args.lambda_alg, lambda_pic=args.lambda_pic,
-            max_elements=args.max_elements, eta_tol=args.eta_tol,
-            uniform=args.uniform, track_error=args.track_error,
-            diagnostics=args.diagnostics)
+        config = AdaptiveConfig(**{f.name: getattr(args, f.name)
+                                   for f in fields(AdaptiveConfig)})
         run_benchmark([config], out_dir=args.out, verbose=True)
         return 0
     if args.command == "sweep":
@@ -78,7 +69,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not configs:
             print("sweep spec expands to no runs", file=sys.stderr)
             return 1
-        run_benchmark(configs, out_dir=args.out, verbose=True)
+        try:
+            run_benchmark(configs, out_dir=args.out, verbose=True)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 1
         return 0
     if args.command == "rates":
         try:

@@ -14,9 +14,11 @@ CSV for the benchmark harness.
 
 from __future__ import annotations
 
+import csv
 import io
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from pathlib import Path
+from typing import Iterable, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -79,10 +81,54 @@ class StepRecord:
     alg_err: Optional[float] = None
 
 
-_BASE_COLUMNS = ("l", "k", "j", "step", "nT", "eta", "alg_inc", "pic_inc",
-                 "cumcost", "alg_stop", "pic_stop")
-_OPT_COLUMNS = ("err", "delta", "alg_err")
-_INT_COLUMNS = {"l", "k", "j", "step", "nT", "cumcost", "alg_stop", "pic_stop"}
+def field_types(cls) -> dict:
+    """Field name -> type of a dataclass; ``Optional[X]`` reads as X."""
+    hints = get_type_hints(cls)
+    return {f.name: getattr(hints[f.name], "__args__", (hints[f.name],))[0]
+            for f in fields(cls)}
+
+
+def write_csv(columns: Sequence[str], rows: Iterable, path=None) -> Optional[str]:
+    """Write a header of ``columns``, then one line per row mapping.
+
+    Floats are written as %.12g, bools as 0/1, None as an empty cell and
+    anything else with str(); every line ends in \\n.  Returns the text
+    when ``path`` is None.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["%.12g" % v if isinstance(v, float)
+                         else int(v) if isinstance(v, bool) else v
+                         for v in (row[c] for c in columns)])
+    if path is None:
+        return buf.getvalue()
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
+    return None
+
+
+def read_csv(source, types: dict, required: Sequence[str]) -> List[dict]:
+    """Rows of a `write_csv` file (a path or an open file) as dicts.
+
+    Each cell is parsed by ``types[column]``, empty cells read as None.
+    The header must start with ``required`` and name only columns in
+    ``types``.
+    """
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    lines = [row for row in csv.reader(text.splitlines()) if row]
+    if not lines:
+        raise ValueError("empty CSV file")
+    header = lines[0]
+    if set(header) - set(types) or header[:len(required)] != list(required):
+        raise ValueError(f"unrecognized CSV header: {','.join(header)!r}")
+    return [{name: None if cell == "" else types[name](cell)
+             for name, cell in zip(header, row)} for row in lines[1:]]
+
+
+_STEP_TYPES = field_types(StepRecord)
+_BASE_COLUMNS = [f.name for f in fields(StepRecord) if f.default is MISSING]
 
 
 @dataclass
@@ -112,59 +158,17 @@ class RunLog:
         return rows
 
     def columns(self) -> List[str]:
-        cols = list(_BASE_COLUMNS)
-        for name in _OPT_COLUMNS:
-            if any(getattr(r, name) is not None for r in self.records):
-                cols.append(name)
-        return cols
+        """The StepRecord fields, less optional ones that no record sets."""
+        return [name for name in _STEP_TYPES if name in _BASE_COLUMNS
+                or any(getattr(r, name) is not None for r in self.records)]
 
     def to_csv(self, path=None) -> Optional[str]:
-        cols = self.columns()
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for rec in self.records:
-            cells = []
-            for name in cols:
-                v = getattr(rec, name)
-                if name in _INT_COLUMNS:
-                    cells.append(str(int(v)))
-                else:
-                    cells.append("" if v is None else f"{v:.12g}")
-            buf.write(",".join(cells) + "\n")
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+        return write_csv(self.columns(), map(vars, self.records), path)
 
     @classmethod
     def from_csv(cls, source) -> "RunLog":
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source) as fh:
-                text = fh.read()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty run log file")
-        cols = lines[0].split(",")
-        unknown = set(cols) - set(_BASE_COLUMNS) - set(_OPT_COLUMNS)
-        if unknown or list(cols[:len(_BASE_COLUMNS)]) != list(_BASE_COLUMNS):
-            raise ValueError(f"unrecognized run log header: {lines[0]!r}")
-        records = []
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            kw = {}
-            for name, cell in zip(cols, cells):
-                if cell == "":
-                    kw[name] = None
-                elif name in _INT_COLUMNS:
-                    kw[name] = int(cell)
-                else:
-                    kw[name] = float(cell)
-            records.append(StepRecord(**kw))
-        return cls(records=records)
+        rows = read_csv(source, _STEP_TYPES, _BASE_COLUMNS)
+        return cls(records=[StepRecord(**row) for row in rows])
 
 
 def algebraic_stop(alg_inc: float, pic_inc: float, eta: float,

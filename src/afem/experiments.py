@@ -4,7 +4,7 @@ A benchmark takes a list of run configurations, executes them, and fits
 the convergence rate of the estimator against the number of elements and
 against the cumulative solver cost.  Results land in three CSV layouts:
 
-  <run_id>.csv         per-step solver log (see driver.RunLog.to_csv)
+  <run_id>.csv         per-step solver log (see driver.StepRecord)
   <run_id>.levels.csv  one row per mesh level
   runs.csv             one row per run: configuration, outcome, fitted rates
 
@@ -16,25 +16,31 @@ parameter families can share one file; duplicate configurations run once.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .driver import AdaptiveConfig, RunLog, run_adaptive
+from .driver import (AdaptiveConfig, RunLog, field_types, read_csv,
+                     run_adaptive, write_csv)
 
-LEVEL_COLUMNS = ("l", "nT", "n_picard", "n_steps", "max_pcg", "eta",
-                 "cumcost", "err")
+_CONFIG_TYPES = field_types(AdaptiveConfig)
+_LEVEL_TYPES = dict(l=int, nT=int, n_picard=int, n_steps=int, max_pcg=int,
+                    eta=float, cumcost=int, err=float)
+LEVEL_COLUMNS = tuple(_LEVEL_TYPES)
 RUNS_COLUMNS = ("run_id", "domain", "theta", "lambda_alg", "lambda_pic",
                 "max_elements", "uniform", "n_levels", "n_steps", "nT",
                 "eta", "cumcost", "rate_vs_n", "rate_vs_cost",
                 "exit_reason", "seconds")
+_RUN_OUTCOME_TYPES = dict(run_id=str, n_levels=int, n_steps=int, nT=int,
+                          eta=float, cumcost=int, rate_vs_n=float,
+                          rate_vs_cost=float, exit_reason=str, seconds=float)
 
 # slope check used by `rates --assert`
 RATE_TOLERANCE = 0.08
@@ -92,76 +98,52 @@ class RunResult:
 
     def runs_row(self) -> dict:
         final = self.log.final()
-        table = self.log.level_table()
-        return {
-            "run_id": self.run_id, "domain": self.config.domain,
-            "theta": self.config.theta, "lambda_alg": self.config.lambda_alg,
-            "lambda_pic": self.config.lambda_pic,
-            "max_elements": self.config.max_elements,
-            "uniform": int(self.config.uniform), "n_levels": len(table),
-            "n_steps": len(self.log.records), "nT": final.nT,
-            "eta": final.eta, "cumcost": final.cumcost,
-            "rate_vs_n": self.rate_vs_n, "rate_vs_cost": self.rate_vs_cost,
-            "exit_reason": self.log.exit_reason, "seconds": self.seconds,
-        }
+        config = {c: getattr(self.config, c) for c in RUNS_COLUMNS
+                  if c in _CONFIG_TYPES}
+        return dict(config, run_id=self.run_id,
+                    n_levels=len(self.log.level_table()),
+                    n_steps=len(self.log.records), nT=final.nT, eta=final.eta,
+                    cumcost=final.cumcost, rate_vs_n=self.rate_vs_n,
+                    rate_vs_cost=self.rate_vs_cost,
+                    exit_reason=self.log.exit_reason, seconds=self.seconds)
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "%.12g" % value
-    return str(value)
-
-
-def rates_from_log(log: RunLog) -> tuple:
-    table = log.level_table()
-    ns = [row["nT"] for row in table]
-    etas = [row["eta"] for row in table]
-    costs = [row["cumcost"] for row in table]
+def fit_rates(table: Sequence[dict]) -> tuple:
+    """Estimator rates versus nT and versus cumcost over level-table rows."""
+    ns, etas, costs = ([row[c] for row in table] for c in ("nT", "eta", "cumcost"))
     return fit_rate(ns, etas), fit_rate(costs, etas)
 
 
-def write_levels_csv(log: RunLog, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEVEL_COLUMNS)
-        for row in log.level_table():
-            writer.writerow([_format(row.get(c)) for c in LEVEL_COLUMNS])
+def rates_from_log(log: RunLog) -> tuple:
+    return fit_rates(log.level_table())
 
 
 def read_levels_csv(path: str) -> List[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            rows.append({
-                "l": int(raw["l"]), "nT": int(raw["nT"]),
-                "n_picard": int(raw["n_picard"]),
-                "n_steps": int(raw["n_steps"]),
-                "max_pcg": int(raw["max_pcg"]), "eta": float(raw["eta"]),
-                "cumcost": int(raw["cumcost"]),
-                "err": float(raw["err"]) if raw.get("err") else None,
-            })
-    return rows
+    return read_csv(path, _LEVEL_TYPES, LEVEL_COLUMNS)
 
 
 def run_benchmark(configs: Iterable[AdaptiveConfig],
                   out_dir: Optional[str] = None,
                   verbose: bool = False,
                   report: Callable[[str], None] = print) -> List[RunResult]:
-    """Run each configuration once, optionally writing CSVs to out_dir."""
-    results = []
-    seen = set()
+    """Run each configuration once, optionally writing CSVs to out_dir.
+
+    Raises ValueError before the first run when two different
+    configurations would write to the same run id.
+    """
+    by_id = {}
     for config in configs:
-        if config in seen:
-            continue
-        seen.add(config)
+        run_id = run_id_for(config)
+        if by_id.setdefault(run_id, config) != config:
+            raise ValueError("run id %s is shared by %s and %s"
+                             % (run_id, by_id[run_id], config))
+    results = []
+    for run_id, config in by_id.items():
         start = time.perf_counter()
         log = run_adaptive(config)
         seconds = time.perf_counter() - start
         rate_n, rate_cost = rates_from_log(log)
-        result = RunResult(run_id_for(config), config, log, rate_n,
-                           rate_cost, seconds)
+        result = RunResult(run_id, config, log, rate_n, rate_cost, seconds)
         results.append(result)
         if verbose:
             final = log.final()
@@ -172,16 +154,11 @@ def run_benchmark(configs: Iterable[AdaptiveConfig],
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for result in results:
-            result.log.to_csv(os.path.join(out_dir, result.run_id + ".csv"))
-            write_levels_csv(result.log,
-                             os.path.join(out_dir,
-                                          result.run_id + ".levels.csv"))
-        with open(os.path.join(out_dir, "runs.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RUNS_COLUMNS)
-            for result in results:
-                row = result.runs_row()
-                writer.writerow([_format(row[c]) for c in RUNS_COLUMNS])
+            path = os.path.join(out_dir, result.run_id)
+            result.log.to_csv(path + ".csv")
+            write_csv(LEVEL_COLUMNS, result.log.level_table(), path + ".levels.csv")
+        write_csv(RUNS_COLUMNS, [r.runs_row() for r in results],
+                  os.path.join(out_dir, "runs.csv"))
     return results
 
 
@@ -209,26 +186,16 @@ def robustness_grid(domain: str = "zshape",
     return unique
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(AdaptiveConfig)}
-_BOOL_FIELDS = {"uniform", "track_error", "diagnostics"}
-_INT_FIELDS = {"max_elements", "max_levels", "max_picard_per_level",
-               "max_pcg_per_linearization"}
-_STR_FIELDS = {"domain", "precond"}
-
-
 def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    if key in _BOOL_FIELDS:
+    """Configuration field ``key`` from its text form, by the field's type."""
+    kind, raw = _CONFIG_TYPES[key], raw.strip()
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError("bad boolean for %s: %r" % (key, raw))
-    if key in _INT_FIELDS:
-        return int(float(raw))
-    if key in _STR_FIELDS:
-        return raw
-    return float(raw)
+    return int(float(raw)) if kind is int else kind(raw)
 
 
 def parse_sweep_spec(text: str) -> List[AdaptiveConfig]:
@@ -244,7 +211,7 @@ def parse_sweep_spec(text: str) -> List[AdaptiveConfig]:
                 raise ValueError("expected key=value, got %r" % line)
             key, raw = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_FIELDS:
+            if key not in _CONFIG_TYPES:
                 raise ValueError("unknown configuration key %r" % key)
             grid[key] = [_coerce(key, part) for part in raw.split(",")]
         if not grid:
@@ -266,33 +233,22 @@ def collect_rates(directory: str) -> List[dict]:
     index = os.path.join(directory, "runs.csv")
     if not os.path.isfile(index):
         raise FileNotFoundError("no runs.csv in %s" % directory)
+    types = {c: _RUN_OUTCOME_TYPES.get(c) or partial(_coerce, c)
+             for c in RUNS_COLUMNS}
     rows = []
-    with open(index, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            config = AdaptiveConfig(
-                domain=raw["domain"], theta=float(raw["theta"]),
-                lambda_alg=float(raw["lambda_alg"]),
-                lambda_pic=float(raw["lambda_pic"]),
-                max_elements=int(raw["max_elements"]),
-                uniform=bool(int(raw["uniform"])))
-            rate_n = float(raw["rate_vs_n"])
-            rate_cost = float(raw["rate_vs_cost"])
-            levels_path = os.path.join(directory,
-                                       raw["run_id"] + ".levels.csv")
-            if os.path.isfile(levels_path):
-                table = read_levels_csv(levels_path)
-                ns = [r["nT"] for r in table]
-                etas = [r["eta"] for r in table]
-                costs = [r["cumcost"] for r in table]
-                rate_n = fit_rate(ns, etas)
-                rate_cost = fit_rate(costs, etas)
-            expected = expected_rate(config)
-            ok = (math.isfinite(rate_n)
-                  and abs(rate_n - expected) <= RATE_TOLERANCE)
-            rows.append({"run_id": raw["run_id"], "nT": int(raw["nT"]),
-                         "eta": float(raw["eta"]),
-                         "rate_vs_n": rate_n, "rate_vs_cost": rate_cost,
-                         "expected": expected, "ok": ok})
+    for run in read_csv(index, types, RUNS_COLUMNS):
+        config = AdaptiveConfig(**{c: run[c] for c in RUNS_COLUMNS
+                                   if c in _CONFIG_TYPES})
+        rate_n, rate_cost = run["rate_vs_n"], run["rate_vs_cost"]
+        levels_path = os.path.join(directory, run["run_id"] + ".levels.csv")
+        if os.path.isfile(levels_path):
+            rate_n, rate_cost = fit_rates(read_levels_csv(levels_path))
+        expected = expected_rate(config)
+        ok = (math.isfinite(rate_n)
+              and abs(rate_n - expected) <= RATE_TOLERANCE)
+        rows.append({"run_id": run["run_id"], "nT": run["nT"],
+                     "eta": run["eta"], "rate_vs_n": rate_n,
+                     "rate_vs_cost": rate_cost, "expected": expected, "ok": ok})
     return rows
 
 

@@ -1,6 +1,8 @@
 """Tests for the nested adaptive loop, its stopping rules, and the run log."""
 
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,3 +222,18 @@ def test_bad_configuration_raises():
         run_adaptive(AdaptiveConfig(precond="amg"))
     with pytest.raises(ValueError):
         run_adaptive(AdaptiveConfig(domain="torus"))
+
+
+def test_benchmark_tracing_hooks_cover_the_driver(monkeypatch):
+    # the benchmark times each layer by patching the names the driver
+    # calls; a renamed or bypassed name would silently drop out of its split
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import tracing
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        log = tracer.wrap(tracing.RUN, run_adaptive)(
+            AdaptiveConfig(domain="zshape", max_elements=500))
+    assert tracing.cross_check(tracer, log) == []
+    per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert list(tracing.layer_metrics(tracer, log)) == [m["name"] for m in per_layer]

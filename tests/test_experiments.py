@@ -1,6 +1,7 @@
 """Tests for the benchmark harness, rate fitting, sweeps, and the CLI."""
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -238,3 +239,52 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_sweep_rejects_colliding_run_ids(tmp_path, capsys):
+    # max_elements is not part of the run id, so both runs would write
+    # the same files and the second would overwrite the first
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("domain=square_linear\nmax-elements=100,400\n")
+    configs = parse_sweep_spec(spec.read_text())
+    assert len(configs) == 2
+    lines = []
+    with pytest.raises(ValueError) as err:
+        run_benchmark(configs, out_dir=str(tmp_path / "direct"), verbose=True,
+                      report=lines.append)
+    assert all(str(config) in str(err.value) for config in configs)
+    assert lines == [] and not (tmp_path / "direct").exists()
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert str(configs[1]) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _run_configs(monkeypatch, argv):
+    """Configurations `afem run argv` would run, without running them."""
+    captured = []
+    monkeypatch.setattr("afem.cli.run_benchmark",
+                        lambda configs, **kwargs: captured.extend(configs))
+    assert main(["run", *argv, "--out", "unused"]) == 0
+    return captured
+
+
+def test_cli_run_defaults(monkeypatch):
+    assert _run_configs(monkeypatch, []) == [AdaptiveConfig(max_elements=10 ** 5)]
+
+
+_SAMPLE_TEXT = {str: "lshape", float: "0.25", int: "123", bool: "true"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AdaptiveConfig)])
+def test_cli_and_sweep_spec_set_every_config_field(name, monkeypatch):
+    kind = type(getattr(AdaptiveConfig(), name))
+    text = _SAMPLE_TEXT[kind]
+    flag = "--" + name.replace("_", "-")
+    [from_cli] = _run_configs(monkeypatch, [flag] if kind is bool else [flag, text])
+    [from_spec] = parse_sweep_spec("%s = %s\n" % (name, text))
+    value = getattr(from_spec, name)
+    assert type(value) is kind and value != getattr(AdaptiveConfig(), name)
+    assert from_spec == dataclasses.replace(AdaptiveConfig(), **{name: value})
+    assert from_cli == dataclasses.replace(AdaptiveConfig(max_elements=10 ** 5),
+                                           **{name: value})
+    assert type(getattr(from_cli, name)) is kind
