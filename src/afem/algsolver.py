@@ -5,7 +5,10 @@ bisection hierarchy: an exact solve on the coarsest level plus, per finer
 level, diagonally scaled corrections on the vertices created at that level
 and their edge neighbors.  On shape-regular bisection hierarchies this
 keeps the preconditioned condition number bounded, so the per-step energy
-norm contraction of PCG is uniform in the mesh size.
+norm contraction of PCG is uniform in the mesh size.  The grid transfers
+run in place in vertex space on `Mesh.vertex_parents` and the append-only
+vertex numbering, touching per level only the new vertices and the
+smoothed set, so no transfer matrix is stored.
 
 `pcg_step` advances exactly one iteration and exposes the increment norms
 the adaptive driver's stopping tests need; the energy-norm error is
@@ -24,7 +27,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import DofMap, assemble_laplacian, stiffness_diagonal
-from .mesh import Mesh
 
 
 class IdentityPreconditioner:
@@ -36,18 +38,25 @@ class IdentityPreconditioner:
 
 @dataclass(frozen=True)
 class _Level:
-    prolongation: sp.csr_matrix      # free dofs, coarse -> fine
-    restriction: sp.csr_matrix       # transpose, precomputed
-    local_dofs: np.ndarray           # smoothing set on this level
-    inv_diag: np.ndarray             # inverse stiffness diagonal on the set
+    n_coarse: int                    # vertex count of the coarser mesh
+    parents: np.ndarray              # (n_new, 2) bisected edge of each new vertex
+    local: np.ndarray                # free vertices smoothed on this level
+    inv_diag: np.ndarray             # inverse stiffness diagonal on `local`
 
 
 class MultilevelPreconditioner:
-    """Additive Schwarz over the refinement hierarchy (see module docstring)."""
+    """Additive Schwarz over the refinement hierarchy (see module docstring).
 
-    def __init__(self, coarse_solve: Callable, levels: tuple,
-                 finest_dofmap: DofMap):
+    Works on one vector over the finest mesh's vertices.  Restriction adds
+    half of each new vertex's entry to both of its parents; prolongation
+    sets each new vertex to the mean of its parents.  Dirichlet entries are
+    never read: a new vertex is Dirichlet only when both parents are.
+    """
+
+    def __init__(self, coarse_solve: Callable, coarse_free: np.ndarray,
+                 levels: tuple, finest_dofmap: DofMap):
         self._coarse_solve = coarse_solve
+        self._coarse_free = coarse_free
         self._levels = levels
         self._finest_dofmap = finest_dofmap
 
@@ -56,67 +65,45 @@ class MultilevelPreconditioner:
         return len(self._levels) + 1
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        residuals = [np.asarray(z, dtype=float)]
+        free = self._finest_dofmap.free_vertices
+        r = np.zeros(self._finest_dofmap.mesh.n_vertices)
+        r[free] = z
+        saved = []
         for lev in reversed(self._levels):
-            residuals.append(lev.restriction @ residuals[-1])
-        residuals.reverse()
-        y = self._coarse_solve(residuals[0])
-        for lev, r in zip(self._levels, residuals[1:]):
-            y = lev.prolongation @ y
-            if lev.local_dofs.size:
-                y[lev.local_dofs] += lev.inv_diag * r[lev.local_dofs]
-        return y
+            saved.append(r[lev.local])
+            new = r[lev.n_coarse:lev.n_coarse + len(lev.parents)]
+            # add.at sums per parent in ascending child order, the order of a
+            # transposed-prolongation matvec; np.bincount would reassociate
+            np.add.at(r, lev.parents.ravel(), np.repeat(0.5 * new, 2))
+        y = np.zeros_like(r)
+        y[self._coarse_free] = self._coarse_solve(r[self._coarse_free])
+        for lev, s in zip(self._levels, reversed(saved)):
+            p = lev.parents
+            y[lev.n_coarse:lev.n_coarse + len(p)] = 0.5 * y[p[:, 0]] + 0.5 * y[p[:, 1]]
+            y[lev.local] += lev.inv_diag * s
+        return y[free]
 
     def extended(self, fine_dofmap: DofMap) -> "MultilevelPreconditioner":
         """Preconditioner for the hierarchy with one more refinement level."""
-        lev = _make_level(self._finest_dofmap, fine_dofmap)
-        return MultilevelPreconditioner(self._coarse_solve, self._levels + (lev,),
-                                        fine_dofmap)
+        lev = _make_level(self._finest_dofmap.mesh.n_vertices, fine_dofmap)
+        return MultilevelPreconditioner(self._coarse_solve, self._coarse_free,
+                                        self._levels + (lev,), fine_dofmap)
 
 
-def _vertex_prolongation(coarse_dofmap: DofMap, fine_dofmap: DofMap) -> sp.csr_matrix:
-    """Free-dof prolongation for a one-level bisection refinement."""
+def _make_level(n_coarse: int, fine_dofmap: DofMap) -> _Level:
     fine = fine_dofmap.mesh
-    coarse = coarse_dofmap.mesh
-    if fine.vertex_parents is None or fine.n_coarse_vertices != coarse.n_vertices:
+    if fine.vertex_parents is None or fine.n_coarse_vertices != n_coarse:
         raise ValueError("meshes are not nested by one refinement")
-    rows, cols, vals = [], [], []
-    old = fine_dofmap.free_vertices[fine_dofmap.free_vertices < coarse.n_vertices]
-    cdof = coarse_dofmap.dof_of_vertex[old]
-    keep = cdof >= 0
-    rows.append(fine_dofmap.dof_of_vertex[old[keep]])
-    cols.append(cdof[keep])
-    vals.append(np.ones(keep.sum()))
-    if fine.vertex_parents.size:
-        new = np.arange(coarse.n_vertices, fine.n_vertices)
-        fdof = fine_dofmap.dof_of_vertex[new]
-        for side in (0, 1):
-            parent = fine.vertex_parents[:, side]
-            pdof = coarse_dofmap.dof_of_vertex[parent]
-            keep = (fdof >= 0) & (pdof >= 0)
-            rows.append(fdof[keep])
-            cols.append(pdof[keep])
-            vals.append(np.full(int(keep.sum()), 0.5))
-    p = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(fine_dofmap.n_dofs, coarse_dofmap.n_dofs))
-    return p.tocsr()
-
-
-def _make_level(coarse_dofmap: DofMap, fine_dofmap: DofMap) -> _Level:
-    fine = fine_dofmap.mesh
-    p = _vertex_prolongation(coarse_dofmap, fine_dofmap)
     new_mask = np.zeros(fine.n_vertices, dtype=bool)
-    new_mask[fine.n_coarse_vertices:] = True
+    new_mask[n_coarse:] = True
     nodes = fine.edges.nodes
     touched = new_mask.copy()
     touched[nodes[new_mask[nodes[:, 1]], 0]] = True
     touched[nodes[new_mask[nodes[:, 0]], 1]] = True
-    local = fine_dofmap.dof_of_vertex[np.nonzero(touched)[0]]
-    local = local[local >= 0]
+    local = np.nonzero(touched & (fine_dofmap.dof_of_vertex >= 0))[0]
     diag = stiffness_diagonal(fine_dofmap)
-    inv_diag = 1.0 / diag[local] if local.size else np.empty(0)
-    return _Level(prolongation=p, restriction=p.T.tocsr(),
-                  local_dofs=local, inv_diag=inv_diag)
+    return _Level(n_coarse=n_coarse, parents=fine.vertex_parents, local=local,
+                  inv_diag=1.0 / diag[fine_dofmap.dof_of_vertex[local]])
 
 
 def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
@@ -130,7 +117,8 @@ def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
     if len(levels) != len(dofmaps) or not levels:
         raise ValueError("need matching, nonempty mesh and dofmap lists")
     coarse = dofmaps[0]
-    pre = MultilevelPreconditioner(factorized(assemble_laplacian(coarse)), (), coarse)
+    pre = MultilevelPreconditioner(factorized(assemble_laplacian(coarse)),
+                                   coarse.free_vertices, (), coarse)
     for dm in dofmaps[1:]:
         pre = pre.extended(dm)
     return pre

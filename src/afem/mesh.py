@@ -111,6 +111,8 @@ class Mesh:
     vertex_parents : (n_new_vertices, 2) endpoint indices of the bisected
         edge that created each appended vertex, or None for a root mesh.
     n_coarse_vertices : vertex count of the previous mesh.
+
+    The read-only attribute ``areas`` holds the (positive) triangle areas.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
@@ -133,10 +135,11 @@ class Mesh:
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= self.n_vertices):
             raise ValueError("triangle vertex index out of range")
-        if self.signed_areas().size and self.signed_areas().min() <= 0.0:
+        self.areas = self.signed_areas()
+        if self.areas.size and self.areas.min() <= 0.0:
             raise ValueError("triangles must be positively oriented and non-degenerate")
         for a in (self.vertices, self.triangles, self.boundary_edges,
-                  self.boundary_markers, self.parent_of):
+                  self.boundary_markers, self.parent_of, self.areas):
             a.setflags(write=False)
         if self.vertex_parents is not None:
             self.vertex_parents.setflags(write=False)
@@ -154,12 +157,6 @@ class Mesh:
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-    @cached_property
-    def areas(self) -> np.ndarray:
-        a = self.signed_areas()
-        a.setflags(write=False)
-        return a
 
     @cached_property
     def edges(self) -> EdgeTable:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from afem import (AdaptiveConfig, DofMap, FeFunction, apply_nonlinear,
                   assemble_laplacian, create_initial, doerfler_mark, refine)
-from afem.algsolver import solve_exact
+from afem.algsolver import factorized, solve_exact
+from afem.fem import stiffness_diagonal
 from afem.driver import RunLog, algebraic_stop, picard_stop
 from afem.estimator import IndicatorField
 from afem.nonlinearity import Nonlinearity, derived_constants
@@ -180,3 +182,66 @@ def doerfler_reference(squared: np.ndarray, theta: float) -> np.ndarray:
     need = theta * theta * csum[-1]
     k = int(np.searchsorted(csum, need)) + 1
     return np.sort(order[:min(k, len(order))])
+
+
+def _csr_prolongation(coarse_dofmap: DofMap, fine_dofmap: DofMap) -> sp.csr_matrix:
+    """Free-dof prolongation for a one-level bisection refinement."""
+    fine = fine_dofmap.mesh
+    coarse = coarse_dofmap.mesh
+    rows, cols, vals = [], [], []
+    old = fine_dofmap.free_vertices[fine_dofmap.free_vertices < coarse.n_vertices]
+    cdof = coarse_dofmap.dof_of_vertex[old]
+    keep = cdof >= 0
+    rows.append(fine_dofmap.dof_of_vertex[old[keep]])
+    cols.append(cdof[keep])
+    vals.append(np.ones(keep.sum()))
+    if fine.vertex_parents.size:
+        new = np.arange(coarse.n_vertices, fine.n_vertices)
+        fdof = fine_dofmap.dof_of_vertex[new]
+        for side in (0, 1):
+            parent = fine.vertex_parents[:, side]
+            pdof = coarse_dofmap.dof_of_vertex[parent]
+            keep = (fdof >= 0) & (pdof >= 0)
+            rows.append(fdof[keep])
+            cols.append(pdof[keep])
+            vals.append(np.full(int(keep.sum()), 0.5))
+    p = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(fine_dofmap.n_dofs, coarse_dofmap.n_dofs))
+    return p.tocsr()
+
+
+def csr_multilevel_apply(dofmaps):
+    """Reference multilevel preconditioner with explicit transfer matrices.
+
+    Builds, per level, the free-dof CSR prolongation P and its transpose
+    and applies the same additive Schwarz operator as
+    `build_preconditioner(meshes, dofmaps).apply`, in free-dof space.
+    """
+    coarse_solve = factorized(assemble_laplacian(dofmaps[0]))
+    levels = []
+    for coarse, fine in zip(dofmaps, dofmaps[1:]):
+        p = _csr_prolongation(coarse, fine)
+        mesh = fine.mesh
+        new_mask = np.zeros(mesh.n_vertices, dtype=bool)
+        new_mask[mesh.n_coarse_vertices:] = True
+        nodes = mesh.edges.nodes
+        touched = new_mask.copy()
+        touched[nodes[new_mask[nodes[:, 1]], 0]] = True
+        touched[nodes[new_mask[nodes[:, 0]], 1]] = True
+        local = fine.dof_of_vertex[np.nonzero(touched)[0]]
+        local = local[local >= 0]
+        inv_diag = 1.0 / stiffness_diagonal(fine)[local]
+        levels.append((p, p.T.tocsr(), local, inv_diag))
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        residuals = [np.asarray(z, dtype=float)]
+        for _, restriction, _, _ in reversed(levels):
+            residuals.append(restriction @ residuals[-1])
+        residuals.reverse()
+        y = coarse_solve(residuals[0])
+        for (prolongation, _, local, inv_diag), r in zip(levels, residuals[1:]):
+            y = prolongation @ y
+            y[local] += inv_diag * r[local]
+        return y
+
+    return apply

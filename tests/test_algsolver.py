@@ -12,7 +12,7 @@ from afem import (DofMap, IdentityPreconditioner, assemble_laplacian,
 from afem.algsolver import factorized
 from afem.estimator import IndicatorField
 
-from oracles import random_mesh
+from oracles import csr_multilevel_apply, random_mesh
 
 
 def small_system(seed=0, rounds=3):
@@ -154,7 +154,38 @@ def test_extended_matches_fresh_build():
     for dofmap in dofmaps[1:]:
         grown = grown.extended(dofmap)
     z = np.random.default_rng(11).standard_normal(dofmaps[-1].n_dofs)
-    assert np.allclose(fresh.apply(z), grown.apply(z), rtol=1e-12)
+    assert np.array_equal(fresh.apply(z), grown.apply(z))
+
+
+def hierarchy_with_empty_level():
+    meshes, _ = grow_hierarchy("z_shape", 3, seed=14)
+    meshes.append(refine(meshes[-1], []))
+    meshes.append(uniform_refine(meshes[-1]))
+    return meshes, [DofMap.from_mesh(m) for m in meshes]
+
+
+HIERARCHIES = {
+    "deep_z_shape": lambda: grow_hierarchy("z_shape", 30, theta=0.1),
+    "l_shape_no_coarse_dof": lambda: grow_hierarchy("l_shape", 6),
+    "empty_level": hierarchy_with_empty_level,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIERARCHIES))
+def test_vertex_space_apply_equals_csr_oracle(name):
+    meshes, dofmaps = HIERARCHIES[name]()
+    pre = build_preconditioner(meshes, dofmaps)
+    oracle = csr_multilevel_apply(dofmaps)
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        z = rng.standard_normal(dofmaps[-1].n_dofs)
+        assert np.array_equal(pre.apply(z), oracle(z))
+
+
+def test_non_nested_meshes_rejected():
+    meshes, dofmaps = grow_hierarchy("z_shape", 2)
+    with pytest.raises(ValueError, match="not nested"):
+        build_preconditioner([meshes[0], meshes[2]], [dofmaps[0], dofmaps[2]])
 
 
 def iterations_to_reduce(a, pre, rhs, factor=1e-8, cap=200):

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afem import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                   overlay, read_text, refine, uniform_refine, write_text)
@@ -142,6 +144,32 @@ def test_new_vertices_are_edge_midpoints():
     coarse_edges = set(edge_census(mesh))
     for a, b in fine.vertex_parents:
         assert (min(a, b), max(a, b)) in coarse_edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_refine_keeps_hierarchy_invariants(domain, seed, fracs):
+    """What the vertex-space multilevel transfers rely on, per refinement."""
+    rng = np.random.default_rng(seed)
+    coarse = random_mesh(domain, rng, rounds=2)
+    for frac in fracs:
+        fine = refine(coarse, np.nonzero(rng.random(coarse.n_triangles) < frac)[0])
+        fine.validate()
+        n_c = coarse.n_vertices
+        assert fine.n_coarse_vertices == n_c
+        assert np.array_equal(fine.vertices[:n_c], coarse.vertices)
+        parents = fine.vertex_parents
+        assert parents.shape == (fine.n_vertices - n_c, 2)
+        a, b = coarse.vertices[parents[:, 0]], coarse.vertices[parents[:, 1]]
+        assert np.array_equal(fine.vertices[n_c:], 0.5 * (a + b))
+        coarse.edges.lookup(parents, n_c)  # raises unless every pair is a coarse edge
+        dirichlet = np.zeros(fine.n_vertices, dtype=bool)
+        dirichlet[fine.dirichlet_vertices()] = True
+        assert np.array_equal(np.nonzero(dirichlet[:n_c])[0], coarse.dirichlet_vertices())
+        assert dirichlet[parents[dirichlet[n_c:]]].all()
+        coarse = fine
 
 
 def test_boundary_markers_inherited():
