@@ -13,7 +13,7 @@ import numpy as np
 from afem.algsolver import solve_exact
 from afem.estimator import doerfler_mark, indicators, total
 from afem.fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
-                      assemble_rhs)
+                      assemble_rhs, sample)
 from afem.mesh import create_initial, uniform_refine
 from afem.nonlinearity import derived_constants
 from afem.problems import get_problem
@@ -26,7 +26,7 @@ for _ in range(4):
     mesh = uniform_refine(mesh)
 dofmap = DofMap.from_mesh(mesh)
 a = assemble_laplacian(dofmap)
-load = assemble_rhs(dofmap, problem.source, problem.neumann)
+load = assemble_rhs(dofmap, sample(mesh, problem.source, problem.neumann))
 
 # the damped iteration u <- u + delta A^-1 (F - N(u)) contracts with a
 # mesh-independent factor, so a handful of steps is plenty here

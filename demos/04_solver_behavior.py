@@ -15,7 +15,8 @@ from afem.algsolver import (IdentityPreconditioner, build_preconditioner,
                             init_solver_state, pcg_step)
 from afem.driver import AdaptiveConfig, run_adaptive
 from afem.estimator import doerfler_mark, indicators
-from afem.fem import DofMap, assemble_laplacian, assemble_rhs, interpolate
+from afem.fem import (DofMap, assemble_laplacian, assemble_rhs, interpolate,
+                      sample)
 from afem.mesh import create_initial, refine
 from afem.problems import get_problem
 
@@ -51,7 +52,7 @@ for i in range(1, len(meshes)):
     if i % 3 and i != len(meshes) - 1:
         continue
     a = assemble_laplacian(dofmaps[i])
-    rhs = assemble_rhs(dofmaps[i], problem.source, problem.neumann)
+    rhs = assemble_rhs(dofmaps[i], sample(meshes[i], problem.source, problem.neumann))
     print("%3d %8d %12d %10d"
           % (i, dofmaps[i].n_dofs, steps_to_tol(a, rhs, pre),
              steps_to_tol(a, rhs, IdentityPreconditioner())))

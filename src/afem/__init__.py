@@ -17,7 +17,7 @@ from .estimator import (EstimatorData, IndicatorField, doerfler_mark,
 from .experiments import (RunResult, expected_rate, fit_rate,
                           parse_sweep_spec, robustness_grid, run_benchmark)
 from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
-                  assemble_rhs, energy_norm, interpolate, prolongate)
+                  assemble_rhs, energy_norm, interpolate, prolongate, sample)
 from .mesh import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                    overlay, read_text, refine, uniform_refine, write_text)
 from .nonlinearity import (Nonlinearity, constant_nonlinearity,
@@ -40,6 +40,6 @@ __all__ = [
     "init_solver_state", "interpolate", "lshape_nonlinearity", "overlay",
     "parse_sweep_spec", "pcg_step", "prolongate", "quasi_error",
     "read_text", "refine", "robustness_grid", "run_adaptive",
-    "run_benchmark", "solve_exact", "total", "uniform_refine", "write_text",
-    "zshape_exact", "zshape_nonlinearity",
+    "run_benchmark", "sample", "solve_exact", "total", "uniform_refine",
+    "write_text", "zshape_exact", "zshape_nonlinearity",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import algsolver as alg
 from .estimator import EstimatorData, IndicatorField, doerfler_mark
 from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
-                  assemble_rhs, evict_cache, prolongate)
+                  assemble_rhs, prolongate, sample)
 from .mesh import create_initial, refine
 from .nonlinearity import derived_constants
 from .problems import ErrorData, get_problem
@@ -42,7 +42,8 @@ class AdaptiveConfig:
     uniform=True replaces marking by full refinement.  track_error adds a
     per-step energy error column when the exact solution is known;
     diagnostics additionally solves each linear system exactly to log the
-    algebraic error and the combined quasi-error.
+    algebraic error and the combined quasi-error.  Out-of-range values
+    raise ValueError at construction.
     """
 
     domain: str = "zshape"
@@ -59,6 +60,21 @@ class AdaptiveConfig:
     max_levels: int = 10 ** 4
     max_picard_per_level: int = 10 ** 4
     max_pcg_per_linearization: int = 10 ** 4
+
+    def __post_init__(self):
+        get_problem(self.domain)  # raises ValueError for an unknown domain
+        checks = [(0.0 < self.theta <= 1.0, "theta must lie in (0, 1]"),
+                  (self.lambda_alg > 0.0, "lambda_alg must be positive"),
+                  (self.lambda_pic > 0.0, "lambda_pic must be positive"),
+                  (self.eta_tol >= 0.0, "eta_tol must be nonnegative"),
+                  (self.precond in ("multilevel", "identity"),
+                   f"unknown preconditioner {self.precond!r}")]
+        checks += [(getattr(self, name) >= 1, f"{name} must be at least 1")
+                   for name in ("max_elements", "max_levels", "max_picard_per_level",
+                                "max_pcg_per_linearization")]
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass
@@ -204,18 +220,17 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
     u = FeFunction.zero(dofmap)
     if config.precond == "multilevel":
         pre = alg.build_preconditioner([mesh], [dofmap])
-    elif config.precond == "identity":
-        pre = alg.IdentityPreconditioner()
     else:
-        raise ValueError(f"unknown preconditioner {config.precond!r}")
+        pre = alg.IdentityPreconditioner()
 
     log = RunLog(config=config)
     step = 0
     cumcost = 0
     for level in range(config.max_levels):
         operator = assemble_laplacian(dofmap)
-        load = assemble_rhs(dofmap, problem.source, problem.neumann)
-        est = EstimatorData(mesh, problem.source, problem.neumann)
+        samples = sample(mesh, problem.source, problem.neumann)
+        load = assemble_rhs(dofmap, samples)
+        est = EstimatorData(samples)
         errdata = ErrorData(mesh, problem.exact) \
             if track and problem.exact is not None else None
         lu = alg.factorized(operator) if config.diagnostics else None
@@ -263,6 +278,9 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
             if stop_pic:
                 break
         u = FeFunction(dofmap, x)
+        # drop what holds the mesh, so that it and its cached edges and
+        # gradients are freed once the next level replaces it
+        del samples, est, errdata
 
         eta_final = log.records[-1].eta
         if eta_final <= config.eta_tol:
@@ -280,7 +298,6 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
         if config.precond == "multilevel":
             pre = pre.extended(new_dofmap)
         u = prolongate(u, new_dofmap)
-        evict_cache(mesh)
         mesh, dofmap = new_mesh, new_dofmap
     else:
         log.exit_reason = "max_levels"

@@ -6,9 +6,10 @@ For a discrete function v the indicator of triangle T is
              + |T|^(1/2) ||jump of mu(|grad v|^2) grad v . n||_{L2(inner edges of T)}^2
              + |T|^(1/2) ||g - mu(|grad v|^2) grad v . n||_{L2(Neumann edges of T)}^2
 
-For piecewise affine v and x-independent mu the divergence vanishes and the
-flux is constant per element, so the volume term reduces to the f integral
-and edge terms are exact.  The Neumann mismatch term can be switched off.
+For piecewise affine v the divergence vanishes and the flux is constant
+per element, so the volume term reduces to the f integral and edge terms
+are exact.  The data enter as `fem.Samples`, taken once per mesh and shared
+with the load vector.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_W, element_gradients,
-                  hat_gradients, triangle_quad_points, FeFunction, neumann_edges)
+from .fem import (EDGE_QUAD_W, TRI_QUAD_W, FeFunction, Samples,
+                  element_gradients, sample)
 from .mesh import Mesh
 from .nonlinearity import Nonlinearity
 
@@ -63,14 +64,14 @@ class EstimatorData:
     """Mesh- and data-dependent precomputations for indicator evaluation.
 
     Everything that does not depend on the argument function is computed
-    once: interior edge topology and normals, the volume data integral
-    per element, and the Neumann data moments per edge.  `eval_squared`
-    then costs a handful of vectorized passes.
+    once from the mesh and the data samples: interior edge topology and
+    normals, the volume data integral per element, and the Neumann data
+    moments per edge.  `eval_squared` then costs a handful of vectorized
+    passes.
     """
 
-    def __init__(self, mesh: Mesh, f, g=None, include_neumann: bool = True):
-        self.mesh = mesh
-        self.include_neumann = include_neumann
+    def __init__(self, samples: Samples):
+        mesh = self.mesh = samples.mesh
         et = mesh.edges
         interior = ~et.is_boundary
         nodes = et.nodes[interior]
@@ -80,28 +81,18 @@ class EstimatorData:
         self.ie_length = np.linalg.norm(tang, axis=1)
         self.ie_normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / self.ie_length[:, None]
 
-        if f is not None:
-            xq = triangle_quad_points(mesh)
-            fq = np.asarray(f(xq))
-            self.f_sq_int = np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, mesh.areas)
-        else:
+        if samples.fq is None:
             self.f_sq_int = np.zeros(mesh.n_triangles)
+        else:
+            self.f_sq_int = np.einsum("tq,q,t->t", samples.fq ** 2, TRI_QUAD_W,
+                                      mesh.areas)
 
         self.neumann = None
-        if include_neumann:
-            ne = neumann_edges(mesh)
-            if ne is not None:
-                edges, lengths, normals, owner = ne
-                a = mesh.vertices[edges[:, 0]]
-                b = mesh.vertices[edges[:, 1]]
-                if g is None:
-                    gq = np.zeros((len(edges), EDGE_QUAD_X.size))
-                else:
-                    pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * (b - a)[:, None, :]
-                    gq = np.asarray(g(pts, normals[:, None, :]))
-                g_sq_int = lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2)
-                g_int = lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq)
-                self.neumann = (owner, lengths, normals, g_sq_int, g_int)
+        if samples.neumann is not None:
+            _, lengths, normals, owner, gq = samples.neumann
+            g_sq_int = lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2)
+            g_int = lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq)
+            self.neumann = (owner, lengths, normals, g_sq_int, g_int)
 
         self.sqrt_areas = np.sqrt(mesh.areas)
 
@@ -109,10 +100,7 @@ class EstimatorData:
         mesh = self.mesh
         grads = element_gradients(mesh, vertex_values)
         t = (grads ** 2).sum(axis=1)
-        if nl.x_dependent:
-            mu = np.asarray(nl.mu(mesh.centroids(), t))
-        else:
-            mu = np.asarray(nl.mu(None, t))
+        mu = np.asarray(nl.mu(t))
         flux = mu[:, None] * grads
 
         edge_sq = np.zeros(mesh.n_triangles)
@@ -130,10 +118,9 @@ class EstimatorData:
         return mesh.areas * self.f_sq_int + self.sqrt_areas * edge_sq
 
 
-def indicators(nl: Nonlinearity, f, g, v: FeFunction,
-               include_neumann: bool = True) -> IndicatorField:
+def indicators(nl: Nonlinearity, f, g, v: FeFunction) -> IndicatorField:
     """Residual indicators of v for data (f, g); see the module docstring."""
-    data = EstimatorData(v.mesh, f, g, include_neumann=include_neumann)
+    data = EstimatorData(sample(v.mesh, f, g))
     return IndicatorField(v.mesh, data.eval_squared(nl, v.vertex_values()))
 
 

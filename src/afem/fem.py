@@ -10,12 +10,13 @@ vanish on the Dirichlet boundary; coefficient vectors run over the free
 Volume integrands are approximated with the symmetric 7-point rule of
 degree 5, edge integrands with 3-point Gauss, everywhere a data or
 nonlinear integrand appears; polynomial integrands are thereby exact.
+`sample` evaluates the problem data at these nodes once per mesh; the
+load vector and the estimator both integrate the same `Samples`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,34 +43,6 @@ TRI_QUAD_W = np.array([9 / 40, _WA, _WA, _WA, _WB, _WB, _WB])
 _G3 = 0.5 * np.sqrt(3.0 / 5.0)
 EDGE_QUAD_X = np.array([0.5 - _G3, 0.5, 0.5 + _G3])  # on the unit interval
 EDGE_QUAD_W = np.array([5 / 18, 8 / 18, 5 / 18])
-
-_GRAD_CACHE: "WeakKeyDictionary[Mesh, np.ndarray]" = WeakKeyDictionary()
-
-
-def hat_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three nodal basis functions per triangle, (nT, 3, 2).
-
-    Cached per mesh; long-running drivers evict with `evict_cache`.
-    """
-    g = _GRAD_CACHE.get(mesh)
-    if g is None:
-        p = mesh.vertices[mesh.triangles]
-        det = 2.0 * mesh.areas
-        g = np.empty((mesh.n_triangles, 3, 2))
-        for i in range(3):
-            e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            g[:, i, 0] = -e[:, 1] / det
-            g[:, i, 1] = e[:, 0] / det
-        g.setflags(write=False)
-        _GRAD_CACHE[mesh] = g
-    return g
-
-
-def evict_cache(mesh: Mesh) -> None:
-    """Drop cached geometry for a mesh that left the hot path."""
-    _GRAD_CACHE.pop(mesh, None)
-    mesh.__dict__.pop("edges", None)
-
 
 def triangle_quad_points(mesh: Mesh) -> np.ndarray:
     """Physical coordinates of the volume quadrature nodes, (nT, 7, 2)."""
@@ -143,13 +116,13 @@ def interpolate(dofmap: DofMap, func) -> FeFunction:
 
 def element_gradients(mesh: Mesh, vertex_values: np.ndarray) -> np.ndarray:
     """Per-triangle gradient of a P1 function given by vertex values."""
-    return np.einsum("ti,tid->td", vertex_values[mesh.triangles], hat_gradients(mesh))
+    return np.einsum("ti,tid->td", vertex_values[mesh.triangles], mesh.hat_gradients)
 
 
 def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
     """Stiffness matrix of the Laplacian on the free vertices (CSR, SPD)."""
     mesh = dofmap.mesh
-    g = hat_gradients(mesh)
+    g = mesh.hat_gradients
     k = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
     dofs = dofmap.dof_of_vertex[mesh.triangles]
     rows = np.repeat(dofs[:, :, None], 3, axis=2)
@@ -163,82 +136,85 @@ def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
 def stiffness_diagonal(dofmap: DofMap) -> np.ndarray:
     """Diagonal of the Laplace stiffness matrix, without full assembly."""
     mesh = dofmap.mesh
-    g = hat_gradients(mesh)
+    g = mesh.hat_gradients
     contrib = (g ** 2).sum(axis=2) * mesh.areas[:, None]
     diag_v = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                          minlength=mesh.n_vertices)
     return diag_v[dofmap.free_vertices]
 
 
-def _mu_elementwise(nl: Nonlinearity, mesh: Mesh, t: np.ndarray) -> np.ndarray:
-    """Element averages of mu(x, t_T); exact single evaluation when mu does
-    not depend on x, degree-5 quadrature in x otherwise."""
-    if not nl.x_dependent:
-        return np.asarray(nl.mu(None, t))
-    xq = triangle_quad_points(mesh)
-    return np.einsum("q,tq->t", TRI_QUAD_W, np.asarray(nl.mu(xq, t[:, None])))
-
-
 def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     """Vector of <mu(|grad w|^2) grad w, grad phi_i> over the free vertices."""
     mesh = w.mesh
-    g = hat_gradients(mesh)
+    g = mesh.hat_gradients
     grads = element_gradients(mesh, w.vertex_values())
     t = (grads ** 2).sum(axis=1)
-    mu = _mu_elementwise(nl, mesh, t)
+    mu = np.asarray(nl.mu(t))
     contrib = np.einsum("t,tid,td->ti", mu * mesh.areas, g, grads)
     r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.n_vertices)
     return r[w.dofmap.free_vertices]
 
 
-def neumann_edges(mesh: Mesh):
-    """Neumann boundary segments with outward unit normals.
+@dataclass(frozen=True)
+class Samples:
+    """Problem data at the quadrature nodes of one mesh.
 
-    Returns (endpoints (nN,2), lengths, normals) or None if there are none.
+    ``fq`` is f at the 7 volume nodes, (nT, 7), or None without volume
+    data.  ``neumann`` is None without Neumann edges, else ``(edges,
+    lengths, normals, owner, gq)``: endpoints (nN, 2), lengths, outward
+    unit normals, the owning triangle, and g at the 3 nodes of each edge.
     """
+
+    mesh: Mesh
+    fq: np.ndarray | None
+    neumann: tuple | None
+
+
+def sample(mesh: Mesh, f, g=None) -> Samples:
+    """Evaluate ``f(points)`` and ``g(points, normals)`` at the quadrature
+    nodes, each once.
+
+    ``f`` maps (..., 2) point arrays to values; ``g`` additionally receives
+    the outward unit normal (broadcast per edge).  Without ``g`` the Neumann
+    data is zero.
+    """
+    fq = None if f is None else np.asarray(f(triangle_quad_points(mesh)))
     sel = mesh.boundary_markers != DIRICHLET
     if not sel.any():
-        return None
+        return Samples(mesh, fq, None)
     edges = mesh.boundary_edges[sel]
-    et = mesh.edges
-    ids = et.lookup(edges, mesh.n_vertices)
-    owner = et.incident[ids, 0]
+    owner = mesh.edges.incident[mesh.edges.lookup(edges, mesh.n_vertices), 0]
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
     tang = b - a
     lengths = np.linalg.norm(tang, axis=1)
     normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
     # orient away from the owning triangle
-    outward = ((a + b) / 2 - mesh.centroids()[owner])
-    flip = (normals * outward).sum(axis=1) < 0
-    normals[flip] *= -1.0
-    return edges, lengths, normals, owner
+    outward = (a + b) / 2 - mesh.vertices[mesh.triangles[owner]].mean(axis=1)
+    normals[(normals * outward).sum(axis=1) < 0] *= -1.0
+    if g is None:
+        gq = np.zeros((len(edges), EDGE_QUAD_X.size))
+    else:
+        pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
+        gq = np.asarray(g(pts, normals[:, None, :]))
+    return Samples(mesh, fq, (edges, lengths, normals, owner, gq))
 
 
-def assemble_rhs(dofmap: DofMap, f, g=None) -> np.ndarray:
-    """Load vector: volume data ``f(points)`` plus Neumann data
-    ``g(points, normals)`` integrated against the nodal basis.
-
-    ``f`` maps (..., 2) point arrays to values; ``g`` additionally receives
-    the outward unit normal (broadcast per edge) and is ignored when the
-    mesh has no Neumann edges.
-    """
+def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
+    """Load vector: the sampled volume and Neumann data integrated against
+    the nodal basis."""
     mesh = dofmap.mesh
+    if samples.mesh is not mesh:
+        raise ValueError("samples were taken on a different mesh")
     rhs_v = np.zeros(mesh.n_vertices)
-    if f is not None:
-        xq = triangle_quad_points(mesh)
-        fq = np.asarray(f(xq))
-        contrib = np.einsum("tq,q,qi,t->ti", fq, TRI_QUAD_W, TRI_QUAD_BARY, mesh.areas)
+    if samples.fq is not None:
+        contrib = np.einsum("tq,q,qi,t->ti", samples.fq, TRI_QUAD_W, TRI_QUAD_BARY,
+                            mesh.areas)
         rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                              minlength=mesh.n_vertices)
-    neumann = neumann_edges(mesh)
-    if neumann is not None and g is not None:
-        edges, lengths, normals, _ = neumann
-        a = mesh.vertices[edges[:, 0]]
-        b = mesh.vertices[edges[:, 1]]
-        pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * (b - a)[:, None, :]
-        gq = np.asarray(g(pts, normals[:, None, :]))
+    if samples.neumann is not None:
+        edges, lengths, _, _, gq = samples.neumann
         w0 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
         w1 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
         np.add.at(rhs_v, edges[:, 0], w0)
@@ -259,8 +235,6 @@ def energy_functional(nl: Nonlinearity, v: FeFunction, rhs: np.ndarray) -> float
     of mu; minimized exactly by the discrete solution."""
     if nl.antiderivative is None:
         raise ValueError("nonlinearity has no antiderivative")
-    if nl.x_dependent:
-        raise NotImplementedError("energy functional requires x-independent mu")
     mesh = v.mesh
     grads = element_gradients(mesh, v.vertex_values())
     t = (grads ** 2).sum(axis=1)

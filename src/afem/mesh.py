@@ -112,7 +112,9 @@ class Mesh:
         edge that created each appended vertex, or None for a root mesh.
     n_coarse_vertices : vertex count of the previous mesh.
 
-    The read-only attribute ``areas`` holds the (positive) triangle areas.
+    The read-only attribute ``areas`` holds the (positive) triangle areas;
+    ``edges`` and ``hat_gradients`` are computed on first use and live as
+    long as the mesh.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
@@ -161,6 +163,19 @@ class Mesh:
     @cached_property
     def edges(self) -> EdgeTable:
         return _build_edge_table(self.triangles, self.n_vertices)
+
+    @cached_property
+    def hat_gradients(self) -> np.ndarray:
+        """Gradients of the three nodal basis functions per triangle, (nT, 3, 2)."""
+        p = self.vertices[self.triangles]
+        det = 2.0 * self.areas
+        g = np.empty((self.n_triangles, 3, 2))
+        for i in range(3):
+            e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+            g[:, i, 0] = -e[:, 1] / det
+            g[:, i, 1] = e[:, 0] / det
+        g.setflags(write=False)
+        return g
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)

@@ -1,10 +1,12 @@
-"""Scalar diffusion nonlinearities mu(x, |grad u|^2) and their constants.
+"""Scalar diffusion nonlinearities mu(|grad u|^2) and their constants.
 
-The operator u -> -div(mu(x, |grad u|^2) grad u) is strongly monotone with
+The operator u -> -div(mu(|grad u|^2) grad u) is strongly monotone with
 constant alpha and Lipschitz continuous with constant L in the H^1 seminorm
-provided alpha <= mu(x, t) + 2 t d mu/dt (x, t) <= L for all t >= 0.  The
-built-in nonlinearities are x-independent and attain these bounds exactly;
-`check_monotonicity_bounds` re-measures them on a sampling grid.
+provided alpha <= mu(t) + 2 t d mu/dt (t) <= L for all t >= 0.  The
+built-in nonlinearities attain these bounds exactly;
+`check_monotonicity_bounds` re-measures them on a sampling grid.  mu does
+not depend on the point, so the flux of a piecewise affine function is
+constant per element.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import numpy as np
 class Nonlinearity:
     """Diffusion coefficient bundle.
 
-    ``mu(x, t)`` and ``dmu_dt(x, t)`` take the evaluation points ``x`` (any
-    (..., 2) array, or None when `x_dependent` is False) and the gradient
-    modulus squared ``t`` and broadcast over both.  ``antiderivative`` is
-    M(s) = integral of mu(., t) dt over [0, s], used by the energy
+    ``mu(t)`` and ``dmu_dt(t)`` take the gradient modulus squared ``t`` (any
+    array) and broadcast over it.  ``antiderivative`` is
+    M(s) = integral of mu(t) dt over [0, s], used by the energy
     functional; M(0) = 0.  ``alpha`` and ``lipschitz`` are the monotonicity
     and Lipschitz constants, ``gamma1 <= mu <= gamma2`` the plain bounds.
     """
@@ -36,7 +37,6 @@ class Nonlinearity:
     lipschitz: float
     gamma1: float
     gamma2: float
-    x_dependent: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def zshape_nonlinearity() -> Nonlinearity:
     """mu(t) = 2 + (1 + t)^(-1/2); alpha = 2, L = 3 (attained at t -> inf, 0)."""
     return Nonlinearity(
         name="zshape",
-        mu=lambda x, t: 2.0 + 1.0 / np.sqrt(1.0 + t),
-        dmu_dt=lambda x, t: -0.5 * (1.0 + t) ** -1.5,
+        mu=lambda t: 2.0 + 1.0 / np.sqrt(1.0 + t),
+        dmu_dt=lambda t: -0.5 * (1.0 + t) ** -1.5,
         antiderivative=lambda s: 2.0 * s + 2.0 * (np.sqrt(1.0 + s) - 1.0),
         alpha=2.0,
         lipschitz=3.0,
@@ -81,8 +81,8 @@ def lshape_nonlinearity() -> Nonlinearity:
     """mu(t) = 1 + ln(1 + t)/(1 + t); alpha ~= 0.9582898, L ~= 1.5423438."""
     return Nonlinearity(
         name="lshape",
-        mu=lambda x, t: 1.0 + np.log1p(t) / (1.0 + t),
-        dmu_dt=lambda x, t: (1.0 - np.log1p(t)) / (1.0 + t) ** 2,
+        mu=lambda t: 1.0 + np.log1p(t) / (1.0 + t),
+        dmu_dt=lambda t: (1.0 - np.log1p(t)) / (1.0 + t) ** 2,
         antiderivative=lambda s: s + 0.5 * np.log1p(s) ** 2,
         alpha=LSHAPE_ALPHA,
         lipschitz=LSHAPE_LIPSCHITZ,
@@ -95,8 +95,8 @@ def constant_nonlinearity(value: float = 1.0) -> Nonlinearity:
     """mu identically constant; the linear Laplace-type case alpha = L."""
     return Nonlinearity(
         name=f"constant({value:g})",
-        mu=lambda x, t: np.full_like(np.asarray(t, dtype=float), value),
-        dmu_dt=lambda x, t: np.zeros_like(np.asarray(t, dtype=float)),
+        mu=lambda t: np.full_like(np.asarray(t, dtype=float), value),
+        dmu_dt=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         antiderivative=lambda s: value * s,
         alpha=value,
         lipschitz=value,
@@ -114,8 +114,7 @@ def check_monotonicity_bounds(nl: Nonlinearity, t_max: float = 1e8,
     is log-spaced with t = 0 prepended.
     """
     t = np.concatenate([[0.0], np.geomspace(1e-10, t_max, n_samples)])
-    x = None if not nl.x_dependent else np.zeros((t.size, 2))
-    vals = np.asarray(nl.mu(x, t)) + 2.0 * t * np.asarray(nl.dmu_dt(x, t))
+    vals = np.asarray(nl.mu(t)) + 2.0 * t * np.asarray(nl.dmu_dt(t))
     lo, hi = float(vals.min()), float(vals.max())
     if not (nl.alpha <= lo + tol and hi <= nl.lipschitz + tol):
         raise ValueError(

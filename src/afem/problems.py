@@ -101,7 +101,7 @@ def _zshape_problem() -> Problem:
 
     def neumann(points, normals):
         t = exact.gradient_sq(points)
-        flux = nl.mu(None, t)[..., None] * exact.gradient(points)
+        flux = nl.mu(t)[..., None] * exact.gradient(points)
         return np.einsum("...d,...d->...", flux, normals)
 
     return Problem(name="zshape", domain="z_shape", nonlinearity=nl,

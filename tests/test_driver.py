@@ -1,16 +1,21 @@
 """Tests for the nested adaptive loop, its stopping rules, and the run log."""
 
+import dataclasses
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from afem.algsolver import solve_exact
-from afem.driver import (AdaptiveConfig, RunLog, algebraic_stop, picard_rhs,
-                         picard_stop, quasi_error, run_adaptive)
-from afem.fem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs)
+from afem import driver
+from afem.driver import (AdaptiveConfig, RunLog, StepRecord, algebraic_stop,
+                         field_types, picard_rhs, picard_stop, quasi_error,
+                         run_adaptive)
+from afem.fem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
+                      sample)
 from afem.mesh import create_initial, uniform_refine
 from afem.nonlinearity import derived_constants
 from afem.problems import get_problem
@@ -29,7 +34,7 @@ def small_problem(name, refines=2):
         mesh = uniform_refine(mesh)
     dofmap = DofMap.from_mesh(mesh)
     operator = assemble_laplacian(dofmap)
-    load = assemble_rhs(dofmap, problem.source, problem.neumann)
+    load = assemble_rhs(dofmap, sample(mesh, problem.source, problem.neumann))
     return problem, dofmap, operator, load
 
 
@@ -201,11 +206,12 @@ def test_level_cap_exit():
 
 
 def test_iteration_guards_raise():
+    # thresholds this small never accept an increment within the guard
     with pytest.raises(RuntimeError):
-        run_adaptive(AdaptiveConfig(domain="zshape", lambda_pic=0.0,
+        run_adaptive(AdaptiveConfig(domain="zshape", lambda_pic=1e-300,
                                     max_picard_per_level=5))
     with pytest.raises(RuntimeError):
-        run_adaptive(AdaptiveConfig(domain="zshape", lambda_alg=0.0,
+        run_adaptive(AdaptiveConfig(domain="zshape", lambda_alg=1e-300,
                                     max_pcg_per_linearization=1))
 
 
@@ -222,6 +228,71 @@ def test_bad_configuration_raises():
         run_adaptive(AdaptiveConfig(precond="amg"))
     with pytest.raises(ValueError):
         run_adaptive(AdaptiveConfig(domain="torus"))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("domain", "torus"), ("theta", 0.0), ("theta", -0.5), ("theta", 1.5),
+    ("theta", float("nan")), ("lambda_alg", 0.0), ("lambda_alg", -1e-2),
+    ("lambda_pic", 0.0), ("lambda_pic", float("nan")), ("eta_tol", -1e-3),
+    ("precond", "amg"), ("max_elements", 0), ("max_levels", 0),
+    ("max_picard_per_level", 0), ("max_pcg_per_linearization", -1)])
+def test_configuration_rejected_at_construction(name, value):
+    with pytest.raises(ValueError):
+        AdaptiveConfig(**{name: value})
+
+
+def test_data_sampled_once_per_level(monkeypatch):
+    calls = Counter()
+    plain_get_problem = driver.get_problem
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    def get_problem(name):
+        problem = plain_get_problem(name)
+        return dataclasses.replace(problem, source=counted("f", problem.source),
+                                   neumann=counted("g", problem.neumann))
+
+    monkeypatch.setattr(driver, "get_problem", get_problem)
+    log = run_adaptive(AdaptiveConfig(domain="zshape", max_elements=500,
+                                      track_error=True))
+    levels = len(log.level_table())
+    assert levels > 5
+    assert calls == {"f": levels, "g": levels}
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_CONFIGS = {
+    "zshape_diagnostics": dict(domain="zshape", max_elements=20000,
+                               track_error=True, diagnostics=True),
+    "lshape_lambda_alg": dict(domain="lshape", lambda_alg=1e-4, max_elements=10000),
+    "square_linear_error": dict(domain="square_linear", max_elements=20000,
+                                track_error=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_step_log_matches_golden(name):
+    # the step logs a refactor must leave unchanged; integers match exactly
+    # and floats to rtol 1e-10 (the CSV keeps 12 digits).  Entries below
+    # 1e-12 of their column's largest value are round-off (e.g. the ~1e-16
+    # increment of a second PCG step after an exact coarse solve) and are
+    # compared on that absolute scale instead.
+    want = RunLog.from_csv(GOLDEN / f"{name}.csv")
+    got = run_adaptive(AdaptiveConfig(**GOLDEN_CONFIGS[name]))
+    assert got.columns() == want.columns()
+    assert len(got.records) == len(want.records)
+    for column in got.columns():
+        a = np.array([getattr(r, column) for r in got.records])
+        b = np.array([getattr(r, column) for r in want.records])
+        if field_types(StepRecord)[column] is float:
+            np.testing.assert_allclose(a, b, rtol=1e-10,
+                                       atol=1e-12 * np.abs(b).max(), err_msg=column)
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=column)
 
 
 def test_benchmark_tracing_hooks_cover_the_driver(monkeypatch):

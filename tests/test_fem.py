@@ -12,7 +12,7 @@ from afem import (DofMap, FeFunction, NEUMANN, apply_nonlinear,
 from afem.algsolver import solve_exact
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       element_gradients, energy_error_vs_exact,
-                      energy_functional, hat_gradients, neumann_edges,
+                      energy_functional, sample,
                       stiffness_diagonal, triangle_quad_points)
 from afem.nonlinearity import (constant_nonlinearity, derived_constants,
                                zshape_nonlinearity)
@@ -47,7 +47,7 @@ def test_element_stiffness_reference_triangle():
 
 def test_hat_gradients_partition_of_unity():
     mesh = random_mesh("z_shape", np.random.default_rng(0), rounds=3)
-    g = hat_gradients(mesh)
+    g = mesh.hat_gradients
     assert np.allclose(g.sum(axis=1), 0.0, atol=1e-13)
     # gradient of the linear function x + 2y is (1, 2) on every element
     grads = element_gradients(mesh, mesh.vertices @ np.array([1.0, 2.0]))
@@ -78,7 +78,7 @@ def test_edge_quadrature_degree_five():
 def test_rhs_volume_term():
     mesh = neumann_square()
     dofmap = DofMap.from_mesh(mesh)
-    rhs = assemble_rhs(dofmap, lambda p: np.ones(p.shape[:-1]))
+    rhs = assemble_rhs(dofmap, sample(mesh, lambda p: np.ones(p.shape[:-1])))
     # each vertex collects |T|/3 from every incident triangle
     expected = np.zeros(mesh.n_vertices)
     for t, tri in enumerate(mesh.triangles):
@@ -90,8 +90,8 @@ def test_rhs_volume_term():
 def test_rhs_neumann_term():
     mesh = neumann_square()
     dofmap = DofMap.from_mesh(mesh)
-    rhs = assemble_rhs(dofmap, None,
-                       lambda p, n: np.ones(np.broadcast(p[..., 0], n[..., 0]).shape))
+    rhs = assemble_rhs(dofmap, sample(
+        mesh, None, lambda p, n: np.ones(np.broadcast(p[..., 0], n[..., 0]).shape)))
     # each unit boundary edge contributes h/2 = 1/2 to both endpoints, and
     # every corner of the square touches two boundary edges
     expected = np.array([1.0, 1.0, 1.0, 1.0, 0.0])[:mesh.n_vertices]
@@ -101,7 +101,7 @@ def test_rhs_neumann_term():
 
 def test_neumann_edge_normals():
     mesh = create_initial("z_shape")
-    edges, lengths, normals, owner = neumann_edges(mesh)
+    edges, lengths, normals, owner, _ = sample(mesh, None).neumann
     assert len(edges) == 8
     assert np.allclose(lengths, np.linalg.norm(
         mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1))
@@ -112,7 +112,7 @@ def test_neumann_edge_normals():
             assert np.allclose(n, [1.0, 0.0])
         if np.isclose(a[1], -1.0) and np.isclose(b[1], -1.0):
             assert np.allclose(n, [0.0, -1.0])
-    assert neumann_edges(create_initial("unit_square")) is None
+    assert sample(create_initial("unit_square"), None).neumann is None
 
 
 def test_apply_nonlinear_hand_value():
@@ -201,7 +201,7 @@ def test_energy_functional_two_sided_bound():
     mesh = uniform_refine(uniform_refine(create_initial("z_shape")))
     dofmap = DofMap.from_mesh(mesh)
     a = assemble_laplacian(dofmap)
-    load = assemble_rhs(dofmap, problem.source, problem.neumann)
+    load = assemble_rhs(dofmap, sample(mesh, problem.source, problem.neumann))
     step = picard_map(nl, dofmap, a, load)
     x = np.zeros(dofmap.n_dofs)
     for _ in range(250):
@@ -224,7 +224,7 @@ def test_galerkin_solution_is_near_best():
         mesh = uniform_refine(mesh)
     dofmap = DofMap.from_mesh(mesh)
     a = assemble_laplacian(dofmap)
-    rhs = assemble_rhs(dofmap, problem.source)
+    rhs = assemble_rhs(dofmap, sample(mesh, problem.source))
     uh = FeFunction(dofmap, solve_exact(a, rhs))
     best = interpolate(dofmap, problem.exact.value)
     err_uh = energy_error_vs_exact(uh, problem.exact.gradient)

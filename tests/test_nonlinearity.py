@@ -12,23 +12,23 @@ from afem.nonlinearity import (LSHAPE_ALPHA, LSHAPE_LIPSCHITZ,
 
 
 def central_diff(f, t, h=1e-6):
-    return (f(None, t + h) - f(None, t - h)) / (2.0 * h)
+    return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
 def test_zshape_values():
     nl = zshape_nonlinearity()
-    assert nl.mu(None, 0.0) == pytest.approx(3.0)
-    assert nl.mu(None, 3.0) == pytest.approx(2.5)
-    assert nl.mu(None, 1e12) == pytest.approx(2.0, abs=1e-5)
+    assert nl.mu(0.0) == pytest.approx(3.0)
+    assert nl.mu(3.0) == pytest.approx(2.5)
+    assert nl.mu(1e12) == pytest.approx(2.0, abs=1e-5)
     assert nl.alpha == 2.0 and nl.lipschitz == 3.0
 
 
 def test_lshape_values():
     nl = lshape_nonlinearity()
-    assert nl.mu(None, 0.0) == pytest.approx(1.0)
+    assert nl.mu(0.0) == pytest.approx(1.0)
     # the coefficient peaks at t = e - 1 with value 1 + 1/e
-    assert nl.mu(None, math.e - 1.0) == pytest.approx(1.0 + 1.0 / math.e)
-    assert nl.mu(None, 1e12) == pytest.approx(1.0, abs=1e-9)
+    assert nl.mu(math.e - 1.0) == pytest.approx(1.0 + 1.0 / math.e)
+    assert nl.mu(1e12) == pytest.approx(1.0, abs=1e-9)
     assert nl.alpha == LSHAPE_ALPHA and nl.lipschitz == LSHAPE_LIPSCHITZ
 
 
@@ -38,7 +38,7 @@ def test_derivative_consistency(make):
     nl = make()
     ts = np.array([0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 250.0])
     fd = central_diff(nl.mu, ts)
-    assert np.allclose(nl.dmu_dt(None, ts), fd, rtol=1e-5, atol=1e-9)
+    assert np.allclose(nl.dmu_dt(ts), fd, rtol=1e-5, atol=1e-9)
 
 
 @pytest.mark.parametrize("make", [zshape_nonlinearity, lshape_nonlinearity,
@@ -50,7 +50,7 @@ def test_antiderivative_consistency(make):
     ss = np.array([0.05, 0.3, 1.0, 4.0, 40.0])
     h = 1e-6
     fd = (nl.antiderivative(ss + h) - nl.antiderivative(ss - h)) / (2 * h)
-    assert np.allclose(fd, nl.mu(None, ss), rtol=1e-7)
+    assert np.allclose(fd, nl.mu(ss), rtol=1e-7)
 
 
 @pytest.mark.parametrize("make", [zshape_nonlinearity, lshape_nonlinearity,
@@ -62,7 +62,7 @@ def test_monotonicity_bounds_enclose_samples(make):
     assert report["max"] <= nl.lipschitz + 1e-9
     # plain coefficient bounds hold on the same grid
     t = np.geomspace(1e-10, 1e8, 2000)
-    mu = nl.mu(None, t)
+    mu = nl.mu(t)
     assert (mu >= nl.gamma1 - 1e-12).all()
     assert (mu <= nl.gamma2 + 1e-12).all()
 

@@ -88,7 +88,7 @@ def test_zshape_source_is_divergence_of_flux():
     nl = problem.nonlinearity
 
     def flux(p):
-        return nl.mu(None, exact.gradient_sq(p))[..., None] * exact.gradient(p)
+        return nl.mu(exact.gradient_sq(p))[..., None] * exact.gradient(p)
 
     rng = np.random.default_rng(1)
     pts = sample_points(rng, n=60)
@@ -109,7 +109,7 @@ def test_zshape_neumann_flux():
     pts = np.column_stack([np.ones(5), np.linspace(-0.9, 0.9, 5)])
     normals = np.broadcast_to([1.0, 0.0], pts.shape)
     g = problem.neumann(pts, normals)
-    expected = nl.mu(None, exact.gradient_sq(pts)) * exact.gradient(pts)[:, 0]
+    expected = nl.mu(exact.gradient_sq(pts)) * exact.gradient(pts)[:, 0]
     assert np.allclose(g, expected, rtol=1e-12)
 
 
