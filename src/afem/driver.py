@@ -272,6 +272,9 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
                     rec.alg_err = float(np.sqrt(max(d @ (operator @ d), 0.0)))
                     rec.delta = quasi_error(rec)
                 log.records.append(rec)
+                if not np.isfinite(eta):
+                    log.exit_reason = "non_finite"
+                    return log
                 if stop_alg:
                     break
             x = state.iterate

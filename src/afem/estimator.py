@@ -79,13 +79,12 @@ class EstimatorData:
         self.ie_right = et.incident[interior, 1]
         tang = mesh.vertices[nodes[:, 1]] - mesh.vertices[nodes[:, 0]]
         self.ie_length = np.linalg.norm(tang, axis=1)
-        self.ie_normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / self.ie_length[:, None]
+        # (2, n) rows: the coordinates of the unit normals
+        self.ie_normal = np.array([tang[:, 1], -tang[:, 0]]) / self.ie_length
 
-        if samples.fq is None:
-            self.f_sq_int = np.zeros(mesh.n_triangles)
-        else:
-            self.f_sq_int = np.einsum("tq,q,t->t", samples.fq ** 2, TRI_QUAD_W,
-                                      mesh.areas)
+        # the volume term |T| ||f||^2_{L2(T)} per element
+        self.volume_sq = np.zeros(mesh.n_triangles) if samples.fq is None else \
+            mesh.areas * np.einsum("tq,q,t->t", samples.fq ** 2, TRI_QUAD_W, mesh.areas)
 
         self.neumann = None
         if samples.neumann is not None:
@@ -98,24 +97,25 @@ class EstimatorData:
 
     def eval_squared(self, nl: Nonlinearity, vertex_values: np.ndarray) -> np.ndarray:
         mesh = self.mesh
-        grads = element_gradients(mesh, vertex_values)
-        t = (grads ** 2).sum(axis=1)
-        mu = np.asarray(nl.mu(t))
-        flux = mu[:, None] * grads
+        gx, gy = element_gradients(mesh, vertex_values)
+        mu = np.asarray(nl.mu(gx ** 2 + gy ** 2))
+        fx, fy = mu * gx, mu * gy
 
         edge_sq = np.zeros(mesh.n_triangles)
         if self.ie_left.size:
-            jump = ((flux[self.ie_left] - flux[self.ie_right]) * self.ie_normal).sum(axis=1)
+            left, right = self.ie_left, self.ie_right
+            jump = ((fx[left] - fx[right]) * self.ie_normal[0]
+                    + (fy[left] - fy[right]) * self.ie_normal[1])
             contrib = jump ** 2 * self.ie_length
-            edge_sq += np.bincount(self.ie_left, weights=contrib, minlength=mesh.n_triangles)
-            edge_sq += np.bincount(self.ie_right, weights=contrib, minlength=mesh.n_triangles)
+            edge_sq += np.bincount(left, weights=contrib, minlength=mesh.n_triangles)
+            edge_sq += np.bincount(right, weights=contrib, minlength=mesh.n_triangles)
         if self.neumann is not None:
             owner, lengths, normals, g_sq_int, g_int = self.neumann
-            c = (flux[owner] * normals).sum(axis=1)
+            c = fx[owner] * normals[:, 0] + fy[owner] * normals[:, 1]
             mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
             edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
                                    minlength=mesh.n_triangles)
-        return mesh.areas * self.f_sq_int + self.sqrt_areas * edge_sq
+        return self.volume_sq + self.sqrt_areas * edge_sq
 
 
 def indicators(nl: Nonlinearity, f, g, v: FeFunction) -> IndicatorField:

@@ -207,7 +207,7 @@ class ErrorData:
         """Energy norm of (exact - piecewise linear with these vertex values)."""
         from .fem import element_gradients
 
-        gh = element_gradients(self.mesh, vertex_values)
-        err2 = (self._e0_total - 2.0 * float((self._gint * gh).sum())
-                + float((self.mesh.areas * (gh * gh).sum(axis=1)).sum()))
+        gx, gy = element_gradients(self.mesh, vertex_values)
+        err2 = (self._e0_total - 2.0 * float((self._gint * np.column_stack([gx, gy])).sum())
+                + float((self.mesh.areas * (gx * gx + gy * gy)).sum()))
         return float(np.sqrt(max(err2, 0.0)))

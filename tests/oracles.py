@@ -8,14 +8,18 @@ checked against code that does not share its shortcuts.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from afem import (AdaptiveConfig, DofMap, FeFunction, apply_nonlinear,
+from afem import (NEUMANN, AdaptiveConfig, DofMap, FeFunction, apply_nonlinear,
                   assemble_laplacian, create_initial, doerfler_mark, refine)
 from afem.algsolver import factorized, solve_exact
-from afem.fem import stiffness_diagonal
+from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
+                      Samples, sample, stiffness_diagonal)
+from afem.mesh import Mesh
+from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
 from afem.estimator import IndicatorField
 from afem.nonlinearity import Nonlinearity, derived_constants
@@ -30,6 +34,145 @@ def random_mesh(domain: str, rng: np.random.Generator, rounds: int = 4,
         marked = rng.choice(n, size=max(1, int(frac * n)), replace=False)
         mesh = refine(mesh, marked)
     return mesh
+
+
+def one_triangle() -> Mesh:
+    """Reference right triangle with free (Neumann) boundary everywhere: no
+    interior edge."""
+    return Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
+                [(0, 1), (1, 2), (2, 0)], [NEUMANN] * 3)
+
+
+# (domain, seed) of the kernel oracle checks: z_shape meshes have Neumann
+# edges, l_shape meshes are Dirichlet only, None is `one_triangle`
+KERNEL_CASES = [("z_shape", 0), ("z_shape", 1), ("l_shape", 2), ("l_shape", 3),
+                (None, 4)]
+
+
+@lru_cache(maxsize=None)
+def kernel_case(domain, seed):
+    """Problem, dofmap, data samples and random vertex values on a random
+    mesh of about 10^4 triangles (or on `one_triangle`)."""
+    rng = np.random.default_rng(seed)
+    mesh = one_triangle() if domain is None else random_mesh(domain, rng, rounds=12,
+                                                               frac=0.5)
+    problem = get_problem("lshape" if domain == "l_shape" else "zshape")
+    dofmap = DofMap.from_mesh(mesh)
+    values = FeFunction(dofmap, rng.standard_normal(dofmap.n_dofs)).vertex_values()
+    return problem, dofmap, sample(mesh, problem.source, problem.neumann), values
+
+
+# The element kernels in their former `einsum` and short-axis `sum` form.
+# The library writes each as an explicit sum in the same operand order, and
+# the tests require the two forms to agree bit for bit.
+
+def einsum_element_gradients(mesh: Mesh, vertex_values: np.ndarray) -> np.ndarray:
+    """Per-triangle gradient, (nT, 2)."""
+    return np.einsum("ti,tid->td", vertex_values[mesh.triangles], mesh.hat_gradients)
+
+
+def einsum_triangle_quad_points(mesh: Mesh) -> np.ndarray:
+    return np.einsum("qi,tid->tqd", TRI_QUAD_BARY, mesh.vertices[mesh.triangles])
+
+
+def einsum_assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
+    mesh = dofmap.mesh
+    g = mesh.hat_gradients
+    k = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
+    dofs = dofmap.dof_of_vertex[mesh.triangles]
+    rows = np.repeat(dofs[:, :, None], 3, axis=2)
+    cols = np.repeat(dofs[:, None, :], 3, axis=1)
+    keep = (rows >= 0) & (cols >= 0)
+    a = sp.coo_matrix((k[keep], (rows[keep], cols[keep])),
+                      shape=(dofmap.n_dofs, dofmap.n_dofs))
+    return a.tocsr()
+
+
+def sum_stiffness_diagonal(dofmap: DofMap) -> np.ndarray:
+    mesh = dofmap.mesh
+    g = mesh.hat_gradients
+    contrib = (g ** 2).sum(axis=2) * mesh.areas[:, None]
+    diag_v = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                         minlength=mesh.n_vertices)
+    return diag_v[dofmap.free_vertices]
+
+
+def einsum_apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
+    mesh = w.mesh
+    g = mesh.hat_gradients
+    grads = einsum_element_gradients(mesh, w.vertex_values())
+    t = (grads ** 2).sum(axis=1)
+    mu = np.asarray(nl.mu(t))
+    contrib = np.einsum("t,tid,td->ti", mu * mesh.areas, g, grads)
+    r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                    minlength=mesh.n_vertices)
+    return r[w.dofmap.free_vertices]
+
+
+def einsum_assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
+    mesh = dofmap.mesh
+    rhs_v = np.zeros(mesh.n_vertices)
+    if samples.fq is not None:
+        contrib = np.einsum("tq,q,qi,t->ti", samples.fq, TRI_QUAD_W, TRI_QUAD_BARY,
+                            mesh.areas)
+        rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                             minlength=mesh.n_vertices)
+    if samples.neumann is not None:
+        edges, lengths, _, _, gq = samples.neumann
+        w0 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
+        w1 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
+        np.add.at(rhs_v, edges[:, 0], w0)
+        np.add.at(rhs_v, edges[:, 1], w1)
+    return rhs_v[dofmap.free_vertices]
+
+
+def einsum_estimator_moments(samples: Samples):
+    """Volume data integral per element, and the Neumann data moments
+    ``(g_sq_int, g_int)`` per edge (None without Neumann edges)."""
+    mesh = samples.mesh
+    if samples.fq is None:
+        f_sq_int = np.zeros(mesh.n_triangles)
+    else:
+        f_sq_int = np.einsum("tq,q,t->t", samples.fq ** 2, TRI_QUAD_W, mesh.areas)
+    if samples.neumann is None:
+        return f_sq_int, None
+    _, lengths, _, _, gq = samples.neumann
+    return f_sq_int, (lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2),
+                      lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq))
+
+
+def einsum_eval_squared(samples: Samples, nl: Nonlinearity,
+                        vertex_values: np.ndarray) -> np.ndarray:
+    """Squared residual indicators, set-up and evaluation in one pass."""
+    mesh = samples.mesh
+    et = mesh.edges
+    interior = ~et.is_boundary
+    nodes = et.nodes[interior]
+    ie_left = et.incident[interior, 0]
+    ie_right = et.incident[interior, 1]
+    tang = mesh.vertices[nodes[:, 1]] - mesh.vertices[nodes[:, 0]]
+    ie_length = np.linalg.norm(tang, axis=1)
+    ie_normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / ie_length[:, None]
+    f_sq_int, moments = einsum_estimator_moments(samples)
+
+    grads = einsum_element_gradients(mesh, vertex_values)
+    t = (grads ** 2).sum(axis=1)
+    mu = np.asarray(nl.mu(t))
+    flux = mu[:, None] * grads
+    edge_sq = np.zeros(mesh.n_triangles)
+    if ie_left.size:
+        jump = ((flux[ie_left] - flux[ie_right]) * ie_normal).sum(axis=1)
+        contrib = jump ** 2 * ie_length
+        edge_sq += np.bincount(ie_left, weights=contrib, minlength=mesh.n_triangles)
+        edge_sq += np.bincount(ie_right, weights=contrib, minlength=mesh.n_triangles)
+    if moments is not None:
+        _, lengths, normals, owner, _ = samples.neumann
+        g_sq_int, g_int = moments
+        c = (flux[owner] * normals).sum(axis=1)
+        mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
+        edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
+                               minlength=mesh.n_triangles)
+    return mesh.areas * f_sq_int + np.sqrt(mesh.areas) * edge_sq
 
 
 def picard_map(nl: Nonlinearity, dofmap: DofMap, operator, load):

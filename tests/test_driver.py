@@ -264,6 +264,24 @@ def test_data_sampled_once_per_level(monkeypatch):
     assert calls == {"f": levels, "g": levels}
 
 
+def test_non_finite_estimator_ends_the_run(monkeypatch):
+    # a source that is NaN at one quadrature node makes the load and the
+    # estimator NaN; the run must end at once, not spin until a step guard
+    plain_get_problem = driver.get_problem
+
+    def source(points):
+        out = np.ones(points.shape[:-1])
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(driver, "get_problem", lambda name: dataclasses.replace(
+        plain_get_problem(name), source=source))
+    log = run_adaptive(AdaptiveConfig(domain="lshape", max_pcg_per_linearization=200))
+    assert log.exit_reason == "non_finite"
+    assert len(log.records) <= 1
+    assert np.isnan(log.final().eta)
+
+
 GOLDEN = Path(__file__).parent / "data" / "golden"
 GOLDEN_CONFIGS = {
     "zshape_diagnostics": dict(domain="zshape", max_elements=20000,

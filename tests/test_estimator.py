@@ -11,7 +11,8 @@ from afem.fem import energy_norm, prolongate, sample
 from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
 
-from oracles import (brute_force_doerfler_size, doerfler_reference,
+from oracles import (KERNEL_CASES, brute_force_doerfler_size, doerfler_reference,
+                     einsum_estimator_moments, einsum_eval_squared, kernel_case,
                      picard_map, random_mesh)
 
 
@@ -61,6 +62,26 @@ def test_estimator_data_matches_indicators():
     # repeated evaluation is deterministic
     assert np.allclose(sq, data.eval_squared(problem.nonlinearity,
                                              v.vertex_values()), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_eval_squared_matches_einsum_oracle(domain, seed):
+    problem, _, samples, values = kernel_case(domain, seed)
+    nl = problem.nonlinearity
+    assert np.array_equal(EstimatorData(samples).eval_squared(nl, values),
+                          einsum_eval_squared(samples, nl, values))
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_estimator_moments_match_einsum_oracle(domain, seed):
+    samples = kernel_case(domain, seed)[2]
+    data = EstimatorData(samples)
+    f_sq_int, moments = einsum_estimator_moments(samples)
+    assert np.array_equal(data.volume_sq, samples.mesh.areas * f_sq_int)
+    assert (data.neumann is None) == (moments is None) == (domain == "l_shape")
+    if moments is not None:
+        assert np.array_equal(data.neumann[3], moments[0])
+        assert np.array_equal(data.neumann[4], moments[1])
 
 
 def test_neumann_mismatch_toggle():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afem import (DofMap, FeFunction, NEUMANN, apply_nonlinear,
                   assemble_laplacian, assemble_rhs, create_initial,
@@ -18,14 +20,10 @@ from afem.nonlinearity import (constant_nonlinearity, derived_constants,
                                zshape_nonlinearity)
 from afem.problems import get_problem
 
-from oracles import picard_map, random_mesh
-
-
-def one_triangle():
-    """Reference right triangle with free (Neumann) boundary everywhere."""
-    from afem.mesh import Mesh
-    return Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
-                [(0, 1), (1, 2), (2, 0)], [NEUMANN] * 3)
+from oracles import (KERNEL_CASES, einsum_apply_nonlinear, einsum_assemble_laplacian,
+                     einsum_assemble_rhs, einsum_element_gradients,
+                     einsum_triangle_quad_points, kernel_case, one_triangle,
+                     picard_map, random_mesh, sum_stiffness_diagonal)
 
 
 def neumann_square():
@@ -50,8 +48,50 @@ def test_hat_gradients_partition_of_unity():
     g = mesh.hat_gradients
     assert np.allclose(g.sum(axis=1), 0.0, atol=1e-13)
     # gradient of the linear function x + 2y is (1, 2) on every element
-    grads = element_gradients(mesh, mesh.vertices @ np.array([1.0, 2.0]))
-    assert np.allclose(grads, [1.0, 2.0])
+    gx, gy = element_gradients(mesh, mesh.vertices @ np.array([1.0, 2.0]))
+    assert np.allclose(gx, 1.0) and np.allclose(gy, 2.0)
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_element_gradients_match_einsum_oracle(domain, seed):
+    _, dofmap, _, values = kernel_case(domain, seed)
+    mesh = dofmap.mesh
+    gx, gy = element_gradients(mesh, values)
+    grads = einsum_element_gradients(mesh, values)
+    assert np.array_equal(np.column_stack([gx, gy]), grads)
+    # the energy norm sums the same squares as the former short-axis sum
+    w = FeFunction.from_vertex_values(dofmap, values)
+    assert energy_norm(w) == float(np.sqrt(((grads ** 2).sum(axis=1) * mesh.areas).sum()))
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_triangle_quad_points_match_einsum_oracle(domain, seed):
+    mesh = kernel_case(domain, seed)[1].mesh
+    assert np.array_equal(triangle_quad_points(mesh), einsum_triangle_quad_points(mesh))
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_stiffness_matches_einsum_oracle(domain, seed):
+    dofmap = kernel_case(domain, seed)[1]
+    a, ref = assemble_laplacian(dofmap), einsum_assemble_laplacian(dofmap)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, part), getattr(ref, part))
+    assert np.array_equal(stiffness_diagonal(dofmap), sum_stiffness_diagonal(dofmap))
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_apply_nonlinear_matches_einsum_oracle(domain, seed):
+    problem, dofmap, _, values = kernel_case(domain, seed)
+    w = FeFunction.from_vertex_values(dofmap, values)
+    assert np.array_equal(apply_nonlinear(problem.nonlinearity, w),
+                          einsum_apply_nonlinear(problem.nonlinearity, w))
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_assemble_rhs_matches_einsum_oracle(domain, seed):
+    _, dofmap, samples, _ = kernel_case(domain, seed)
+    assert np.array_equal(assemble_rhs(dofmap, samples),
+                          einsum_assemble_rhs(dofmap, samples))
 
 
 def test_triangle_quadrature_degree_five():
@@ -175,14 +215,32 @@ def test_prolongation_preserves_function():
     uf = prolongate(u, fine_dofmap)
     # same piecewise linear function: per-child gradient equals the parent
     # gradient, and the energy norm is preserved exactly
-    gc = element_gradients(mesh, u.vertex_values())
-    gf = element_gradients(fine, uf.vertex_values())
+    gc = np.column_stack(element_gradients(mesh, u.vertex_values()))
+    gf = np.column_stack(element_gradients(fine, uf.vertex_values()))
     assert np.allclose(gf, gc[fine.parent_of], atol=1e-12)
     assert energy_norm(uf) == pytest.approx(energy_norm(u), rel=1e-13)
     # values survive at the surviving vertices
     assert np.allclose(uf.vertex_values()[:mesh.n_vertices], u.vertex_values())
     with pytest.raises(ValueError):
         prolongate(u, dofmap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_prolongate_is_exact_under_random_marking(domain, seed, data):
+    rng = np.random.default_rng(seed)
+    mesh = random_mesh(domain, rng, rounds=3)
+    marked = data.draw(st.sets(st.integers(0, mesh.n_triangles - 1), min_size=1))
+    fine = refine(mesh, sorted(marked))
+    dofmap = DofMap.from_mesh(mesh)
+    u = FeFunction(dofmap, rng.standard_normal(dofmap.n_dofs))
+    uf = prolongate(u, DofMap.from_mesh(fine))
+    assert np.array_equal(uf.vertex_values()[:mesh.n_vertices], u.vertex_values())
+    gc = np.column_stack(element_gradients(mesh, u.vertex_values()))
+    gf = np.column_stack(element_gradients(fine, uf.vertex_values()))
+    assert np.allclose(gf, gc[fine.parent_of], rtol=0.0, atol=1e-12)
+    assert energy_norm(uf) == pytest.approx(energy_norm(u), rel=1e-12)
 
 
 def test_energy_norm_matches_operator():
