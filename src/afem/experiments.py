@@ -195,6 +195,8 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError("bad boolean for %s: %r" % (key, raw))
+    if kind is int and not float(raw).is_integer():
+        raise ValueError("bad integer for %s: %r" % (key, raw))
     return int(float(raw)) if kind is int else kind(raw)
 
 

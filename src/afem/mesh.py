@@ -2,9 +2,14 @@
 
 Triangles follow the newest-vertex convention: the edge opposite the
 first-listed vertex is the refinement edge, and bisecting it inserts the
-edge midpoint as the newest vertex of both children.  `refine` produces the
-coarsest conforming refinement in which every marked triangle is bisected
-at least once (closure marks further refinement edges as needed), `overlay`
+edge midpoint as the newest vertex of both children: ``(z0, z1, z2)`` with
+midpoint ``m`` of ``z1 z2`` becomes ``(m, z2, z0)`` and ``(m, z0, z1)``, so
+each child inherits one of the parent's other two edges as its refinement
+edge.  `refine` produces the coarsest conforming refinement in which every
+marked triangle is bisected at least once (closure marks further refinement
+edges as needed) by applying that single bisection twice: once to every
+triangle whose refinement edge is marked, then once to every child whose
+inherited refinement edge is marked, which yields 1 to 4 children.  `overlay`
 computes the coarsest common refinement of two meshes grown from the same
 root, and `MeshHierarchy` keeps the level bookkeeping that the multilevel
 solver relies on.
@@ -281,110 +286,83 @@ def create_initial(domain: str) -> Mesh:
     return Mesh(verts, tris, bedges, marks)
 
 
+def _bisect(triangles: np.ndarray, mids: np.ndarray):
+    """One round of single bisections, children in place of their parent.
+
+    Each triangle ``(z0, z1, z2)`` with ``mids >= 0`` is replaced by
+    ``(m, z2, z0)`` and ``(m, z0, z1)``, where ``m`` is its entry of ``mids``,
+    the new vertex on the refinement edge ``z1 z2``; the first child's
+    refinement edge is the parent's ``z2 z0``, the second's is ``z0 z1``.
+    Returns the new triangles and the index each one came from.
+    """
+    cut = mids >= 0
+    origin = np.repeat(np.arange(len(triangles)), 1 + cut)
+    out = triangles[origin]
+    first = np.flatnonzero(cut)
+    first += np.arange(len(first))  # slot of each cut triangle's first child
+    t = triangles[cut]
+    out[first, 0] = out[first + 1, 0] = mids[cut]
+    out[first, 1:] = t[:, [2, 0]]
+    out[first + 1, 1:] = t[:, :2]
+    return out, origin
+
+
 def refine(mesh: Mesh, marked) -> Mesh:
     """Coarsest conforming refinement bisecting every marked triangle.
 
-    Marked triangles have their refinement edge bisected; the closure loop
-    marks the refinement edge of any triangle with a hanging node until the
-    result is conforming.  A triangle ends up with 2, 3 or 4 children
-    depending on how many of its edges were bisected.
-
-    Parameters
-    ----------
-    marked : iterable of triangle indices or boolean mask.
+    ``marked`` is a boolean mask or integer triangle indices.  The closure
+    loop marks the refinement edge of any triangle with a hanging node until
+    the result is conforming.  The children come from one rule applied twice
+    (`_bisect`): round 1 bisects each triangle whose refinement edge is
+    marked, round 2 bisects each child whose own refinement edge is marked
+    (the parent's edge opposite ``z1`` for the first child, opposite ``z2``
+    for the second).  So a triangle has 1 to 4 children, in place of the
+    parent; a split boundary edge ``(a, b)`` becomes ``(a, m), (m, b)``.
     """
     n_t = mesh.n_triangles
-    marked = np.asarray(list(marked) if not isinstance(marked, np.ndarray) else marked)
+    marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
     if marked.dtype == bool:
         if marked.shape != (n_t,):
             raise ValueError("boolean mark array has wrong length")
-        mask = marked.copy()
     else:
-        mask = np.zeros(n_t, dtype=bool)
-        if marked.size:
-            idx = marked.astype(np.int64)
-            if idx.min() < 0 or idx.max() >= n_t:
-                raise ValueError("marked triangle index out of range")
-            mask[idx] = True
-    if not mask.any():
-        return Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
-                    mesh.boundary_markers, level=mesh.level + 1,
-                    parent_of=np.arange(n_t), vertex_parents=np.empty((0, 2), np.int64),
-                    n_coarse_vertices=mesh.n_vertices)
+        if marked.size and marked.dtype.kind not in "iu":
+            raise ValueError("marked triangles must be a boolean mask or integer indices")
+        marked = marked.astype(np.int64)
+        if marked.size and (marked.min() < 0 or marked.max() >= n_t):
+            raise ValueError("marked triangle index out of range")
 
     et = mesh.edges
     marked_edge = np.zeros(et.n_edges, dtype=bool)
-    marked_edge[et.of_triangle[mask, 0]] = True
+    marked_edge[et.of_triangle[marked, 0]] = True
     while True:  # closure: hanging nodes force refinement-edge marks
         em = marked_edge[et.of_triangle]
         need = ~em[:, 0] & (em[:, 1] | em[:, 2])
         if not need.any():
             break
         marked_edge[et.of_triangle[need, 0]] = True
-    em = marked_edge[et.of_triangle]
 
-    bis_edges = np.nonzero(marked_edge)[0]
+    bis_edges = np.flatnonzero(marked_edge)
     edge_to_new = np.full(et.n_edges, -1, dtype=np.int64)
     edge_to_new[bis_edges] = mesh.n_vertices + np.arange(len(bis_edges))
     midpoints = mesh.vertices[et.nodes[bis_edges]].mean(axis=1)
-    new_vertices = np.vstack([mesh.vertices, midpoints])
 
-    z0, z1, z2 = mesh.triangles[:, 0], mesh.triangles[:, 1], mesh.triangles[:, 2]
-    m = edge_to_new[et.of_triangle[:, 0]]
-    ma = edge_to_new[et.of_triangle[:, 1]]
-    mb = edge_to_new[et.of_triangle[:, 2]]
-    counts = 1 + em.sum(axis=1)
-    offs = np.concatenate([[0], np.cumsum(counts)])
-    children = np.empty((offs[-1], 3), dtype=np.int64)
+    mids = edge_to_new[et.of_triangle]
+    once, from_parent = _bisect(mesh.triangles, mids[:, 0])
+    second = np.zeros(len(once), dtype=bool)
+    second[1:] = from_parent[1:] == from_parent[:-1]
+    twice, from_once = _bisect(once, mids[from_parent, 1 + second])
 
-    sel = ~em[:, 0]
-    children[offs[:-1][sel]] = mesh.triangles[sel]
-    # bisect the refinement edge; children may be bisected again at their
-    # own refinement edges (the parent's remaining marked edges)
-    b1 = em[:, 0] & ~em[:, 1] & ~em[:, 2]
-    o = offs[:-1][b1]
-    children[o] = np.column_stack([m[b1], z2[b1], z0[b1]])
-    children[o + 1] = np.column_stack([m[b1], z0[b1], z1[b1]])
-    b2a = em[:, 0] & em[:, 1] & ~em[:, 2]
-    o = offs[:-1][b2a]
-    children[o] = np.column_stack([ma[b2a], z0[b2a], m[b2a]])
-    children[o + 1] = np.column_stack([ma[b2a], m[b2a], z2[b2a]])
-    children[o + 2] = np.column_stack([m[b2a], z0[b2a], z1[b2a]])
-    b2b = em[:, 0] & ~em[:, 1] & em[:, 2]
-    o = offs[:-1][b2b]
-    children[o] = np.column_stack([m[b2b], z2[b2b], z0[b2b]])
-    children[o + 1] = np.column_stack([mb[b2b], z1[b2b], m[b2b]])
-    children[o + 2] = np.column_stack([mb[b2b], m[b2b], z0[b2b]])
-    b3 = em.all(axis=1)
-    o = offs[:-1][b3]
-    children[o] = np.column_stack([ma[b3], z0[b3], m[b3]])
-    children[o + 1] = np.column_stack([ma[b3], m[b3], z2[b3]])
-    children[o + 2] = np.column_stack([mb[b3], z1[b3], m[b3]])
-    children[o + 3] = np.column_stack([mb[b3], m[b3], z0[b3]])
-    parent = np.repeat(np.arange(n_t, dtype=np.int64), counts)
+    bmids = edge_to_new[et.lookup(mesh.boundary_edges, mesh.n_vertices)]
+    split = bmids >= 0
+    keep = np.repeat(np.arange(len(split)), 1 + split)
+    bedges = mesh.boundary_edges[keep]
+    first = np.flatnonzero(split)
+    first += np.arange(len(first))
+    bedges[first, 1] = bedges[first + 1, 0] = bmids[split]
 
-    if mesh.boundary_edges.size:
-        bids = et.lookup(mesh.boundary_edges, mesh.n_vertices)
-        split = marked_edge[bids]
-        bcounts = np.where(split, 2, 1)
-        boffs = np.concatenate([[0], np.cumsum(bcounts)])
-        bedges = np.empty((boffs[-1], 2), dtype=np.int64)
-        bmarks = np.empty(boffs[-1], dtype=np.int64)
-        keep = ~split
-        bedges[boffs[:-1][keep]] = mesh.boundary_edges[keep]
-        bmarks[boffs[:-1][keep]] = mesh.boundary_markers[keep]
-        o = boffs[:-1][split]
-        mid = edge_to_new[bids[split]]
-        bedges[o] = np.column_stack([mesh.boundary_edges[split, 0], mid])
-        bedges[o + 1] = np.column_stack([mid, mesh.boundary_edges[split, 1]])
-        bmarks[o] = mesh.boundary_markers[split]
-        bmarks[o + 1] = mesh.boundary_markers[split]
-    else:
-        bedges = np.empty((0, 2), dtype=np.int64)
-        bmarks = np.empty(0, dtype=np.int64)
-
-    return Mesh(new_vertices, children, bedges, bmarks, level=mesh.level + 1,
-                parent_of=parent, vertex_parents=et.nodes[bis_edges],
+    return Mesh(np.vstack([mesh.vertices, midpoints]), twice, bedges,
+                mesh.boundary_markers[keep], level=mesh.level + 1,
+                parent_of=from_parent[from_once], vertex_parents=et.nodes[bis_edges],
                 n_coarse_vertices=mesh.n_vertices)
 
 

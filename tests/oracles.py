@@ -43,6 +43,116 @@ def one_triangle() -> Mesh:
                 [(0, 1), (1, 2), (2, 0)], [NEUMANN] * 3)
 
 
+def case_table_refine(mesh: Mesh, marked) -> Mesh:
+    """`afem.mesh.refine` in its former case-table form: the four child
+    patterns of Funken, Praetorius and Wissgott's refineNVB (b1, b2a, b2b,
+    b3), an empty-marking shortcut and a branch for meshes without boundary
+    edges.  Coarsest conforming refinement bisecting every marked triangle.
+
+    Marked triangles have their refinement edge bisected; the closure loop
+    marks the refinement edge of any triangle with a hanging node until the
+    result is conforming.  A triangle ends up with 2, 3 or 4 children
+    depending on how many of its edges were bisected.
+
+    Parameters
+    ----------
+    marked : iterable of triangle indices or boolean mask.
+    """
+    n_t = mesh.n_triangles
+    marked = np.asarray(list(marked) if not isinstance(marked, np.ndarray) else marked)
+    if marked.dtype == bool:
+        if marked.shape != (n_t,):
+            raise ValueError("boolean mark array has wrong length")
+        mask = marked.copy()
+    else:
+        mask = np.zeros(n_t, dtype=bool)
+        if marked.size:
+            idx = marked.astype(np.int64)
+            if idx.min() < 0 or idx.max() >= n_t:
+                raise ValueError("marked triangle index out of range")
+            mask[idx] = True
+    if not mask.any():
+        return Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                    mesh.boundary_markers, level=mesh.level + 1,
+                    parent_of=np.arange(n_t), vertex_parents=np.empty((0, 2), np.int64),
+                    n_coarse_vertices=mesh.n_vertices)
+
+    et = mesh.edges
+    marked_edge = np.zeros(et.n_edges, dtype=bool)
+    marked_edge[et.of_triangle[mask, 0]] = True
+    while True:  # closure: hanging nodes force refinement-edge marks
+        em = marked_edge[et.of_triangle]
+        need = ~em[:, 0] & (em[:, 1] | em[:, 2])
+        if not need.any():
+            break
+        marked_edge[et.of_triangle[need, 0]] = True
+    em = marked_edge[et.of_triangle]
+
+    bis_edges = np.nonzero(marked_edge)[0]
+    edge_to_new = np.full(et.n_edges, -1, dtype=np.int64)
+    edge_to_new[bis_edges] = mesh.n_vertices + np.arange(len(bis_edges))
+    midpoints = mesh.vertices[et.nodes[bis_edges]].mean(axis=1)
+    new_vertices = np.vstack([mesh.vertices, midpoints])
+
+    z0, z1, z2 = mesh.triangles[:, 0], mesh.triangles[:, 1], mesh.triangles[:, 2]
+    m = edge_to_new[et.of_triangle[:, 0]]
+    ma = edge_to_new[et.of_triangle[:, 1]]
+    mb = edge_to_new[et.of_triangle[:, 2]]
+    counts = 1 + em.sum(axis=1)
+    offs = np.concatenate([[0], np.cumsum(counts)])
+    children = np.empty((offs[-1], 3), dtype=np.int64)
+
+    sel = ~em[:, 0]
+    children[offs[:-1][sel]] = mesh.triangles[sel]
+    # bisect the refinement edge; children may be bisected again at their
+    # own refinement edges (the parent's remaining marked edges)
+    b1 = em[:, 0] & ~em[:, 1] & ~em[:, 2]
+    o = offs[:-1][b1]
+    children[o] = np.column_stack([m[b1], z2[b1], z0[b1]])
+    children[o + 1] = np.column_stack([m[b1], z0[b1], z1[b1]])
+    b2a = em[:, 0] & em[:, 1] & ~em[:, 2]
+    o = offs[:-1][b2a]
+    children[o] = np.column_stack([ma[b2a], z0[b2a], m[b2a]])
+    children[o + 1] = np.column_stack([ma[b2a], m[b2a], z2[b2a]])
+    children[o + 2] = np.column_stack([m[b2a], z0[b2a], z1[b2a]])
+    b2b = em[:, 0] & ~em[:, 1] & em[:, 2]
+    o = offs[:-1][b2b]
+    children[o] = np.column_stack([m[b2b], z2[b2b], z0[b2b]])
+    children[o + 1] = np.column_stack([mb[b2b], z1[b2b], m[b2b]])
+    children[o + 2] = np.column_stack([mb[b2b], m[b2b], z0[b2b]])
+    b3 = em.all(axis=1)
+    o = offs[:-1][b3]
+    children[o] = np.column_stack([ma[b3], z0[b3], m[b3]])
+    children[o + 1] = np.column_stack([ma[b3], m[b3], z2[b3]])
+    children[o + 2] = np.column_stack([mb[b3], z1[b3], m[b3]])
+    children[o + 3] = np.column_stack([mb[b3], m[b3], z0[b3]])
+    parent = np.repeat(np.arange(n_t, dtype=np.int64), counts)
+
+    if mesh.boundary_edges.size:
+        bids = et.lookup(mesh.boundary_edges, mesh.n_vertices)
+        split = marked_edge[bids]
+        bcounts = np.where(split, 2, 1)
+        boffs = np.concatenate([[0], np.cumsum(bcounts)])
+        bedges = np.empty((boffs[-1], 2), dtype=np.int64)
+        bmarks = np.empty(boffs[-1], dtype=np.int64)
+        keep = ~split
+        bedges[boffs[:-1][keep]] = mesh.boundary_edges[keep]
+        bmarks[boffs[:-1][keep]] = mesh.boundary_markers[keep]
+        o = boffs[:-1][split]
+        mid = edge_to_new[bids[split]]
+        bedges[o] = np.column_stack([mesh.boundary_edges[split, 0], mid])
+        bedges[o + 1] = np.column_stack([mid, mesh.boundary_edges[split, 1]])
+        bmarks[o] = mesh.boundary_markers[split]
+        bmarks[o + 1] = mesh.boundary_markers[split]
+    else:
+        bedges = np.empty((0, 2), dtype=np.int64)
+        bmarks = np.empty(0, dtype=np.int64)
+
+    return Mesh(new_vertices, children, bedges, bmarks, level=mesh.level + 1,
+                parent_of=parent, vertex_parents=et.nodes[bis_edges],
+                n_coarse_vertices=mesh.n_vertices)
+
+
 # (domain, seed) of the kernel oracle checks: z_shape meshes have Neumann
 # edges, l_shape meshes are Dirichlet only, None is `one_triangle`
 KERNEL_CASES = [("z_shape", 0), ("z_shape", 1), ("l_shape", 2), ("l_shape", 3),

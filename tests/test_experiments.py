@@ -137,6 +137,11 @@ def test_parse_sweep_spec_rejects_garbage():
         parse_sweep_spec("flux_capacitor=1\n")
     with pytest.raises(ValueError):
         parse_sweep_spec("uniform=maybe\n")
+    # integer fields take integral values only; exponent notation is fine
+    for raw in ("2500.7", "1e-2", "inf", "nan"):
+        with pytest.raises(ValueError):
+            parse_sweep_spec("max-elements=%s\n" % raw)
+    assert parse_sweep_spec("max-elements=1e4\n")[0].max_elements == 10000
 
 
 def _write_synthetic_run(directory, run_id, theta, etas, stored_rate=-0.5):

@@ -11,7 +11,7 @@ from afem import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                   overlay, read_text, refine, uniform_refine, write_text)
 from afem.mesh import closure_cost, locate
 
-from oracles import random_mesh
+from oracles import case_table_refine, random_mesh
 
 
 def edge_census(mesh):
@@ -172,6 +172,34 @@ def test_refine_keeps_hierarchy_invariants(domain, seed, fracs):
         coarse = fine
 
 
+MESH_ARRAYS = ("vertices", "triangles", "boundary_edges", "boundary_markers",
+               "parent_of", "vertex_parents")
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(["empty", "full", "mask", "subset"]),
+                      min_size=1, max_size=10))
+def test_refine_matches_case_table_oracle(domain, seed, kinds):
+    """The two-round bisection builds the same mesh, array for array, as
+    the former four-pattern case table."""
+    rng = np.random.default_rng(seed)
+    mesh = create_initial(domain)
+    for kind in kinds:
+        n_t = mesh.n_triangles
+        marked = {"empty": [], "full": np.arange(n_t),
+                  "mask": rng.random(n_t) < rng.random(),
+                  "subset": rng.choice(n_t, size=rng.integers(1, n_t + 1),
+                                       replace=False)}[kind]
+        got, want = refine(mesh, marked), case_table_refine(mesh, marked)
+        for name in MESH_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.level, got.n_coarse_vertices) == (want.level, want.n_coarse_vertices)
+        mesh = got
+
+
 def test_boundary_markers_inherited():
     mesh = create_initial("z_shape")
     fine = uniform_refine(uniform_refine(mesh))
@@ -208,6 +236,13 @@ def test_refine_rejects_bad_input():
         refine(mesh, [5])
     with pytest.raises(ValueError):
         refine(mesh, np.array([True]))
+    # a fractional or negative index names no triangle
+    for marked in ([1.9], [0.5], np.array([1.0]), [-1]):
+        with pytest.raises(ValueError):
+            refine(mesh, marked)
+    for empty in ([], np.array([]), np.array([], dtype=np.uint8)):
+        assert refine(mesh, empty).n_triangles == mesh.n_triangles
+    assert refine(mesh, np.array([1], dtype=np.uint8)).n_triangles == 4
     with pytest.raises(ValueError):
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)], [(0, 1)], [DIRICHLET])
 
