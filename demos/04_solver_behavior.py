@@ -48,10 +48,10 @@ for _ in range(30):
 pre = build_preconditioner(meshes[:1], dofmaps[:1])
 print("%3s %8s %12s %10s" % ("lvl", "dofs", "multilevel", "plain CG"))
 for i in range(1, len(meshes)):
-    pre = pre.extended(dofmaps[i])
+    a = assemble_laplacian(dofmaps[i])
+    pre = pre.extended(dofmaps[i], a)
     if i % 3 and i != len(meshes) - 1:
         continue
-    a = assemble_laplacian(dofmaps[i])
     rhs = assemble_rhs(dofmaps[i], sample(meshes[i], problem.source, problem.neumann))
     print("%3d %8d %12d %10d"
           % (i, dofmaps[i].n_dofs, steps_to_tol(a, rhs, pre),

@@ -8,13 +8,16 @@ keeps the preconditioned condition number bounded, so the per-step energy
 norm contraction of PCG is uniform in the mesh size.  The grid transfers
 run in place in vertex space on `Mesh.vertex_parents` and the append-only
 vertex numbering, touching per level only the new vertices and the
-smoothed set, so no transfer matrix is stored.
+smoothed set, so no transfer matrix is stored.  `extended(fine_dofmap,
+operator)` reads the new level's diagonal from its assembled operator.
 
 `pcg_step` advances exactly one iteration and exposes the increment norms
 the adaptive driver's stopping tests need; the energy-norm error is
-non-increasing from step to step.  Breakdown (zero residual or zero
-curvature) is treated as having reached a fixed point: the iterate stays
-put and the increment is zero.
+non-increasing from step to step.  An ``r.z`` of exactly zero (an empty
+system, or a residual that vanishes to working precision) is convergence;
+any other non-positive or non-finite ``r.z`` or ``p.Ap`` is a breakdown,
+which ends the adaptive run.  Either way the iterate stays put and the
+increment is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import DofMap, assemble_laplacian, stiffness_diagonal
+from .fem import DofMap, assemble_laplacian
 
 
 class IdentityPreconditioner:
@@ -83,17 +86,19 @@ class MultilevelPreconditioner:
             y[lev.local] += lev.inv_diag * s
         return y[free]
 
-    def extended(self, fine_dofmap: DofMap) -> "MultilevelPreconditioner":
-        """Preconditioner for the hierarchy with one more refinement level."""
-        lev = _make_level(self._finest_dofmap.mesh.n_vertices, fine_dofmap)
+    def extended(self, fine_dofmap: DofMap, operator) -> "MultilevelPreconditioner":
+        """Preconditioner for one more refinement level, of stiffness ``operator``."""
+        lev = _make_level(self._finest_dofmap.mesh.n_vertices, fine_dofmap, operator)
         return MultilevelPreconditioner(self._coarse_solve, self._coarse_free,
                                         self._levels + (lev,), fine_dofmap)
 
 
-def _make_level(n_coarse: int, fine_dofmap: DofMap) -> _Level:
+def _make_level(n_coarse: int, fine_dofmap: DofMap, operator) -> _Level:
     fine = fine_dofmap.mesh
     if fine.vertex_parents is None or fine.n_coarse_vertices != n_coarse:
         raise ValueError("meshes are not nested by one refinement")
+    if operator.shape != (fine_dofmap.n_dofs,) * 2:
+        raise ValueError("operator shape does not match the free vertex count")
     new_mask = np.zeros(fine.n_vertices, dtype=bool)
     new_mask[n_coarse:] = True
     nodes = fine.edges.nodes
@@ -101,9 +106,8 @@ def _make_level(n_coarse: int, fine_dofmap: DofMap) -> _Level:
     touched[nodes[new_mask[nodes[:, 1]], 0]] = True
     touched[nodes[new_mask[nodes[:, 0]], 1]] = True
     local = np.nonzero(touched & (fine_dofmap.dof_of_vertex >= 0))[0]
-    diag = stiffness_diagonal(fine_dofmap)
     return _Level(n_coarse=n_coarse, parents=fine.vertex_parents, local=local,
-                  inv_diag=1.0 / diag[fine_dofmap.dof_of_vertex[local]])
+                  inv_diag=1.0 / operator.diagonal()[fine_dofmap.dof_of_vertex[local]])
 
 
 def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
@@ -120,7 +124,7 @@ def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
     pre = MultilevelPreconditioner(factorized(assemble_laplacian(coarse)),
                                    coarse.free_vertices, (), coarse)
     for dm in dofmaps[1:]:
-        pre = pre.extended(dm)
+        pre = pre.extended(dm, assemble_laplacian(dm))
     return pre
 
 
@@ -143,6 +147,7 @@ class SolverState:
     iterations: int
     increment: float
     converged: bool
+    breakdown: bool = False
 
     def drift_norm(self) -> float:
         """Energy norm of iterate - initial iterate."""
@@ -167,7 +172,8 @@ def pcg_step(state: SolverState, precond) -> SolverState:
     z = precond.apply(state.residual)
     rz = float(state.residual @ z)
     if not np.isfinite(rz) or rz <= 0.0:
-        return replace(state, iterations=state.iterations + 1, increment=0.0, converged=True)
+        return replace(state, iterations=state.iterations + 1, increment=0.0,
+                       converged=rz == 0.0, breakdown=rz != 0.0)
     if state.direction is None:
         p = z
     else:
@@ -175,7 +181,7 @@ def pcg_step(state: SolverState, precond) -> SolverState:
     ap = state.operator @ p
     pap = float(p @ ap)
     if not np.isfinite(pap) or pap <= 0.0:
-        return replace(state, iterations=state.iterations + 1, increment=0.0, converged=True)
+        return replace(state, iterations=state.iterations + 1, increment=0.0, breakdown=True)
     alpha = rz / pap
     return replace(state,
                    iterate=state.iterate + alpha * p,

@@ -217,6 +217,7 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
 
     mesh = create_initial(problem.domain)
     dofmap = DofMap.from_mesh(mesh)
+    operator = assemble_laplacian(dofmap)
     u = FeFunction.zero(dofmap)
     if config.precond == "multilevel":
         pre = alg.build_preconditioner([mesh], [dofmap])
@@ -227,7 +228,6 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
     step = 0
     cumcost = 0
     for level in range(config.max_levels):
-        operator = assemble_laplacian(dofmap)
         samples = sample(mesh, problem.source, problem.neumann)
         load = assemble_rhs(dofmap, samples)
         est = EstimatorData(samples)
@@ -275,6 +275,9 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
                 if not np.isfinite(eta):
                     log.exit_reason = "non_finite"
                     return log
+                if state.breakdown:
+                    log.exit_reason = "breakdown"
+                    return log
                 if stop_alg:
                     break
             x = state.iterate
@@ -298,8 +301,9 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
             marked = doerfler_mark(IndicatorField(mesh, squared), config.theta)
         new_mesh = refine(mesh, marked)
         new_dofmap = DofMap.from_mesh(new_mesh)
+        operator = assemble_laplacian(new_dofmap)
         if config.precond == "multilevel":
-            pre = pre.extended(new_dofmap)
+            pre = pre.extended(new_dofmap, operator)
         u = prolongate(u, new_dofmap)
         mesh, dofmap = new_mesh, new_dofmap
     else:

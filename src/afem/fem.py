@@ -16,6 +16,9 @@ load vector and the estimator both integrate the same `Samples`.
 The element kernels are explicit sums over the 2 coordinates and the 3
 vertices, faster than `einsum`; each keeps the operand order of the einsum
 it replaced, so results are bitwise equal to the einsum oracles in the tests.
+The stiffness matrix is assembled over the edge graph: one sum per edge of
+`Mesh.edges` and one per vertex, in triangle order, give its n + 2 n_edges
+entries (rather than 9 per triangle).
 """
 
 from __future__ import annotations
@@ -132,27 +135,20 @@ def element_gradients(mesh: Mesh, vertex_values: np.ndarray):
 
 def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
     """Stiffness matrix of the Laplacian on the free vertices (CSR, SPD)."""
-    mesh = dofmap.mesh
+    mesh, n = dofmap.mesh, dofmap.n_dofs
     gx, gy = mesh.hat_gradients[:, :, 0], mesh.hat_gradients[:, :, 1]
-    a = mesh.areas[:, None, None]
-    k = gx[:, :, None] * gx[:, None, :] * a + gy[:, :, None] * gy[:, None, :] * a
-    dofs = dofmap.dof_of_vertex[mesh.triangles]
-    rows = np.repeat(dofs[:, :, None], 3, axis=2)
-    cols = np.repeat(dofs[:, None, :], 3, axis=1)
-    keep = (rows >= 0) & (cols >= 0)
-    a = sp.coo_matrix((k[keep], (rows[keep], cols[keep])),
-                      shape=(dofmap.n_dofs, dofmap.n_dofs))
-    return a.tocsr()
-
-
-def stiffness_diagonal(dofmap: DofMap) -> np.ndarray:
-    """Diagonal of the Laplace stiffness matrix, without full assembly."""
-    mesh = dofmap.mesh
-    g = mesh.hat_gradients
-    contrib = (g[:, :, 0] ** 2 + g[:, :, 1] ** 2) * mesh.areas[:, None]
-    diag_v = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                         minlength=mesh.n_vertices)
-    return diag_v[dofmap.free_vertices]
+    a = mesh.areas[:, None]
+    i, j = [1, 2, 0], [2, 0, 1]  # the ends of the edge opposite local vertex k
+    off = np.bincount(mesh.edges.of_triangle.ravel(), minlength=mesh.edges.n_edges,
+                      weights=(gx[:, i] * gx[:, j] * a + gy[:, i] * gy[:, j] * a).ravel())
+    diag = np.bincount(mesh.triangles.ravel(), weights=((gx ** 2 + gy ** 2) * a).ravel(),
+                       minlength=mesh.n_vertices)
+    lo, hi = dofmap.dof_of_vertex[mesh.edges.nodes.T]
+    keep = (lo >= 0) & (hi >= 0)
+    lo, hi, off, d = lo[keep], hi[keep], off[keep], np.arange(n)
+    return sp.csr_matrix((np.concatenate([diag[dofmap.free_vertices], off, off]),
+                          (np.concatenate([d, lo, hi]), np.concatenate([d, hi, lo]))),
+                         shape=(n, n))
 
 
 def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:

@@ -185,11 +185,6 @@ class Mesh:
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
-    @property
-    def refinement_edges(self) -> np.ndarray:
-        """Vertex pairs of the per-triangle refinement edges."""
-        return self.triangles[:, 1:3]
-
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in radians."""
         p = self.vertices[self.triangles]

@@ -1,0 +1,74 @@
+"""Golden step logs: their configurations, and the command that regenerates them.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py [--write]
+
+reruns every configuration in `GOLDEN_CONFIGS` and prints, per file in
+`tests/data/golden/`, whether the integer columns are identical and the
+largest relative change of each float column.  A change is measured on the
+scale `test_step_log_matches_golden` uses: relative to the old entry, but
+never to less than 1e-12 of the column's largest value.  The rerun is read
+back through its CSV text first, so both sides carry the same 12 digits and
+an unchanged run reads 0.  The files are rewritten only with ``--write``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+from pathlib import Path
+
+import numpy as np
+
+from afem.driver import AdaptiveConfig, RunLog, StepRecord, field_types, run_adaptive
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_CONFIGS = {
+    "zshape_diagnostics": dict(domain="zshape", max_elements=20000,
+                               track_error=True, diagnostics=True),
+    "lshape_lambda_alg": dict(domain="lshape", lambda_alg=1e-4, max_elements=10000),
+    "square_linear_error": dict(domain="square_linear", max_elements=20000,
+                                track_error=True),
+}
+
+
+def compare(want: RunLog, got: RunLog) -> list:
+    """Report lines for a rerun ``got`` against the stored log ``want``."""
+    if got.columns() != want.columns():
+        return [f"columns {want.columns()} -> {got.columns()}"]
+    n = min(len(want.records), len(got.records))
+    lines = [] if n == len(want.records) == len(got.records) else \
+        [f"records {len(want.records)} -> {len(got.records)}; compared over the first {n}"]
+    types = field_types(StepRecord)
+    ints = [c for c in got.columns() if types[c] is not float]
+    same = all(getattr(a, c) == getattr(b, c)
+               for a, b in zip(want.records[:n], got.records[:n]) for c in ints)
+    lines.append(f"integer columns {'identical' if same else 'DIFFER'}")
+    for column in got.columns():
+        if column in ints:
+            continue
+        b = np.array([getattr(r, column) for r in want.records[:n]], dtype=float)
+        a = np.array([getattr(r, column) for r in got.records[:n]], dtype=float)
+        scale = np.maximum(np.abs(b), 1e-12 * np.abs(b).max(initial=0.0))
+        change = np.divide(np.abs(a - b), scale, out=np.zeros(n), where=a != b)
+        lines.append(f"{column}: largest relative change {change.max(initial=0.0):.3g}")
+    return lines
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help="rewrite the golden files")
+    args = parser.parse_args(argv)
+    for name in sorted(GOLDEN_CONFIGS):
+        path = GOLDEN / f"{name}.csv"
+        old = path.read_text()
+        text = run_adaptive(AdaptiveConfig(**GOLDEN_CONFIGS[name])).to_csv()
+        print(f"{path.name}: {'unchanged' if text == old else 'changed'}")
+        for line in compare(RunLog.from_csv(io.StringIO(old)), RunLog.from_csv(io.StringIO(text))):
+            print("  " + line)
+        if args.write and text != old:
+            path.write_text(text)
+            print("  rewritten")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ from afem import (NEUMANN, AdaptiveConfig, DofMap, FeFunction, apply_nonlinear,
                   assemble_laplacian, create_initial, doerfler_mark, refine)
 from afem.algsolver import factorized, solve_exact
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
-                      Samples, sample, stiffness_diagonal)
+                      Samples, sample)
 from afem.mesh import Mesh
 from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
@@ -483,7 +483,7 @@ def csr_multilevel_apply(dofmaps):
         touched[nodes[new_mask[nodes[:, 0]], 1]] = True
         local = fine.dof_of_vertex[np.nonzero(touched)[0]]
         local = local[local >= 0]
-        inv_diag = 1.0 / stiffness_diagonal(fine)[local]
+        inv_diag = 1.0 / sum_stiffness_diagonal(fine)[local]
         levels.append((p, p.T.tocsr(), local, inv_diag))
 
     def apply(z: np.ndarray) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Exact solves, PCG stepping semantics, and the multilevel preconditioner."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afem import (DofMap, IdentityPreconditioner, assemble_laplacian,
                   build_preconditioner, create_initial, doerfler_mark,
@@ -88,16 +92,30 @@ def test_pcg_zero_rhs_converges_immediately():
     _, _, a, _ = small_system(seed=6)
     state = init_solver_state(a, np.zeros(a.shape[0]), np.zeros(a.shape[0]))
     state = pcg_step(state, IdentityPreconditioner())
-    assert state.converged
+    assert state.converged and not state.breakdown
     assert state.increment == 0.0
     assert not state.iterate.any()
+
+
+@pytest.mark.parametrize("sign, apply", [
+    (1.0, lambda z: -z),           # r.z < 0
+    (1.0, lambda z: np.nan * z),   # r.z not finite
+    (-1.0, lambda z: z),           # p.Ap < 0
+])
+def test_pcg_breakdown_is_not_convergence(sign, apply):
+    _, _, a, rhs = small_system(seed=16)
+    x0 = np.ones_like(rhs)
+    state = pcg_step(init_solver_state(sign * a, rhs, x0), SimpleNamespace(apply=apply))
+    assert state.breakdown and not state.converged
+    assert state.increment == 0.0 and state.iterations == 1
+    assert np.array_equal(state.iterate, x0)
 
 
 def test_empty_system_state():
     state = init_solver_state(sp.csr_matrix((0, 0)), np.zeros(0), np.zeros(0))
     assert state.converged
     state = pcg_step(state, IdentityPreconditioner())
-    assert state.iterations == 1 and state.increment == 0.0
+    assert state.iterations == 1 and state.increment == 0.0 and not state.breakdown
 
 
 def test_exact_coarse_preconditioner_converges_in_one_step():
@@ -152,7 +170,7 @@ def test_extended_matches_fresh_build():
     fresh = build_preconditioner(meshes, dofmaps)
     grown = build_preconditioner(meshes[:1], dofmaps[:1])
     for dofmap in dofmaps[1:]:
-        grown = grown.extended(dofmap)
+        grown = grown.extended(dofmap, assemble_laplacian(dofmap))
     z = np.random.default_rng(11).standard_normal(dofmaps[-1].n_dofs)
     assert np.array_equal(fresh.apply(z), grown.apply(z))
 
@@ -182,6 +200,40 @@ def test_vertex_space_apply_equals_csr_oracle(name):
         assert np.array_equal(pre.apply(z), oracle(z))
 
 
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_preconditioner_is_symmetric_positive_definite(domain, seed, fracs):
+    """Dense B from `apply` on small random hierarchies, grown level by level
+    as the driver grows it; the first refinement is uniform so B is not empty."""
+    rng = np.random.default_rng(seed)
+    mesh = create_initial(domain)
+    dofmaps = [DofMap.from_mesh(mesh)]
+    pre = build_preconditioner([mesh], dofmaps)
+    for frac in [1.0] + fracs:
+        fine = refine(mesh, np.nonzero(rng.random(mesh.n_triangles) < frac)[0])
+        dofmap = DofMap.from_mesh(fine)
+        if dofmap.n_dofs > 300:
+            break
+        mesh = fine
+        dofmaps.append(dofmap)
+        pre = pre.extended(dofmap, assemble_laplacian(dofmap))
+    eye = np.eye(dofmaps[-1].n_dofs)
+    b = np.column_stack([pre.apply(e) for e in eye])
+    assert np.linalg.norm(b - b.T) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0.0
+    oracle = csr_multilevel_apply(dofmaps)
+    assert np.array_equal(b, np.column_stack([oracle(e) for e in eye]))
+
+
+def test_extended_rejects_a_mismatched_operator():
+    meshes, dofmaps = grow_hierarchy("z_shape", 1)
+    pre = build_preconditioner(meshes[:1], dofmaps[:1])
+    with pytest.raises(ValueError, match="operator shape"):
+        pre.extended(dofmaps[1], assemble_laplacian(dofmaps[0]))
+
+
 def test_non_nested_meshes_rejected():
     meshes, dofmaps = grow_hierarchy("z_shape", 2)
     with pytest.raises(ValueError, match="not nested"):
@@ -206,8 +258,8 @@ def test_multilevel_iteration_counts_stay_flat():
     counts = []
     rng = np.random.default_rng(13)
     for mesh, dofmap in zip(meshes[1:], dofmaps[1:]):
-        pre = pre.extended(dofmap)
         a = assemble_laplacian(dofmap)
+        pre = pre.extended(dofmap, a)
         counts.append(iterations_to_reduce(a, pre, rng.standard_normal(dofmap.n_dofs)))
     assert max(counts) <= 45
     # no systematic growth: the last level needs no more than the plateau

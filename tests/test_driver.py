@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from afem import algsolver, driver
 from afem.algsolver import solve_exact
-from afem import driver
 from afem.driver import (AdaptiveConfig, RunLog, StepRecord, algebraic_stop,
                          field_types, picard_rhs, picard_stop, quasi_error,
                          run_adaptive)
@@ -19,6 +19,7 @@ from afem.fem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
 from afem.mesh import create_initial, uniform_refine
 from afem.nonlinearity import derived_constants
 from afem.problems import get_problem
+from golden import GOLDEN, GOLDEN_CONFIGS
 from oracles import (audit_stop_semantics, geometric_fit_ratio,
                      late_step_growth, max_contraction_ratio, picard_map,
                      window_constant)
@@ -282,14 +283,24 @@ def test_non_finite_estimator_ends_the_run(monkeypatch):
     assert np.isnan(log.final().eta)
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
-GOLDEN_CONFIGS = {
-    "zshape_diagnostics": dict(domain="zshape", max_elements=20000,
-                               track_error=True, diagnostics=True),
-    "lshape_lambda_alg": dict(domain="lshape", lambda_alg=1e-4, max_elements=10000),
-    "square_linear_error": dict(domain="square_linear", max_elements=20000,
-                                track_error=True),
-}
+class NegatedPreconditioner:
+    """Negative definite, so PCG breaks down at its first step."""
+
+    def apply(self, z):
+        return -z
+
+    def extended(self, *level):
+        return self
+
+
+def test_breakdown_ends_the_run(monkeypatch):
+    # a breakdown is not convergence: the run must not accept the level
+    monkeypatch.setattr(algsolver, "build_preconditioner",
+                        lambda meshes, dofmaps: NegatedPreconditioner())
+    log = run_adaptive(AdaptiveConfig(domain="zshape", max_elements=200))
+    assert log.exit_reason == "breakdown"
+    assert len(log.records) == 1
+    assert log.final().alg_inc == 0.0 and log.final().pic_inc == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
