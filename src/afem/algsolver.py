@@ -8,8 +8,10 @@ keeps the preconditioned condition number bounded, so the per-step energy
 norm contraction of PCG is uniform in the mesh size.  The grid transfers
 run in place in vertex space on `Mesh.vertex_parents` and the append-only
 vertex numbering, touching per level only the new vertices and the
-smoothed set, so no transfer matrix is stored.  `extended(fine_dofmap,
-operator)` reads the new level's diagonal from its assembled operator.
+smoothed set, so no transfer matrix is stored.  The coarse operator is
+factorized once, when the preconditioner is built; `extended(fine_dofmap,
+operator)` reuses that factorization and reads the new level's diagonal
+from its assembled operator.
 
 `pcg_step` advances exactly one iteration and exposes the increment norms
 the adaptive driver's stopping tests need; the energy-norm error is
@@ -22,6 +24,7 @@ increment is zero.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -54,14 +57,17 @@ class MultilevelPreconditioner:
     half of each new vertex's entry to both of its parents; prolongation
     sets each new vertex to the mean of its parents.  Dirichlet entries are
     never read: a new vertex is Dirichlet only when both parents are.
+    Built on the coarsest level from its assembled stiffness
+    ``coarse_operator``, which it factorizes; `extended` adds one level.
     """
 
-    def __init__(self, coarse_solve: Callable, coarse_free: np.ndarray,
-                 levels: tuple, finest_dofmap: DofMap):
-        self._coarse_solve = coarse_solve
-        self._coarse_free = coarse_free
-        self._levels = levels
-        self._finest_dofmap = finest_dofmap
+    def __init__(self, coarse_dofmap: DofMap, coarse_operator):
+        if coarse_operator.shape != (coarse_dofmap.n_dofs,) * 2:
+            raise ValueError("operator shape does not match the free vertex count")
+        self._coarse_solve = factorized(coarse_operator)
+        self._coarse_free = coarse_dofmap.free_vertices
+        self._levels = ()
+        self._finest_dofmap = coarse_dofmap
 
     @property
     def n_levels(self) -> int:
@@ -89,8 +95,10 @@ class MultilevelPreconditioner:
     def extended(self, fine_dofmap: DofMap, operator) -> "MultilevelPreconditioner":
         """Preconditioner for one more refinement level, of stiffness ``operator``."""
         lev = _make_level(self._finest_dofmap.mesh.n_vertices, fine_dofmap, operator)
-        return MultilevelPreconditioner(self._coarse_solve, self._coarse_free,
-                                        self._levels + (lev,), fine_dofmap)
+        successor = copy.copy(self)  # shares the coarse factorization
+        successor._levels = self._levels + (lev,)
+        successor._finest_dofmap = fine_dofmap
+        return successor
 
 
 def _make_level(n_coarse: int, fine_dofmap: DofMap, operator) -> _Level:
@@ -111,18 +119,12 @@ def _make_level(n_coarse: int, fine_dofmap: DofMap, operator) -> _Level:
 
 
 def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
-    """Multilevel preconditioner for the finest level of a hierarchy.
-
-    ``meshes`` may be a MeshHierarchy or a list of nested meshes; ``dofmaps``
-    the matching DofMaps.  A single-level hierarchy yields the exact inverse.
-    """
-    levels = meshes.levels if hasattr(meshes, "levels") else list(meshes)
+    """Multilevel preconditioner for the finest of a list of nested meshes
+    and their DofMaps.  A single-level hierarchy yields the exact inverse."""
     dofmaps = list(dofmaps)
-    if len(levels) != len(dofmaps) or not levels:
+    if len(list(meshes)) != len(dofmaps) or not dofmaps:
         raise ValueError("need matching, nonempty mesh and dofmap lists")
-    coarse = dofmaps[0]
-    pre = MultilevelPreconditioner(factorized(assemble_laplacian(coarse)),
-                                   coarse.free_vertices, (), coarse)
+    pre = MultilevelPreconditioner(dofmaps[0], assemble_laplacian(dofmaps[0]))
     for dm in dofmaps[1:]:
         pre = pre.extended(dm, assemble_laplacian(dm))
     return pre

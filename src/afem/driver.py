@@ -55,7 +55,6 @@ class AdaptiveConfig:
     uniform: bool = False
     track_error: bool = False
     diagnostics: bool = False
-    precond: str = "multilevel"
     # safety valve only; theta = 0.1 legitimately needs ~700 levels per 1e5 elements
     max_levels: int = 10 ** 4
     max_picard_per_level: int = 10 ** 4
@@ -66,9 +65,7 @@ class AdaptiveConfig:
         checks = [(0.0 < self.theta <= 1.0, "theta must lie in (0, 1]"),
                   (self.lambda_alg > 0.0, "lambda_alg must be positive"),
                   (self.lambda_pic > 0.0, "lambda_pic must be positive"),
-                  (self.eta_tol >= 0.0, "eta_tol must be nonnegative"),
-                  (self.precond in ("multilevel", "identity"),
-                   f"unknown preconditioner {self.precond!r}")]
+                  (self.eta_tol >= 0.0, "eta_tol must be nonnegative")]
         checks += [(getattr(self, name) >= 1, f"{name} must be at least 1")
                    for name in ("max_elements", "max_levels", "max_picard_per_level",
                                 "max_pcg_per_linearization")]
@@ -219,10 +216,7 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
     dofmap = DofMap.from_mesh(mesh)
     operator = assemble_laplacian(dofmap)
     u = FeFunction.zero(dofmap)
-    if config.precond == "multilevel":
-        pre = alg.build_preconditioner([mesh], [dofmap])
-    else:
-        pre = alg.IdentityPreconditioner()
+    pre = alg.MultilevelPreconditioner(dofmap, operator)
 
     log = RunLog(config=config)
     step = 0
@@ -302,8 +296,7 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
         new_mesh = refine(mesh, marked)
         new_dofmap = DofMap.from_mesh(new_mesh)
         operator = assemble_laplacian(new_dofmap)
-        if config.precond == "multilevel":
-            pre = pre.extended(new_dofmap, operator)
+        pre = pre.extended(new_dofmap, operator)
         u = prolongate(u, new_dofmap)
         mesh, dofmap = new_mesh, new_dofmap
     else:

@@ -62,7 +62,7 @@ def triangle_quad_points(mesh: Mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Numbering of the free (non-Dirichlet) vertices."""
+    """Numbering of the free (non-Dirichlet) vertices, found with a mask."""
 
     mesh: Mesh
     free_vertices: np.ndarray
@@ -70,8 +70,9 @@ class DofMap:
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "DofMap":
-        constrained = mesh.dirichlet_vertices()
-        free = np.setdiff1d(np.arange(mesh.n_vertices, dtype=np.int64), constrained)
+        free = np.ones(mesh.n_vertices, dtype=bool)
+        free[mesh.dirichlet_vertices()] = False
+        free = np.flatnonzero(free)
         dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
         dof[free] = np.arange(free.size)
         dof.setflags(write=False)

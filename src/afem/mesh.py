@@ -43,7 +43,8 @@ def _pair_codes(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """Unique-edge connectivity of a triangulation.
+    """Unique-edge connectivity of a triangulation, from one sort of the
+    3 n_triangles vertex-pair codes.
 
     Attributes
     ----------
@@ -83,20 +84,17 @@ def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
     # edge k of a triangle is opposite local vertex k
     pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0)
     codes = _pair_codes(pairs, n_vertices)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    of_triangle = inverse.reshape(3, n_t).T.copy()
-    nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices])
-    counts = np.bincount(inverse, minlength=len(uniq))
+    # an edge's first occurrence gives its first triangle, any other its second
+    uniq, first, inverse, counts = np.unique(codes, return_index=True,
+                                             return_inverse=True, return_counts=True)
     if len(counts) and counts.max() > 2:
         raise ValueError("non-conforming mesh: an edge is shared by more than two triangles")
+    of_triangle = inverse.reshape(3, n_t).T.copy()
+    nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices])
     incident = np.full((len(uniq), 2), -1, dtype=np.int64)
-    tri_ids = np.tile(np.arange(n_t, dtype=np.int64), 3)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    sorted_tris = tri_ids[order]
-    incident[:, 0] = sorted_tris[starts[:-1]]
-    second = counts == 2
-    incident[second, 1] = sorted_tris[starts[:-1][second] + 1]
+    incident[:, 0] = first % n_t
+    rest = np.delete(np.arange(len(codes)), first)
+    incident[inverse[rest], 1] = rest % n_t
     return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident, codes=uniq)
 
 
@@ -197,8 +195,9 @@ class Mesh:
         return float(angles.min())
 
     def dirichlet_vertices(self) -> np.ndarray:
-        sel = self.boundary_markers == DIRICHLET
-        return np.unique(self.boundary_edges[sel])
+        on = np.zeros(self.n_vertices, dtype=bool)
+        on[self.boundary_edges[self.boundary_markers == DIRICHLET]] = True
+        return np.flatnonzero(on)
 
     def validate(self) -> "Mesh":
         """Full conformity audit; raises ValueError on any violation."""
@@ -210,7 +209,7 @@ class Mesh:
         used[self.triangles.ravel()] = True
         if not used.all():
             raise ValueError("unreferenced vertices")
-        bdry_codes = np.sort(et.codes[et.is_boundary])
+        bdry_codes = et.codes[et.is_boundary]  # a subset of sorted codes is sorted
         listed = np.sort(_pair_codes(self.boundary_edges, self.n_vertices))
         if len(np.unique(listed)) != len(listed):
             raise ValueError("duplicate boundary edge")

@@ -9,11 +9,16 @@ scale `test_step_log_matches_golden` uses: relative to the old entry, but
 never to less than 1e-12 of the column's largest value.  The rerun is read
 back through its CSV text first, so both sides carry the same 12 digits and
 an unchanged run reads 0.  The files are rewritten only with ``--write``.
+Then it prints the sha1 of the step log of each benchmark workload, with
+the configurations of `perfbench/workloads.py`; running the command at two
+commits compares all five "same numbers" runs of the ROADMAP.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
 import io
 from pathlib import Path
 
@@ -54,6 +59,15 @@ def compare(want: RunLog, got: RunLog) -> list:
     return lines
 
 
+def benchmark_configs() -> dict:
+    """Workload name -> `AdaptiveConfig` kwargs, read from perfbench/workloads.py."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: workloads.spec(name)["config"] for name in workloads.WORKLOADS}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="rewrite the golden files")
@@ -68,6 +82,9 @@ def main(argv=None) -> None:
         if args.write and text != old:
             path.write_text(text)
             print("  rewritten")
+    for name, config in benchmark_configs().items():
+        text = run_adaptive(AdaptiveConfig(**config)).to_csv()
+        print(f"{name}: sha1 {hashlib.sha1(text.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":

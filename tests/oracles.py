@@ -13,12 +13,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from afem import (NEUMANN, AdaptiveConfig, DofMap, FeFunction, apply_nonlinear,
-                  assemble_laplacian, create_initial, doerfler_mark, refine)
+from afem import (DIRICHLET, NEUMANN, AdaptiveConfig, DofMap, FeFunction,
+                  apply_nonlinear, assemble_laplacian, create_initial, doerfler_mark,
+                  refine)
 from afem.algsolver import factorized, solve_exact
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       Samples, sample)
-from afem.mesh import Mesh
+from afem.mesh import EdgeTable, Mesh, _pair_codes
 from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
 from afem.estimator import IndicatorField
@@ -283,6 +284,41 @@ def einsum_eval_squared(samples: Samples, nl: Nonlinearity,
         edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
                                minlength=mesh.n_triangles)
     return mesh.areas * f_sq_int + np.sqrt(mesh.areas) * edge_sq
+
+
+# The edge table and the free-vertex numbering in their former form: a second
+# argsort to find each edge's triangles, and np.unique plus np.setdiff1d for
+# the free vertices.  The library derives both with one sort and two masks,
+# and the tests require the arrays to be equal, dtype included.
+
+def unique_argsort_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
+    t = np.asarray(triangles, dtype=np.int64)
+    n_t = t.shape[0]
+    pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0)
+    codes = _pair_codes(pairs, n_vertices)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    of_triangle = inverse.reshape(3, n_t).T.copy()
+    nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices])
+    counts = np.bincount(inverse, minlength=len(uniq))
+    if len(counts) and counts.max() > 2:
+        raise ValueError("non-conforming mesh: an edge is shared by more than two triangles")
+    incident = np.full((len(uniq), 2), -1, dtype=np.int64)
+    tri_ids = np.tile(np.arange(n_t, dtype=np.int64), 3)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    sorted_tris = tri_ids[order]
+    incident[:, 0] = sorted_tris[starts[:-1]]
+    second = counts == 2
+    incident[second, 1] = sorted_tris[starts[:-1][second] + 1]
+    return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident, codes=uniq)
+
+
+def setdiff_dofmap(mesh: Mesh) -> DofMap:
+    constrained = np.unique(mesh.boundary_edges[mesh.boundary_markers == DIRICHLET])
+    free = np.setdiff1d(np.arange(mesh.n_vertices, dtype=np.int64), constrained)
+    dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    dof[free] = np.arange(free.size)
+    return DofMap(mesh=mesh, free_vertices=free, dof_of_vertex=dof)
 
 
 def picard_map(nl: Nonlinearity, dofmap: DofMap, operator, load):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
                   create_initial, doerfler_mark, indicators, total,
@@ -13,7 +15,7 @@ from afem.problems import get_problem
 
 from oracles import (KERNEL_CASES, brute_force_doerfler_size, doerfler_reference,
                      einsum_estimator_moments, einsum_eval_squared, kernel_case,
-                     picard_map, random_mesh)
+                     one_triangle, picard_map, random_mesh)
 
 
 def one(p):
@@ -149,6 +151,27 @@ def test_doerfler_minimality_brute_force():
             # ... by a set of provably minimal cardinality
             assert len(marked) == brute_force_doerfler_size(squared, theta)
             assert np.array_equal(marked, doerfler_reference(squared, theta))
+
+
+SMALL_MESHES = {"one_triangle": one_triangle(), "unit_square": create_initial("unit_square"),
+               "l_shape": create_initial("l_shape"), "z_shape": create_initial("z_shape"),
+               "l_shape_refined": uniform_refine(create_initial("l_shape"))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(SMALL_MESHES)),
+       theta=st.sampled_from([k / 8 for k in range(1, 9)]), data=st.data())
+def test_doerfler_mark_is_minimal_on_random_indicators(name, theta, data):
+    """Quarter-integer indicators give ties and zeros; with theta in eighths
+    every sum is exact, so the brute force's 1e-12 slack decides no case."""
+    mesh = SMALL_MESHES[name]
+    quarters = data.draw(st.lists(st.integers(0, 8), min_size=mesh.n_triangles,
+                                  max_size=mesh.n_triangles))
+    assume(any(quarters))
+    squared = np.array(quarters) / 4.0
+    marked = doerfler_mark(IndicatorField(mesh, squared), theta)
+    assert np.array_equal(marked, doerfler_reference(squared, theta))
+    assert len(marked) == brute_force_doerfler_size(squared, theta)
 
 
 def test_doerfler_dropping_smallest_breaks_criterion():

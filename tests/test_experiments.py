@@ -283,7 +283,7 @@ _SAMPLE_TEXT = {str: "lshape", float: "0.25", int: "123", bool: "true"}
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AdaptiveConfig)])
 def test_cli_and_sweep_spec_set_every_config_field(name, monkeypatch):
     kind = type(getattr(AdaptiveConfig(), name))
-    text = "identity" if name == "precond" else _SAMPLE_TEXT[kind]
+    text = _SAMPLE_TEXT[kind]
     flag = "--" + name.replace("_", "-")
     [from_cli] = _run_configs(monkeypatch, [flag] if kind is bool else [flag, text])
     [from_spec] = parse_sweep_spec("%s = %s\n" % (name, text))

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from afem import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                   overlay, read_text, refine, uniform_refine, write_text)
+from afem.fem import DofMap
 from afem.mesh import closure_cost, locate
 
-from oracles import case_table_refine, random_mesh
+from oracles import (case_table_refine, one_triangle, random_mesh, setdiff_dofmap,
+                     unique_argsort_edge_table)
 
 
 def edge_census(mesh):
@@ -198,6 +200,31 @@ def test_refine_matches_case_table_oracle(domain, seed, kinds):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert (got.level, got.n_coarse_vertices) == (want.level, want.n_coarse_vertices)
         mesh = got
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape", "one_triangle"]),
+       seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(0, 6))
+def test_edge_table_and_dofmap_match_sort_oracles(domain, seed, rounds):
+    """One sort and two masks give the same index arrays, dtype included,
+    as the former argsort and setdiff forms."""
+    mesh = one_triangle() if domain == "one_triangle" else \
+        random_mesh(domain, np.random.default_rng(seed), rounds=rounds)
+    want = unique_argsort_edge_table(mesh.triangles, mesh.n_vertices)
+    for name in ("nodes", "of_triangle", "incident", "codes"):
+        a, b = getattr(mesh.edges, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    got, want = DofMap.from_mesh(mesh), setdiff_dofmap(mesh)
+    for name in ("free_vertices", "dof_of_vertex"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_edge_shared_by_three_triangles_is_rejected():
+    mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)],
+                [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [])
+    with pytest.raises(ValueError, match="more than two triangles"):
+        mesh.edges
 
 
 def test_boundary_markers_inherited():
