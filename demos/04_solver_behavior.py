@@ -4,9 +4,11 @@ Why the inner solver needs a multilevel preconditioner
 
 A contractive linear solver with a mesh-independent rate is what makes
 the total work scale linearly in the cumulative number of elements.  The
-local multilevel preconditioner (additive Schwarz over the new vertices
-of every level, exact solve on the coarsest mesh) delivers that; plain
-CG does not, as the growing iteration counts below show.
+multilevel preconditioner (exact solve on the coarsest mesh, additive
+Schwarz over the vertex generations: each generation smooths its vertices
+and their parents, the endpoints of the edge they bisect) delivers that;
+plain CG does not, as the growing iteration counts below show.  The
+hierarchy below has 30 refinement levels but far fewer generations.
 """
 
 import numpy as np
@@ -56,6 +58,7 @@ for i in range(1, len(meshes)):
     print("%3d %8d %12d %10d"
           % (i, dofmaps[i].n_dofs, steps_to_tol(a, rhs, pre),
              steps_to_tol(a, rhs, IdentityPreconditioner())))
+print("%d refinement levels, %d vertex generations" % (len(meshes) - 1, pre.n_levels - 1))
 
 # inside the adaptive driver the solver never iterates to a fixed
 # tolerance: it stops once its increment is small against the estimator,

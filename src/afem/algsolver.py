@@ -1,17 +1,27 @@
 """One-step preconditioned conjugate gradients and a multilevel preconditioner.
 
-The preconditioner is a local multilevel additive Schwarz operator on the
-bisection hierarchy: an exact solve on the coarsest level plus, per finer
-level, diagonally scaled corrections on the vertices created at that level
-and their edge neighbors.  On shape-regular bisection hierarchies this
-keeps the preconditioned condition number bounded, so the per-step energy
-norm contraction of PCG is uniform in the mesh size.  The grid transfers
-run in place in vertex space on `Mesh.vertex_parents` and the append-only
-vertex numbering, touching per level only the new vertices and the
-smoothed set, so no transfer matrix is stored.  The coarse operator is
+The preconditioner is a multilevel additive Schwarz operator on the
+bisection hierarchy, split by vertex generation (Chen, Nochetto and Xu,
+"Optimal multilevel methods for graded bisection grids", Numer. Math.
+2012).  A vertex of the coarsest mesh has generation 0; a vertex created
+by bisecting an edge, whose endpoints are its parents, has one more than
+the larger generation of the two.  The operator is an exact solve on the
+coarsest mesh plus, per generation, diagonally scaled corrections on the
+free vertices of that generation and their free parents, with the inverse
+diagonal of the finest stiffness matrix as weights.  On bisection
+hierarchies this keeps the preconditioned condition number bounded, so
+the per-step energy norm contraction of PCG is uniform in the mesh size.
+A deep adaptive hierarchy has far fewer generations than levels, and an
+apply makes one pass per generation.
+
+Parents have a lower generation than their children, so no vertex of a
+generation is a parent of another, and the grid transfers run in place in
+vertex space: one scatter (restriction) and one gather (prolongation) per
+generation, with no transfer matrix stored.  The coarse operator is
 factorized once, when the preconditioner is built; `extended(fine_dofmap,
-operator)` reuses that factorization and reads the new level's diagonal
-from its assembled operator.
+operator)` reuses that factorization, appends the generations and parents
+of the new vertices, regroups all vertices with one stable sort by
+generation and reads the Jacobi weights from the new level's operator.
 
 `pcg_step` advances exactly one iteration and exposes the increment norms
 the adaptive driver's stopping tests need; the energy-norm error is
@@ -43,22 +53,29 @@ class IdentityPreconditioner:
 
 
 @dataclass(frozen=True)
-class _Level:
-    n_coarse: int                    # vertex count of the coarser mesh
-    parents: np.ndarray              # (n_new, 2) bisected edge of each new vertex
-    local: np.ndarray                # free vertices smoothed on this level
-    inv_diag: np.ndarray             # inverse stiffness diagonal on `local`
+class Generation:
+    """The vertices of one generation and the free vertices smoothed with them."""
+
+    children: np.ndarray             # vertices of this generation, ascending
+    parents: np.ndarray              # (n_children, 2) bisected edge of each child
+    smooth: np.ndarray               # free vertices among the children and their parents
+    inv_diag: np.ndarray             # inverse stiffness diagonal on `smooth`
 
 
 class MultilevelPreconditioner:
-    """Additive Schwarz over the refinement hierarchy (see module docstring).
+    """Additive Schwarz over the vertex generations (see module docstring).
 
     Works on one vector over the finest mesh's vertices.  Restriction adds
-    half of each new vertex's entry to both of its parents; prolongation
-    sets each new vertex to the mean of its parents.  Dirichlet entries are
-    never read: a new vertex is Dirichlet only when both parents are.
-    Built on the coarsest level from its assembled stiffness
-    ``coarse_operator``, which it factorizes; `extended` adds one level.
+    half of each child's entry to both of its parents; prolongation sets
+    each child to the mean of its parents.  Dirichlet entries are never
+    read: a new vertex is Dirichlet only when both parents are.  Built on
+    the coarsest level from its assembled stiffness ``coarse_operator``,
+    which it factorizes; `extended` adds one refinement level.
+
+    ``gen`` and ``parents`` are per-vertex arrays over the finest mesh: the
+    generation of each vertex (0 on the coarsest mesh) and the bisected
+    edge that created it (-1 on the coarsest mesh).  ``groups`` holds one
+    `Generation` per generation from 1 up.
     """
 
     def __init__(self, coarse_dofmap: DofMap, coarse_operator):
@@ -66,56 +83,77 @@ class MultilevelPreconditioner:
             raise ValueError("operator shape does not match the free vertex count")
         self._coarse_solve = factorized(coarse_operator)
         self._coarse_free = coarse_dofmap.free_vertices
-        self._levels = ()
+        n = coarse_dofmap.mesh.n_vertices
+        self.gen = np.zeros(n, dtype=np.int16)
+        self.parents = np.full((n, 2), -1, dtype=np.int64)
+        self.groups = ()
         self._finest_dofmap = coarse_dofmap
 
     @property
     def n_levels(self) -> int:
-        return len(self._levels) + 1
+        return len(self.groups) + 1
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         free = self._finest_dofmap.free_vertices
-        r = np.zeros(self._finest_dofmap.mesh.n_vertices)
+        r = np.zeros(self.gen.size)
         r[free] = z
         saved = []
-        for lev in reversed(self._levels):
-            saved.append(r[lev.local])
-            new = r[lev.n_coarse:lev.n_coarse + len(lev.parents)]
+        for grp in reversed(self.groups):
+            saved.append(r[grp.smooth])
             # add.at sums per parent in ascending child order, the order of a
             # transposed-prolongation matvec; np.bincount would reassociate
-            np.add.at(r, lev.parents.ravel(), np.repeat(0.5 * new, 2))
+            np.add.at(r, grp.parents.ravel(), np.repeat(0.5 * r[grp.children], 2))
         y = np.zeros_like(r)
         y[self._coarse_free] = self._coarse_solve(r[self._coarse_free])
-        for lev, s in zip(self._levels, reversed(saved)):
-            p = lev.parents
-            y[lev.n_coarse:lev.n_coarse + len(p)] = 0.5 * y[p[:, 0]] + 0.5 * y[p[:, 1]]
-            y[lev.local] += lev.inv_diag * s
+        for grp, s in zip(self.groups, reversed(saved)):
+            p = grp.parents
+            y[grp.children] = 0.5 * y[p[:, 0]] + 0.5 * y[p[:, 1]]
+            y[grp.smooth] += grp.inv_diag * s
         return y[free]
 
     def extended(self, fine_dofmap: DofMap, operator) -> "MultilevelPreconditioner":
         """Preconditioner for one more refinement level, of stiffness ``operator``."""
-        lev = _make_level(self._finest_dofmap.mesh.n_vertices, fine_dofmap, operator)
+        fine = fine_dofmap.mesh
+        if fine.vertex_parents is None or fine.n_coarse_vertices != self.gen.size:
+            raise ValueError("meshes are not nested by one refinement")
+        if operator.shape != (fine_dofmap.n_dofs,) * 2:
+            raise ValueError("operator shape does not match the free vertex count")
+        new_parents = fine.vertex_parents
         successor = copy.copy(self)  # shares the coarse factorization
-        successor._levels = self._levels + (lev,)
+        successor.gen = np.concatenate((self.gen, 1 + self.gen[new_parents].max(axis=1)))
+        successor.parents = np.concatenate((self.parents, new_parents))
+        successor.groups = _generations(successor.gen, successor.parents,
+                                        fine_dofmap, operator.diagonal())
         successor._finest_dofmap = fine_dofmap
         return successor
 
 
-def _make_level(n_coarse: int, fine_dofmap: DofMap, operator) -> _Level:
-    fine = fine_dofmap.mesh
-    if fine.vertex_parents is None or fine.n_coarse_vertices != n_coarse:
-        raise ValueError("meshes are not nested by one refinement")
-    if operator.shape != (fine_dofmap.n_dofs,) * 2:
-        raise ValueError("operator shape does not match the free vertex count")
-    new_mask = np.zeros(fine.n_vertices, dtype=bool)
-    new_mask[n_coarse:] = True
-    nodes = fine.edges.nodes
-    touched = new_mask.copy()
-    touched[nodes[new_mask[nodes[:, 1]], 0]] = True
-    touched[nodes[new_mask[nodes[:, 0]], 1]] = True
-    local = np.nonzero(touched & (fine_dofmap.dof_of_vertex >= 0))[0]
-    return _Level(n_coarse=n_coarse, parents=fine.vertex_parents, local=local,
-                  inv_diag=1.0 / operator.diagonal()[fine_dofmap.dof_of_vertex[local]])
+def _generations(gen: np.ndarray, parents: np.ndarray, fine_dofmap: DofMap,
+                 diagonal: np.ndarray) -> tuple:
+    """One `Generation` per generation from 1 up, with Jacobi weights from
+    the free-vertex ``diagonal``."""
+    n, n_gen = gen.size, int(gen.max(initial=0))
+    order = np.argsort(gen, kind="stable")   # a radix sort: vertices by generation
+    counts = np.bincount(gen, minlength=n_gen + 1)
+    kids = order[counts[0]:]
+    kid_parents = np.take(parents, kids, axis=0)
+    ends = np.cumsum(counts[1:]).tolist()
+    # smoothing sets: mark each child and both its parents in the row of its
+    # generation; the marks come out de-duplicated and sorted
+    row = np.repeat(n * np.arange(n_gen), counts[1:])
+    mask = np.zeros(n_gen * n, dtype=bool)
+    for members in (kids, kid_parents[:, 0], kid_parents[:, 1]):
+        mask[row + members] = True
+    keys = np.flatnonzero(mask)
+    smooth = keys % n
+    dofs = fine_dofmap.dof_of_vertex[smooth]
+    free = dofs >= 0
+    keys, smooth = keys[free], smooth[free]
+    inv_diag = 1.0 / diagonal[dofs[free]]
+    cuts = np.searchsorted(keys, n * np.arange(n_gen + 1)).tolist()
+    return tuple(Generation(children=kids[a:b], parents=kid_parents[a:b],
+                            smooth=smooth[c:d], inv_diag=inv_diag[c:d])
+                 for a, b, c, d in zip([0] + ends, ends, cuts, cuts[1:]))
 
 
 def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:

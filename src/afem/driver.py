@@ -156,18 +156,34 @@ class RunLog:
         return self.records[-1]
 
     def level_table(self) -> List[dict]:
-        """Per-level summary from the accepted (last) step of each level."""
+        """Per-level summary from the accepted (last) step of each level.
+
+        Two columns give the contraction observed on the level, or None
+        where it has no pair to compare: ``alg_ratio``, the largest ratio of
+        successive ``alg_inc`` within one linearization (PCG), and
+        ``pic_ratio``, the largest ratio of successive accepted ``pic_inc``,
+        those of the steps that passed the algebraic stop (Picard).
+        """
         rows = []
         for rec in self.records:
             if not rows or rows[-1]["l"] != rec.l:
-                rows.append({"l": rec.l, "nT": rec.nT, "n_picard": rec.k,
-                             "n_steps": 1, "eta": rec.eta, "cumcost": rec.cumcost,
-                             "err": rec.err, "max_pcg": rec.j})
+                row = {"l": rec.l, "nT": rec.nT, "n_picard": rec.k, "n_steps": 1,
+                       "eta": rec.eta, "cumcost": rec.cumcost, "err": rec.err,
+                       "max_pcg": rec.j, "alg_ratio": None, "pic_ratio": None}
+                rows.append(row)
+                prev = accepted = None
             else:
                 row = rows[-1]
                 row.update(n_picard=rec.k, n_steps=row["n_steps"] + 1,
                            eta=rec.eta, cumcost=rec.cumcost, err=rec.err,
                            max_pcg=max(row["max_pcg"], rec.j))
+                if prev.k == rec.k and prev.alg_inc > 0.0:
+                    row["alg_ratio"] = _larger(row["alg_ratio"], rec.alg_inc / prev.alg_inc)
+            if rec.alg_stop:
+                if accepted:
+                    row["pic_ratio"] = _larger(row["pic_ratio"], rec.pic_inc / accepted)
+                accepted = rec.pic_inc
+            prev = rec
         return rows
 
     def columns(self) -> List[str]:
@@ -182,6 +198,10 @@ class RunLog:
     def from_csv(cls, source) -> "RunLog":
         rows = read_csv(source, _STEP_TYPES, _BASE_COLUMNS)
         return cls(records=[StepRecord(**row) for row in rows])
+
+
+def _larger(old: Optional[float], new: float) -> float:
+    return new if old is None else max(old, new)
 
 
 def algebraic_stop(alg_inc: float, pic_inc: float, eta: float,

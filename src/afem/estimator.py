@@ -129,7 +129,9 @@ def doerfler_mark(field: IndicatorField, theta: float) -> np.ndarray:
 
     Greedy by decreasing squared indicator, ties broken by triangle index;
     the returned indices are sorted ascending.  theta = 1 marks all
-    triangles with positive indicator.
+    triangles with positive indicator.  The target is theta * theta * total
+    in floating point: theta = fl(sqrt(0.5)) squares to just above one half,
+    so four equal indicators need three marks.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")

@@ -32,7 +32,7 @@ from .driver import (AdaptiveConfig, RunLog, field_types, read_csv,
 
 _CONFIG_TYPES = field_types(AdaptiveConfig)
 _LEVEL_TYPES = dict(l=int, nT=int, n_picard=int, n_steps=int, max_pcg=int,
-                    eta=float, cumcost=int, err=float)
+                    eta=float, cumcost=int, err=float, alg_ratio=float, pic_ratio=float)
 LEVEL_COLUMNS = tuple(_LEVEL_TYPES)
 RUNS_COLUMNS = ("run_id", "domain", "theta", "lambda_alg", "lambda_pic",
                 "max_elements", "uniform", "n_levels", "n_steps", "nT",

@@ -500,13 +500,14 @@ def _csr_prolongation(coarse_dofmap: DofMap, fine_dofmap: DofMap) -> sp.csr_matr
 
 
 def csr_multilevel_apply(dofmaps):
-    """Reference multilevel preconditioner with explicit transfer matrices.
+    """Reference level-form multilevel preconditioner with explicit transfers.
 
-    Builds, per level, the free-dof CSR prolongation P and its transpose
-    and applies the same additive Schwarz operator as
-    `build_preconditioner(meshes, dofmaps).apply`, in free-dof space.
+    Builds, per adaptive level, the free-dof CSR prolongation P and its
+    transpose, and smooths the vertices created on that level plus their
+    edge neighbors with that level's stiffness diagonal.  This is the form
+    the library used before it split the hierarchy by vertex generation;
+    it stays as the conditioning reference.
     """
-    coarse_solve = factorized(assemble_laplacian(dofmaps[0]))
     levels = []
     for coarse, fine in zip(dofmaps, dofmaps[1:]):
         p = _csr_prolongation(coarse, fine)
@@ -520,7 +521,64 @@ def csr_multilevel_apply(dofmaps):
         local = fine.dof_of_vertex[np.nonzero(touched)[0]]
         local = local[local >= 0]
         inv_diag = 1.0 / sum_stiffness_diagonal(fine)[local]
-        levels.append((p, p.T.tocsr(), local, inv_diag))
+        levels.append((p, local, inv_diag))
+    return _additive_schwarz(factorized(assemble_laplacian(dofmaps[0])), levels)
+
+
+def vertex_generations(meshes):
+    """Generation and bisected edge of every vertex of the finest mesh, one
+    vertex at a time: 0 and (-1, -1) on the coarsest mesh, else one more
+    than the larger generation of the two parents."""
+    gen = [0] * meshes[0].n_vertices
+    parents = [(-1, -1)] * meshes[0].n_vertices
+    for mesh in meshes[1:]:
+        for a, b in mesh.vertex_parents.tolist():
+            gen.append(1 + max(gen[a], gen[b]))
+            parents.append((a, b))
+    return np.array(gen), np.array(parents).reshape(-1, 2)
+
+
+def csr_generation_apply(dofmaps):
+    """Reference generation-form multilevel preconditioner with explicit
+    per-generation CSR transfers, in free-vertex spaces.
+
+    The space of generation g holds the free vertices of generation at most
+    g, in ascending order.  P_g keeps the older vertices and sets each vertex
+    of generation g to the mean of its parents.  Generation g smooths its
+    own free vertices and their free parents with the finest stiffness
+    diagonal.  Applies the same operator as
+    `build_preconditioner(meshes, dofmaps).apply`.
+    """
+    fine = dofmaps[-1]
+    gen, parents = vertex_generations([dm.mesh for dm in dofmaps])
+    free = fine.dof_of_vertex >= 0
+    spaces = [np.flatnonzero(free & (gen <= g)) for g in range(gen.max() + 1)]
+    diag = sum_stiffness_diagonal(fine)
+    levels = []
+    for g in range(1, len(spaces)):
+        position = {v: i for i, v in enumerate(spaces[g - 1].tolist())}
+        rows, cols, vals = [], [], []
+        smooth = set()
+        for i, v in enumerate(spaces[g].tolist()):
+            if gen[v] < g:
+                rows.append(i), cols.append(position[v]), vals.append(1.0)
+                continue
+            smooth.add(v)
+            for p in parents[v].tolist():
+                if free[p]:
+                    rows.append(i), cols.append(position[p]), vals.append(0.5)
+                    smooth.add(p)
+        p = sp.csr_matrix((vals, (rows, cols)), shape=(len(spaces[g]), len(spaces[g - 1])))
+        smooth = np.array(sorted(smooth), dtype=np.int64)
+        levels.append((p, np.searchsorted(spaces[g], smooth),
+                       1.0 / diag[fine.dof_of_vertex[smooth]]))
+    return _additive_schwarz(factorized(assemble_laplacian(dofmaps[0])), levels)
+
+
+def _additive_schwarz(coarse_solve, levels):
+    """z -> y of a multilevel additive Schwarz operator given per level its
+    prolongation, the positions it smooths and their inverse diagonal."""
+    levels = [(p, p.T.tocsr(), local, inv_diag) for p, local, inv_diag in levels]
 
     def apply(z: np.ndarray) -> np.ndarray:
         residuals = [np.asarray(z, dtype=float)]

@@ -16,7 +16,8 @@ from afem import (DofMap, IdentityPreconditioner, assemble_laplacian,
 from afem.algsolver import factorized
 from afem.estimator import IndicatorField
 
-from oracles import csr_multilevel_apply, random_mesh
+from oracles import (csr_generation_apply, csr_multilevel_apply, random_mesh,
+                     vertex_generations)
 
 
 def small_system(seed=0, rounds=3):
@@ -132,8 +133,9 @@ def test_exact_coarse_preconditioner_converges_in_one_step():
     assert np.sqrt(d @ (a @ d)) <= 1e-10 * np.sqrt(xstar @ (a @ xstar))
 
 
-def grow_hierarchy(domain, levels, theta=0.5, seed=8):
-    """Meshes plus dofmaps from refinements biased to the domain corner."""
+def grow_hierarchy(domain, levels, theta=0.5, seed=8, max_dofs=None):
+    """Meshes plus dofmaps from refinements biased to the domain corner,
+    stopping before a mesh with more than ``max_dofs`` free vertices."""
     rng = np.random.default_rng(seed)
     meshes = [create_initial(domain)]
     dofmaps = [DofMap.from_mesh(meshes[0])]
@@ -143,15 +145,20 @@ def grow_hierarchy(domain, levels, theta=0.5, seed=8):
         w = 1.0 / (np.linalg.norm(mesh.centroids(), axis=1) ** 2 + 1e-3)
         w *= 1.0 + 0.2 * rng.random(mesh.n_triangles)
         marked = doerfler_mark(IndicatorField(mesh, w), theta)
-        meshes.append(refine(mesh, marked))
-        dofmaps.append(DofMap.from_mesh(meshes[-1]))
+        fine = refine(mesh, marked)
+        dofmap = DofMap.from_mesh(fine)
+        if max_dofs is not None and dofmap.n_dofs > max_dofs:
+            break
+        meshes.append(fine)
+        dofmaps.append(dofmap)
     return meshes, dofmaps
 
 
 def test_multilevel_preconditioner_symmetric_definite():
     meshes, dofmaps = grow_hierarchy("z_shape", 6)
     pre = build_preconditioner(meshes, dofmaps)
-    assert pre.n_levels == len(meshes)
+    gen, _ = vertex_generations(meshes)
+    assert pre.n_levels == gen.max() + 1 < len(meshes)
     n = dofmaps[-1].n_dofs
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -193,20 +200,17 @@ HIERARCHIES = {
 def test_vertex_space_apply_equals_csr_oracle(name):
     meshes, dofmaps = HIERARCHIES[name]()
     pre = build_preconditioner(meshes, dofmaps)
-    oracle = csr_multilevel_apply(dofmaps)
+    oracle = csr_generation_apply(dofmaps)
     rng = np.random.default_rng(15)
     for _ in range(3):
         z = rng.standard_normal(dofmaps[-1].n_dofs)
         assert np.array_equal(pre.apply(z), oracle(z))
 
 
-@settings(max_examples=40, deadline=None)
-@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
-       seed=st.integers(0, 2 ** 32 - 1),
-       fracs=st.lists(st.floats(0.0, 1.0), max_size=8))
-def test_preconditioner_is_symmetric_positive_definite(domain, seed, fracs):
-    """Dense B from `apply` on small random hierarchies, grown level by level
-    as the driver grows it; the first refinement is uniform so B is not empty."""
+def random_hierarchy(domain, seed, fracs, max_dofs=300):
+    """Dofmaps of a random hierarchy and its preconditioner, grown level by
+    level as the driver grows it; the first refinement is uniform so the
+    finest mesh has free vertices."""
     rng = np.random.default_rng(seed)
     mesh = create_initial(domain)
     dofmaps = [DofMap.from_mesh(mesh)]
@@ -214,17 +218,69 @@ def test_preconditioner_is_symmetric_positive_definite(domain, seed, fracs):
     for frac in [1.0] + fracs:
         fine = refine(mesh, np.nonzero(rng.random(mesh.n_triangles) < frac)[0])
         dofmap = DofMap.from_mesh(fine)
-        if dofmap.n_dofs > 300:
+        if dofmap.n_dofs > max_dofs:
             break
         mesh = fine
         dofmaps.append(dofmap)
         pre = pre.extended(dofmap, assemble_laplacian(dofmap))
+    return dofmaps, pre
+
+
+RANDOM_HIERARCHIES = dict(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+                          seed=st.integers(0, 2 ** 32 - 1),
+                          fracs=st.lists(st.floats(0.0, 1.0), max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_HIERARCHIES)
+def test_preconditioner_is_symmetric_positive_definite(domain, seed, fracs):
+    """Dense B from `apply` on small random hierarchies."""
+    dofmaps, pre = random_hierarchy(domain, seed, fracs)
     eye = np.eye(dofmaps[-1].n_dofs)
     b = np.column_stack([pre.apply(e) for e in eye])
     assert np.linalg.norm(b - b.T) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0.0
-    oracle = csr_multilevel_apply(dofmaps)
+    oracle = csr_generation_apply(dofmaps)
     assert np.array_equal(b, np.column_stack([oracle(e) for e in eye]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_HIERARCHIES)
+def test_generation_groups_hold_no_parent_of_their_own(domain, seed, fracs):
+    """A child's generation exceeds both parents', so one transfer per
+    generation is exact: no vertex of a group is a parent of another."""
+    dofmaps, pre = random_hierarchy(domain, seed, fracs, max_dofs=2000)
+    gen, parents = vertex_generations([dm.mesh for dm in dofmaps])
+    assert np.array_equal(pre.gen, gen) and np.array_equal(pre.parents, parents)
+    new = gen > 0
+    assert (gen[new, None] > gen[parents[new]]).all()
+    assert len(pre.groups) == gen.max()
+    for g, grp in enumerate(pre.groups, start=1):
+        assert np.array_equal(grp.children, np.flatnonzero(gen == g))
+        assert np.array_equal(grp.parents, parents[grp.children])
+        assert not np.isin(grp.parents, grp.children).any()
+
+
+def dense_condition_number(b, a):
+    """kappa(B A) for SPD A and B, from the symmetric L^T B L with A = L L^T."""
+    low = np.linalg.cholesky(a)
+    eig = np.linalg.eigvalsh(low.T @ (0.5 * (b + b.T)) @ low)
+    return eig.max() / eig.min()
+
+
+@pytest.mark.parametrize("theta, seed", [(0.1, 1), (0.1, 2), (0.2, 3), (0.3, 4)])
+def test_generation_form_conditions_like_the_level_form(theta, seed):
+    """On deep graded hierarchies, splitting by vertex generation conditions
+    B A at least nearly as well as splitting by adaptive level."""
+    meshes, dofmaps = grow_hierarchy("z_shape", 100, theta=theta, seed=seed, max_dofs=400)
+    assert len(meshes) > 20
+    a = assemble_laplacian(dofmaps[-1]).toarray()
+    eye = np.eye(len(a))
+    pre = build_preconditioner(meshes, dofmaps)
+    by_level = csr_multilevel_apply(dofmaps)
+    kappa = dense_condition_number(np.column_stack([pre.apply(e) for e in eye]), a)
+    kappa_level = dense_condition_number(np.column_stack([by_level(e) for e in eye]), a)
+    assert kappa <= 1.5 * kappa_level
 
 
 def test_extended_rejects_a_mismatched_operator():

@@ -123,6 +123,25 @@ def test_adaptive_run_stop_semantics(zshape_run):
     audit_stop_semantics(log)
 
 
+def test_level_table_contraction_columns():
+    """alg_ratio: largest alg_inc ratio inside one linearization; pic_ratio:
+    largest ratio of successive accepted pic_inc; None without a pair."""
+    def rec(l, k, j, alg_inc, pic_inc, alg_stop):
+        return StepRecord(l=l, k=k, j=j, step=0, nT=8, eta=1.0, alg_inc=alg_inc,
+                          pic_inc=pic_inc, cumcost=0, alg_stop=alg_stop, pic_stop=0)
+    log = RunLog(records=[
+        rec(0, 1, 1, 1.0, 1.0, 0), rec(0, 1, 2, 0.5, 1.5, 0), rec(0, 1, 3, 0.125, 2.0, 1),
+        rec(0, 2, 1, 0.25, 0.25, 0), rec(0, 2, 2, 0.1875, 0.5, 1),
+        rec(0, 3, 1, 0.0, 0.0, 0), rec(0, 3, 2, 0.0625, 0.125, 1),
+        rec(1, 1, 1, 0.5, 0.5, 1)])
+    first, second = log.level_table()
+    # 0.5 / 1, 0.125 / 0.5 and 0.1875 / 0.25; the zero increment starts no pair
+    assert first["alg_ratio"] == 0.75
+    # accepted pic_inc 2.0, 0.5, 0.125
+    assert first["pic_ratio"] == 0.25
+    assert second["alg_ratio"] is None and second["pic_ratio"] is None
+
+
 def test_level_table_consistency(zshape_run):
     _, log = zshape_run
     rows = log.level_table()

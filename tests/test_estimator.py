@@ -1,5 +1,7 @@
 """Residual indicators, marking, and the measured stability/reduction facts."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -108,6 +110,18 @@ def test_indicator_field_validation():
         IndicatorField(mesh, [1.0])
     with pytest.raises(ValueError):
         IndicatorField(mesh, [1.0, -0.5])
+
+
+def test_doerfler_target_is_theta_squared_in_floating_point():
+    """theta = fl(sqrt(1/2)) squares to just above 1/2 exactly and in floating
+    point, so half of four equal indicators falls short: three are marked."""
+    theta = float(np.sqrt(0.5))
+    assert Fraction(theta) ** 2 > Fraction(1, 2)
+    assert theta * theta > 0.5
+    fan = random_mesh("l_shape", np.random.default_rng(2), rounds=0)
+    field = IndicatorField(fan, [1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    assert doerfler_mark(field, theta).tolist() == [0, 1, 2]
+    assert doerfler_reference(field.squared, theta).tolist() == [0, 1, 2]
 
 
 def test_doerfler_frozen_examples():

@@ -99,8 +99,11 @@ def test_benchmark_writes_csv_layouts(tmp_path):
     for back, orig in zip(table, result.log.level_table()):
         for key in ("l", "nT", "n_picard", "n_steps", "max_pcg", "cumcost"):
             assert back[key] == orig[key]
-        assert back["eta"] == pytest.approx(orig["eta"], rel=1e-10)
-        assert back["err"] == pytest.approx(orig["err"], rel=1e-10)
+        for key in ("eta", "err", "alg_ratio", "pic_ratio"):
+            assert back[key] == (None if orig[key] is None
+                                 else pytest.approx(orig[key], rel=1e-10))
+    for key in ("alg_ratio", "pic_ratio"):
+        assert any(row[key] is not None for row in table)
 
 
 def test_parse_sweep_spec_grid_and_blocks():
@@ -152,7 +155,7 @@ def _write_synthetic_run(directory, run_id, theta, etas, stored_rate=-0.5):
         writer = csv.writer(fh)
         writer.writerow(LEVEL_COLUMNS)
         for l, (n, eta, cost) in enumerate(zip(ns, etas, costs)):
-            writer.writerow([l, n, 2, 5, 3, "%.12g" % eta, cost, ""])
+            writer.writerow([l, n, 2, 5, 3, "%.12g" % eta, cost, "", "", ""])
     return [run_id, "zshape", theta, 0.01, 0.01, 100000, 0, len(ns),
             20, ns[-1], "%.12g" % etas[-1], costs[-1], stored_rate,
             stored_rate, "budget", 1.0]
