@@ -146,9 +146,14 @@ _BASE_COLUMNS = [f.name for f in fields(StepRecord) if f.default is MISSING]
 
 @dataclass
 class RunLog:
+    """The step records of a run, why it ended, and the size of the marked
+    set of each refinement (``n_marked``, one per refined level; the step
+    CSV does not keep it)."""
+
     records: List[StepRecord] = field(default_factory=list)
     exit_reason: str = ""
     config: Optional[AdaptiveConfig] = None
+    n_marked: List[int] = field(default_factory=list)
 
     def final(self) -> StepRecord:
         if not self.records:
@@ -162,14 +167,18 @@ class RunLog:
         where it has no pair to compare: ``alg_ratio``, the largest ratio of
         successive ``alg_inc`` within one linearization (PCG), and
         ``pic_ratio``, the largest ratio of successive accepted ``pic_inc``,
-        those of the steps that passed the algebraic stop (Picard).
+        those of the steps that passed the algebraic stop (Picard).  Two
+        give the refinement that follows the level, None on the last level
+        or without ``n_marked``: ``n_marked``, the size of the marked set,
+        and ``closure_ratio``, the triangles it added per marked triangle.
         """
         rows = []
         for rec in self.records:
             if not rows or rows[-1]["l"] != rec.l:
                 row = {"l": rec.l, "nT": rec.nT, "n_picard": rec.k, "n_steps": 1,
                        "eta": rec.eta, "cumcost": rec.cumcost, "err": rec.err,
-                       "max_pcg": rec.j, "alg_ratio": None, "pic_ratio": None}
+                       "max_pcg": rec.j, "alg_ratio": None, "pic_ratio": None,
+                       "n_marked": None, "closure_ratio": None}
                 rows.append(row)
                 prev = accepted = None
             else:
@@ -184,6 +193,8 @@ class RunLog:
                     row["pic_ratio"] = _larger(row["pic_ratio"], rec.pic_inc / accepted)
                 accepted = rec.pic_inc
             prev = rec
+        for row, after, n_marked in zip(rows, rows[1:], self.n_marked):
+            row.update(n_marked=n_marked, closure_ratio=(after["nT"] - row["nT"]) / n_marked)
         return rows
 
     def columns(self) -> List[str]:
@@ -241,8 +252,10 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
     log = RunLog(config=config)
     step = 0
     cumcost = 0
+    samples = None
     for level in range(config.max_levels):
-        samples = sample(mesh, problem.source, problem.neumann)
+        # f is evaluated only on the triangles new since the previous samples
+        samples = sample(mesh, problem.source, problem.neumann, samples)
         load = assemble_rhs(dofmap, samples)
         est = EstimatorData(samples)
         errdata = ErrorData(mesh, problem.exact) \
@@ -298,9 +311,10 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
             if stop_pic:
                 break
         u = FeFunction(dofmap, x)
-        # drop what holds the mesh, so that it and its cached edges and
-        # gradients are freed once the next level replaces it
-        del samples, est, errdata
+        # drop what holds the mesh but the samples, which the next level's
+        # `sample` reads and replaces; the mesh and its cached edges and
+        # gradients are freed then
+        del est, errdata
 
         eta_final = log.records[-1].eta
         if eta_final <= config.eta_tol:
@@ -313,6 +327,7 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
             marked = np.arange(mesh.n_triangles)
         else:
             marked = doerfler_mark(IndicatorField(mesh, squared), config.theta)
+        log.n_marked.append(len(marked))
         new_mesh = refine(mesh, marked)
         new_dofmap = DofMap.from_mesh(new_mesh)
         operator = assemble_laplacian(new_dofmap)

@@ -19,8 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import (EDGE_QUAD_W, TRI_QUAD_W, FeFunction, Samples,
-                  element_gradients, sample)
+from .fem import EDGE_QUAD_W, FeFunction, Samples, element_gradients, sample
 from .mesh import Mesh
 from .nonlinearity import Nonlinearity
 
@@ -83,8 +82,8 @@ class EstimatorData:
         self.ie_normal = np.array([tang[:, 1], -tang[:, 0]]) / self.ie_length
 
         # the volume term |T| ||f||^2_{L2(T)} per element
-        self.volume_sq = np.zeros(mesh.n_triangles) if samples.fq is None else \
-            mesh.areas * np.einsum("tq,q,t->t", samples.fq ** 2, TRI_QUAD_W, mesh.areas)
+        self.volume_sq = np.zeros(mesh.n_triangles) if samples.f_sq is None else \
+            mesh.areas * samples.f_sq
 
         self.neumann = None
         if samples.neumann is not None:

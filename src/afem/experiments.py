@@ -7,6 +7,7 @@ against the cumulative solver cost.  Results land in three CSV layouts:
   <run_id>.csv         per-step solver log (see driver.StepRecord)
   <run_id>.levels.csv  one row per mesh level
   runs.csv             one row per run: configuration, outcome, fitted rates
+                       and the largest observed PCG and Picard contractions
 
 Sweep specification files are plain text, one ``key=value`` line per
 configuration field, comma-separated values expanding as a cartesian
@@ -32,15 +33,17 @@ from .driver import (AdaptiveConfig, RunLog, field_types, read_csv,
 
 _CONFIG_TYPES = field_types(AdaptiveConfig)
 _LEVEL_TYPES = dict(l=int, nT=int, n_picard=int, n_steps=int, max_pcg=int,
-                    eta=float, cumcost=int, err=float, alg_ratio=float, pic_ratio=float)
+                    eta=float, cumcost=int, err=float, alg_ratio=float, pic_ratio=float,
+                    n_marked=int, closure_ratio=float)
 LEVEL_COLUMNS = tuple(_LEVEL_TYPES)
 RUNS_COLUMNS = ("run_id", "domain", "theta", "lambda_alg", "lambda_pic",
                 "max_elements", "uniform", "n_levels", "n_steps", "nT",
                 "eta", "cumcost", "rate_vs_n", "rate_vs_cost",
-                "exit_reason", "seconds")
+                "max_alg_ratio", "max_pic_ratio", "exit_reason", "seconds")
 _RUN_OUTCOME_TYPES = dict(run_id=str, n_levels=int, n_steps=int, nT=int,
                           eta=float, cumcost=int, rate_vs_n=float,
-                          rate_vs_cost=float, exit_reason=str, seconds=float)
+                          rate_vs_cost=float, max_alg_ratio=float,
+                          max_pic_ratio=float, exit_reason=str, seconds=float)
 
 # slope check used by `rates --assert`
 RATE_TOLERANCE = 0.08
@@ -97,11 +100,16 @@ class RunResult:
     seconds: float
 
     def runs_row(self) -> dict:
+        """The runs.csv row; ``max_alg_ratio`` and ``max_pic_ratio`` are the
+        largest observed PCG and Picard contractions over all levels (None
+        if no level has one), the paper's assumptions in numbers."""
         final = self.log.final()
+        table = self.log.level_table()
         config = {c: getattr(self.config, c) for c in RUNS_COLUMNS
                   if c in _CONFIG_TYPES}
-        return dict(config, run_id=self.run_id,
-                    n_levels=len(self.log.level_table()),
+        largest = {"max_" + c: max((row[c] for row in table if row[c] is not None),
+                                   default=None) for c in ("alg_ratio", "pic_ratio")}
+        return dict(config, **largest, run_id=self.run_id, n_levels=len(table),
                     n_steps=len(self.log.records), nT=final.nT, eta=final.eta,
                     cumcost=final.cumcost, rate_vs_n=self.rate_vs_n,
                     rate_vs_cost=self.rate_vs_cost,

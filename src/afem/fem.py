@@ -10,8 +10,10 @@ vanish on the Dirichlet boundary; coefficient vectors run over the free
 Volume integrands are approximated with the symmetric 7-point rule of
 degree 5, edge integrands with 3-point Gauss, everywhere a data or
 nonlinear integrand appears; polynomial integrands are thereby exact.
-`sample` evaluates the problem data at these nodes once per mesh; the
-load vector and the estimator both integrate the same `Samples`.
+`sample` evaluates the problem data at these nodes once per mesh, and
+given the samples of the parent mesh it evaluates f only on the new
+triangles; the load vector and the estimator both integrate the same
+`Samples`.
 
 The element kernels are explicit sums over the 2 coordinates and the 3
 vertices, faster than `einsum`; each keeps the operand order of the einsum
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET, Mesh
+from .mesh import DIRICHLET, Mesh, copied_triangles
 from .nonlinearity import Nonlinearity
 
 _A5 = (6.0 + np.sqrt(15.0)) / 21.0
@@ -51,9 +53,10 @@ _G3 = 0.5 * np.sqrt(3.0 / 5.0)
 EDGE_QUAD_X = np.array([0.5 - _G3, 0.5, 0.5 + _G3])  # on the unit interval
 EDGE_QUAD_W = np.array([5 / 18, 8 / 18, 5 / 18])
 
-def triangle_quad_points(mesh: Mesh) -> np.ndarray:
-    """Physical coordinates of the volume quadrature nodes, (nT, 7, 2)."""
-    p = mesh.vertices[mesh.triangles][:, :, None, :]
+def triangle_quad_points(mesh: Mesh, rows=slice(None)) -> np.ndarray:
+    """Physical coordinates of the volume quadrature nodes, (nT, 7, 2), of
+    all triangles or of those selected by ``rows``."""
+    p = mesh.vertices[mesh.triangles[rows]][:, :, None, :]
     out = TRI_QUAD_BARY[:, 0, None] * p[:, 0]
     for i in (1, 2):
         out += TRI_QUAD_BARY[:, i, None] * p[:, i]
@@ -170,28 +173,37 @@ class Samples:
     """Problem data at the quadrature nodes of one mesh.
 
     ``fq`` is f at the 7 volume nodes, (nT, 7), or None without volume
-    data.  ``neumann`` is None without Neumann edges, else ``(edges,
-    lengths, normals, owner, gq)``: endpoints (nN, 2), lengths, outward
-    unit normals, the owning triangle, and g at the 3 nodes of each edge.
+    data; ``f_phi`` (nT, 3) and ``f_sq`` (nT,) then hold, per triangle, the
+    integrals of f against the three hat functions (the load) and of f^2
+    (the estimator's volume term).  ``neumann`` is None without Neumann
+    edges, else ``(edges, lengths, normals, owner, gq)``: endpoints (nN, 2),
+    lengths, outward unit normals, the owning triangle, and g at the 3 nodes
+    of each edge.
     """
 
     mesh: Mesh
     fq: np.ndarray | None
+    f_phi: np.ndarray | None
+    f_sq: np.ndarray | None
     neumann: tuple | None
 
 
-def sample(mesh: Mesh, f, g=None) -> Samples:
+def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
     """Evaluate ``f(points)`` and ``g(points, normals)`` at the quadrature
     nodes, each once.
 
     ``f`` maps (..., 2) point arrays to values; ``g`` additionally receives
     the outward unit normal (broadcast per edge).  Without ``g`` the Neumann
-    data is zero.
+    data is zero.  When ``previous`` holds the samples of the same ``f`` on
+    the mesh that ``mesh`` was refined from, the volume data of copied
+    triangles (``fq``, ``f_phi``, ``f_sq``) are gathered from it and ``f``
+    sees only the nodes of the new triangles; any other ``previous`` is
+    ignored.
     """
-    fq = None if f is None else np.asarray(f(triangle_quad_points(mesh)))
+    volume = (None, None, None) if f is None else _volume_samples(mesh, f, previous)
     sel = mesh.boundary_markers != DIRICHLET
     if not sel.any():
-        return Samples(mesh, fq, None)
+        return Samples(mesh, *volume, None)
     edges = mesh.boundary_edges[sel]
     owner = mesh.edges.incident[mesh.edges.lookup(edges, mesh.n_vertices), 0]
     a = mesh.vertices[edges[:, 0]]
@@ -207,7 +219,38 @@ def sample(mesh: Mesh, f, g=None) -> Samples:
     else:
         pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
         gq = np.asarray(g(pts, normals[:, None, :]))
-    return Samples(mesh, fq, (edges, lengths, normals, owner, gq))
+    return Samples(mesh, *volume, (edges, lengths, normals, owner, gq))
+
+
+def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
+    """``fq``, ``f_phi`` and ``f_sq`` of `Samples`, gathered from ``previous``
+    for the triangles copied from its mesh when that mesh is the parent of
+    ``mesh``: one level coarser, with the triangle count ``parent_of``
+    implies and with the coarse vertices of ``mesh`` (the vertex set fixes a
+    newest-vertex bisection mesh of a given root)."""
+    parent = None if previous is None or previous.fq is None else previous.mesh
+    if parent is None or parent.level + 1 != mesh.level \
+            or parent.n_vertices != mesh.n_coarse_vertices \
+            or mesh.n_triangles and mesh.parent_of[-1] + 1 != parent.n_triangles \
+            or not np.array_equal(parent.vertices, mesh.vertices[:parent.n_vertices]):
+        fq = np.asarray(f(triangle_quad_points(mesh)))
+        return (fq, *_volume_moments(fq, mesh.areas))
+    new = np.flatnonzero(~copied_triangles(mesh.parent_of))
+    fq = np.asarray(f(triangle_quad_points(mesh, new)))
+    out = tuple(np.take(a, mesh.parent_of, axis=0)
+                for a in (previous.fq, previous.f_phi, previous.f_sq))
+    for a, fresh in zip(out, (fq, *_volume_moments(fq, mesh.areas[new]))):
+        a[new] = fresh
+    return out
+
+
+def _volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:
+    """Per-triangle integrals of f against the hat functions, (n, 3), and of
+    f^2, (n,), from f at the volume nodes and the triangle areas."""
+    f_phi = np.zeros((len(fq), 3))
+    for q, (w, bary) in enumerate(zip(TRI_QUAD_W, TRI_QUAD_BARY)):
+        f_phi += fq[:, q, None] * w * bary * areas[:, None]
+    return f_phi, np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, areas)
 
 
 def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
@@ -217,11 +260,8 @@ def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
     if samples.mesh is not mesh:
         raise ValueError("samples were taken on a different mesh")
     rhs_v = np.zeros(mesh.n_vertices)
-    if samples.fq is not None:
-        contrib = np.zeros((mesh.n_triangles, 3))
-        for q, (w, bary) in enumerate(zip(TRI_QUAD_W, TRI_QUAD_BARY)):
-            contrib += samples.fq[:, q, None] * w * bary * mesh.areas[:, None]
-        rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+    if samples.f_phi is not None:
+        rhs_v += np.bincount(mesh.triangles.ravel(), weights=samples.f_phi.ravel(),
                              minlength=mesh.n_vertices)
     if samples.neumann is not None:
         edges, lengths, _, _, gq = samples.neumann

@@ -98,6 +98,31 @@ def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
     return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident, codes=uniq)
 
 
+def _signed_areas(p: np.ndarray) -> np.ndarray:
+    """Signed areas of triangles with vertex coordinates p, (n, 3, 2)."""
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def _hat_gradients(p: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    det = 2.0 * areas
+    g = np.empty((len(p), 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        g[:, i, 0] = -e[:, 1] / det
+        g[:, i, 1] = e[:, 0] / det
+    return g
+
+
+def copied_triangles(parent_of: np.ndarray) -> np.ndarray:
+    """Mask of the triangles `refine` copied from the previous mesh: those
+    whose parent has exactly one child.  `_bisect` copies such a row as it
+    is, so a value computed from its vertices has the same bits on both
+    meshes and can be gathered through ``parent_of`` instead."""
+    return np.bincount(parent_of)[parent_of] == 1
+
+
 class Mesh:
     """Immutable conforming triangulation with a refinement-edge convention.
 
@@ -115,14 +140,18 @@ class Mesh:
         edge that created each appended vertex, or None for a root mesh.
     n_coarse_vertices : vertex count of the previous mesh.
 
+    areas, hat_gradients : values of ``signed_areas()`` and of
+        ``hat_gradients`` when the caller already has them, as `refine` does
+        by gathering those of copied triangles from the parent mesh.
+
     The read-only attribute ``areas`` holds the (positive) triangle areas;
-    ``edges`` and ``hat_gradients`` are computed on first use and live as
-    long as the mesh.
+    ``edges`` is computed on first use, ``hat_gradients`` on first use
+    unless given, and both live as long as the mesh.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
                  level: int = 0, parent_of=None, vertex_parents=None,
-                 n_coarse_vertices: int | None = None):
+                 n_coarse_vertices: int | None = None, areas=None, hat_gradients=None):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         self.triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
         self.boundary_edges = np.array(boundary_edges, dtype=np.int64).reshape(-1, 2)
@@ -140,7 +169,7 @@ class Mesh:
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= self.n_vertices):
             raise ValueError("triangle vertex index out of range")
-        self.areas = self.signed_areas()
+        self.areas = self.signed_areas() if areas is None else np.asarray(areas, dtype=float)
         if self.areas.size and self.areas.min() <= 0.0:
             raise ValueError("triangles must be positively oriented and non-degenerate")
         for a in (self.vertices, self.triangles, self.boundary_edges,
@@ -148,6 +177,9 @@ class Mesh:
             a.setflags(write=False)
         if self.vertex_parents is not None:
             self.vertex_parents.setflags(write=False)
+        if hat_gradients is not None:
+            hat_gradients.setflags(write=False)
+            self.__dict__["hat_gradients"] = hat_gradients  # fills the cached property
 
     @property
     def n_vertices(self) -> int:
@@ -158,10 +190,7 @@ class Mesh:
         return self.triangles.shape[0]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        return _signed_areas(self.vertices[self.triangles])
 
     @cached_property
     def edges(self) -> EdgeTable:
@@ -170,13 +199,7 @@ class Mesh:
     @cached_property
     def hat_gradients(self) -> np.ndarray:
         """Gradients of the three nodal basis functions per triangle, (nT, 3, 2)."""
-        p = self.vertices[self.triangles]
-        det = 2.0 * self.areas
-        g = np.empty((self.n_triangles, 3, 2))
-        for i in range(3):
-            e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            g[:, i, 0] = -e[:, 1] / det
-            g[:, i, 1] = e[:, 0] / det
+        g = _hat_gradients(self.vertices[self.triangles], self.areas)
         g.setflags(write=False)
         return g
 
@@ -312,6 +335,9 @@ def refine(mesh: Mesh, marked) -> Mesh:
     (the parent's edge opposite ``z1`` for the first child, opposite ``z2``
     for the second).  So a triangle has 1 to 4 children, in place of the
     parent; a split boundary edge ``(a, b)`` becomes ``(a, m), (m, b)``.
+    Only the new triangles get their areas and hat gradients computed; those
+    of copied triangles (`copied_triangles`) are gathered from ``mesh``, the
+    hat gradients only if ``mesh`` has computed its own.
     """
     n_t = mesh.n_triangles
     marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
@@ -354,10 +380,21 @@ def refine(mesh: Mesh, marked) -> Mesh:
     first += np.arange(len(first))
     bedges[first, 1] = bedges[first + 1, 0] = bmids[split]
 
-    return Mesh(np.vstack([mesh.vertices, midpoints]), twice, bedges,
-                mesh.boundary_markers[keep], level=mesh.level + 1,
-                parent_of=from_parent[from_once], vertex_parents=et.nodes[bis_edges],
-                n_coarse_vertices=mesh.n_vertices)
+    # areas and (once computed on the parent) hat gradients: gathered
+    # through parent_of, then computed afresh on the new triangles
+    vertices = np.vstack([mesh.vertices, midpoints])
+    parent_of = from_parent[from_once]
+    new = np.flatnonzero(~copied_triangles(parent_of))
+    p = vertices[twice[new]]
+    areas = np.take(mesh.areas, parent_of)
+    areas[new] = _signed_areas(p)
+    grads = None
+    if "hat_gradients" in mesh.__dict__:
+        grads = np.take(mesh.hat_gradients, parent_of, axis=0)
+        grads[new] = _hat_gradients(p, areas[new])
+    return Mesh(vertices, twice, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
+                parent_of=parent_of, vertex_parents=et.nodes[bis_edges],
+                n_coarse_vertices=mesh.n_vertices, areas=areas, hat_gradients=grads)
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:

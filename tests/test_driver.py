@@ -153,6 +153,14 @@ def test_level_table_consistency(zshape_run):
     for row in rows:
         assert row["n_picard"] >= 1 and row["max_pcg"] >= 1
         assert row["err"] is not None and row["err"] > 0
+    # every marked triangle is bisected at least once, so closure adds at
+    # least one triangle per mark; nothing is refined after the last level
+    assert [row["n_marked"] for row in rows[:-1]] == log.n_marked
+    for row, after in zip(rows, rows[1:]):
+        assert row["closure_ratio"] == (after["nT"] - row["nT"]) / row["n_marked"]
+        assert row["closure_ratio"] >= 1.0
+    assert rows[-1]["n_marked"] is None and rows[-1]["closure_ratio"] is None
+    assert all(row["n_marked"] is None for row in RunLog(records=log.records).level_table())
     # the error tracks the estimator downward
     assert rows[-1]["err"] < rows[0]["err"]
 
@@ -274,12 +282,17 @@ def test_configuration_rejected_at_construction(name, value):
 
 
 def test_data_sampled_once_per_level(monkeypatch):
+    # f sees all volume nodes of the first mesh, then only those of the
+    # triangles refinement made: the ones holding a new vertex
     calls = Counter()
-    plain_get_problem = driver.get_problem
+    f_points, meshes = [], [create_initial("z_shape")]
+    plain_get_problem, plain_refine = driver.get_problem, driver.refine
 
     def counted(name, func):
         def wrapper(*args):
             calls[name] += 1
+            if name == "f":
+                f_points.append(args[0].shape[:-1])
             return func(*args)
         return wrapper
 
@@ -288,12 +301,21 @@ def test_data_sampled_once_per_level(monkeypatch):
         return dataclasses.replace(problem, source=counted("f", problem.source),
                                    neumann=counted("g", problem.neumann))
 
+    def refine(mesh, marked):
+        meshes.append(plain_refine(mesh, marked))
+        return meshes[-1]
+
     monkeypatch.setattr(driver, "get_problem", get_problem)
+    monkeypatch.setattr(driver, "refine", refine)
     log = run_adaptive(AdaptiveConfig(domain="zshape", max_elements=500,
                                       track_error=True))
     levels = len(log.level_table())
     assert levels > 5
     assert calls == {"f": levels, "g": levels}
+    made = [meshes[0].n_triangles] + [
+        int((m.triangles >= m.n_coarse_vertices).any(axis=1).sum()) for m in meshes[1:]]
+    assert f_points == [(n, 7) for n in made]
+    assert sum(made) < sum(m.n_triangles for m in meshes) / 2
 
 
 def test_non_finite_estimator_ends_the_run(monkeypatch):

@@ -97,13 +97,22 @@ def test_benchmark_writes_csv_layouts(tmp_path):
     table = read_levels_csv(str(tmp_path / (result.run_id + ".levels.csv")))
     assert len(table) == len(result.log.level_table())
     for back, orig in zip(table, result.log.level_table()):
-        for key in ("l", "nT", "n_picard", "n_steps", "max_pcg", "cumcost"):
+        for key in ("l", "nT", "n_picard", "n_steps", "max_pcg", "cumcost", "n_marked"):
             assert back[key] == orig[key]
-        for key in ("eta", "err", "alg_ratio", "pic_ratio"):
+        for key in ("eta", "err", "alg_ratio", "pic_ratio", "closure_ratio"):
             assert back[key] == (None if orig[key] is None
                                  else pytest.approx(orig[key], rel=1e-10))
     for key in ("alg_ratio", "pic_ratio"):
         assert any(row[key] is not None for row in table)
+    assert all(row["n_marked"] >= 1 for row in table[:-1])
+    assert table[-1]["n_marked"] is None and table[-1]["closure_ratio"] is None
+
+    # the largest observed contractions of the run, read back from runs.csv
+    run = dict(zip(rows[0], rows[1]))
+    for key in ("alg_ratio", "pic_ratio"):
+        largest = max(row[key] for row in result.log.level_table() if row[key] is not None)
+        assert result.runs_row()["max_" + key] == largest
+        assert float(run["max_" + key]) == pytest.approx(largest, rel=1e-10)
 
 
 def test_parse_sweep_spec_grid_and_blocks():
@@ -155,10 +164,10 @@ def _write_synthetic_run(directory, run_id, theta, etas, stored_rate=-0.5):
         writer = csv.writer(fh)
         writer.writerow(LEVEL_COLUMNS)
         for l, (n, eta, cost) in enumerate(zip(ns, etas, costs)):
-            writer.writerow([l, n, 2, 5, 3, "%.12g" % eta, cost, "", "", ""])
+            writer.writerow([l, n, 2, 5, 3, "%.12g" % eta, cost, "", "", "", "", ""])
     return [run_id, "zshape", theta, 0.01, 0.01, 100000, 0, len(ns),
             20, ns[-1], "%.12g" % etas[-1], costs[-1], stored_rate,
-            stored_rate, "budget", 1.0]
+            stored_rate, "", "", "budget", 1.0]
 
 
 def _write_runs_index(directory, rows):

@@ -12,6 +12,7 @@ from afem import (DofMap, FeFunction, NEUMANN, apply_nonlinear,
                   energy_norm, interpolate, prolongate, refine,
                   uniform_refine)
 from afem.algsolver import solve_exact
+from afem.mesh import Mesh
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       element_gradients, energy_error_vs_exact,
                       energy_functional, sample, triangle_quad_points)
@@ -26,7 +27,6 @@ from oracles import (KERNEL_CASES, einsum_apply_nonlinear, einsum_assemble_lapla
 
 
 def neumann_square():
-    from afem.mesh import Mesh
     base = create_initial("unit_square")
     return Mesh(base.vertices, base.triangles, base.boundary_edges,
                 [NEUMANN] * 4)
@@ -242,6 +242,69 @@ def test_prolongate_is_exact_under_random_marking(domain, seed, data):
     gf = np.column_stack(element_gradients(fine, uf.vertex_values()))
     assert np.allclose(gf, gc[fine.parent_of], rtol=0.0, atol=1e-12)
     assert energy_norm(uf) == pytest.approx(energy_norm(u), rel=1e-12)
+
+
+def smooth_source(points):
+    x, y = points[..., 0], points[..., 1]
+    return np.cos(3.0 * x + 0.5) * np.exp(y) + x * y * y
+
+
+SAMPLED = ("fq", "f_phi", "f_sq")
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       levels=st.lists(st.tuples(st.sampled_from(["empty", "full", "subset"]), st.booleans()),
+                       min_size=1, max_size=8))
+def test_carried_arrays_match_fresh_computation(domain, seed, levels):
+    """What `refine` and `sample` gather from the parent for copied
+    triangles is bitwise what a fresh computation on the same mesh gives;
+    hat gradients are carried exactly when the parent had computed them."""
+    rng = np.random.default_rng(seed)
+    mesh = create_initial(domain)
+    samples = sample(mesh, smooth_source)
+    for kind, touch in levels:
+        if touch:
+            mesh.hat_gradients
+        had = "hat_gradients" in vars(mesh)
+        n_t = mesh.n_triangles
+        marked = {"empty": [], "full": np.arange(n_t),
+                  "subset": rng.choice(n_t, size=rng.integers(1, n_t + 1), replace=False)}[kind]
+        mesh = refine(mesh, marked)
+        samples = sample(mesh, smooth_source, previous=samples)
+        fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
+        assert np.array_equal(mesh.areas, fresh.areas)
+        assert ("hat_gradients" in vars(mesh)) == had
+        if had:
+            assert np.array_equal(mesh.hat_gradients, fresh.hat_gradients)
+        want = sample(fresh, smooth_source)
+        for name in SAMPLED:
+            assert np.array_equal(getattr(samples, name), getattr(want, name)), name
+
+
+def test_sample_gathers_only_from_the_parent_samples():
+    root = create_initial("l_shape")
+    parent, aunt = refine(root, [0]), refine(root, [2])  # same counts, other vertex
+    child = refine(parent, [0])
+    points = []
+
+    def f(p):
+        points.append(p.shape[:-1])
+        return smooth_source(p)
+
+    want = sample(child, smooth_source)
+    new = int((child.triangles >= child.n_coarse_vertices).any(axis=1).sum())
+    cases = [(sample(parent, smooth_source), new)] + [
+        (previous, child.n_triangles) for previous in
+        (sample(root, smooth_source), sample(aunt, smooth_source),
+         sample(child, smooth_source), sample(parent, None), None)]
+    for previous, evaluated in cases:
+        points.clear()
+        got = sample(child, f, previous=previous)
+        assert points == [(evaluated, 7)]
+        for name in SAMPLED:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_energy_norm_matches_operator():
