@@ -20,8 +20,10 @@ vertex space: one scatter (restriction) and one gather (prolongation) per
 generation, with no transfer matrix stored.  The coarse operator is
 factorized once, when the preconditioner is built; `extended(fine_dofmap,
 operator)` reuses that factorization, appends the generations and parents
-of the new vertices, regroups all vertices with one stable sort by
-generation and reads the Jacobi weights from the new level's operator.
+of the new vertices, appends each new vertex to its generation (one stable
+sort of the new vertices by generation), rebuilds the smoothing set of
+only the generations that gained vertices, and reads the Jacobi weights of
+every generation from the new level's operator.
 
 `pcg_step` advances exactly one iteration and exposes the increment norms
 the adaptive driver's stopping tests need; the energy-norm error is
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +63,10 @@ class Generation:
     parents: np.ndarray              # (n_children, 2) bisected edge of each child
     smooth: np.ndarray               # free vertices among the children and their parents
     inv_diag: np.ndarray             # inverse stiffness diagonal on `smooth`
+
+
+_EMPTY = Generation(children=np.empty(0, dtype=np.int64), parents=np.empty((0, 2), dtype=np.int64),
+                    smooth=np.empty(0, dtype=np.int64), inv_diag=np.empty(0))
 
 
 class MultilevelPreconditioner:
@@ -119,41 +126,55 @@ class MultilevelPreconditioner:
         if operator.shape != (fine_dofmap.n_dofs,) * 2:
             raise ValueError("operator shape does not match the free vertex count")
         new_parents = fine.vertex_parents
+        new_gen = 1 + self.gen[new_parents].max(axis=1)
         successor = copy.copy(self)  # shares the coarse factorization
-        successor.gen = np.concatenate((self.gen, 1 + self.gen[new_parents].max(axis=1)))
+        successor.gen = np.concatenate((self.gen, new_gen))
         successor.parents = np.concatenate((self.parents, new_parents))
-        successor.groups = _generations(successor.gen, successor.parents,
-                                        fine_dofmap, operator.diagonal())
+        successor.groups = _grown(self.groups, self.gen.size, new_gen, new_parents,
+                                  fine_dofmap, operator.diagonal())
         successor._finest_dofmap = fine_dofmap
         return successor
 
 
-def _generations(gen: np.ndarray, parents: np.ndarray, fine_dofmap: DofMap,
-                 diagonal: np.ndarray) -> tuple:
-    """One `Generation` per generation from 1 up, with Jacobi weights from
-    the free-vertex ``diagonal``."""
-    n, n_gen = gen.size, int(gen.max(initial=0))
-    order = np.argsort(gen, kind="stable")   # a radix sort: vertices by generation
-    counts = np.bincount(gen, minlength=n_gen + 1)
-    kids = order[counts[0]:]
-    kid_parents = np.take(parents, kids, axis=0)
-    ends = np.cumsum(counts[1:]).tolist()
-    # smoothing sets: mark each child and both its parents in the row of its
-    # generation; the marks come out de-duplicated and sorted
-    row = np.repeat(n * np.arange(n_gen), counts[1:])
-    mask = np.zeros(n_gen * n, dtype=bool)
-    for members in (kids, kid_parents[:, 0], kid_parents[:, 1]):
-        mask[row + members] = True
-    keys = np.flatnonzero(mask)
-    smooth = keys % n
-    dofs = fine_dofmap.dof_of_vertex[smooth]
-    free = dofs >= 0
-    keys, smooth = keys[free], smooth[free]
-    inv_diag = 1.0 / diagonal[dofs[free]]
-    cuts = np.searchsorted(keys, n * np.arange(n_gen + 1)).tolist()
-    return tuple(Generation(children=kids[a:b], parents=kid_parents[a:b],
-                            smooth=smooth[c:d], inv_diag=inv_diag[c:d])
-                 for a, b, c, d in zip([0] + ends, ends, cuts, cuts[1:]))
+def _grown(groups: tuple, n_old: int, new_gen: np.ndarray, new_parents: np.ndarray,
+           fine_dofmap: DofMap, diagonal: np.ndarray) -> tuple:
+    """``groups`` with the vertices ``n_old, n_old + 1, ...`` of generations
+    ``new_gen`` and bisected edges ``new_parents`` appended, and Jacobi
+    weights from the free-vertex ``diagonal``.  New vertices have the
+    highest indices, so appending keeps ``children`` ascending; only a
+    generation that gains vertices changes its ``smooth`` set."""
+    n_gen = max(len(groups), int(new_gen.max(initial=0)))
+    order = np.argsort(new_gen, kind="stable")   # a radix sort: new vertices by generation
+    ends = np.cumsum(np.bincount(new_gen, minlength=n_gen + 1))
+    dof = fine_dofmap.dof_of_vertex
+    grown = list(groups) + [_EMPTY] * (n_gen - len(groups))
+    for g in np.flatnonzero(ends[1:] > ends[:-1]).tolist():  # generation g + 1 gains
+        grp, rows = grown[g], order[ends[g]:ends[g + 1]]
+        kids = n_old + rows
+        kid_parents = np.take(new_parents, rows, axis=0)
+        # the free vertices among the old smoothing set, the new children
+        # and their parents, sorted and de-duplicated
+        members = np.concatenate((grp.smooth, kids, kid_parents.ravel()))
+        smooth = _sorted_unique(members[dof[members] >= 0])
+        grown[g] = Generation(children=np.concatenate((grp.children, kids)),
+                              parents=np.concatenate((grp.parents, kid_parents)),
+                              smooth=smooth, inv_diag=None)
+    # the weights of all generations in one gather
+    smooth = np.concatenate([grp.smooth for grp in grown] or [_EMPTY.smooth])
+    inv_diag = 1.0 / diagonal[dof[smooth]]
+    cuts = list(accumulate((len(grp.smooth) for grp in grown), initial=0))
+    return tuple(Generation(children=grp.children, parents=grp.parents, smooth=grp.smooth,
+                            inv_diag=inv_diag[a:b])
+                 for grp, a, b in zip(grown, cuts, cuts[1:]))
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array by one stable sort, which on a
+    sorted run plus a short tail beats the hash table numpy uses."""
+    a = np.sort(a, kind="stable")
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:

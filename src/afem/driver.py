@@ -312,8 +312,9 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
                 break
         u = FeFunction(dofmap, x)
         # drop what holds the mesh but the samples, which the next level's
-        # `sample` reads and replaces; the mesh and its cached edges and
-        # gradients are freed then
+        # `sample` reads and replaces; `refine` carries what the next mesh
+        # needs (edge table, boundary edge ids, areas, gradients) into it
+        # without keeping a reference, so this mesh is freed then
         del est, errdata
 
         eta_final = log.records[-1].eta

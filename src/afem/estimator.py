@@ -72,11 +72,12 @@ class EstimatorData:
     def __init__(self, samples: Samples):
         mesh = self.mesh = samples.mesh
         et = mesh.edges
-        interior = ~et.is_boundary
-        nodes = et.nodes[interior]
-        self.ie_left = et.incident[interior, 0]
-        self.ie_right = et.incident[interior, 1]
-        tang = mesh.vertices[nodes[:, 1]] - mesh.vertices[nodes[:, 0]]
+        # row gathers by np.take, several times faster than fancy indexing
+        interior = np.flatnonzero(~et.is_boundary)
+        self.ie_left, self.ie_right = np.take(et.incident, interior, axis=0).T.copy()
+        nodes = np.take(et.nodes, interior, axis=0)
+        tang = np.take(mesh.vertices, nodes[:, 1], axis=0) \
+            - np.take(mesh.vertices, nodes[:, 0], axis=0)
         self.ie_length = np.linalg.norm(tang, axis=1)
         # (2, n) rows: the coordinates of the unit normals
         self.ie_normal = np.array([tang[:, 1], -tang[:, 0]]) / self.ie_length

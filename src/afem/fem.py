@@ -12,8 +12,11 @@ degree 5, edge integrands with 3-point Gauss, everywhere a data or
 nonlinear integrand appears; polynomial integrands are thereby exact.
 `sample` evaluates the problem data at these nodes once per mesh, and
 given the samples of the parent mesh it evaluates f only on the new
-triangles; the load vector and the estimator both integrate the same
-`Samples`.
+triangles and g only on the halves of split Neumann edges: the lengths,
+normals and g values of an unsplit Neumann edge are gathered from the
+parent's samples, and each edge's owning triangle is read from the edge
+table that `refine` carried.  The load vector and the estimator both
+integrate the same `Samples`.
 
 The element kernels are explicit sums over the 2 coordinates and the 3
 vertices, faster than `einsum`; each keeps the operand order of the einsum
@@ -194,45 +197,37 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
 
     ``f`` maps (..., 2) point arrays to values; ``g`` additionally receives
     the outward unit normal (broadcast per edge).  Without ``g`` the Neumann
-    data is zero.  When ``previous`` holds the samples of the same ``f`` on
-    the mesh that ``mesh`` was refined from, the volume data of copied
-    triangles (``fq``, ``f_phi``, ``f_sq``) are gathered from it and ``f``
-    sees only the nodes of the new triangles; any other ``previous`` is
+    data is zero.  When ``previous`` holds the samples of the same ``f`` and
+    ``g`` on the mesh that ``mesh`` was refined from, what did not change is
+    gathered from it: the volume data of copied triangles (``fq``, ``f_phi``,
+    ``f_sq``) and the lengths, normals and ``g`` values of unsplit Neumann
+    edges.  ``f`` then sees only the nodes of the new triangles and ``g``
+    only those of the halves of split edges; any other ``previous`` is
     ignored.
     """
+    if previous is not None and not _is_parent(previous.mesh, mesh):
+        previous = None
     volume = (None, None, None) if f is None else _volume_samples(mesh, f, previous)
     sel = mesh.boundary_markers != DIRICHLET
     if not sel.any():
         return Samples(mesh, *volume, None)
-    edges = mesh.boundary_edges[sel]
-    owner = mesh.edges.incident[mesh.edges.lookup(edges, mesh.n_vertices), 0]
-    a = mesh.vertices[edges[:, 0]]
-    b = mesh.vertices[edges[:, 1]]
-    tang = b - a
-    lengths = np.linalg.norm(tang, axis=1)
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-    # orient away from the owning triangle
-    outward = (a + b) / 2 - mesh.vertices[mesh.triangles[owner]].mean(axis=1)
-    normals[(normals * outward).sum(axis=1) < 0] *= -1.0
-    if g is None:
-        gq = np.zeros((len(edges), EDGE_QUAD_X.size))
-    else:
-        pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
-        gq = np.asarray(g(pts, normals[:, None, :]))
-    return Samples(mesh, *volume, (edges, lengths, normals, owner, gq))
+    return Samples(mesh, *volume, _neumann_samples(mesh, g, sel, previous))
+
+
+def _is_parent(parent: Mesh, mesh: Mesh) -> bool:
+    """Whether ``mesh`` was refined from ``parent``: one level finer, with
+    the triangle count ``parent_of`` implies and with ``parent``'s vertices
+    as its coarse vertices (the vertex set fixes a newest-vertex bisection
+    mesh of a given root)."""
+    return parent.level + 1 == mesh.level and parent.n_vertices == mesh.n_coarse_vertices \
+        and (not mesh.n_triangles or mesh.parent_of[-1] + 1 == parent.n_triangles) \
+        and np.array_equal(parent.vertices, mesh.vertices[:parent.n_vertices])
 
 
 def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
-    """``fq``, ``f_phi`` and ``f_sq`` of `Samples`, gathered from ``previous``
-    for the triangles copied from its mesh when that mesh is the parent of
-    ``mesh``: one level coarser, with the triangle count ``parent_of``
-    implies and with the coarse vertices of ``mesh`` (the vertex set fixes a
-    newest-vertex bisection mesh of a given root)."""
-    parent = None if previous is None or previous.fq is None else previous.mesh
-    if parent is None or parent.level + 1 != mesh.level \
-            or parent.n_vertices != mesh.n_coarse_vertices \
-            or mesh.n_triangles and mesh.parent_of[-1] + 1 != parent.n_triangles \
-            or not np.array_equal(parent.vertices, mesh.vertices[:parent.n_vertices]):
+    """``fq``, ``f_phi`` and ``f_sq`` of `Samples`, gathered from the parent
+    mesh's samples ``previous`` for the copied triangles."""
+    if previous is None or previous.fq is None:
         fq = np.asarray(f(triangle_quad_points(mesh)))
         return (fq, *_volume_moments(fq, mesh.areas))
     new = np.flatnonzero(~copied_triangles(mesh.parent_of))
@@ -242,6 +237,41 @@ def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
     for a, fresh in zip(out, (fq, *_volume_moments(fq, mesh.areas[new]))):
         a[new] = fresh
     return out
+
+
+def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -> tuple:
+    """``Samples.neumann`` of the boundary edges selected by ``sel``; the
+    rows of unsplit edges are gathered from the parent mesh's samples
+    ``previous`` and the rest are computed."""
+    edges = mesh.boundary_edges[sel]
+    owner = mesh.edges.incident[mesh.boundary_ids[sel], 0]
+    if previous is None or previous.neumann is None:
+        fresh = np.arange(len(edges))
+        lengths, normals = np.empty(len(edges)), np.empty((len(edges), 2))
+        gq = np.empty((len(edges), EDGE_QUAD_X.size))
+    else:
+        # `refine` puts the halves (a, m), (m, b) of a split edge in its
+        # place; m is new, so each second half shifts the parent rows by one
+        second = edges[:, 0] >= mesh.n_coarse_vertices
+        from_parent = np.arange(len(edges)) - np.cumsum(second)
+        _, lengths, normals, _, gq = previous.neumann
+        lengths, normals, gq = (np.take(a, from_parent, axis=0) for a in (lengths, normals, gq))
+        fresh = np.flatnonzero(second | (edges[:, 1] >= mesh.n_coarse_vertices))
+    a = mesh.vertices[edges[fresh, 0]]
+    b = mesh.vertices[edges[fresh, 1]]
+    tang = b - a
+    lengths[fresh] = length = np.linalg.norm(tang, axis=1)
+    normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+    # orient away from the owning triangle
+    outward = (a + b) / 2 - mesh.vertices[mesh.triangles[owner[fresh]]].mean(axis=1)
+    normal[(normal * outward).sum(axis=1) < 0] *= -1.0
+    normals[fresh] = normal
+    if g is None:
+        gq[fresh] = 0.0
+    else:
+        pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
+        gq[fresh] = np.asarray(g(pts, normal[:, None, :]))
+    return edges, lengths, normals, owner, gq
 
 
 def _volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:

@@ -15,7 +15,12 @@ root, and `MeshHierarchy` keeps the level bookkeeping that the multilevel
 solver relies on.
 
 Vertex indexing is append-only across refinement: vertices of the coarse
-mesh keep their indices, midpoints are appended in edge-id order.
+mesh keep their indices, midpoints are appended in edge-id order.  Only a
+root mesh sorts its vertex pairs to build its `EdgeTable`; `refine` hands
+the child a table carried from the parent's (an edge that is not bisected
+keeps its row, the new edges are merged in, a copied triangle keeps its
+edges), together with the edge id of every boundary edge, so connectivity
+costs gathers in proportion to the mesh and a sort only of what changed.
 """
 
 from __future__ import annotations
@@ -43,8 +48,11 @@ def _pair_codes(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """Unique-edge connectivity of a triangulation, from one sort of the
-    3 n_triangles vertex-pair codes.
+    """Unique-edge connectivity of a triangulation.
+
+    Edge ids follow ascending (lo, hi) order.  A root mesh builds its table
+    with one sort of the 3 n_triangles vertex-pair codes; `refine` carries
+    the parent's table over to the child (`_carried_edge_table`).
 
     Attributes
     ----------
@@ -52,13 +60,14 @@ class EdgeTable:
     of_triangle : (n_triangles, 3) int array; column k holds the id of the
         edge opposite local vertex k, so column 0 is the refinement edge.
     incident : (n_edges, 2) int array of adjacent triangle ids, -1 padding.
-    codes : (n_edges,) sorted pair codes (ascending), for lookups.
+        Column 0 holds the first occurrence of the edge in column-major
+        order of ``of_triangle`` (smaller k, then smaller triangle), column
+        1 the other one.
     """
 
     nodes: np.ndarray
     of_triangle: np.ndarray
     incident: np.ndarray
-    codes: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -67,15 +76,6 @@ class EdgeTable:
     @property
     def is_boundary(self) -> np.ndarray:
         return self.incident[:, 1] < 0
-
-    def lookup(self, pairs, n_vertices: int) -> np.ndarray:
-        """Edge ids of the given vertex pairs; raises if any is not an edge."""
-        codes = _pair_codes(pairs, n_vertices)
-        ids = np.searchsorted(self.codes, codes)
-        ok = (ids < len(self.codes)) & (self.codes[np.minimum(ids, len(self.codes) - 1)] == codes)
-        if not ok.all():
-            raise ValueError("vertex pair is not an edge of the mesh")
-        return ids
 
 
 def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
@@ -95,7 +95,88 @@ def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
     incident[:, 0] = first % n_t
     rest = np.delete(np.arange(len(codes)), first)
     incident[inverse[rest], 1] = rest % n_t
-    return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident, codes=uniq)
+    return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident)
+
+
+def _carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,
+                        triangles: np.ndarray, parent_of: np.ndarray,
+                        new: np.ndarray, n_vertices: int):
+    """The edge table of the mesh `refine` made from a mesh with table
+    ``parent``, and the sorted pair codes of its edges.
+
+    An edge that is not ``bisected`` survives with its (lo, hi) row; every
+    other edge of the child has a new vertex (index ``n_old`` and up) as
+    its hi end and lies on one of the ``new`` (not copied) triangles.  The
+    new rows are merged into the sorted survivors, a copied triangle takes
+    its parent's ``of_triangle`` row through the old -> new id map, and
+    only the new triangles look their edges up.  Equal, array for array,
+    to `_build_edge_table` on the child.
+    """
+    n_v = np.int64(n_vertices)
+    survivors = np.flatnonzero(~bisected)
+    kept_codes = np.take(parent.nodes[:, 0] * n_v + parent.nodes[:, 1], survivors)
+    t = np.take(triangles, new, axis=0)
+    pair_codes = _pair_codes(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]),
+                             n_vertices)
+    del t
+    # one sort of the new triangles' edges; those with a new vertex are added
+    distinct, inverse = np.unique(pair_codes, return_inverse=True)
+    added = distinct[distinct % n_v >= n_old]
+    at = np.searchsorted(kept_codes, added) + np.arange(len(added))
+    n_e = len(kept_codes) + len(added)
+    is_added = np.zeros(n_e, dtype=bool)
+    is_added[at] = True
+    rows = np.flatnonzero(~is_added)
+    codes = np.empty(n_e, dtype=np.int64)
+    codes[rows], codes[at] = kept_codes, added
+    # (n, 2) rows move by np.take, several times faster than a row scatter
+    parent_row = np.zeros(n_e, dtype=np.int64)
+    parent_row[rows] = survivors
+    nodes = np.take(parent.nodes, parent_row, axis=0)
+    nodes[at, 0], nodes[at, 1] = added // n_v, added % n_v
+    old_to_new = np.full(parent.n_edges, -1, dtype=np.int64)
+    old_to_new[survivors] = rows
+    of_triangle = np.take(old_to_new, np.take(parent.of_triangle, parent_of, axis=0))
+    looked_up = np.searchsorted(codes, distinct)[inverse].reshape(3, -1)
+    for k in range(3):
+        of_triangle[new, k] = looked_up[k]
+    return EdgeTable(nodes=nodes, of_triangle=of_triangle,
+                     incident=_incident(of_triangle, n_e)), codes
+
+
+def _incident(of_triangle: np.ndarray, n_edges: int) -> np.ndarray:
+    """``EdgeTable.incident`` from ``of_triangle`` by scatters, no sort;
+    every edge must occur in ``of_triangle``."""
+    tri = np.arange(len(of_triangle))
+    # of repeated indices the last write stays: the backward pass writes
+    # the first occurrence in column-major order last, the forward pass the
+    # last occurrence
+    first, last = np.empty(n_edges, dtype=np.int64), np.empty(n_edges, dtype=np.int64)
+    for k in (2, 1, 0):
+        first[of_triangle[::-1, k]] = tri[::-1]
+    for k in (0, 1, 2):
+        last[of_triangle[:, k]] = tri
+    # a triangle holds an edge at most once, so first == last marks the
+    # edges of one triangle; 3 n_triangles = 2 n_edges - (those) holds
+    # exactly when no edge has more than two
+    single = first == last
+    if 2 * n_edges - np.count_nonzero(single) != 3 * len(of_triangle):
+        raise ValueError("non-conforming mesh: an edge is shared by more than two triangles")
+    last[single] = -1
+    return np.column_stack((first, last))
+
+
+def _boundary_ids(et: EdgeTable, boundary_edges: np.ndarray) -> np.ndarray:
+    """Edge id of each listed boundary edge; raises unless the list holds
+    exactly the edges with a single triangle."""
+    ids = np.flatnonzero(et.is_boundary)
+    listed = np.sort(boundary_edges, axis=1)
+    order = np.lexsort((listed[:, 1], listed[:, 0]))
+    if len(order) != len(ids) or not np.array_equal(listed[order], et.nodes[ids]):
+        raise ValueError("boundary_edges do not match the single-incidence edges")
+    out = np.empty(len(ids), dtype=np.int64)
+    out[order] = ids
+    return out
 
 
 def _signed_areas(p: np.ndarray) -> np.ndarray:
@@ -140,18 +221,21 @@ class Mesh:
         edge that created each appended vertex, or None for a root mesh.
     n_coarse_vertices : vertex count of the previous mesh.
 
-    areas, hat_gradients : values of ``signed_areas()`` and of
-        ``hat_gradients`` when the caller already has them, as `refine` does
-        by gathering those of copied triangles from the parent mesh.
+    areas, hat_gradients, edges, boundary_ids : values of ``signed_areas()``
+        and of the properties of those names when the caller already has
+        them, as `refine` does: it gathers areas and hat gradients of copied
+        triangles from the parent mesh and carries the parent's edge table.
 
-    The read-only attribute ``areas`` holds the (positive) triangle areas;
-    ``edges`` is computed on first use, ``hat_gradients`` on first use
-    unless given, and both live as long as the mesh.
+    The read-only attribute ``areas`` holds the (positive) triangle areas.
+    ``edges`` (`EdgeTable`), ``boundary_ids`` (the edge id of each boundary
+    edge) and ``hat_gradients`` are computed on first use unless given, and
+    live as long as the mesh.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
                  level: int = 0, parent_of=None, vertex_parents=None,
-                 n_coarse_vertices: int | None = None, areas=None, hat_gradients=None):
+                 n_coarse_vertices: int | None = None, areas=None, hat_gradients=None,
+                 edges: EdgeTable | None = None, boundary_ids=None):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         self.triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
         self.boundary_edges = np.array(boundary_edges, dtype=np.int64).reshape(-1, 2)
@@ -177,9 +261,13 @@ class Mesh:
             a.setflags(write=False)
         if self.vertex_parents is not None:
             self.vertex_parents.setflags(write=False)
+        # given values fill the cached properties
+        for name, value in (("hat_gradients", hat_gradients), ("edges", edges),
+                            ("boundary_ids", boundary_ids)):
+            if value is not None:
+                self.__dict__[name] = value
         if hat_gradients is not None:
             hat_gradients.setflags(write=False)
-            self.__dict__["hat_gradients"] = hat_gradients  # fills the cached property
 
     @property
     def n_vertices(self) -> int:
@@ -195,6 +283,11 @@ class Mesh:
     @cached_property
     def edges(self) -> EdgeTable:
         return _build_edge_table(self.triangles, self.n_vertices)
+
+    @cached_property
+    def boundary_ids(self) -> np.ndarray:
+        """Edge id of each entry of ``boundary_edges``."""
+        return _boundary_ids(self.edges, self.boundary_edges)
 
     @cached_property
     def hat_gradients(self) -> np.ndarray:
@@ -232,12 +325,11 @@ class Mesh:
         used[self.triangles.ravel()] = True
         if not used.all():
             raise ValueError("unreferenced vertices")
-        bdry_codes = et.codes[et.is_boundary]  # a subset of sorted codes is sorted
-        listed = np.sort(_pair_codes(self.boundary_edges, self.n_vertices))
-        if len(np.unique(listed)) != len(listed):
+        listed = np.sort(self.boundary_edges, axis=1)
+        if len(np.unique(listed, axis=0)) != len(listed):
             raise ValueError("duplicate boundary edge")
-        if bdry_codes.shape != listed.shape or not np.array_equal(bdry_codes, listed):
-            raise ValueError("boundary_edges do not match the single-incidence edges")
+        if not np.array_equal(_boundary_ids(et, self.boundary_edges), self.boundary_ids):
+            raise ValueError("boundary_ids do not match the boundary edges")
         if not np.isin(self.boundary_markers, (DIRICHLET, NEUMANN)).all():
             raise ValueError("invalid boundary marker")
         return self
@@ -314,11 +406,11 @@ def _bisect(triangles: np.ndarray, mids: np.ndarray):
     """
     cut = mids >= 0
     origin = np.repeat(np.arange(len(triangles)), 1 + cut)
-    out = triangles[origin]
-    first = np.flatnonzero(cut)
-    first += np.arange(len(first))  # slot of each cut triangle's first child
-    t = triangles[cut]
-    out[first, 0] = out[first + 1, 0] = mids[cut]
+    out = np.take(triangles, origin, axis=0)
+    rows = np.flatnonzero(cut)
+    first = rows + np.arange(len(rows))  # slot of each cut triangle's first child
+    t = np.take(triangles, rows, axis=0)
+    out[first, 0] = out[first + 1, 0] = mids[rows]
     out[first, 1:] = t[:, [2, 0]]
     out[first + 1, 1:] = t[:, :2]
     return out, origin
@@ -337,7 +429,9 @@ def refine(mesh: Mesh, marked) -> Mesh:
     parent; a split boundary edge ``(a, b)`` becomes ``(a, m), (m, b)``.
     Only the new triangles get their areas and hat gradients computed; those
     of copied triangles (`copied_triangles`) are gathered from ``mesh``, the
-    hat gradients only if ``mesh`` has computed its own.
+    hat gradients only if ``mesh`` has computed its own.  The child's edge
+    table and boundary edge ids come from those of ``mesh``
+    (`_carried_edge_table`), not from a sort.
     """
     n_t = mesh.n_triangles
     marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
@@ -361,30 +455,35 @@ def refine(mesh: Mesh, marked) -> Mesh:
             break
         marked_edge[et.of_triangle[need, 0]] = True
 
+    n_old = mesh.n_vertices
     bis_edges = np.flatnonzero(marked_edge)
     edge_to_new = np.full(et.n_edges, -1, dtype=np.int64)
-    edge_to_new[bis_edges] = mesh.n_vertices + np.arange(len(bis_edges))
-    midpoints = mesh.vertices[et.nodes[bis_edges]].mean(axis=1)
+    edge_to_new[bis_edges] = n_old + np.arange(len(bis_edges))
+    vertex_parents = np.take(et.nodes, bis_edges, axis=0)
+    vertices = np.vstack([mesh.vertices, mesh.vertices[vertex_parents].mean(axis=1)])
 
     mids = edge_to_new[et.of_triangle]
     once, from_parent = _bisect(mesh.triangles, mids[:, 0])
     second = np.zeros(len(once), dtype=bool)
     second[1:] = from_parent[1:] == from_parent[:-1]
     twice, from_once = _bisect(once, mids[from_parent, 1 + second])
+    parent_of = from_parent[from_once]
+    del mids, once, from_parent, second, from_once  # freed before the edge table: peak memory
+    new = np.flatnonzero(~copied_triangles(parent_of))
+    edges, codes = _carried_edge_table(et, marked_edge, n_old, twice, parent_of, new,
+                                       len(vertices))
 
-    bmids = edge_to_new[et.lookup(mesh.boundary_edges, mesh.n_vertices)]
+    bmids = edge_to_new[mesh.boundary_ids]
     split = bmids >= 0
     keep = np.repeat(np.arange(len(split)), 1 + split)
     bedges = mesh.boundary_edges[keep]
     first = np.flatnonzero(split)
     first += np.arange(len(first))
     bedges[first, 1] = bedges[first + 1, 0] = bmids[split]
+    boundary_ids = np.searchsorted(codes, _pair_codes(bedges, len(vertices)))
 
     # areas and (once computed on the parent) hat gradients: gathered
     # through parent_of, then computed afresh on the new triangles
-    vertices = np.vstack([mesh.vertices, midpoints])
-    parent_of = from_parent[from_once]
-    new = np.flatnonzero(~copied_triangles(parent_of))
     p = vertices[twice[new]]
     areas = np.take(mesh.areas, parent_of)
     areas[new] = _signed_areas(p)
@@ -393,8 +492,9 @@ def refine(mesh: Mesh, marked) -> Mesh:
         grads = np.take(mesh.hat_gradients, parent_of, axis=0)
         grads[new] = _hat_gradients(p, areas[new])
     return Mesh(vertices, twice, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
-                parent_of=parent_of, vertex_parents=et.nodes[bis_edges],
-                n_coarse_vertices=mesh.n_vertices, areas=areas, hat_gradients=grads)
+                parent_of=parent_of, vertex_parents=vertex_parents,
+                n_coarse_vertices=n_old, areas=areas, hat_gradients=grads,
+                edges=edges, boundary_ids=boundary_ids)
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from afem import (DIRICHLET, NEUMANN, AdaptiveConfig, DofMap, FeFunction,
                   apply_nonlinear, assemble_laplacian, create_initial, doerfler_mark,
                   refine)
-from afem.algsolver import factorized, solve_exact
+from afem.algsolver import Generation, factorized, solve_exact
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       Samples, sample)
 from afem.mesh import EdgeTable, Mesh, _pair_codes
@@ -37,11 +37,28 @@ def random_mesh(domain: str, rng: np.random.Generator, rounds: int = 4,
     return mesh
 
 
+def random_marking(rng: np.random.Generator, n_t: int, kind: str):
+    """A marking of ``n_t`` triangles: none, all, one, or a random subset."""
+    return {"empty": [], "full": np.arange(n_t), "single": [rng.integers(n_t)],
+            "subset": rng.choice(n_t, size=rng.integers(1, n_t + 1), replace=False)}[kind]
+
+
+MARKING_KINDS = ["empty", "full", "single", "subset"]
+
+
 def one_triangle() -> Mesh:
     """Reference right triangle with free (Neumann) boundary everywhere: no
     interior edge."""
     return Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
                 [(0, 1), (1, 2), (2, 0)], [NEUMANN] * 3)
+
+
+def edge_ids(et: EdgeTable, pairs) -> np.ndarray:
+    """Ids of the given vertex pairs in ``et``, by dictionary lookup;
+    raises KeyError if a pair is not an edge."""
+    index = {(int(a), int(b)): e for e, (a, b) in enumerate(et.nodes.tolist())}
+    return np.array([index[min(a, b), max(a, b)] for a, b in np.asarray(pairs).tolist()],
+                    dtype=np.int64)
 
 
 def case_table_refine(mesh: Mesh, marked) -> Mesh:
@@ -130,7 +147,7 @@ def case_table_refine(mesh: Mesh, marked) -> Mesh:
     parent = np.repeat(np.arange(n_t, dtype=np.int64), counts)
 
     if mesh.boundary_edges.size:
-        bids = et.lookup(mesh.boundary_edges, mesh.n_vertices)
+        bids = edge_ids(et, mesh.boundary_edges)
         split = marked_edge[bids]
         bcounts = np.where(split, 2, 1)
         boffs = np.concatenate([[0], np.cumsum(bcounts)])
@@ -310,7 +327,7 @@ def unique_argsort_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTab
     incident[:, 0] = sorted_tris[starts[:-1]]
     second = counts == 2
     incident[second, 1] = sorted_tris[starts[:-1][second] + 1]
-    return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident, codes=uniq)
+    return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident)
 
 
 def setdiff_dofmap(mesh: Mesh) -> DofMap:
@@ -536,6 +553,37 @@ def vertex_generations(meshes):
             gen.append(1 + max(gen[a], gen[b]))
             parents.append((a, b))
     return np.array(gen), np.array(parents).reshape(-1, 2)
+
+
+def regrouped_generations(gen: np.ndarray, parents: np.ndarray, fine_dofmap: DofMap,
+                          diagonal: np.ndarray) -> tuple:
+    """`MultilevelPreconditioner.groups` in its former form, regrouped from
+    scratch: all vertices sorted by generation with one stable sort, and the
+    smoothing sets marked on an n_gen x n boolean mask.  One `Generation`
+    per generation from 1 up, with Jacobi weights from the free-vertex
+    ``diagonal``."""
+    n, n_gen = gen.size, int(gen.max(initial=0))
+    order = np.argsort(gen, kind="stable")   # a radix sort: vertices by generation
+    counts = np.bincount(gen, minlength=n_gen + 1)
+    kids = order[counts[0]:]
+    kid_parents = np.take(parents, kids, axis=0)
+    ends = np.cumsum(counts[1:]).tolist()
+    # smoothing sets: mark each child and both its parents in the row of its
+    # generation; the marks come out de-duplicated and sorted
+    row = np.repeat(n * np.arange(n_gen), counts[1:])
+    mask = np.zeros(n_gen * n, dtype=bool)
+    for members in (kids, kid_parents[:, 0], kid_parents[:, 1]):
+        mask[row + members] = True
+    keys = np.flatnonzero(mask)
+    smooth = keys % n
+    dofs = fine_dofmap.dof_of_vertex[smooth]
+    free = dofs >= 0
+    keys, smooth = keys[free], smooth[free]
+    inv_diag = 1.0 / diagonal[dofs[free]]
+    cuts = np.searchsorted(keys, n * np.arange(n_gen + 1)).tolist()
+    return tuple(Generation(children=kids[a:b], parents=kid_parents[a:b],
+                            smooth=smooth[c:d], inv_diag=inv_diag[c:d])
+                 for a, b, c, d in zip([0] + ends, ends, cuts, cuts[1:]))
 
 
 def csr_generation_apply(dofmaps):

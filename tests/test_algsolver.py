@@ -16,8 +16,8 @@ from afem import (DofMap, IdentityPreconditioner, assemble_laplacian,
 from afem.algsolver import factorized
 from afem.estimator import IndicatorField
 
-from oracles import (csr_generation_apply, csr_multilevel_apply, random_mesh,
-                     vertex_generations)
+from oracles import (MARKING_KINDS, csr_generation_apply, csr_multilevel_apply,
+                     random_marking, random_mesh, regrouped_generations, vertex_generations)
 
 
 def small_system(seed=0, rounds=3):
@@ -259,6 +259,38 @@ def test_generation_groups_hold_no_parent_of_their_own(domain, seed, fracs):
         assert np.array_equal(grp.children, np.flatnonzero(gen == g))
         assert np.array_equal(grp.parents, parents[grp.children])
         assert not np.isin(grp.parents, grp.children).any()
+
+
+GENERATION_FIELDS = ("children", "parents", "smooth", "inv_diag")
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
+def test_extended_generations_match_regrouping(domain, seed, kinds):
+    """The generations `extended` grows level by level equal, array for
+    array and dtype for dtype, those regrouped from scratch, and `apply`
+    equals the CSR oracle bit for bit."""
+    rng = np.random.default_rng(seed)
+    mesh = create_initial(domain)
+    dofmaps = [DofMap.from_mesh(mesh)]
+    pre = build_preconditioner([mesh], dofmaps)
+    for kind in kinds:
+        mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
+        dofmaps.append(DofMap.from_mesh(mesh))
+        operator = assemble_laplacian(dofmaps[-1])
+        pre = pre.extended(dofmaps[-1], operator)
+        want = regrouped_generations(pre.gen, pre.parents, dofmaps[-1], operator.diagonal())
+        assert len(pre.groups) == len(want)
+        for got, expected in zip(pre.groups, want):
+            for name in GENERATION_FIELDS:
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+    if dofmaps[-1].n_dofs <= 400:
+        oracle = csr_generation_apply(dofmaps)
+        z = rng.standard_normal(dofmaps[-1].n_dofs)
+        assert np.array_equal(pre.apply(z), oracle(z))
 
 
 def dense_condition_number(b, a):

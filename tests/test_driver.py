@@ -18,7 +18,7 @@ from afem.driver import (AdaptiveConfig, RunLog, StepRecord, algebraic_stop,
                          run_adaptive)
 from afem.fem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
                       sample)
-from afem.mesh import create_initial, uniform_refine
+from afem.mesh import NEUMANN, create_initial, uniform_refine
 from afem.nonlinearity import derived_constants
 from afem.problems import get_problem
 from golden import GOLDEN, GOLDEN_CONFIGS
@@ -283,16 +283,18 @@ def test_configuration_rejected_at_construction(name, value):
 
 def test_data_sampled_once_per_level(monkeypatch):
     # f sees all volume nodes of the first mesh, then only those of the
-    # triangles refinement made: the ones holding a new vertex
+    # triangles refinement made: the ones holding a new vertex; g likewise
+    # sees the nodes of all Neumann edges, then those of the halves of split
+    # ones
     calls = Counter()
-    f_points, meshes = [], [create_initial("z_shape")]
+    points = {"f": [], "g": []}
+    meshes = [create_initial("z_shape")]
     plain_get_problem, plain_refine = driver.get_problem, driver.refine
 
     def counted(name, func):
         def wrapper(*args):
             calls[name] += 1
-            if name == "f":
-                f_points.append(args[0].shape[:-1])
+            points[name].append(args[0].shape[:-1])
             return func(*args)
         return wrapper
 
@@ -314,8 +316,13 @@ def test_data_sampled_once_per_level(monkeypatch):
     assert calls == {"f": levels, "g": levels}
     made = [meshes[0].n_triangles] + [
         int((m.triangles >= m.n_coarse_vertices).any(axis=1).sum()) for m in meshes[1:]]
-    assert f_points == [(n, 7) for n in made]
+    assert points["f"] == [(n, 7) for n in made]
     assert sum(made) < sum(m.n_triangles for m in meshes) / 2
+    neumann = [m.boundary_edges[m.boundary_markers == NEUMANN] for m in meshes]
+    split = [len(neumann[0])] + [int((e >= m.n_coarse_vertices).any(axis=1).sum())
+                                 for e, m in zip(neumann[1:], meshes[1:])]
+    assert points["g"] == [(n, 3) for n in split]
+    assert sum(split) < sum(map(len, neumann)) / 2
 
 
 def test_non_finite_estimator_ends_the_run(monkeypatch):

@@ -20,10 +20,10 @@ from afem.nonlinearity import (constant_nonlinearity, derived_constants,
                                zshape_nonlinearity)
 from afem.problems import get_problem
 
-from oracles import (KERNEL_CASES, einsum_apply_nonlinear, einsum_assemble_laplacian,
-                     einsum_assemble_rhs, einsum_element_gradients,
+from oracles import (KERNEL_CASES, MARKING_KINDS, einsum_apply_nonlinear,
+                     einsum_assemble_laplacian, einsum_assemble_rhs, einsum_element_gradients,
                      einsum_triangle_quad_points, kernel_case, one_triangle,
-                     picard_map, random_mesh, sum_stiffness_diagonal)
+                     picard_map, random_marking, random_mesh, sum_stiffness_diagonal)
 
 
 def neumann_square():
@@ -249,38 +249,45 @@ def smooth_source(points):
     return np.cos(3.0 * x + 0.5) * np.exp(y) + x * y * y
 
 
+def smooth_flux(points, normals):
+    x, y = points[..., 0], points[..., 1]
+    return np.sin(2.0 * x - y) * normals[..., 0] + np.exp(x * y) * normals[..., 1]
+
+
 SAMPLED = ("fq", "f_phi", "f_sq")
 
 
 @settings(max_examples=60, deadline=None)
 @given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
        seed=st.integers(0, 2 ** 32 - 1),
-       levels=st.lists(st.tuples(st.sampled_from(["empty", "full", "subset"]), st.booleans()),
+       levels=st.lists(st.tuples(st.sampled_from(MARKING_KINDS), st.booleans()),
                        min_size=1, max_size=8))
 def test_carried_arrays_match_fresh_computation(domain, seed, levels):
     """What `refine` and `sample` gather from the parent for copied
-    triangles is bitwise what a fresh computation on the same mesh gives;
-    hat gradients are carried exactly when the parent had computed them."""
+    triangles and unsplit Neumann edges is bitwise what a fresh computation
+    on the same mesh gives; hat gradients are carried exactly when the
+    parent had computed them."""
     rng = np.random.default_rng(seed)
     mesh = create_initial(domain)
-    samples = sample(mesh, smooth_source)
+    samples = sample(mesh, smooth_source, smooth_flux)
     for kind, touch in levels:
         if touch:
             mesh.hat_gradients
         had = "hat_gradients" in vars(mesh)
-        n_t = mesh.n_triangles
-        marked = {"empty": [], "full": np.arange(n_t),
-                  "subset": rng.choice(n_t, size=rng.integers(1, n_t + 1), replace=False)}[kind]
-        mesh = refine(mesh, marked)
-        samples = sample(mesh, smooth_source, previous=samples)
+        mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
+        samples = sample(mesh, smooth_source, smooth_flux, previous=samples)
         fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
         assert np.array_equal(mesh.areas, fresh.areas)
         assert ("hat_gradients" in vars(mesh)) == had
         if had:
             assert np.array_equal(mesh.hat_gradients, fresh.hat_gradients)
-        want = sample(fresh, smooth_source)
+        want = sample(fresh, smooth_source, smooth_flux)
         for name in SAMPLED:
             assert np.array_equal(getattr(samples, name), getattr(want, name)), name
+        assert (samples.neumann is None) == (domain != "z_shape")
+        if domain == "z_shape":
+            for got, expected in zip(samples.neumann, want.neumann):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_sample_gathers_only_from_the_parent_samples():

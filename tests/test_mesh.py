@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from afem import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                   overlay, read_text, refine, uniform_refine, write_text)
 from afem.fem import DofMap
-from afem.mesh import closure_cost, locate
+from afem.mesh import _build_edge_table, _incident, closure_cost, locate
 
-from oracles import (case_table_refine, one_triangle, random_mesh, setdiff_dofmap,
-                     unique_argsort_edge_table)
+from oracles import (MARKING_KINDS, case_table_refine, edge_ids, one_triangle,
+                     random_marking, random_mesh, setdiff_dofmap, unique_argsort_edge_table)
 
 
 def edge_census(mesh):
@@ -166,7 +166,7 @@ def test_refine_keeps_hierarchy_invariants(domain, seed, fracs):
         assert parents.shape == (fine.n_vertices - n_c, 2)
         a, b = coarse.vertices[parents[:, 0]], coarse.vertices[parents[:, 1]]
         assert np.array_equal(fine.vertices[n_c:], 0.5 * (a + b))
-        coarse.edges.lookup(parents, n_c)  # raises unless every pair is a coarse edge
+        edge_ids(coarse.edges, parents)  # raises unless every pair is a coarse edge
         dirichlet = np.zeros(fine.n_vertices, dtype=bool)
         dirichlet[fine.dirichlet_vertices()] = True
         assert np.array_equal(np.nonzero(dirichlet[:n_c])[0], coarse.dirichlet_vertices())
@@ -211,13 +211,65 @@ def test_edge_table_and_dofmap_match_sort_oracles(domain, seed, rounds):
     mesh = one_triangle() if domain == "one_triangle" else \
         random_mesh(domain, np.random.default_rng(seed), rounds=rounds)
     want = unique_argsort_edge_table(mesh.triangles, mesh.n_vertices)
-    for name in ("nodes", "of_triangle", "incident", "codes"):
-        a, b = getattr(mesh.edges, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for table in (mesh.edges, _build_edge_table(mesh.triangles, mesh.n_vertices)):
+        for name in ("nodes", "of_triangle", "incident"):
+            a, b = getattr(table, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
     got, want = DofMap.from_mesh(mesh), setdiff_dofmap(mesh)
     for name in ("free_vertices", "dof_of_vertex"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+EDGE_TABLE = ("nodes", "of_triangle", "incident")
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
+def test_carried_edge_table_matches_fresh_build(domain, seed, kinds):
+    """The edge table and boundary edge ids that `refine` carries from the
+    parent equal, array for array and dtype for dtype, those built from
+    scratch on the same mesh."""
+    rng = np.random.default_rng(seed)
+    mesh = create_initial(domain)
+    for kind in kinds:
+        mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
+        carried = vars(mesh)["edges"]  # given by refine, not computed on use
+        want = _build_edge_table(mesh.triangles, mesh.n_vertices)
+        for name in EDGE_TABLE:
+            a, b = getattr(carried, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                     mesh.boundary_markers).boundary_ids
+        got = vars(mesh)["boundary_ids"]
+        assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
+        assert np.array_equal(edge_ids(want, mesh.boundary_edges), fresh)
+
+
+def test_validate_rejects_a_wrong_boundary_list():
+    mesh = refine(create_initial("l_shape"), [0, 3])
+    mesh.validate()
+    b, marks = mesh.boundary_edges, mesh.boundary_markers
+    interior = mesh.edges.nodes[~mesh.edges.is_boundary][0]
+    mismatch = "boundary_edges do not match the single-incidence edges"
+    wrong = [(np.vstack([b[:-1], interior]), marks, mismatch),  # an interior edge
+             (b[:-1], marks[:-1], mismatch),                     # one left out
+             (np.vstack([b, b[:1]]), np.append(marks, marks[0]), "duplicate boundary edge")]
+    for edges, markers, message in wrong:
+        bad = Mesh(mesh.vertices, mesh.triangles, edges, markers)
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+    # refine needs the edge id of every boundary edge, so it rejects such a
+    # root mesh as well
+    with pytest.raises(ValueError, match=mismatch):
+        refine(Mesh(mesh.vertices, mesh.triangles, b[:-1], marks[:-1]), [0])
+    # carried boundary ids that disagree with the list are caught as well
+    ids = np.roll(mesh.boundary_ids, 1)
+    bad = Mesh(mesh.vertices, mesh.triangles, b, marks, boundary_ids=ids)
+    with pytest.raises(ValueError, match="boundary_ids"):
+        bad.validate()
 
 
 def test_edge_shared_by_three_triangles_is_rejected():
@@ -225,6 +277,16 @@ def test_edge_shared_by_three_triangles_is_rejected():
                 [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [])
     with pytest.raises(ValueError, match="more than two triangles"):
         mesh.edges
+
+
+def test_carried_incidence_rejects_an_edge_of_three_triangles():
+    # three triangles on edge 0, each with two edges of its own
+    of_triangle = np.array([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+    with pytest.raises(ValueError, match="more than two triangles"):
+        _incident(of_triangle, 7)
+    # without the third triangle the same edge is interior
+    assert np.array_equal(_incident(of_triangle[:2], 5),
+                          [[0, 1], [0, -1], [0, -1], [1, -1], [1, -1]])
 
 
 def test_boundary_markers_inherited():
