@@ -104,14 +104,15 @@ class EstimatorData:
         edge_sq = np.zeros(mesh.n_triangles)
         if self.ie_left.size:
             left, right = self.ie_left, self.ie_right
-            jump = ((fx[left] - fx[right]) * self.ie_normal[0]
-                    + (fy[left] - fy[right]) * self.ie_normal[1])
+            # gathers by np.take, faster than fancy indexing
+            jump = ((np.take(fx, left) - np.take(fx, right)) * self.ie_normal[0]
+                    + (np.take(fy, left) - np.take(fy, right)) * self.ie_normal[1])
             contrib = jump ** 2 * self.ie_length
             edge_sq += np.bincount(left, weights=contrib, minlength=mesh.n_triangles)
             edge_sq += np.bincount(right, weights=contrib, minlength=mesh.n_triangles)
         if self.neumann is not None:
             owner, lengths, normals, g_sq_int, g_int = self.neumann
-            c = fx[owner] * normals[:, 0] + fy[owner] * normals[:, 1]
+            c = np.take(fx, owner) * normals[:, 0] + np.take(fy, owner) * normals[:, 1]
             mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
             edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
                                    minlength=mesh.n_triangles)

@@ -15,12 +15,18 @@ given the samples of the parent mesh it evaluates f only on the new
 triangles and g only on the halves of split Neumann edges: the lengths,
 normals and g values of an unsplit Neumann edge are gathered from the
 parent's samples, and each edge's owning triangle is read from the edge
-table that `refine` carried.  The load vector and the estimator both
-integrate the same `Samples`.
+table that `refine` carried; ``g`` is not called on a level where no
+Neumann edge was split.  The load vector and the estimator both integrate
+the same `Samples`.
 
-The element kernels are explicit sums over the 2 coordinates and the 3
-vertices, faster than `einsum`; each keeps the operand order of the einsum
-it replaced, so results are bitwise equal to the einsum oracles in the tests.
+The element gradients of a P1 function are one sparse matvec with
+`Mesh.gradient_operator`, whose data are the hat gradients themselves: the
+compiled loop sums ``0 + g0 v0 + g1 v1 + g2 v2`` per row without fused
+multiply-adds, the operand order of the einsum oracle in the tests, so the
+result is bitwise equal to it.
+The other element kernels are explicit sums over the 2 coordinates and the
+3 vertices, faster than `einsum`; each keeps the operand order of the einsum
+it replaced, so results are bitwise equal to the einsum oracles as well.
 The stiffness matrix is assembled over the edge graph: one sum per edge of
 `Mesh.edges` and one per vertex, in triangle order, give its n + 2 n_edges
 entries (rather than 9 per triangle).
@@ -133,11 +139,10 @@ def interpolate(dofmap: DofMap, func) -> FeFunction:
 
 
 def element_gradients(mesh: Mesh, vertex_values: np.ndarray):
-    """Per-triangle gradient ``(gx, gy)`` of a P1 function from vertex values."""
-    v = vertex_values[mesh.triangles]
-    g = mesh.hat_gradients
-    return tuple(v[:, 0] * g[:, 0, d] + v[:, 1] * g[:, 1, d] + v[:, 2] * g[:, 2, d]
-                 for d in (0, 1))
+    """Per-triangle gradient ``(gx, gy)`` of a P1 function from vertex values:
+    one matvec with `Mesh.gradient_operator`."""
+    g = mesh.gradient_operator @ vertex_values
+    return g[:mesh.n_triangles], g[mesh.n_triangles:]
 
 
 def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
@@ -202,8 +207,8 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
     gathered from it: the volume data of copied triangles (``fq``, ``f_phi``,
     ``f_sq``) and the lengths, normals and ``g`` values of unsplit Neumann
     edges.  ``f`` then sees only the nodes of the new triangles and ``g``
-    only those of the halves of split edges; any other ``previous`` is
-    ignored.
+    only those of the halves of split edges, and is not called when no
+    Neumann edge was split; any other ``previous`` is ignored.
     """
     if previous is not None and not _is_parent(previous.mesh, mesh):
         previous = None
@@ -268,7 +273,7 @@ def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -
     normals[fresh] = normal
     if g is None:
         gq[fresh] = 0.0
-    else:
+    elif fresh.size:
         pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
         gq[fresh] = np.asarray(g(pts, normal[:, None, :]))
     return edges, lengths, normals, owner, gq

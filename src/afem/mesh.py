@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 DIRICHLET = 0
 NEUMANN = 1
@@ -186,13 +187,15 @@ def _signed_areas(p: np.ndarray) -> np.ndarray:
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def _hat_gradients(p: np.ndarray, areas: np.ndarray) -> np.ndarray:
+def _gradient_planes(p: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Hat gradients of triangles with vertex coordinates p, (n, 3, 2), as
+    an x plane and a y plane, (2, n, 3)."""
     det = 2.0 * areas
-    g = np.empty((len(p), 3, 2))
+    g = np.empty((2, len(p), 3))
     for i in range(3):
         e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        g[:, i, 0] = -e[:, 1] / det
-        g[:, i, 1] = e[:, 0] / det
+        g[0, :, i] = -e[:, 1] / det
+        g[1, :, i] = e[:, 0] / det
     return g
 
 
@@ -221,20 +224,25 @@ class Mesh:
         edge that created each appended vertex, or None for a root mesh.
     n_coarse_vertices : vertex count of the previous mesh.
 
-    areas, hat_gradients, edges, boundary_ids : values of ``signed_areas()``
-        and of the properties of those names when the caller already has
-        them, as `refine` does: it gathers areas and hat gradients of copied
+    areas, edges, boundary_ids : values of ``signed_areas()`` and of the
+        properties of those names when the caller already has them, as
+        `refine` does: it gathers areas and hat gradients of copied
         triangles from the parent mesh and carries the parent's edge table.
+    gradient_planes : the hat gradients as (2, n_triangles, 3) x and y
+        planes, when the caller already has them; ``hat_gradients`` is then
+        a view of this array.
 
     The read-only attribute ``areas`` holds the (positive) triangle areas.
     ``edges`` (`EdgeTable`), ``boundary_ids`` (the edge id of each boundary
-    edge) and ``hat_gradients`` are computed on first use unless given, and
-    live as long as the mesh.
+    edge), ``hat_gradients`` and ``gradient_operator`` are computed on first
+    use unless given, and live as long as the mesh.  The hat gradients are
+    stored once: ``hat_gradients`` is a (n_triangles, 3, 2) view of the
+    planes, and ``gradient_operator`` holds them as its data.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
                  level: int = 0, parent_of=None, vertex_parents=None,
-                 n_coarse_vertices: int | None = None, areas=None, hat_gradients=None,
+                 n_coarse_vertices: int | None = None, areas=None, gradient_planes=None,
                  edges: EdgeTable | None = None, boundary_ids=None):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         self.triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
@@ -262,12 +270,12 @@ class Mesh:
         if self.vertex_parents is not None:
             self.vertex_parents.setflags(write=False)
         # given values fill the cached properties
-        for name, value in (("hat_gradients", hat_gradients), ("edges", edges),
-                            ("boundary_ids", boundary_ids)):
+        for name, value in (("edges", edges), ("boundary_ids", boundary_ids)):
             if value is not None:
                 self.__dict__[name] = value
-        if hat_gradients is not None:
-            hat_gradients.setflags(write=False)
+        if gradient_planes is not None:
+            gradient_planes.setflags(write=False)
+            self.__dict__["hat_gradients"] = gradient_planes.transpose(1, 2, 0)
 
     @property
     def n_vertices(self) -> int:
@@ -291,10 +299,27 @@ class Mesh:
 
     @cached_property
     def hat_gradients(self) -> np.ndarray:
-        """Gradients of the three nodal basis functions per triangle, (nT, 3, 2)."""
-        g = _hat_gradients(self.vertices[self.triangles], self.areas)
-        g.setflags(write=False)
-        return g
+        """Gradients of the three nodal basis functions per triangle, (nT, 3, 2):
+        a read-only view of the x and y planes, (2, nT, 3), that
+        ``hat_gradients.transpose(2, 0, 1)`` gives back."""
+        planes = _gradient_planes(self.vertices[self.triangles], self.areas)
+        planes.setflags(write=False)
+        return planes.transpose(1, 2, 0)
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """The P1 gradient as a (2 nT, nV) CSR matrix: row t holds the x
+        components of the hat gradients of triangle t in the columns of its
+        vertices, row nT + t the y components.  Its data array is the planes
+        of ``hat_gradients``, not a copy; ``indptr`` is 0, 3, 6, ...
+        """
+        n = self.n_triangles
+        index = np.int32 if 6 * n <= np.iinfo(np.int32).max else np.int64
+        return sp.csr_matrix(
+            (self.hat_gradients.transpose(2, 0, 1).reshape(-1),
+             np.concatenate((self.triangles, self.triangles), axis=None, dtype=index),
+             np.arange(0, 6 * n + 1, 3, dtype=index)),
+            shape=(2 * n, self.n_vertices))
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
@@ -429,8 +454,8 @@ def refine(mesh: Mesh, marked) -> Mesh:
     parent; a split boundary edge ``(a, b)`` becomes ``(a, m), (m, b)``.
     Only the new triangles get their areas and hat gradients computed; those
     of copied triangles (`copied_triangles`) are gathered from ``mesh``, the
-    hat gradients only if ``mesh`` has computed its own.  The child's edge
-    table and boundary edge ids come from those of ``mesh``
+    hat gradient planes only if ``mesh`` has computed its own.  The child's
+    edge table and boundary edge ids come from those of ``mesh``
     (`_carried_edge_table`), not from a sort.
     """
     n_t = mesh.n_triangles
@@ -487,13 +512,13 @@ def refine(mesh: Mesh, marked) -> Mesh:
     p = vertices[twice[new]]
     areas = np.take(mesh.areas, parent_of)
     areas[new] = _signed_areas(p)
-    grads = None
+    planes = None
     if "hat_gradients" in mesh.__dict__:
-        grads = np.take(mesh.hat_gradients, parent_of, axis=0)
-        grads[new] = _hat_gradients(p, areas[new])
+        planes = np.take(mesh.hat_gradients.transpose(2, 0, 1), parent_of, axis=1)
+        planes[:, new] = _gradient_planes(p, areas[new])
     return Mesh(vertices, twice, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
                 parent_of=parent_of, vertex_parents=vertex_parents,
-                n_coarse_vertices=n_old, areas=areas, hat_gradients=grads,
+                n_coarse_vertices=n_old, areas=areas, gradient_planes=planes,
                 edges=edges, boundary_ids=boundary_ids)
 
 

@@ -1,6 +1,6 @@
 """Golden step logs: their configurations, and the command that regenerates them.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py [--write]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py [--write] [--check]
 
 reruns every configuration in `GOLDEN_CONFIGS` and prints, per file in
 `tests/data/golden/`, whether the integer columns are identical and the
@@ -11,7 +11,9 @@ back through its CSV text first, so both sides carry the same 12 digits and
 an unchanged run reads 0.  The files are rewritten only with ``--write``.
 Then it prints the sha1 of the step log of each benchmark workload, with
 the configurations of `perfbench/workloads.py`; running the command at two
-commits compares all five "same numbers" runs of the ROADMAP.
+commits compares all five "same numbers" runs of the ROADMAP.  With
+``--check`` it exits with status 1 if a golden file changed or a workload
+digest does not begin with its entry of `PINNED_DIGESTS`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import hashlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,9 @@ GOLDEN_CONFIGS = {
     "square_linear_error": dict(domain="square_linear", max_elements=20000,
                                 track_error=True),
 }
+# leading hex digits of the sha1 of each benchmark workload's step log
+PINNED_DIGESTS = {"zshape-bulk": "3a03931e2beb", "zshape-fine": "0dd8bdc11d03",
+                  "lshape-tight": "3bf11cd4179f"}
 
 
 def compare(want: RunLog, got: RunLog) -> list:
@@ -68,14 +74,18 @@ def benchmark_configs() -> dict:
     return {name: workloads.spec(name)["config"] for name in workloads.WORKLOADS}
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="rewrite the golden files")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 on a changed golden file or an unpinned digest")
     args = parser.parse_args(argv)
+    same = True
     for name in sorted(GOLDEN_CONFIGS):
         path = GOLDEN / f"{name}.csv"
         old = path.read_text()
         text = run_adaptive(AdaptiveConfig(**GOLDEN_CONFIGS[name])).to_csv()
+        same &= text == old
         print(f"{path.name}: {'unchanged' if text == old else 'changed'}")
         for line in compare(RunLog.from_csv(io.StringIO(old)), RunLog.from_csv(io.StringIO(text))):
             print("  " + line)
@@ -83,9 +93,12 @@ def main(argv=None) -> None:
             path.write_text(text)
             print("  rewritten")
     for name, config in benchmark_configs().items():
-        text = run_adaptive(AdaptiveConfig(**config)).to_csv()
-        print(f"{name}: sha1 {hashlib.sha1(text.encode()).hexdigest()}")
+        digest = hashlib.sha1(run_adaptive(AdaptiveConfig(**config)).to_csv().encode()).hexdigest()
+        pinned = digest.startswith(PINNED_DIGESTS[name])
+        same &= pinned
+        print(f"{name}: sha1 {digest}{'' if pinned else ' (pinned ' + PINNED_DIGESTS[name] + ')'}")
+    return 1 if args.check and not same else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

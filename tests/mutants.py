@@ -34,6 +34,7 @@ SAMPLED_ONCE = "tests/test_driver.py::test_data_sampled_once_per_level"
 EDGE_TABLE = "tests/test_mesh.py::test_carried_edge_table_matches_fresh_build"
 GENERATIONS = "tests/test_algsolver.py::test_extended_generations_match_regrouping"
 CONTRACTIONS = "tests/test_driver.py::test_level_table_contraction_columns"
+OPERATOR = "tests/test_fem.py::test_gradient_operator_holds_the_hat_gradients"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -77,8 +78,8 @@ MUTANTS = [
      "areas = np.take(mesh.areas, np.roll(parent_of, 1))",
      [CARRIED]),
     ("shifted parent_of in the hat gradients gather", "mesh.py",
-     "grads = np.take(mesh.hat_gradients, parent_of, axis=0)",
-     "grads = np.take(mesh.hat_gradients, np.roll(parent_of, 1), axis=0)",
+     "planes = np.take(mesh.hat_gradients.transpose(2, 0, 1), parent_of, axis=1)",
+     "planes = np.take(mesh.hat_gradients.transpose(2, 0, 1), np.roll(parent_of, 1), axis=1)",
      [CARRIED]),
     ("shifted parent_of in the samples gather", "fem.py",
      "out = tuple(np.take(a, mesh.parent_of, axis=0)",
@@ -122,6 +123,15 @@ MUTANTS = [
      "fresh = np.flatnonzero(second | (edges[:, 1] >= mesh.n_coarse_vertices))",
      "fresh = np.arange(len(edges))",
      [SAMPLED_ONCE]),
+    ("g called on a level that split no Neumann edge", "fem.py",
+     "elif fresh.size:",
+     "else:",
+     [SAMPLED_ONCE]),
+    # the gradient operator
+    ("the x plane in both blocks of the gradient operator", "mesh.py",
+     "(self.hat_gradients.transpose(2, 0, 1).reshape(-1),",
+     "(np.tile(self.hat_gradients[:, :, 0].ravel(), 2),",
+     [OPERATOR]),
 ]
 
 

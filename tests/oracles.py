@@ -37,6 +37,18 @@ def random_mesh(domain: str, rng: np.random.Generator, rounds: int = 4,
     return mesh
 
 
+def random_root(domain: str, rng: np.random.Generator) -> Mesh:
+    """The root mesh of ``domain`` moved by a random affine map of positive
+    determinant: the same triangles and boundary on other coordinates."""
+    root = create_initial(domain)
+    while True:
+        a = rng.standard_normal((2, 2))
+        if np.linalg.det(a) > 0.1:
+            break
+    return Mesh(root.vertices @ a.T + rng.standard_normal(2), root.triangles,
+                root.boundary_edges, root.boundary_markers)
+
+
 def random_marking(rng: np.random.Generator, n_t: int, kind: str):
     """A marking of ``n_t`` triangles: none, all, one, or a random subset."""
     return {"empty": [], "full": np.arange(n_t), "single": [rng.integers(n_t)],
@@ -190,13 +202,28 @@ def kernel_case(domain, seed):
     return problem, dofmap, sample(mesh, problem.source, problem.neumann), values
 
 
+def stacked_hat_gradients(mesh: Mesh) -> np.ndarray:
+    """Hat gradients computed into a (nT, 3, 2) array, point by point, not
+    as the (2, nT, 3) planes the mesh stores."""
+    p = mesh.vertices[mesh.triangles]
+    det = 2.0 * mesh.areas
+    g = np.empty((mesh.n_triangles, 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        g[:, i, 0] = -e[:, 1] / det
+        g[:, i, 1] = e[:, 0] / det
+    return g
+
+
 # The element kernels in their former `einsum` and short-axis `sum` form.
-# The library writes each as an explicit sum in the same operand order, and
-# the tests require the two forms to agree bit for bit.
+# The library writes each as an explicit sum or a sparse matvec in the same
+# operand order, and the tests require the two forms to agree bit for bit.
+# The oracles take the hat gradients as a C-contiguous (nT, 3, 2) array:
+# on the strided view `Mesh.hat_gradients`, einsum sums in another order.
 
 def einsum_element_gradients(mesh: Mesh, vertex_values: np.ndarray) -> np.ndarray:
     """Per-triangle gradient, (nT, 2)."""
-    return np.einsum("ti,tid->td", vertex_values[mesh.triangles], mesh.hat_gradients)
+    return np.einsum("ti,tid->td", vertex_values[mesh.triangles], stacked_hat_gradients(mesh))
 
 
 def einsum_triangle_quad_points(mesh: Mesh) -> np.ndarray:
@@ -205,7 +232,7 @@ def einsum_triangle_quad_points(mesh: Mesh) -> np.ndarray:
 
 def einsum_assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
     mesh = dofmap.mesh
-    g = mesh.hat_gradients
+    g = stacked_hat_gradients(mesh)
     k = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
     dofs = dofmap.dof_of_vertex[mesh.triangles]
     rows = np.repeat(dofs[:, :, None], 3, axis=2)
@@ -218,7 +245,7 @@ def einsum_assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
 
 def sum_stiffness_diagonal(dofmap: DofMap) -> np.ndarray:
     mesh = dofmap.mesh
-    g = mesh.hat_gradients
+    g = stacked_hat_gradients(mesh)
     contrib = (g ** 2).sum(axis=2) * mesh.areas[:, None]
     diag_v = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                          minlength=mesh.n_vertices)
@@ -227,7 +254,7 @@ def sum_stiffness_diagonal(dofmap: DofMap) -> np.ndarray:
 
 def einsum_apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     mesh = w.mesh
-    g = mesh.hat_gradients
+    g = stacked_hat_gradients(mesh)
     grads = einsum_element_gradients(mesh, w.vertex_values())
     t = (grads ** 2).sum(axis=1)
     mu = np.asarray(nl.mu(t))

@@ -23,7 +23,8 @@ from afem.problems import get_problem
 from oracles import (KERNEL_CASES, MARKING_KINDS, einsum_apply_nonlinear,
                      einsum_assemble_laplacian, einsum_assemble_rhs, einsum_element_gradients,
                      einsum_triangle_quad_points, kernel_case, one_triangle,
-                     picard_map, random_marking, random_mesh, sum_stiffness_diagonal)
+                     picard_map, random_marking, random_mesh, random_root,
+                     stacked_hat_gradients, sum_stiffness_diagonal)
 
 
 def neumann_square():
@@ -60,6 +61,43 @@ def test_element_gradients_match_einsum_oracle(domain, seed):
     # the energy norm sums the same squares as the former short-axis sum
     w = FeFunction.from_vertex_values(dofmap, values)
     assert energy_norm(w) == float(np.sqrt(((grads ** 2).sum(axis=1) * mesh.areas).sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       levels=st.lists(st.tuples(st.sampled_from(MARKING_KINDS), st.booleans()),
+                       max_size=6))
+def test_gradient_operator_holds_the_hat_gradients(domain, seed, levels):
+    """On an affine image of a root refined at random, with the hat
+    gradients carried across the levels after a touch and computed afresh
+    after none: the operator's data are the hat gradient planes, equal to a
+    fresh computation and to the (nT, 3, 2) oracle, and its matvec is
+    bitwise the einsum oracle."""
+    rng = np.random.default_rng(seed)
+    mesh = random_root(domain, rng)
+    for kind, touch in levels:
+        if touch:
+            mesh.gradient_operator
+        mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
+    n = mesh.n_triangles
+    # once computed, the planes are carried to every later mesh
+    assert ("hat_gradients" in vars(mesh)) == any(touch for _, touch in levels)
+    fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
+    assert np.array_equal(mesh.hat_gradients, fresh.hat_gradients)
+    assert np.array_equal(mesh.hat_gradients, stacked_hat_gradients(mesh))
+    assert not mesh.hat_gradients.flags.writeable
+    op = mesh.gradient_operator
+    assert op.shape == (2 * n, mesh.n_vertices)
+    assert np.shares_memory(op.data, mesh.hat_gradients)
+    assert np.array_equal(op.data, np.concatenate([mesh.hat_gradients[:, :, d].ravel()
+                                                   for d in (0, 1)]))
+    assert np.array_equal(op.indices, np.tile(mesh.triangles.ravel(), 2))
+    assert np.array_equal(op.indptr, np.arange(0, 6 * n + 1, 3))
+    values = rng.standard_normal(mesh.n_vertices)
+    gx, gy = element_gradients(mesh, values)
+    assert np.array_equal(np.concatenate([gx, gy]), op @ values)
+    assert np.array_equal(np.column_stack([gx, gy]), einsum_element_gradients(mesh, values))
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
