@@ -19,11 +19,11 @@ generation is a parent of another, and the grid transfers run in place in
 vertex space: one scatter (restriction) and one gather (prolongation) per
 generation, with no transfer matrix stored.  The coarse operator is
 factorized once, when the preconditioner is built; `extended(fine_dofmap,
-operator)` reuses that factorization, appends the generations and parents
-of the new vertices, appends each new vertex to its generation (one stable
-sort of the new vertices by generation), rebuilds the smoothing set of
-only the generations that gained vertices, and reads the Jacobi weights of
-every generation from the new level's operator.
+operator)` reuses that factorization, appends the generations of the new
+vertices, appends each new vertex to its generation (one stable sort of
+the new vertices by generation), rebuilds the smoothing set of only the
+generations that gained vertices, and reads the Jacobi weights of every
+generation from the new level's operator in one gather.
 
 `pcg_step` advances exactly one iteration and exposes the increment norms
 the adaptive driver's stopping tests need; the energy-norm error is
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,11 +61,10 @@ class Generation:
     children: np.ndarray             # vertices of this generation, ascending
     parents: np.ndarray              # (n_children, 2) bisected edge of each child
     smooth: np.ndarray               # free vertices among the children and their parents
-    inv_diag: np.ndarray             # inverse stiffness diagonal on `smooth`
 
 
 _EMPTY = Generation(children=np.empty(0, dtype=np.int64), parents=np.empty((0, 2), dtype=np.int64),
-                    smooth=np.empty(0, dtype=np.int64), inv_diag=np.empty(0))
+                    smooth=np.empty(0, dtype=np.int64))
 
 
 class MultilevelPreconditioner:
@@ -79,10 +77,10 @@ class MultilevelPreconditioner:
     the coarsest level from its assembled stiffness ``coarse_operator``,
     which it factorizes; `extended` adds one refinement level.
 
-    ``gen`` and ``parents`` are per-vertex arrays over the finest mesh: the
-    generation of each vertex (0 on the coarsest mesh) and the bisected
-    edge that created it (-1 on the coarsest mesh).  ``groups`` holds one
-    `Generation` per generation from 1 up.
+    ``gen`` holds the generation of each vertex of the finest mesh (0 on
+    the coarsest mesh).  ``groups`` holds one `Generation` per generation
+    from 1 up, and ``weights``, parallel to it, the Jacobi weights (inverse
+    finest stiffness diagonal) on each generation's smoothing set.
     """
 
     def __init__(self, coarse_dofmap: DofMap, coarse_operator):
@@ -92,8 +90,7 @@ class MultilevelPreconditioner:
         self._coarse_free = coarse_dofmap.free_vertices
         n = coarse_dofmap.mesh.n_vertices
         self.gen = np.zeros(n, dtype=np.int16)
-        self.parents = np.full((n, 2), -1, dtype=np.int64)
-        self.groups = ()
+        self.groups = self.weights = ()
         self._finest_dofmap = coarse_dofmap
 
     @property
@@ -112,10 +109,10 @@ class MultilevelPreconditioner:
             np.add.at(r, grp.parents.ravel(), np.repeat(0.5 * r[grp.children], 2))
         y = np.zeros_like(r)
         y[self._coarse_free] = self._coarse_solve(r[self._coarse_free])
-        for grp, s in zip(self.groups, reversed(saved)):
+        for grp, w, s in zip(self.groups, self.weights, reversed(saved)):
             p = grp.parents
             y[grp.children] = 0.5 * y[p[:, 0]] + 0.5 * y[p[:, 1]]
-            y[grp.smooth] += grp.inv_diag * s
+            y[grp.smooth] += w * s
         return y[free]
 
     def extended(self, fine_dofmap: DofMap, operator) -> "MultilevelPreconditioner":
@@ -129,20 +126,25 @@ class MultilevelPreconditioner:
         new_gen = 1 + self.gen[new_parents].max(axis=1)
         successor = copy.copy(self)  # shares the coarse factorization
         successor.gen = np.concatenate((self.gen, new_gen))
-        successor.parents = np.concatenate((self.parents, new_parents))
-        successor.groups = _grown(self.groups, self.gen.size, new_gen, new_parents,
-                                  fine_dofmap, operator.diagonal())
+        successor.groups = groups = _grown(self.groups, self.gen.size, new_gen, new_parents,
+                                           fine_dofmap)
+        # the weights of all generations in one gather
+        smooth = [grp.smooth for grp in groups]
+        dof = fine_dofmap.dof_of_vertex[np.concatenate(smooth or [_EMPTY.smooth])]
+        inv_diag = 1.0 / operator.diagonal()[dof]
+        cuts = np.cumsum([0] + [len(s) for s in smooth]).tolist()
+        successor.weights = tuple(inv_diag[a:b] for a, b in zip(cuts, cuts[1:]))
         successor._finest_dofmap = fine_dofmap
         return successor
 
 
 def _grown(groups: tuple, n_old: int, new_gen: np.ndarray, new_parents: np.ndarray,
-           fine_dofmap: DofMap, diagonal: np.ndarray) -> tuple:
+           fine_dofmap: DofMap) -> tuple:
     """``groups`` with the vertices ``n_old, n_old + 1, ...`` of generations
-    ``new_gen`` and bisected edges ``new_parents`` appended, and Jacobi
-    weights from the free-vertex ``diagonal``.  New vertices have the
-    highest indices, so appending keeps ``children`` ascending; only a
-    generation that gains vertices changes its ``smooth`` set."""
+    ``new_gen`` and bisected edges ``new_parents`` appended.  New vertices
+    have the highest indices, so appending keeps ``children`` ascending;
+    a generation that gains no vertices keeps its `Generation`, and only
+    one that gains vertices changes its ``smooth`` set."""
     n_gen = max(len(groups), int(new_gen.max(initial=0)))
     order = np.argsort(new_gen, kind="stable")   # a radix sort: new vertices by generation
     ends = np.cumsum(np.bincount(new_gen, minlength=n_gen + 1))
@@ -158,14 +160,8 @@ def _grown(groups: tuple, n_old: int, new_gen: np.ndarray, new_parents: np.ndarr
         smooth = _sorted_unique(members[dof[members] >= 0])
         grown[g] = Generation(children=np.concatenate((grp.children, kids)),
                               parents=np.concatenate((grp.parents, kid_parents)),
-                              smooth=smooth, inv_diag=None)
-    # the weights of all generations in one gather
-    smooth = np.concatenate([grp.smooth for grp in grown] or [_EMPTY.smooth])
-    inv_diag = 1.0 / diagonal[dof[smooth]]
-    cuts = list(accumulate((len(grp.smooth) for grp in grown), initial=0))
-    return tuple(Generation(children=grp.children, parents=grp.parents, smooth=grp.smooth,
-                            inv_diag=inv_diag[a:b])
-                 for grp, a, b in zip(grown, cuts, cuts[1:]))
+                              smooth=smooth)
+    return tuple(grown)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:

@@ -313,8 +313,8 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
         u = FeFunction(dofmap, x)
         # drop what holds the mesh but the samples, which the next level's
         # `sample` reads and replaces; `refine` carries what the next mesh
-        # needs (edge table, boundary edge ids, areas, gradients) into it
-        # without keeping a reference, so this mesh is freed then
+        # needs (edge table, boundary edge ids, areas, gradient planes) into
+        # it without keeping a reference, so this mesh is freed then
         del est, errdata
 
         eta_final = log.records[-1].eta

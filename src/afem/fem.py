@@ -10,14 +10,15 @@ vanish on the Dirichlet boundary; coefficient vectors run over the free
 Volume integrands are approximated with the symmetric 7-point rule of
 degree 5, edge integrands with 3-point Gauss, everywhere a data or
 nonlinear integrand appears; polynomial integrands are thereby exact.
-`sample` evaluates the problem data at these nodes once per mesh, and
-given the samples of the parent mesh it evaluates f only on the new
-triangles and g only on the halves of split Neumann edges: the lengths,
-normals and g values of an unsplit Neumann edge are gathered from the
-parent's samples, and each edge's owning triangle is read from the edge
-table that `refine` carried; ``g`` is not called on a level where no
-Neumann edge was split.  The load vector and the estimator both integrate
-the same `Samples`.
+`sample` evaluates the problem data at these nodes once per mesh and keeps,
+of the volume data, only the per-triangle integrals that the load vector
+and the estimator read.  Given the samples of the parent mesh it evaluates
+f only on the new triangles and g only on the halves of split Neumann
+edges: the integrals of a copied triangle and the lengths, normals and g
+values of an unsplit Neumann edge are gathered from the parent's samples,
+and each edge's owning triangle is read from the edge table that `refine`
+carried; ``g`` is not called on a level where no Neumann edge was split.
+The load vector and the estimator both integrate the same `Samples`.
 
 The element gradients of a P1 function are one sparse matvec with
 `Mesh.gradient_operator`, whose data are the hat gradients themselves: the
@@ -148,7 +149,7 @@ def element_gradients(mesh: Mesh, vertex_values: np.ndarray):
 def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
     """Stiffness matrix of the Laplacian on the free vertices (CSR, SPD)."""
     mesh, n = dofmap.mesh, dofmap.n_dofs
-    gx, gy = mesh.hat_gradients[:, :, 0], mesh.hat_gradients[:, :, 1]
+    gx, gy = mesh.gradient_planes
     a = mesh.areas[:, None]
     i, j = [1, 2, 0], [2, 0, 1]  # the ends of the edge opposite local vertex k
     off = np.bincount(mesh.edges.of_triangle.ravel(), minlength=mesh.edges.n_edges,
@@ -166,11 +167,11 @@ def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
 def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     """Vector of <mu(|grad w|^2) grad w, grad phi_i> over the free vertices."""
     mesh = w.mesh
-    g = mesh.hat_gradients
+    hx, hy = mesh.gradient_planes
     gx, gy = element_gradients(mesh, w.vertex_values())
     ma = (np.asarray(nl.mu(gx ** 2 + gy ** 2)) * mesh.areas)[:, None]
     # this product order keeps the bits of the former einsum
-    contrib = ma * g[:, :, 0] * gx[:, None] + ma * g[:, :, 1] * gy[:, None]
+    contrib = ma * hx * gx[:, None] + ma * hy * gy[:, None]
     r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.n_vertices)
     return r[w.dofmap.free_vertices]
@@ -180,17 +181,16 @@ def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
 class Samples:
     """Problem data at the quadrature nodes of one mesh.
 
-    ``fq`` is f at the 7 volume nodes, (nT, 7), or None without volume
-    data; ``f_phi`` (nT, 3) and ``f_sq`` (nT,) then hold, per triangle, the
-    integrals of f against the three hat functions (the load) and of f^2
-    (the estimator's volume term).  ``neumann`` is None without Neumann
-    edges, else ``(edges, lengths, normals, owner, gq)``: endpoints (nN, 2),
-    lengths, outward unit normals, the owning triangle, and g at the 3 nodes
-    of each edge.
+    ``f_phi`` (nT, 3) and ``f_sq`` (nT,) hold, per triangle, the integrals
+    of f against the three hat functions (the load) and of f^2 (the
+    estimator's volume term), from f at the 7 volume nodes; both are None
+    without volume data.  ``neumann`` is None without Neumann edges, else
+    ``(edges, lengths, normals, owner, gq)``: endpoints (nN, 2), lengths,
+    outward unit normals, the owning triangle, and g at the 3 nodes of each
+    edge.
     """
 
     mesh: Mesh
-    fq: np.ndarray | None
     f_phi: np.ndarray | None
     f_sq: np.ndarray | None
     neumann: tuple | None
@@ -204,7 +204,7 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
     the outward unit normal (broadcast per edge).  Without ``g`` the Neumann
     data is zero.  When ``previous`` holds the samples of the same ``f`` and
     ``g`` on the mesh that ``mesh`` was refined from, what did not change is
-    gathered from it: the volume data of copied triangles (``fq``, ``f_phi``,
+    gathered from it: the volume data of copied triangles (``f_phi`` and
     ``f_sq``) and the lengths, normals and ``g`` values of unsplit Neumann
     edges.  ``f`` then sees only the nodes of the new triangles and ``g``
     only those of the halves of split edges, and is not called when no
@@ -212,7 +212,7 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
     """
     if previous is not None and not _is_parent(previous.mesh, mesh):
         previous = None
-    volume = (None, None, None) if f is None else _volume_samples(mesh, f, previous)
+    volume = (None, None) if f is None else _volume_samples(mesh, f, previous)
     sel = mesh.boundary_markers != DIRICHLET
     if not sel.any():
         return Samples(mesh, *volume, None)
@@ -230,16 +230,14 @@ def _is_parent(parent: Mesh, mesh: Mesh) -> bool:
 
 
 def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
-    """``fq``, ``f_phi`` and ``f_sq`` of `Samples`, gathered from the parent
-    mesh's samples ``previous`` for the copied triangles."""
-    if previous is None or previous.fq is None:
-        fq = np.asarray(f(triangle_quad_points(mesh)))
-        return (fq, *_volume_moments(fq, mesh.areas))
+    """``f_phi`` and ``f_sq`` of `Samples`, gathered from the parent mesh's
+    samples ``previous`` for the copied triangles."""
+    if previous is None or previous.f_phi is None:
+        return _volume_moments(np.asarray(f(triangle_quad_points(mesh))), mesh.areas)
     new = np.flatnonzero(~copied_triangles(mesh.parent_of))
     fq = np.asarray(f(triangle_quad_points(mesh, new)))
-    out = tuple(np.take(a, mesh.parent_of, axis=0)
-                for a in (previous.fq, previous.f_phi, previous.f_sq))
-    for a, fresh in zip(out, (fq, *_volume_moments(fq, mesh.areas[new]))):
+    out = tuple(np.take(a, mesh.parent_of, axis=0) for a in (previous.f_phi, previous.f_sq))
+    for a, fresh in zip(out, _volume_moments(fq, mesh.areas[new])):
         a[new] = fresh
     return out
 

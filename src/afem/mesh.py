@@ -21,6 +21,8 @@ the child a table carried from the parent's (an edge that is not bisected
 keeps its row, the new edges are merged in, a copied triangle keeps its
 edges), together with the edge id of every boundary edge, so connectivity
 costs gathers in proportion to the mesh and a sort only of what changed.
+The areas and the hat gradients, stored once as (2, nT, 3) x and y planes,
+are likewise gathered for copied triangles and computed for new ones.
 """
 
 from __future__ import annotations
@@ -224,20 +226,19 @@ class Mesh:
         edge that created each appended vertex, or None for a root mesh.
     n_coarse_vertices : vertex count of the previous mesh.
 
-    areas, edges, boundary_ids : values of ``signed_areas()`` and of the
-        properties of those names when the caller already has them, as
-        `refine` does: it gathers areas and hat gradients of copied
-        triangles from the parent mesh and carries the parent's edge table.
-    gradient_planes : the hat gradients as (2, n_triangles, 3) x and y
-        planes, when the caller already has them; ``hat_gradients`` is then
-        a view of this array.
+    areas, gradient_planes, edges, boundary_ids : values of
+        ``signed_areas()`` and of the properties of those names when the
+        caller already has them, as `refine` does: it gathers areas and hat
+        gradients of copied triangles from the parent mesh and carries the
+        parent's edge table.
 
-    The read-only attribute ``areas`` holds the (positive) triangle areas.
-    ``edges`` (`EdgeTable`), ``boundary_ids`` (the edge id of each boundary
-    edge), ``hat_gradients`` and ``gradient_operator`` are computed on first
-    use unless given, and live as long as the mesh.  The hat gradients are
-    stored once: ``hat_gradients`` is a (n_triangles, 3, 2) view of the
-    planes, and ``gradient_operator`` holds them as its data.
+    The read-only attribute ``areas`` holds the (positive) triangle areas;
+    vertex coordinates must be finite.  ``edges`` (`EdgeTable`),
+    ``boundary_ids`` (the edge id of each boundary edge),
+    ``gradient_planes`` and ``gradient_operator`` are computed on first use
+    unless given, and live as long as the mesh.  The hat gradients are
+    stored once, as the planes, which ``gradient_operator`` holds as its
+    data.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
@@ -245,6 +246,8 @@ class Mesh:
                  n_coarse_vertices: int | None = None, areas=None, gradient_planes=None,
                  edges: EdgeTable | None = None, boundary_ids=None):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         self.triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
         self.boundary_edges = np.array(boundary_edges, dtype=np.int64).reshape(-1, 2)
         self.boundary_markers = np.array(boundary_markers, dtype=np.int64).reshape(-1)
@@ -262,7 +265,7 @@ class Mesh:
                                     or self.triangles.max() >= self.n_vertices):
             raise ValueError("triangle vertex index out of range")
         self.areas = self.signed_areas() if areas is None else np.asarray(areas, dtype=float)
-        if self.areas.size and self.areas.min() <= 0.0:
+        if not (self.areas > 0.0).all():
             raise ValueError("triangles must be positively oriented and non-degenerate")
         for a in (self.vertices, self.triangles, self.boundary_edges,
                   self.boundary_markers, self.parent_of, self.areas):
@@ -270,12 +273,12 @@ class Mesh:
         if self.vertex_parents is not None:
             self.vertex_parents.setflags(write=False)
         # given values fill the cached properties
-        for name, value in (("edges", edges), ("boundary_ids", boundary_ids)):
-            if value is not None:
-                self.__dict__[name] = value
         if gradient_planes is not None:
             gradient_planes.setflags(write=False)
-            self.__dict__["hat_gradients"] = gradient_planes.transpose(1, 2, 0)
+        for name, value in (("gradient_planes", gradient_planes), ("edges", edges),
+                            ("boundary_ids", boundary_ids)):
+            if value is not None:
+                self.__dict__[name] = value
 
     @property
     def n_vertices(self) -> int:
@@ -298,25 +301,24 @@ class Mesh:
         return _boundary_ids(self.edges, self.boundary_edges)
 
     @cached_property
-    def hat_gradients(self) -> np.ndarray:
-        """Gradients of the three nodal basis functions per triangle, (nT, 3, 2):
-        a read-only view of the x and y planes, (2, nT, 3), that
-        ``hat_gradients.transpose(2, 0, 1)`` gives back."""
+    def gradient_planes(self) -> np.ndarray:
+        """Gradients of the three nodal basis functions per triangle, as a
+        read-only x plane and y plane, (2, nT, 3)."""
         planes = _gradient_planes(self.vertices[self.triangles], self.areas)
         planes.setflags(write=False)
-        return planes.transpose(1, 2, 0)
+        return planes
 
     @cached_property
     def gradient_operator(self) -> sp.csr_matrix:
         """The P1 gradient as a (2 nT, nV) CSR matrix: row t holds the x
         components of the hat gradients of triangle t in the columns of its
-        vertices, row nT + t the y components.  Its data array is the planes
-        of ``hat_gradients``, not a copy; ``indptr`` is 0, 3, 6, ...
+        vertices, row nT + t the y components.  Its data array is
+        ``gradient_planes``, not a copy; ``indptr`` is 0, 3, 6, ...
         """
         n = self.n_triangles
         index = np.int32 if 6 * n <= np.iinfo(np.int32).max else np.int64
         return sp.csr_matrix(
-            (self.hat_gradients.transpose(2, 0, 1).reshape(-1),
+            (self.gradient_planes.reshape(-1),
              np.concatenate((self.triangles, self.triangles), axis=None, dtype=index),
              np.arange(0, 6 * n + 1, 3, dtype=index)),
             shape=(2 * n, self.n_vertices))
@@ -453,8 +455,8 @@ def refine(mesh: Mesh, marked) -> Mesh:
     for the second).  So a triangle has 1 to 4 children, in place of the
     parent; a split boundary edge ``(a, b)`` becomes ``(a, m), (m, b)``.
     Only the new triangles get their areas and hat gradients computed; those
-    of copied triangles (`copied_triangles`) are gathered from ``mesh``, the
-    hat gradient planes only if ``mesh`` has computed its own.  The child's
+    of copied triangles (`copied_triangles`) are gathered from ``mesh``,
+    ``gradient_planes`` only if ``mesh`` has computed its own.  The child's
     edge table and boundary edge ids come from those of ``mesh``
     (`_carried_edge_table`), not from a sort.
     """
@@ -513,8 +515,8 @@ def refine(mesh: Mesh, marked) -> Mesh:
     areas = np.take(mesh.areas, parent_of)
     areas[new] = _signed_areas(p)
     planes = None
-    if "hat_gradients" in mesh.__dict__:
-        planes = np.take(mesh.hat_gradients.transpose(2, 0, 1), parent_of, axis=1)
+    if "gradient_planes" in vars(mesh):
+        planes = np.take(mesh.gradient_planes, parent_of, axis=1)
         planes[:, new] = _gradient_planes(p, areas[new])
     return Mesh(vertices, twice, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
                 parent_of=parent_of, vertex_parents=vertex_parents,

@@ -52,16 +52,22 @@ MUTANTS = [
      'order = np.argsort(new_gen, kind="quicksort")',
      [GENERATIONS]),
     ("halved Jacobi weights", "algsolver.py",
-     "inv_diag = 1.0 / diagonal[dof[smooth]]",
-     "inv_diag = 0.5 / diagonal[dof[smooth]]",
+     "inv_diag = 1.0 / operator.diagonal()[dof]",
+     "inv_diag = 0.5 / operator.diagonal()[dof]",
      ["tests/test_algsolver.py::test_vertex_space_apply_equals_csr_oracle"]),
     ("a generation that gains vertices keeps its stale smooth set", "algsolver.py",
-     "smooth=smooth, inv_diag=None)",
-     "smooth=grp.smooth, inv_diag=None)",
+     "smooth=smooth)",
+     "smooth=grp.smooth)",
      [GENERATIONS]),
     ("a generation that gains no vertices keeps its stale Jacobi weights", "algsolver.py",
-     "inv_diag=inv_diag[a:b])",
-     "inv_diag=inv_diag[a:b] if grp.inv_diag is None else grp.inv_diag)",
+     "successor.weights = tuple(inv_diag[a:b] for a, b in zip(cuts, cuts[1:]))",
+     "successor.weights = tuple(self.weights[g] if g < len(self.groups) and grp is "
+     "self.groups[g] else inv_diag[a:b] for g, (grp, a, b) in "
+     "enumerate(zip(groups, cuts, cuts[1:])))",
+     [GENERATIONS]),
+    ("Jacobi weights paired with the wrong generation", "algsolver.py",
+     "cuts = np.cumsum([0] + [len(s) for s in smooth]).tolist()",
+     "cuts = np.cumsum([0] + [len(s) for s in smooth[::-1]]).tolist()",
      [GENERATIONS]),
     # observed contraction columns
     ("pic_ratio over all steps", "driver.py",
@@ -78,8 +84,8 @@ MUTANTS = [
      "areas = np.take(mesh.areas, np.roll(parent_of, 1))",
      [CARRIED]),
     ("shifted parent_of in the hat gradients gather", "mesh.py",
-     "planes = np.take(mesh.hat_gradients.transpose(2, 0, 1), parent_of, axis=1)",
-     "planes = np.take(mesh.hat_gradients.transpose(2, 0, 1), np.roll(parent_of, 1), axis=1)",
+     "planes = np.take(mesh.gradient_planes, parent_of, axis=1)",
+     "planes = np.take(mesh.gradient_planes, np.roll(parent_of, 1), axis=1)",
      [CARRIED]),
     ("shifted parent_of in the samples gather", "fem.py",
      "out = tuple(np.take(a, mesh.parent_of, axis=0)",
@@ -129,8 +135,8 @@ MUTANTS = [
      [SAMPLED_ONCE]),
     # the gradient operator
     ("the x plane in both blocks of the gradient operator", "mesh.py",
-     "(self.hat_gradients.transpose(2, 0, 1).reshape(-1),",
-     "(np.tile(self.hat_gradients[:, :, 0].ravel(), 2),",
+     "(self.gradient_planes.reshape(-1),",
+     "(np.tile(self.gradient_planes[0].ravel(), 2),",
      [OPERATOR]),
 ]
 

@@ -219,7 +219,8 @@ def stacked_hat_gradients(mesh: Mesh) -> np.ndarray:
 # The library writes each as an explicit sum or a sparse matvec in the same
 # operand order, and the tests require the two forms to agree bit for bit.
 # The oracles take the hat gradients as a C-contiguous (nT, 3, 2) array:
-# on the strided view `Mesh.hat_gradients`, einsum sums in another order.
+# on a strided (nT, 3, 2) view of `Mesh.gradient_planes`, einsum sums in
+# another order.
 
 def einsum_element_gradients(mesh: Mesh, vertex_values: np.ndarray) -> np.ndarray:
     """Per-triangle gradient, (nT, 2)."""
@@ -264,12 +265,14 @@ def einsum_apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     return r[w.dofmap.free_vertices]
 
 
-def einsum_assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
+def einsum_assemble_rhs(dofmap: DofMap, samples: Samples, f) -> np.ndarray:
+    """The load vector of the source ``f`` (None: no volume term) and the
+    Neumann data of ``samples``."""
     mesh = dofmap.mesh
     rhs_v = np.zeros(mesh.n_vertices)
-    if samples.fq is not None:
-        contrib = np.einsum("tq,q,qi,t->ti", samples.fq, TRI_QUAD_W, TRI_QUAD_BARY,
-                            mesh.areas)
+    if f is not None:
+        fq = f(einsum_triangle_quad_points(mesh))
+        contrib = np.einsum("tq,q,qi,t->ti", fq, TRI_QUAD_W, TRI_QUAD_BARY, mesh.areas)
         rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                              minlength=mesh.n_vertices)
     if samples.neumann is not None:
@@ -281,14 +284,16 @@ def einsum_assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
     return rhs_v[dofmap.free_vertices]
 
 
-def einsum_estimator_moments(samples: Samples):
-    """Volume data integral per element, and the Neumann data moments
-    ``(g_sq_int, g_int)`` per edge (None without Neumann edges)."""
+def einsum_estimator_moments(samples: Samples, f):
+    """Integral of the source ``f`` squared per element (zero for None), and
+    the Neumann data moments ``(g_sq_int, g_int)`` per edge (None without
+    Neumann edges)."""
     mesh = samples.mesh
-    if samples.fq is None:
+    if f is None:
         f_sq_int = np.zeros(mesh.n_triangles)
     else:
-        f_sq_int = np.einsum("tq,q,t->t", samples.fq ** 2, TRI_QUAD_W, mesh.areas)
+        fq = f(einsum_triangle_quad_points(mesh))
+        f_sq_int = np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, mesh.areas)
     if samples.neumann is None:
         return f_sq_int, None
     _, lengths, _, _, gq = samples.neumann
@@ -296,7 +301,7 @@ def einsum_estimator_moments(samples: Samples):
                       lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq))
 
 
-def einsum_eval_squared(samples: Samples, nl: Nonlinearity,
+def einsum_eval_squared(samples: Samples, f, nl: Nonlinearity,
                         vertex_values: np.ndarray) -> np.ndarray:
     """Squared residual indicators, set-up and evaluation in one pass."""
     mesh = samples.mesh
@@ -308,7 +313,7 @@ def einsum_eval_squared(samples: Samples, nl: Nonlinearity,
     tang = mesh.vertices[nodes[:, 1]] - mesh.vertices[nodes[:, 0]]
     ie_length = np.linalg.norm(tang, axis=1)
     ie_normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / ie_length[:, None]
-    f_sq_int, moments = einsum_estimator_moments(samples)
+    f_sq_int, moments = einsum_estimator_moments(samples, f)
 
     grads = einsum_element_gradients(mesh, vertex_values)
     t = (grads ** 2).sum(axis=1)
@@ -584,11 +589,11 @@ def vertex_generations(meshes):
 
 def regrouped_generations(gen: np.ndarray, parents: np.ndarray, fine_dofmap: DofMap,
                           diagonal: np.ndarray) -> tuple:
-    """`MultilevelPreconditioner.groups` in its former form, regrouped from
-    scratch: all vertices sorted by generation with one stable sort, and the
-    smoothing sets marked on an n_gen x n boolean mask.  One `Generation`
-    per generation from 1 up, with Jacobi weights from the free-vertex
-    ``diagonal``."""
+    """`MultilevelPreconditioner.groups` and ``weights`` in their former
+    form, regrouped from scratch: all vertices sorted by generation with one
+    stable sort, and the smoothing sets marked on an n_gen x n boolean mask.
+    One `Generation` per generation from 1 up, and the Jacobi weights on its
+    smoothing set from the free-vertex ``diagonal``."""
     n, n_gen = gen.size, int(gen.max(initial=0))
     order = np.argsort(gen, kind="stable")   # a radix sort: vertices by generation
     counts = np.bincount(gen, minlength=n_gen + 1)
@@ -608,9 +613,9 @@ def regrouped_generations(gen: np.ndarray, parents: np.ndarray, fine_dofmap: Dof
     keys, smooth = keys[free], smooth[free]
     inv_diag = 1.0 / diagonal[dofs[free]]
     cuts = np.searchsorted(keys, n * np.arange(n_gen + 1)).tolist()
-    return tuple(Generation(children=kids[a:b], parents=kid_parents[a:b],
-                            smooth=smooth[c:d], inv_diag=inv_diag[c:d])
-                 for a, b, c, d in zip([0] + ends, ends, cuts, cuts[1:]))
+    groups = tuple(Generation(children=kids[a:b], parents=kid_parents[a:b], smooth=smooth[c:d])
+                   for a, b, c, d in zip([0] + ends, ends, cuts, cuts[1:]))
+    return groups, tuple(inv_diag[c:d] for c, d in zip(cuts, cuts[1:]))
 
 
 def csr_generation_apply(dofmaps):

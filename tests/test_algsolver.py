@@ -251,7 +251,7 @@ def test_generation_groups_hold_no_parent_of_their_own(domain, seed, fracs):
     generation is exact: no vertex of a group is a parent of another."""
     dofmaps, pre = random_hierarchy(domain, seed, fracs, max_dofs=2000)
     gen, parents = vertex_generations([dm.mesh for dm in dofmaps])
-    assert np.array_equal(pre.gen, gen) and np.array_equal(pre.parents, parents)
+    assert np.array_equal(pre.gen, gen)
     new = gen > 0
     assert (gen[new, None] > gen[parents[new]]).all()
     assert len(pre.groups) == gen.max()
@@ -261,17 +261,18 @@ def test_generation_groups_hold_no_parent_of_their_own(domain, seed, fracs):
         assert not np.isin(grp.parents, grp.children).any()
 
 
-GENERATION_FIELDS = ("children", "parents", "smooth", "inv_diag")
+GENERATION_FIELDS = ("children", "parents", "smooth")
+EXTENSIONS = dict(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+                  seed=st.integers(0, 2 ** 32 - 1),
+                  kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
 
 
 @settings(max_examples=40, deadline=None)
-@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
-       seed=st.integers(0, 2 ** 32 - 1),
-       kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
+@given(**EXTENSIONS)
 def test_extended_generations_match_regrouping(domain, seed, kinds):
-    """The generations `extended` grows level by level equal, array for
-    array and dtype for dtype, those regrouped from scratch, and `apply`
-    equals the CSR oracle bit for bit."""
+    """The generations and Jacobi weights `extended` grows level by level
+    equal, array for array and dtype for dtype, those regrouped from
+    scratch, and `apply` equals the CSR oracle bit for bit."""
     rng = np.random.default_rng(seed)
     mesh = create_initial(domain)
     dofmaps = [DofMap.from_mesh(mesh)]
@@ -281,16 +282,38 @@ def test_extended_generations_match_regrouping(domain, seed, kinds):
         dofmaps.append(DofMap.from_mesh(mesh))
         operator = assemble_laplacian(dofmaps[-1])
         pre = pre.extended(dofmaps[-1], operator)
-        want = regrouped_generations(pre.gen, pre.parents, dofmaps[-1], operator.diagonal())
-        assert len(pre.groups) == len(want)
-        for got, expected in zip(pre.groups, want):
+        gen, parents = vertex_generations([dm.mesh for dm in dofmaps])
+        assert np.array_equal(pre.gen, gen)
+        groups, weights = regrouped_generations(gen, parents, dofmaps[-1], operator.diagonal())
+        assert len(pre.groups) == len(pre.weights) == len(groups) == len(weights)
+        for got, expected in zip(pre.groups, groups):
             for name in GENERATION_FIELDS:
                 a, b = getattr(got, name), getattr(expected, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for a, b in zip(pre.weights, weights):
+            assert a.dtype == b.dtype and np.array_equal(a, b), "weights"
     if dofmaps[-1].n_dofs <= 400:
         oracle = csr_generation_apply(dofmaps)
         z = rng.standard_normal(dofmaps[-1].n_dofs)
         assert np.array_equal(pre.apply(z), oracle(z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**EXTENSIONS)
+def test_extended_keeps_the_generations_that_gain_no_vertices(domain, seed, kinds):
+    """Across `extended`, a generation that gains no vertices is the same
+    `Generation` object, and one that gains vertices is a new one."""
+    rng = np.random.default_rng(seed)
+    mesh = create_initial(domain)
+    pre = build_preconditioner([mesh], [DofMap.from_mesh(mesh)])
+    for kind in kinds:
+        mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
+        dofmap = DofMap.from_mesh(mesh)
+        successor = pre.extended(dofmap, assemble_laplacian(dofmap))
+        gained = np.bincount(successor.gen[pre.gen.size:], minlength=len(successor.groups) + 1)
+        for g, (old, new) in enumerate(zip(pre.groups, successor.groups), start=1):
+            assert (new is old) == (gained[g] == 0), g
+        pre = successor
 
 
 def dense_condition_number(b, a):

@@ -73,14 +73,14 @@ def test_eval_squared_matches_einsum_oracle(domain, seed):
     problem, _, samples, values = kernel_case(domain, seed)
     nl = problem.nonlinearity
     assert np.array_equal(EstimatorData(samples).eval_squared(nl, values),
-                          einsum_eval_squared(samples, nl, values))
+                          einsum_eval_squared(samples, problem.source, nl, values))
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
 def test_estimator_moments_match_einsum_oracle(domain, seed):
-    samples = kernel_case(domain, seed)[2]
+    problem, _, samples, _ = kernel_case(domain, seed)
     data = EstimatorData(samples)
-    f_sq_int, moments = einsum_estimator_moments(samples)
+    f_sq_int, moments = einsum_estimator_moments(samples, problem.source)
     assert np.array_equal(data.volume_sq, samples.mesh.areas * f_sq_int)
     assert (data.neumann is None) == (moments is None) == (domain == "l_shape")
     if moments is not None:

@@ -44,8 +44,8 @@ def test_element_stiffness_reference_triangle():
 
 def test_hat_gradients_partition_of_unity():
     mesh = random_mesh("z_shape", np.random.default_rng(0), rounds=3)
-    g = mesh.hat_gradients
-    assert np.allclose(g.sum(axis=1), 0.0, atol=1e-13)
+    g = mesh.gradient_planes
+    assert np.allclose(g.sum(axis=2), 0.0, atol=1e-13)
     # gradient of the linear function x + 2y is (1, 2) on every element
     gx, gy = element_gradients(mesh, mesh.vertices @ np.array([1.0, 2.0]))
     assert np.allclose(gx, 1.0) and np.allclose(gy, 2.0)
@@ -82,16 +82,17 @@ def test_gradient_operator_holds_the_hat_gradients(domain, seed, levels):
         mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
     n = mesh.n_triangles
     # once computed, the planes are carried to every later mesh
-    assert ("hat_gradients" in vars(mesh)) == any(touch for _, touch in levels)
+    assert ("gradient_planes" in vars(mesh)) == any(touch for _, touch in levels)
     fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
-    assert np.array_equal(mesh.hat_gradients, fresh.hat_gradients)
-    assert np.array_equal(mesh.hat_gradients, stacked_hat_gradients(mesh))
-    assert not mesh.hat_gradients.flags.writeable
+    planes = mesh.gradient_planes
+    assert planes.shape == (2, n, 3)
+    assert np.array_equal(planes, fresh.gradient_planes)
+    assert np.array_equal(planes, stacked_hat_gradients(mesh).transpose(2, 0, 1))
+    assert not planes.flags.writeable
     op = mesh.gradient_operator
     assert op.shape == (2 * n, mesh.n_vertices)
-    assert np.shares_memory(op.data, mesh.hat_gradients)
-    assert np.array_equal(op.data, np.concatenate([mesh.hat_gradients[:, :, d].ravel()
-                                                   for d in (0, 1)]))
+    assert np.shares_memory(op.data, planes)
+    assert np.array_equal(op.data, np.concatenate([planes[d].ravel() for d in (0, 1)]))
     assert np.array_equal(op.indices, np.tile(mesh.triangles.ravel(), 2))
     assert np.array_equal(op.indptr, np.arange(0, 6 * n + 1, 3))
     values = rng.standard_normal(mesh.n_vertices)
@@ -128,9 +129,9 @@ def test_apply_nonlinear_matches_einsum_oracle(domain, seed):
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
 def test_assemble_rhs_matches_einsum_oracle(domain, seed):
-    _, dofmap, samples, _ = kernel_case(domain, seed)
+    problem, dofmap, samples, _ = kernel_case(domain, seed)
     assert np.array_equal(assemble_rhs(dofmap, samples),
-                          einsum_assemble_rhs(dofmap, samples))
+                          einsum_assemble_rhs(dofmap, samples, problem.source))
 
 
 def test_triangle_quadrature_degree_five():
@@ -292,7 +293,7 @@ def smooth_flux(points, normals):
     return np.sin(2.0 * x - y) * normals[..., 0] + np.exp(x * y) * normals[..., 1]
 
 
-SAMPLED = ("fq", "f_phi", "f_sq")
+SAMPLED = ("f_phi", "f_sq")
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,15 +311,15 @@ def test_carried_arrays_match_fresh_computation(domain, seed, levels):
     samples = sample(mesh, smooth_source, smooth_flux)
     for kind, touch in levels:
         if touch:
-            mesh.hat_gradients
-        had = "hat_gradients" in vars(mesh)
+            mesh.gradient_planes
+        had = "gradient_planes" in vars(mesh)
         mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
         samples = sample(mesh, smooth_source, smooth_flux, previous=samples)
         fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
         assert np.array_equal(mesh.areas, fresh.areas)
-        assert ("hat_gradients" in vars(mesh)) == had
+        assert ("gradient_planes" in vars(mesh)) == had
         if had:
-            assert np.array_equal(mesh.hat_gradients, fresh.hat_gradients)
+            assert np.array_equal(mesh.gradient_planes, fresh.gradient_planes)
         want = sample(fresh, smooth_source, smooth_flux)
         for name in SAMPLED:
             assert np.array_equal(getattr(samples, name), getattr(want, name)), name

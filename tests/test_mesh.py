@@ -405,6 +405,20 @@ def test_text_round_trip(tmp_path):
     assert buf.getvalue() == buf2.getvalue()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_coordinates_are_rejected(bad):
+    """A vertex at nan or +-inf gives no mesh, neither through the
+    constructor nor through `read_text`."""
+    vertices = [(0.0, 0.0), (1.0, 0.0), (float(bad), 1.0)]
+    with pytest.raises(ValueError, match="finite"):
+        Mesh(vertices, [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)], [DIRICHLET] * 3)
+    text = ("vertices 3\n0 0\n1 0\n" + bad + " 1\n"
+            "triangles 1\n0 1 2\n"
+            "boundary 3\n0 1 D\n1 2 D\n2 0 D\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_text(io.StringIO(text))
+
+
 def test_read_text_rejects_malformed(tmp_path):
     with pytest.raises(ValueError):
         read_text(io.StringIO("triangles 1\n0 1 2\n"))
