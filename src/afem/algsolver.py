@@ -80,7 +80,9 @@ class MultilevelPreconditioner:
     ``gen`` holds the generation of each vertex of the finest mesh (0 on
     the coarsest mesh).  ``groups`` holds one `Generation` per generation
     from 1 up, and ``weights``, parallel to it, the Jacobi weights (inverse
-    finest stiffness diagonal) on each generation's smoothing set.
+    finest stiffness diagonal) on each generation's smoothing set.  Of the
+    finest level it keeps its free vertices, not its `DofMap`, `Mesh` or
+    operator, so a solved level is freed before the next is built.
     """
 
     def __init__(self, coarse_dofmap: DofMap, coarse_operator):
@@ -91,16 +93,15 @@ class MultilevelPreconditioner:
         n = coarse_dofmap.mesh.n_vertices
         self.gen = np.zeros(n, dtype=np.int16)
         self.groups = self.weights = ()
-        self._finest_dofmap = coarse_dofmap
+        self._free = coarse_dofmap.free_vertices
 
     @property
     def n_levels(self) -> int:
         return len(self.groups) + 1
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        free = self._finest_dofmap.free_vertices
         r = np.zeros(self.gen.size)
-        r[free] = z
+        r[self._free] = z
         saved = []
         for grp in reversed(self.groups):
             saved.append(r[grp.smooth])
@@ -113,7 +114,7 @@ class MultilevelPreconditioner:
             p = grp.parents
             y[grp.children] = 0.5 * y[p[:, 0]] + 0.5 * y[p[:, 1]]
             y[grp.smooth] += w * s
-        return y[free]
+        return y[self._free]
 
     def extended(self, fine_dofmap: DofMap, operator) -> "MultilevelPreconditioner":
         """Preconditioner for one more refinement level, of stiffness ``operator``."""
@@ -134,7 +135,7 @@ class MultilevelPreconditioner:
         inv_diag = 1.0 / operator.diagonal()[dof]
         cuts = np.cumsum([0] + [len(s) for s in smooth]).tolist()
         successor.weights = tuple(inv_diag[a:b] for a, b in zip(cuts, cuts[1:]))
-        successor._finest_dofmap = fine_dofmap
+        successor._free = fine_dofmap.free_vertices
         return successor
 
 

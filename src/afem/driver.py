@@ -8,6 +8,11 @@ and the marking of elements for refinement.  The contraction factor of
 the linearization and of the preconditioned solver are mesh independent,
 so total work stays proportional to the cumulative number of elements.
 
+A level samples the data, assembles, builds or extends the preconditioner,
+is solved and is marked.  The handover (refine, DofMap, prolongation) holds
+only the mesh, its dofmap, the solution, the samples, the preconditioner and
+the marked set, so peak memory holds one level, not two.
+
 Each executed solver step produces one StepRecord; a RunLog serializes to
 CSV for the benchmark harness.
 """
@@ -239,102 +244,97 @@ def quasi_error(record: StepRecord) -> float:
 
 def run_adaptive(config: AdaptiveConfig) -> RunLog:
     problem = get_problem(config.domain)
-    nl = problem.nonlinearity
-    damping = derived_constants(nl).damping
-    track = config.track_error or config.diagnostics
-
     mesh = create_initial(problem.domain)
     dofmap = DofMap.from_mesh(mesh)
-    operator = assemble_laplacian(dofmap)
     u = FeFunction.zero(dofmap)
-    pre = alg.MultilevelPreconditioner(dofmap, operator)
-
     log = RunLog(config=config)
-    step = 0
-    cumcost = 0
-    samples = None
+    samples = pre = None
     for level in range(config.max_levels):
         # f is evaluated only on the triangles new since the previous samples
         samples = sample(mesh, problem.source, problem.neumann, samples)
-        load = assemble_rhs(dofmap, samples)
-        est = EstimatorData(samples)
-        errdata = ErrorData(mesh, problem.exact) \
-            if track and problem.exact is not None else None
-        lu = alg.factorized(operator) if config.diagnostics else None
-
-        x = u.coeffs
-        vertex_values = np.zeros(mesh.n_vertices)
-        squared = None
-        k = 0
-        while True:
-            k += 1
-            if k > config.max_picard_per_level:
-                raise RuntimeError(f"linearization did not stop within "
-                                   f"{config.max_picard_per_level} iterations")
-            rhs = picard_rhs(nl, operator, load, FeFunction(dofmap, x), damping)
-            xstar = lu(rhs) if lu is not None else None
-            state = alg.init_solver_state(operator, rhs, x)
-            while True:
-                if state.iterations >= config.max_pcg_per_linearization:
-                    raise RuntimeError(f"solver did not stop within "
-                                       f"{config.max_pcg_per_linearization} steps")
-                state = alg.pcg_step(state, pre)
-                vertex_values[dofmap.free_vertices] = state.iterate
-                squared = est.eval_squared(nl, vertex_values)
-                eta = float(np.sqrt(squared.sum()))
-                alg_inc = state.increment
-                pic_inc = state.drift_norm()
-                stop_alg = algebraic_stop(alg_inc, pic_inc, eta, config.lambda_alg)
-                stop_pic = stop_alg and picard_stop(pic_inc, eta, config.lambda_pic)
-                step += 1
-                cumcost += mesh.n_triangles
-                rec = StepRecord(l=level, k=k, j=state.iterations, step=step,
-                                 nT=mesh.n_triangles, eta=eta, alg_inc=alg_inc,
-                                 pic_inc=pic_inc, cumcost=cumcost,
-                                 alg_stop=int(stop_alg), pic_stop=int(stop_pic))
-                if errdata is not None:
-                    rec.err = errdata.error(vertex_values)
-                if config.diagnostics:
-                    d = xstar - state.iterate
-                    rec.alg_err = float(np.sqrt(max(d @ (operator @ d), 0.0)))
-                    rec.delta = quasi_error(rec)
-                log.records.append(rec)
-                if not np.isfinite(eta):
-                    log.exit_reason = "non_finite"
-                    return log
-                if state.breakdown:
-                    log.exit_reason = "breakdown"
-                    return log
-                if stop_alg:
-                    break
-            x = state.iterate
-            if stop_pic:
-                break
-        u = FeFunction(dofmap, x)
-        # drop what holds the mesh but the samples, which the next level's
-        # `sample` reads and replaces; `refine` carries what the next mesh
-        # needs (edge table, boundary edge ids, areas, gradient planes) into
-        # it without keeping a reference, so this mesh is freed then
-        del est, errdata
-
-        eta_final = log.records[-1].eta
-        if eta_final <= config.eta_tol:
-            log.exit_reason = "eta_zero" if eta_final == 0.0 else "eta_tol"
-            break
-        if mesh.n_triangles >= config.max_elements:
-            log.exit_reason = "budget"
-            break
-        if config.uniform:
-            marked = np.arange(mesh.n_triangles)
-        else:
-            marked = doerfler_mark(IndicatorField(mesh, squared), config.theta)
+        pre, u, marked = _solve_level(config, problem, level, samples, u, pre, log)
+        if marked is None:
+            return log
+        # the handover: the rest of the solved level died with `_solve_level`
         log.n_marked.append(len(marked))
-        new_mesh = refine(mesh, marked)
-        new_dofmap = DofMap.from_mesh(new_mesh)
-        operator = assemble_laplacian(new_dofmap)
-        pre = pre.extended(new_dofmap, operator)
-        u = prolongate(u, new_dofmap)
-        mesh, dofmap = new_mesh, new_dofmap
-    else:
-        log.exit_reason = "max_levels"
+        mesh = refine(mesh, marked)
+        dofmap = DofMap.from_mesh(mesh)
+        u = prolongate(u, dofmap)
+    log.exit_reason = "max_levels"
     return log
+
+
+def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunction,
+                 pre, log: RunLog) -> tuple:
+    """Assemble level ``level``, build (``pre`` None) or extend ``pre`` to
+    it, iterate the damped linearization from ``u`` one PCG step and one
+    StepRecord at a time, and mark.  Returns the preconditioner, the solution
+    and the marked set, which is None when the run ends here (see
+    ``log.exit_reason``).  All else of the level dies with this frame."""
+    nl = problem.nonlinearity
+    damping = derived_constants(nl).damping
+    dofmap, mesh = u.dofmap, samples.mesh
+    operator = assemble_laplacian(dofmap)
+    pre = alg.MultilevelPreconditioner(dofmap, operator) if pre is None \
+        else pre.extended(dofmap, operator)
+    load = assemble_rhs(dofmap, samples)
+    est = EstimatorData(samples)
+    errdata = ErrorData(mesh, problem.exact) \
+        if (config.track_error or config.diagnostics) and problem.exact is not None else None
+    lu = alg.factorized(operator) if config.diagnostics else None
+    step, cumcost = len(log.records), log.records[-1].cumcost if log.records else 0
+
+    x = u.coeffs
+    vertex_values = np.zeros(mesh.n_vertices)
+    k = 0
+    while True:
+        k += 1
+        if k > config.max_picard_per_level:
+            raise RuntimeError(f"linearization did not stop within "
+                               f"{config.max_picard_per_level} iterations")
+        rhs = picard_rhs(nl, operator, load, FeFunction(dofmap, x), damping)
+        xstar = lu(rhs) if lu is not None else None
+        state = alg.init_solver_state(operator, rhs, x)
+        while True:
+            if state.iterations >= config.max_pcg_per_linearization:
+                raise RuntimeError(f"solver did not stop within "
+                                   f"{config.max_pcg_per_linearization} steps")
+            state = alg.pcg_step(state, pre)
+            vertex_values[dofmap.free_vertices] = state.iterate
+            squared = est.eval_squared(nl, vertex_values)
+            eta = float(np.sqrt(squared.sum()))
+            alg_inc = state.increment
+            pic_inc = state.drift_norm()
+            stop_alg = algebraic_stop(alg_inc, pic_inc, eta, config.lambda_alg)
+            stop_pic = stop_alg and picard_stop(pic_inc, eta, config.lambda_pic)
+            step += 1
+            cumcost += mesh.n_triangles
+            rec = StepRecord(l=level, k=k, j=state.iterations, step=step,
+                             nT=mesh.n_triangles, eta=eta, alg_inc=alg_inc,
+                             pic_inc=pic_inc, cumcost=cumcost,
+                             alg_stop=int(stop_alg), pic_stop=int(stop_pic))
+            if errdata is not None:
+                rec.err = errdata.error(vertex_values)
+            if config.diagnostics:
+                d = xstar - state.iterate
+                rec.alg_err = float(np.sqrt(max(d @ (operator @ d), 0.0)))
+                rec.delta = quasi_error(rec)
+            log.records.append(rec)
+            if not np.isfinite(eta) or state.breakdown:
+                log.exit_reason = "breakdown" if np.isfinite(eta) else "non_finite"
+                return pre, u, None
+            if stop_alg:
+                break
+        x = state.iterate
+        if stop_pic:
+            break
+    u = FeFunction(dofmap, x)
+    if eta <= config.eta_tol:
+        log.exit_reason = "eta_zero" if eta == 0.0 else "eta_tol"
+        return pre, u, None
+    if mesh.n_triangles >= config.max_elements:
+        log.exit_reason = "budget"
+        return pre, u, None
+    if config.uniform:
+        return pre, u, np.arange(mesh.n_triangles)
+    return pre, u, doerfler_mark(IndicatorField(mesh, squared), config.theta)

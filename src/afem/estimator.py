@@ -35,8 +35,8 @@ class IndicatorField:
         sq = np.asarray(self.squared, dtype=float).reshape(-1)
         if sq.shape[0] != self.mesh.n_triangles:
             raise ValueError("need one squared indicator per triangle")
-        if sq.size and sq.min() < 0.0:
-            raise ValueError("squared indicators must be nonnegative")
+        if not (np.isfinite(sq).all() and (sq >= 0.0).all()):
+            raise ValueError("squared indicators must be finite and nonnegative")
         sq.setflags(write=False)
         object.__setattr__(self, "squared", sq)
 
@@ -129,20 +129,30 @@ def doerfler_mark(field: IndicatorField, theta: float) -> np.ndarray:
     """Smallest set M with theta^2 * eta^2 <= sum of eta(T)^2 over M.
 
     Greedy by decreasing squared indicator, ties broken by triangle index;
-    the returned indices are sorted ascending.  theta = 1 marks all
-    triangles with positive indicator.  The target is theta * theta * total
-    in floating point: theta = fl(sqrt(0.5)) squares to just above one half,
-    so four equal indicators need three marks.
+    the returned indices are sorted ascending.  Only the indices whose value
+    is at least the k-th largest are sorted, k growing fourfold until their
+    partial sums reach the target theta * theta * sq.sum() in floating point:
+    theta = fl(sqrt(0.5)) squares to just above one half, so four equal
+    indicators need three marks.  theta = 1 marks every positive indicator.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     sq = field.squared
-    order = np.argsort(-sq, kind="stable")
-    csum = np.cumsum(sq[order])
-    total_sq = csum[-1] if csum.size else 0.0
-    if total_sq <= 0.0:
+    total_sq = sq.sum()
+    if not total_sq > 0.0:
         raise ValueError("estimator is zero; nothing to mark")
     target = theta * theta * total_sq
-    count = int(np.searchsorted(csum, target)) + 1
-    count = min(count, len(order))
-    return np.sort(order[:count])
+    n, k = len(sq), 1 + len(sq) // 64
+    while True:
+        # every value at least the k-th largest, decreasing: a prefix of all
+        top = np.sort(sq[sq >= np.partition(sq, n - k)[n - k]])[::-1]
+        csum = np.cumsum(top)
+        if csum[-1] >= target or k == n:
+            break
+        k = min(4 * k, n)
+    # a pairwise total may pass the sorted one by an ulp (at theta = 1)
+    count = int(np.searchsorted(csum, min(target, csum[-1]))) + 1
+    # every value above the count-th largest, and the lowest indices of its ties
+    marked = sq > top[count - 1]
+    marked[np.flatnonzero(sq == top[count - 1])[:count - np.count_nonzero(marked)]] = True
+    return np.flatnonzero(marked)

@@ -35,6 +35,8 @@ EDGE_TABLE = "tests/test_mesh.py::test_carried_edge_table_matches_fresh_build"
 GENERATIONS = "tests/test_algsolver.py::test_extended_generations_match_regrouping"
 CONTRACTIONS = "tests/test_driver.py::test_level_table_contraction_columns"
 OPERATOR = "tests/test_fem.py::test_gradient_operator_holds_the_hat_gradients"
+HANDOVER = "tests/test_driver.py::test_solved_level_released_before_the_next"
+SELECTION = "tests/test_estimator.py::test_doerfler_selection_equals_full_sort"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -69,6 +71,29 @@ MUTANTS = [
      "cuts = np.cumsum([0] + [len(s) for s in smooth]).tolist()",
      "cuts = np.cumsum([0] + [len(s) for s in smooth[::-1]]).tolist()",
      [GENERATIONS]),
+    # the handover between levels
+    ("a preconditioner that keeps the finest DofMap", "algsolver.py",
+     "successor._free = fine_dofmap.free_vertices",
+     "successor._free, successor.dofmap = fine_dofmap.free_vertices, fine_dofmap",
+     [HANDOVER]),
+    ("a solver state that survives into refine", "driver.py",
+     "x = state.iterate",
+     "x, log.state = state.iterate, state",
+     [HANDOVER]),
+    # Doerfler marking by selection
+    ("ties at the k-th largest value dropped from the candidates", "estimator.py",
+     "top = np.sort(sq[sq >= np.partition(sq, n - k)[n - k]])[::-1]",
+     "top = np.sort(sq[sq > np.partition(sq, n - k)[n - k]])[::-1]",
+     [SELECTION]),
+    ("ties at the last marked value taken from the highest index", "estimator.py",
+     "marked[np.flatnonzero(sq == top[count - 1])[:count - np.count_nonzero(marked)]] = True",
+     "marked[np.flatnonzero(sq == top[count - 1])[::-1][:count - np.count_nonzero(marked)]] "
+     "= True",
+     [SELECTION]),
+    ("a target above the sorted total marks zero indicators", "estimator.py",
+     "count = int(np.searchsorted(csum, min(target, csum[-1]))) + 1",
+     "count = min(int(np.searchsorted(csum, target)) + 1, len(top))",
+     [SELECTION, "tests/test_estimator.py::test_doerfler_frozen_examples"]),
     # observed contraction columns
     ("pic_ratio over all steps", "driver.py",
      "if rec.alg_stop:",

@@ -514,12 +514,14 @@ def late_step_growth(steps):
 
 
 def doerfler_reference(squared: np.ndarray, theta: float) -> np.ndarray:
-    """Greedy reference marking used to cross-check the library."""
+    """Greedy reference marking used to cross-check the library: a full
+    stable sort, and the target theta^2 times the pairwise ``sum()``, capped
+    at the sorted total so that theta = 1 marks the positive indicators."""
     order = np.argsort(-squared, kind="stable")
     csum = np.cumsum(squared[order])
-    need = theta * theta * csum[-1]
+    need = min(theta * theta * squared.sum(), csum[-1])
     k = int(np.searchsorted(csum, need)) + 1
-    return np.sort(order[:min(k, len(order))])
+    return np.sort(order[:k])
 
 
 def _csr_prolongation(coarse_dofmap: DofMap, fine_dofmap: DofMap) -> sp.csr_matrix:

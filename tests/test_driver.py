@@ -1,8 +1,10 @@
 """Tests for the nested adaptive loop, its stopping rules, and the run log."""
 
 import dataclasses
+import gc
 import io
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -324,6 +326,35 @@ def test_data_sampled_once_per_level(monkeypatch):
     assert calls == {"f": levels, "g": levels - split.count(0)}
     assert points["g"] == [(n, 3) for n in split if n]
     assert sum(split) < sum(map(len, neumann)) / 2
+
+
+def test_solved_level_released_before_the_next(monkeypatch):
+    # only the mesh, its dofmap, u, the samples, the preconditioner and the
+    # marked set cross the handover: no stiffness matrix of the solved level
+    # lives while `refine` runs, and no mesh of it once the next level's
+    # samples have replaced its own and the next level is assembled
+    meshes, operators, handovers = [], [], []
+    plain_assemble, plain_refine = driver.assemble_laplacian, driver.refine
+
+    def assemble_laplacian(dofmap):
+        gc.collect()
+        assert not meshes or meshes[-1]() is None, f"mesh of level {len(meshes) - 1} alive"
+        meshes.append(weakref.ref(dofmap.mesh))
+        operator = plain_assemble(dofmap)
+        operators.append(weakref.ref(operator))
+        return operator
+
+    def refine(mesh, marked):
+        gc.collect()
+        assert operators[-1]() is None, f"operator of level {len(operators) - 1} alive"
+        handovers.append(len(marked))
+        return plain_refine(mesh, marked)
+
+    monkeypatch.setattr(driver, "assemble_laplacian", assemble_laplacian)
+    monkeypatch.setattr(driver, "refine", refine)
+    log = run_adaptive(AdaptiveConfig(domain="zshape", max_elements=300, diagnostics=True))
+    assert log.exit_reason == "budget"
+    assert handovers == log.n_marked and len(meshes) == len(handovers) + 1 > 4
 
 
 def test_non_finite_estimator_ends_the_run(monkeypatch):

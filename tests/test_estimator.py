@@ -112,6 +112,15 @@ def test_indicator_field_validation():
         IndicatorField(mesh, [1.0, -0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_indicator_field_rejects_non_finite(bad):
+    # NaN compares false with everything: a minimum test alone would pass it,
+    # and Doerfler marking would then mark every triangle
+    fan = create_initial("l_shape")
+    with pytest.raises(ValueError, match="finite"):
+        IndicatorField(fan, [bad, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+
 def test_doerfler_target_is_theta_squared_in_floating_point():
     """theta = fl(sqrt(1/2)) squares to just above 1/2 exactly and in floating
     point, so half of four equal indicators falls short: three are marked."""
@@ -140,6 +149,11 @@ def test_doerfler_frozen_examples():
     # ties resolved by lowest index, stably
     tied = IndicatorField(fan, [1.0, 4.0, 4.0, 0.0, 0.0, 0.0])
     assert doerfler_mark(tied, 0.6).tolist() == [1]
+    # theta = 1 when the pairwise total passes the sorted one by an ulp
+    squared = np.random.default_rng(0).choice([0.0, 0.1, 0.3, 0.7], size=24)
+    assert squared.sum() > np.cumsum(np.sort(squared)[::-1])[-1]
+    field = IndicatorField(uniform_refine(uniform_refine(fan)), squared)
+    assert doerfler_mark(field, 1.0).tolist() == np.flatnonzero(squared).tolist()
     with pytest.raises(ValueError):
         doerfler_mark(IndicatorField(fan, np.zeros(6)), 0.5)
     with pytest.raises(ValueError):
@@ -186,6 +200,29 @@ def test_doerfler_mark_is_minimal_on_random_indicators(name, theta, data):
     marked = doerfler_mark(IndicatorField(mesh, squared), theta)
     assert np.array_equal(marked, doerfler_reference(squared, theta))
     assert len(marked) == brute_force_doerfler_size(squared, theta)
+
+
+L_SHAPES = [create_initial("l_shape")]   # 6 to 768 triangles
+for _ in range(7):
+    L_SHAPES.append(uniform_refine(L_SHAPES[-1]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(size=st.integers(0, 7), theta=st.sampled_from([0.1, 0.5, 1.0]),
+       values=st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.1, 0.3, 0.7, 1.0]),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_doerfler_selection_equals_full_sort(size, theta, values, seed):
+    """Few distinct values, zeros among them, give ties at the k-th largest
+    value; the non-dyadic ones make the pairwise total and the sorted
+    partial sums differ in their last bits."""
+    mesh = L_SHAPES[size]
+    squared = np.random.default_rng(seed).choice(values, size=mesh.n_triangles)
+    assume(squared.any())
+    marked = doerfler_mark(IndicatorField(mesh, squared), theta)
+    assert np.array_equal(marked, doerfler_reference(squared, theta))
+    if theta == 1.0:
+        assert np.array_equal(marked, np.flatnonzero(squared))
 
 
 def test_doerfler_dropping_smallest_breaks_criterion():
