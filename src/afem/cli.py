@@ -2,7 +2,8 @@
 
 Three subcommands cover the benchmark workflow:
 
-  afem run    one adaptive (or uniform) solve, CSV logs to --out
+  afem run    one adaptive solve, CSV logs to --out; one flag per
+              AdaptiveConfig field, defaulting to the field's default
   afem sweep  a batch of runs from a sweep specification file
   afem rates  rate report over a benchmark output directory
 
@@ -21,9 +22,6 @@ from .driver import AdaptiveConfig, field_types
 from .experiments import (collect_rates, parse_sweep_spec, rates_report,
                           run_benchmark)
 
-# a one-off run stops at 1e5 elements rather than the library's 1e6
-_RUN_DEFAULTS = {"max_elements": 10 ** 5}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -40,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
             run.add_argument(flag, action="store_true")
         else:
             run.add_argument(flag, type=types[f.name], help="default %(default)s",
-                             default=_RUN_DEFAULTS.get(f.name, f.default))
+                             default=f.default)
     run.add_argument("--out", required=True, help="output directory")
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
@@ -78,7 +76,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "rates":
         try:
             rows = collect_rates(args.in_dir)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(exc, file=sys.stderr)
             return 1
         ok = rates_report(rows)

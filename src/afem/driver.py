@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, get_type_hints
@@ -35,45 +36,45 @@ from .mesh import create_initial, refine
 from .nonlinearity import derived_constants
 from .problems import ErrorData, get_problem
 
+# safety valves: a level or a linearization this long means a stopping test
+# that cannot be met, and raises RuntimeError
+MAX_PICARD_PER_LEVEL = MAX_PCG_PER_LINEARIZATION = 10 ** 4
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Knobs of the adaptive run.
 
-    theta is the bulk marking parameter; lambda_alg and lambda_pic scale
-    the algebraic and linearization stopping tests against the estimator.
-    The run stops after solving on the first mesh with at least
-    max_elements elements (or once the estimator drops to eta_tol).
-    uniform=True replaces marking by full refinement.  track_error adds a
-    per-step energy error column when the exact solution is known;
-    diagnostics additionally solves each linear system exactly to log the
-    algebraic error and the combined quasi-error.  Out-of-range values
-    raise ValueError at construction.
+    theta is the bulk marking parameter; theta = 1 marks every element, so
+    it is full refinement.  lambda_alg and lambda_pic scale the algebraic
+    and linearization stopping tests against the estimator.  The run stops
+    after solving on the first mesh with at least max_elements elements (or
+    once the estimator drops to eta_tol); every other level refines at least
+    one element, so max_elements also bounds the number of levels.
+    track_error adds a per-step energy error column when the exact solution
+    is known; diagnostics additionally solves each linear system exactly to
+    log the algebraic error and the combined quasi-error.  domain is stored
+    by its canonical problem name (``z_shape`` reads as ``zshape``).
+    Out-of-range values raise ValueError at construction.
     """
 
     domain: str = "zshape"
     theta: float = 0.5
     lambda_alg: float = 1e-2
     lambda_pic: float = 1e-2
-    max_elements: int = 10 ** 6
+    max_elements: int = 10 ** 5
     eta_tol: float = 0.0
-    uniform: bool = False
     track_error: bool = False
     diagnostics: bool = False
-    # safety valve only; theta = 0.1 legitimately needs ~700 levels per 1e5 elements
-    max_levels: int = 10 ** 4
-    max_picard_per_level: int = 10 ** 4
-    max_pcg_per_linearization: int = 10 ** 4
 
     def __post_init__(self):
-        get_problem(self.domain)  # raises ValueError for an unknown domain
+        # raises ValueError for an unknown domain
+        object.__setattr__(self, "domain", get_problem(self.domain).name)
         checks = [(0.0 < self.theta <= 1.0, "theta must lie in (0, 1]"),
                   (self.lambda_alg > 0.0, "lambda_alg must be positive"),
                   (self.lambda_pic > 0.0, "lambda_pic must be positive"),
-                  (self.eta_tol >= 0.0, "eta_tol must be nonnegative")]
-        checks += [(getattr(self, name) >= 1, f"{name} must be at least 1")
-                   for name in ("max_elements", "max_levels", "max_picard_per_level",
-                                "max_pcg_per_linearization")]
+                  (self.eta_tol >= 0.0, "eta_tol must be nonnegative"),
+                  (self.max_elements >= 1, "max_elements must be at least 1")]
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
@@ -249,7 +250,7 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
     u = FeFunction.zero(dofmap)
     log = RunLog(config=config)
     samples = pre = None
-    for level in range(config.max_levels):
+    for level in itertools.count():
         # f is evaluated only on the triangles new since the previous samples
         samples = sample(mesh, problem.source, problem.neumann, samples)
         pre, u, marked = _solve_level(config, problem, level, samples, u, pre, log)
@@ -260,8 +261,6 @@ def run_adaptive(config: AdaptiveConfig) -> RunLog:
         mesh = refine(mesh, marked)
         dofmap = DofMap.from_mesh(mesh)
         u = prolongate(u, dofmap)
-    log.exit_reason = "max_levels"
-    return log
 
 
 def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunction,
@@ -289,16 +288,16 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
     k = 0
     while True:
         k += 1
-        if k > config.max_picard_per_level:
+        if k > MAX_PICARD_PER_LEVEL:
             raise RuntimeError(f"linearization did not stop within "
-                               f"{config.max_picard_per_level} iterations")
+                               f"{MAX_PICARD_PER_LEVEL} iterations")
         rhs = picard_rhs(nl, operator, load, FeFunction(dofmap, x), damping)
         xstar = lu(rhs) if lu is not None else None
         state = alg.init_solver_state(operator, rhs, x)
         while True:
-            if state.iterations >= config.max_pcg_per_linearization:
+            if state.iterations >= MAX_PCG_PER_LINEARIZATION:
                 raise RuntimeError(f"solver did not stop within "
-                                   f"{config.max_pcg_per_linearization} steps")
+                                   f"{MAX_PCG_PER_LINEARIZATION} steps")
             state = alg.pcg_step(state, pre)
             vertex_values[dofmap.free_vertices] = state.iterate
             squared = est.eval_squared(nl, vertex_values)
@@ -335,6 +334,4 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
     if mesh.n_triangles >= config.max_elements:
         log.exit_reason = "budget"
         return pre, u, None
-    if config.uniform:
-        return pre, u, np.arange(mesh.n_triangles)
     return pre, u, doerfler_mark(IndicatorField(mesh, squared), config.theta)

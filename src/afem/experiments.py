@@ -11,8 +11,10 @@ against the cumulative solver cost.  Results land in three CSV layouts:
 
 Sweep specification files are plain text, one ``key=value`` line per
 configuration field, comma-separated values expanding as a cartesian
-product.  Blank-line-separated blocks expand independently, so unrelated
-parameter families can share one file; duplicate configurations run once.
+product; a key appears at most once per block.  Blocks are separated by
+lines that are empty after stripping whitespace and expand independently,
+so unrelated parameter families can share one file; duplicate
+configurations run once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ _LEVEL_TYPES = dict(l=int, nT=int, n_picard=int, n_steps=int, max_pcg=int,
                     n_marked=int, closure_ratio=float)
 LEVEL_COLUMNS = tuple(_LEVEL_TYPES)
 RUNS_COLUMNS = ("run_id", "domain", "theta", "lambda_alg", "lambda_pic",
-                "max_elements", "uniform", "n_levels", "n_steps", "nT",
+                "max_elements", "n_levels", "n_steps", "nT",
                 "eta", "cumcost", "rate_vs_n", "rate_vs_cost",
                 "max_alg_ratio", "max_pic_ratio", "exit_reason", "seconds")
 _RUN_OUTCOME_TYPES = dict(run_id=str, n_levels=int, n_steps=int, nT=int,
@@ -73,7 +75,7 @@ def fit_rate(xs: Sequence[float], ys: Sequence[float], window: float = 10.0,
 
 def expected_rate(config: AdaptiveConfig) -> float:
     """Reference estimator decay rate versus element count."""
-    if config.uniform or config.theta >= 1.0:
+    if config.theta >= 1.0:
         if config.domain == "zshape":
             return -2.0 / 7.0
         if config.domain == "lshape":
@@ -83,11 +85,8 @@ def expected_rate(config: AdaptiveConfig) -> float:
 
 
 def run_id_for(config: AdaptiveConfig) -> str:
-    parts = [config.domain, "t%g" % config.theta, "a%g" % config.lambda_alg,
-             "p%g" % config.lambda_pic]
-    if config.uniform:
-        parts.append("uniform")
-    return "_".join(parts)
+    return "_".join([config.domain, "t%g" % config.theta, "a%g" % config.lambda_alg,
+                     "p%g" % config.lambda_pic])
 
 
 @dataclass(frozen=True)
@@ -211,9 +210,11 @@ def _coerce(key: str, raw: str):
 def parse_sweep_spec(text: str) -> List[AdaptiveConfig]:
     """Expand a sweep specification into configurations, in file order."""
     configs: List[AdaptiveConfig] = []
-    for block in text.split("\n\n"):
+    # blocks are separated by lines that are empty after strip()
+    groups = itertools.groupby(text.splitlines(), key=lambda line: not line.strip())
+    for block in (lines for blank, lines in groups if not blank):
         grid = {}
-        for line in block.splitlines():
+        for line in block:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -223,6 +224,8 @@ def parse_sweep_spec(text: str) -> List[AdaptiveConfig]:
             key = key.strip().replace("-", "_")
             if key not in _CONFIG_TYPES:
                 raise ValueError("unknown configuration key %r" % key)
+            if key in grid:
+                raise ValueError("key %r repeats within one block" % key)
             grid[key] = [_coerce(key, part) for part in raw.split(",")]
         if not grid:
             continue

@@ -83,22 +83,13 @@ class EdgeTable:
 
 def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
     t = np.asarray(triangles, dtype=np.int64)
-    n_t = t.shape[0]
     # edge k of a triangle is opposite local vertex k
     pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0)
-    codes = _pair_codes(pairs, n_vertices)
-    # an edge's first occurrence gives its first triangle, any other its second
-    uniq, first, inverse, counts = np.unique(codes, return_index=True,
-                                             return_inverse=True, return_counts=True)
-    if len(counts) and counts.max() > 2:
-        raise ValueError("non-conforming mesh: an edge is shared by more than two triangles")
-    of_triangle = inverse.reshape(3, n_t).T.copy()
+    uniq, inverse = np.unique(_pair_codes(pairs, n_vertices), return_inverse=True)
+    of_triangle = inverse.reshape(3, len(t)).T.copy()
     nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices])
-    incident = np.full((len(uniq), 2), -1, dtype=np.int64)
-    incident[:, 0] = first % n_t
-    rest = np.delete(np.arange(len(codes)), first)
-    incident[inverse[rest], 1] = rest % n_t
-    return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident)
+    return EdgeTable(nodes=nodes, of_triangle=of_triangle,
+                     incident=_incident(of_triangle, len(uniq)))
 
 
 def _carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,

@@ -37,6 +37,7 @@ CONTRACTIONS = "tests/test_driver.py::test_level_table_contraction_columns"
 OPERATOR = "tests/test_fem.py::test_gradient_operator_holds_the_hat_gradients"
 HANDOVER = "tests/test_driver.py::test_solved_level_released_before_the_next"
 SELECTION = "tests/test_estimator.py::test_doerfler_selection_equals_full_sort"
+SORT_ORACLES = "tests/test_mesh.py::test_edge_table_and_dofmap_match_sort_oracles"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -133,7 +134,7 @@ MUTANTS = [
     ("swapped incident columns", "mesh.py",
      "return np.column_stack((first, last))",
      "return np.column_stack((last, first))",
-     [EDGE_TABLE]),
+     [EDGE_TABLE, SORT_ORACLES]),
     ("off-by-one merge insertion", "mesh.py",
      "at = np.searchsorted(kept_codes, added) + np.arange(len(added))",
      "at = np.searchsorted(kept_codes, added) + np.arange(1, len(added) + 1)",
@@ -163,6 +164,19 @@ MUTANTS = [
      "(self.gradient_planes.reshape(-1),",
      "(np.tile(self.gradient_planes[0].ravel(), 2),",
      [OPERATOR]),
+    # the run configuration and the sweep specification
+    ("a configuration that keeps the domain as spelled", "driver.py",
+     'object.__setattr__(self, "domain", get_problem(self.domain).name)',
+     "get_problem(self.domain)",
+     ["tests/test_experiments.py::test_domain_spellings_are_one_problem"]),
+    ("sweep blocks split on a bare double newline", "experiments.py",
+     "groups = itertools.groupby(text.splitlines(), key=lambda line: not line.strip())",
+     'groups = ((False, block.splitlines()) for block in text.split("\\n\\n"))',
+     ["tests/test_experiments.py::test_parse_sweep_spec_splits_on_any_blank_line"]),
+    ("a key that repeats within a block overwrites the first", "experiments.py",
+     "if key in grid:",
+     "if False:",
+     ["tests/test_experiments.py::test_parse_sweep_spec_rejects_repeated_key"]),
 ]
 
 

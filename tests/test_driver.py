@@ -234,7 +234,7 @@ def test_linear_problem_needs_at_most_two_linearizations():
 def test_uniform_refinement_doubles():
     # full marking bisects every element once; the initial edge assignment
     # is compatible, so closure adds nothing and counts double exactly
-    config = AdaptiveConfig(domain="lshape", uniform=True, max_elements=100)
+    config = AdaptiveConfig(domain="lshape", theta=1.0, max_elements=100)
     log = run_adaptive(config)
     assert [row["nT"] for row in log.level_table()] == [6, 12, 24, 48, 96, 192]
     assert log.exit_reason == "budget"
@@ -249,22 +249,25 @@ def test_estimator_tolerance_exit():
     audit_stop_semantics(log)
 
 
-def test_level_cap_exit():
-    config = AdaptiveConfig(domain="zshape", max_levels=3, max_elements=10 ** 9)
-    log = run_adaptive(config)
-    assert log.exit_reason == "max_levels"
-    assert log.final().l == 2
-    audit_stop_semantics(log)
+@pytest.mark.parametrize("domain", ["zshape", "lshape", "square_linear"])
+def test_full_marking_is_theta_one(domain, monkeypatch):
+    # theta = 1 is full refinement: marking every triangle outright leaves
+    # the step log byte-identical
+    config = AdaptiveConfig(domain=domain, theta=1.0, max_elements=5000)
+    plain = run_adaptive(config).to_csv()
+    monkeypatch.setattr(driver, "doerfler_mark",
+                        lambda field, theta: np.arange(field.mesh.n_triangles))
+    assert run_adaptive(config).to_csv() == plain
 
 
-def test_iteration_guards_raise():
+def test_iteration_guards_raise(monkeypatch):
     # thresholds this small never accept an increment within the guard
-    with pytest.raises(RuntimeError):
-        run_adaptive(AdaptiveConfig(domain="zshape", lambda_pic=1e-300,
-                                    max_picard_per_level=5))
-    with pytest.raises(RuntimeError):
-        run_adaptive(AdaptiveConfig(domain="zshape", lambda_alg=1e-300,
-                                    max_pcg_per_linearization=1))
+    monkeypatch.setattr(driver, "MAX_PICARD_PER_LEVEL", 5)
+    with pytest.raises(RuntimeError, match="within 5 iterations"):
+        run_adaptive(AdaptiveConfig(domain="zshape", lambda_pic=1e-300))
+    monkeypatch.setattr(driver, "MAX_PCG_PER_LINEARIZATION", 1)
+    with pytest.raises(RuntimeError, match="within 1 steps"):
+        run_adaptive(AdaptiveConfig(domain="zshape", lambda_alg=1e-300))
 
 
 def test_bad_configuration_raises():
@@ -276,11 +279,16 @@ def test_bad_configuration_raises():
     ("domain", "torus"), ("theta", 0.0), ("theta", -0.5), ("theta", 1.5),
     ("theta", float("nan")), ("lambda_alg", 0.0), ("lambda_alg", -1e-2),
     ("lambda_pic", 0.0), ("lambda_pic", float("nan")), ("eta_tol", -1e-3),
-    ("max_elements", 0), ("max_levels", 0), ("max_picard_per_level", 0),
-    ("max_pcg_per_linearization", -1)])
+    ("max_elements", 0)])
 def test_configuration_rejected_at_construction(name, value):
     with pytest.raises(ValueError):
         AdaptiveConfig(**{name: value})
+
+
+def test_configuration_fields():
+    assert [f.name for f in dataclasses.fields(AdaptiveConfig)] == [
+        "domain", "theta", "lambda_alg", "lambda_pic", "max_elements", "eta_tol",
+        "track_error", "diagnostics"]
 
 
 def test_data_sampled_once_per_level(monkeypatch):
@@ -369,7 +377,8 @@ def test_non_finite_estimator_ends_the_run(monkeypatch):
 
     monkeypatch.setattr(driver, "get_problem", lambda name: dataclasses.replace(
         plain_get_problem(name), source=source))
-    log = run_adaptive(AdaptiveConfig(domain="lshape", max_pcg_per_linearization=200))
+    monkeypatch.setattr(driver, "MAX_PCG_PER_LINEARIZATION", 200)
+    log = run_adaptive(AdaptiveConfig(domain="lshape"))
     assert log.exit_reason == "non_finite"
     assert len(log.records) <= 1
     assert np.isnan(log.final().eta)

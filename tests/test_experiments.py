@@ -47,24 +47,35 @@ def test_fit_rate_degenerate_inputs():
 
 def test_expected_rates():
     assert expected_rate(AdaptiveConfig(domain="zshape")) == -0.5
-    assert expected_rate(AdaptiveConfig(domain="zshape", uniform=True)) \
-        == pytest.approx(-2.0 / 7.0)
     assert expected_rate(AdaptiveConfig(domain="zshape", theta=1.0)) \
         == pytest.approx(-2.0 / 7.0)
-    assert expected_rate(AdaptiveConfig(domain="lshape", uniform=True)) \
+    assert expected_rate(AdaptiveConfig(domain="lshape", theta=1.0)) \
         == pytest.approx(-1.0 / 3.0)
     assert expected_rate(AdaptiveConfig(domain="lshape")) == -0.5
     assert expected_rate(AdaptiveConfig(domain="square_linear",
-                                        uniform=True)) == -0.5
+                                        theta=1.0)) == -0.5
 
 
 def test_run_ids():
     assert run_id_for(AdaptiveConfig()) == "zshape_t0.5_a0.01_p0.01"
-    assert run_id_for(AdaptiveConfig(domain="lshape", theta=1.0,
-                                     uniform=True)) \
-        == "lshape_t1_a0.01_p0.01_uniform"
+    assert run_id_for(AdaptiveConfig(domain="lshape", theta=1.0)) \
+        == "lshape_t1_a0.01_p0.01"
     assert run_id_for(AdaptiveConfig(lambda_alg=1e-4)) \
         == "zshape_t0.5_a0.0001_p0.01"
+
+
+@pytest.mark.parametrize("spelling, name, rate", [
+    ("z_shape", "zshape", -2.0 / 7.0), ("Z-Shape", "zshape", -2.0 / 7.0),
+    ("L_shape", "lshape", -1.0 / 3.0), ("unit_square", "square_linear", -0.5)])
+def test_domain_spellings_are_one_problem(spelling, name, rate):
+    # every spelling get_problem accepts is stored by its problem name, so a
+    # full-refinement run has that problem's rate and run id, and a sweep
+    # listing two spellings runs the problem once
+    config = AdaptiveConfig(domain=spelling, theta=1.0)
+    assert config.domain == name and config == AdaptiveConfig(domain=name, theta=1.0)
+    assert expected_rate(config) == pytest.approx(rate)
+    assert run_id_for(config) == name + "_t1_a0.01_p0.01"
+    assert len(parse_sweep_spec("domain = %s, %s\ntheta = 1\n" % (name, spelling))) == 1
 
 
 def test_robustness_grid_members():
@@ -73,7 +84,7 @@ def test_robustness_grid_members():
     assert len(set(grid)) == 12
     assert AdaptiveConfig(domain="zshape", theta=0.5, lambda_alg=1e-2,
                           lambda_pic=1e-2, max_elements=500) in grid
-    assert all(c.max_elements == 500 and not c.uniform for c in grid)
+    assert all(c.max_elements == 500 and c.theta < 1.0 for c in grid)
     assert sorted({c.theta for c in grid}) == [0.1, 0.3, 0.5, 0.7, 0.9]
     assert sorted({c.lambda_pic for c in grid}) == [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
 
@@ -123,7 +134,7 @@ theta = 0.3, 0.5
 lambda-alg = 1e-2  # hyphens work like underscores
 
 domain = lshape
-uniform = true
+track_error = true
 theta = 1.0
 max_elements = 1e3
 """
@@ -132,8 +143,28 @@ max_elements = 1e3
     assert configs[0] == AdaptiveConfig(domain="zshape", theta=0.3,
                                         lambda_alg=1e-2)
     assert configs[1].theta == 0.5
-    assert configs[2] == AdaptiveConfig(domain="lshape", uniform=True,
+    assert configs[2] == AdaptiveConfig(domain="lshape", track_error=True,
                                         theta=1.0, max_elements=1000)
+
+
+@pytest.mark.parametrize("separator, newline", [("   ", "\n"), ("\t", "\n"), ("", "\r\n")])
+def test_parse_sweep_spec_splits_on_any_blank_line(separator, newline):
+    # a separator line of whitespace, or CRLF line ends, still splits blocks;
+    # a comment line does not
+    text = newline.join(["domain=zshape", "# a comment", "theta=0.1,0.3", separator,
+                         "domain=lshape", "theta=0.7", ""])
+    assert parse_sweep_spec(text) == [
+        AdaptiveConfig(domain="zshape", theta=0.1), AdaptiveConfig(domain="zshape", theta=0.3),
+        AdaptiveConfig(domain="lshape", theta=0.7)]
+
+
+def test_parse_sweep_spec_rejects_repeated_key():
+    with pytest.raises(ValueError, match="repeats"):
+        parse_sweep_spec("domain=zshape\ntheta=0.1\ntheta=0.3\n")
+    with pytest.raises(ValueError, match="repeats"):
+        parse_sweep_spec("lambda-alg=0.1\nlambda_alg=0.3\n")
+    # the same key in two blocks is two families, not a repeat
+    assert len(parse_sweep_spec("theta=0.1\n\ntheta=0.3\n")) == 2
 
 
 def test_parse_sweep_spec_deduplicates():
@@ -148,7 +179,7 @@ def test_parse_sweep_spec_rejects_garbage():
     with pytest.raises(ValueError):
         parse_sweep_spec("flux_capacitor=1\n")
     with pytest.raises(ValueError):
-        parse_sweep_spec("uniform=maybe\n")
+        parse_sweep_spec("track_error=maybe\n")
     # integer fields take integral values only; exponent notation is fine
     for raw in ("2500.7", "1e-2", "inf", "nan"):
         with pytest.raises(ValueError):
@@ -165,7 +196,7 @@ def _write_synthetic_run(directory, run_id, theta, etas, stored_rate=-0.5):
         writer.writerow(LEVEL_COLUMNS)
         for l, (n, eta, cost) in enumerate(zip(ns, etas, costs)):
             writer.writerow([l, n, 2, 5, 3, "%.12g" % eta, cost, "", "", "", "", ""])
-    return [run_id, "zshape", theta, 0.01, 0.01, 100000, 0, len(ns),
+    return [run_id, "zshape", theta, 0.01, 0.01, 100000, len(ns),
             20, ns[-1], "%.12g" % etas[-1], costs[-1], stored_rate,
             stored_rate, "", "", "budget", 1.0]
 
@@ -202,6 +233,19 @@ def test_collect_rates_falls_back_to_stored_rate(tmp_path):
     assert rows[0]["rate_vs_n"] == -0.5 and rows[0]["ok"]
     with pytest.raises(FileNotFoundError):
         collect_rates(str(tmp_path / "missing"))
+
+
+def test_collect_rates_rejects_the_former_uniform_column(tmp_path, capsys):
+    row = _write_synthetic_run(str(tmp_path), "zshape_t0.5_a0.01_p0.01",
+                               0.5, np.ones(4))
+    with open(tmp_path / "runs.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RUNS_COLUMNS[:6] + ("uniform",) + RUNS_COLUMNS[6:])
+        writer.writerow(row[:6] + [0] + row[6:])
+    with pytest.raises(ValueError, match="unrecognized CSV header"):
+        collect_rates(str(tmp_path))
+    assert main(["rates", "--in", str(tmp_path)]) == 1
+    assert "unrecognized CSV header" in capsys.readouterr().err
 
 
 def test_rates_report_prints_table(tmp_path, capsys):
@@ -286,7 +330,8 @@ def _run_configs(monkeypatch, argv):
 
 
 def test_cli_run_defaults(monkeypatch):
-    assert _run_configs(monkeypatch, []) == [AdaptiveConfig(max_elements=10 ** 5)]
+    assert _run_configs(monkeypatch, []) == [AdaptiveConfig()]
+    assert AdaptiveConfig().max_elements == 10 ** 5
 
 
 _SAMPLE_TEXT = {str: "lshape", float: "0.25", int: "123", bool: "true"}
@@ -302,6 +347,5 @@ def test_cli_and_sweep_spec_set_every_config_field(name, monkeypatch):
     value = getattr(from_spec, name)
     assert type(value) is kind and value != getattr(AdaptiveConfig(), name)
     assert from_spec == dataclasses.replace(AdaptiveConfig(), **{name: value})
-    assert from_cli == dataclasses.replace(AdaptiveConfig(max_elements=10 ** 5),
-                                           **{name: value})
+    assert from_cli == from_spec
     assert type(getattr(from_cli, name)) is kind
