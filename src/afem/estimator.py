@@ -72,9 +72,11 @@ class EstimatorData:
     def __init__(self, samples: Samples):
         mesh = self.mesh = samples.mesh
         et = mesh.edges
-        # row gathers by np.take, several times faster than fancy indexing
+        # row gathers by np.take, several times faster than fancy indexing;
+        # triangle ids as contiguous np.intp, read uncast on every evaluation
         interior = np.flatnonzero(~et.is_boundary)
-        self.ie_left, self.ie_right = np.take(et.incident, interior, axis=0).T.copy()
+        self.ie_left, self.ie_right = np.take(et.incident, interior, axis=0).T.astype(
+            np.intp, order="C")
         nodes = np.take(et.nodes, interior, axis=0)
         tang = np.take(mesh.vertices, nodes[:, 1], axis=0) \
             - np.take(mesh.vertices, nodes[:, 0], axis=0)
@@ -100,16 +102,19 @@ class EstimatorData:
         gx, gy = element_gradients(mesh, vertex_values)
         mu = np.asarray(nl.mu(gx ** 2 + gy ** 2))
         fx, fy = mu * gx, mu * gy
+        del gx, gy, mu
 
         edge_sq = np.zeros(mesh.n_triangles)
         if self.ie_left.size:
             left, right = self.ie_left, self.ie_right
-            # gathers by np.take, faster than fancy indexing
+            # gathers by np.take, faster than fancy indexing; numpy reuses the
+            # temporaries, and the square and the lengths go in place
             jump = ((np.take(fx, left) - np.take(fx, right)) * self.ie_normal[0]
                     + (np.take(fy, left) - np.take(fy, right)) * self.ie_normal[1])
-            contrib = jump ** 2 * self.ie_length
-            edge_sq += np.bincount(left, weights=contrib, minlength=mesh.n_triangles)
-            edge_sq += np.bincount(right, weights=contrib, minlength=mesh.n_triangles)
+            jump *= jump
+            jump *= self.ie_length
+            edge_sq += np.bincount(left, weights=jump, minlength=mesh.n_triangles)
+            edge_sq += np.bincount(right, weights=jump, minlength=mesh.n_triangles)
         if self.neumann is not None:
             owner, lengths, normals, g_sq_int, g_int = self.neumann
             c = np.take(fx, owner) * normals[:, 0] + np.take(fy, owner) * normals[:, 1]
@@ -129,11 +134,13 @@ def doerfler_mark(field: IndicatorField, theta: float) -> np.ndarray:
     """Smallest set M with theta^2 * eta^2 <= sum of eta(T)^2 over M.
 
     Greedy by decreasing squared indicator, ties broken by triangle index;
-    the returned indices are sorted ascending.  Only the indices whose value
-    is at least the k-th largest are sorted, k growing fourfold until their
-    partial sums reach the target theta * theta * sq.sum() in floating point:
-    theta = fl(sqrt(0.5)) squares to just above one half, so four equal
-    indicators need three marks.  theta = 1 marks every positive indicator.
+    the returned indices are sorted ascending.  Only the k largest values
+    are sorted, until their partial sums reach the target theta * theta *
+    sq.sum() in floating point: theta = fl(sqrt(0.5)) squares to just above
+    one half, so four equal indicators need three marks.  theta = 1 marks
+    every positive indicator.  When they fall short, k grows by the deficit
+    over the mean of the other n - k values: that many of the largest of
+    those cover it, so the next round ends the search, up to rounding.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
@@ -144,12 +151,12 @@ def doerfler_mark(field: IndicatorField, theta: float) -> np.ndarray:
     target = theta * theta * total_sq
     n, k = len(sq), 1 + len(sq) // 64
     while True:
-        # every value at least the k-th largest, decreasing: a prefix of all
-        top = np.sort(sq[sq >= np.partition(sq, n - k)[n - k]])[::-1]
+        # the k largest values, decreasing: a prefix of all
+        top = np.sort(np.partition(sq, n - k)[n - k:])[::-1]
         csum = np.cumsum(top)
         if csum[-1] >= target or k == n:
             break
-        k = min(4 * k, n)
+        k = min(n, k + int(np.ceil((target - csum[-1]) / (total_sq - csum[-1]) * (n - k))))
     # a pairwise total may pass the sorted one by an ulp (at theta = 1)
     count = int(np.searchsorted(csum, min(target, csum[-1]))) + 1
     # every value above the count-th largest, and the lowest indices of its ties

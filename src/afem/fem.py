@@ -20,11 +20,12 @@ and each edge's owning triangle is read from the edge table that `refine`
 carried; ``g`` is not called on a level where no Neumann edge was split.
 The load vector and the estimator both integrate the same `Samples`.
 
-The element gradients of a P1 function are one sparse matvec with
-`Mesh.gradient_operator`, whose data are the hat gradients themselves: the
-compiled loop sums ``0 + g0 v0 + g1 v1 + g2 v2`` per row without fused
-multiply-adds, the operand order of the einsum oracle in the tests, so the
-result is bitwise equal to it.
+The element gradients of a P1 function are two sparse matvecs, with the x
+and y matrices of `Mesh.gradient_operator`, whose data are the hat gradients
+and whose indices the mesh's triangles, not copies: the compiled loop sums
+``0 + g0 v0 + g1 v1 + g2 v2`` per row without fused multiply-adds, the
+operand order of the einsum oracle in the tests, so the result is bitwise
+equal to it.
 The other element kernels are explicit sums over the 2 coordinates and the
 3 vertices, faster than `einsum`; each keeps the operand order of the einsum
 it replaced, so results are bitwise equal to the einsum oracles as well.
@@ -141,9 +142,9 @@ def interpolate(dofmap: DofMap, func) -> FeFunction:
 
 def element_gradients(mesh: Mesh, vertex_values: np.ndarray):
     """Per-triangle gradient ``(gx, gy)`` of a P1 function from vertex values:
-    one matvec with `Mesh.gradient_operator`."""
-    g = mesh.gradient_operator @ vertex_values
-    return g[:mesh.n_triangles], g[mesh.n_triangles:]
+    one matvec with each matrix of `Mesh.gradient_operator`."""
+    gx, gy = mesh.gradient_operator
+    return gx @ vertex_values, gy @ vertex_values
 
 
 def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
@@ -170,8 +171,14 @@ def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     hx, hy = mesh.gradient_planes
     gx, gy = element_gradients(mesh, w.vertex_values())
     ma = (np.asarray(nl.mu(gx ** 2 + gy ** 2)) * mesh.areas)[:, None]
-    # this product order keeps the bits of the former einsum
-    contrib = ma * hx * gx[:, None] + ma * hy * gy[:, None]
+    # this product order keeps the bits of the former einsum; for peak
+    # memory one (nT, 3) term at a time, and none left for the scatter
+    contrib = ma * hx
+    contrib *= gx[:, None]
+    term = ma * hy
+    term *= gy[:, None]
+    contrib += term
+    del gx, gy, ma, term
     r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.n_vertices)
     return r[w.dofmap.free_vertices]
@@ -186,8 +193,8 @@ class Samples:
     estimator's volume term), from f at the 7 volume nodes; both are None
     without volume data.  ``neumann`` is None without Neumann edges, else
     ``(edges, lengths, normals, owner, gq)``: endpoints (nN, 2), lengths,
-    outward unit normals, the owning triangle, and g at the 3 nodes of each
-    edge.
+    outward unit normals, the owning triangle (np.intp, which the estimator
+    gathers by on every evaluation), and g at the 3 nodes of each edge.
     """
 
     mesh: Mesh
@@ -247,7 +254,7 @@ def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -
     rows of unsplit edges are gathered from the parent mesh's samples
     ``previous`` and the rest are computed."""
     edges = mesh.boundary_edges[sel]
-    owner = mesh.edges.incident[mesh.boundary_ids[sel], 0]
+    owner = mesh.edges.incident[mesh.boundary_ids[sel], 0].astype(np.intp)
     if previous is None or previous.neumann is None:
         fresh = np.arange(len(edges))
         lengths, normals = np.empty(len(edges)), np.empty((len(edges), 2))

@@ -36,6 +36,7 @@ import scipy.sparse as sp
 
 DIRICHLET = 0
 NEUMANN = 1
+_INT32_MAX = np.iinfo(np.int32).max  # connectivity is 32-bit
 
 _MARKER_TO_CHAR = {DIRICHLET: "D", NEUMANN: "N"}
 _CHAR_TO_MARKER = {"D": DIRICHLET, "N": NEUMANN}
@@ -55,14 +56,15 @@ class EdgeTable:
 
     Edge ids follow ascending (lo, hi) order.  A root mesh builds its table
     with one sort of the 3 n_triangles vertex-pair codes; `refine` carries
-    the parent's table over to the child (`_carried_edge_table`).
+    the parent's table over to the child (`_carried_edge_table`).  Like the
+    mesh's connectivity, all three arrays are int32.
 
     Attributes
     ----------
-    nodes : (n_edges, 2) int array, endpoint indices with lo < hi.
-    of_triangle : (n_triangles, 3) int array; column k holds the id of the
-        edge opposite local vertex k, so column 0 is the refinement edge.
-    incident : (n_edges, 2) int array of adjacent triangle ids, -1 padding.
+    nodes : (n_edges, 2) endpoint indices with lo < hi.
+    of_triangle : (n_triangles, 3); column k holds the id of the edge
+        opposite local vertex k, so column 0 is the refinement edge.
+    incident : (n_edges, 2) adjacent triangle ids, -1 padding.
         Column 0 holds the first occurrence of the edge in column-major
         order of ``of_triangle`` (smaller k, then smaller triangle), column
         1 the other one.
@@ -82,12 +84,12 @@ class EdgeTable:
 
 
 def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
-    t = np.asarray(triangles, dtype=np.int64)
+    t = np.asarray(triangles)
     # edge k of a triangle is opposite local vertex k
     pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0)
     uniq, inverse = np.unique(_pair_codes(pairs, n_vertices), return_inverse=True)
-    of_triangle = inverse.reshape(3, len(t)).T.copy()
-    nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices])
+    of_triangle = inverse.reshape(3, len(t)).T.astype(np.int32, order="C")
+    nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices]).astype(np.int32)
     return EdgeTable(nodes=nodes, of_triangle=of_triangle,
                      incident=_incident(of_triangle, len(uniq)))
 
@@ -128,7 +130,7 @@ def _carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,
     parent_row[rows] = survivors
     nodes = np.take(parent.nodes, parent_row, axis=0)
     nodes[at, 0], nodes[at, 1] = added // n_v, added % n_v
-    old_to_new = np.full(parent.n_edges, -1, dtype=np.int64)
+    old_to_new = np.full(parent.n_edges, -1, dtype=np.int32)
     old_to_new[survivors] = rows
     of_triangle = np.take(old_to_new, np.take(parent.of_triangle, parent_of, axis=0))
     looked_up = np.searchsorted(codes, distinct)[inverse].reshape(3, -1)
@@ -141,11 +143,11 @@ def _carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,
 def _incident(of_triangle: np.ndarray, n_edges: int) -> np.ndarray:
     """``EdgeTable.incident`` from ``of_triangle`` by scatters, no sort;
     every edge must occur in ``of_triangle``."""
-    tri = np.arange(len(of_triangle))
+    tri = np.arange(len(of_triangle), dtype=np.int32)
     # of repeated indices the last write stays: the backward pass writes
     # the first occurrence in column-major order last, the forward pass the
     # last occurrence
-    first, last = np.empty(n_edges, dtype=np.int64), np.empty(n_edges, dtype=np.int64)
+    first, last = np.empty(n_edges, dtype=np.int32), np.empty(n_edges, dtype=np.int32)
     for k in (2, 1, 0):
         first[of_triangle[::-1, k]] = tri[::-1]
     for k in (0, 1, 2):
@@ -192,6 +194,15 @@ def _gradient_planes(p: np.ndarray, areas: np.ndarray) -> np.ndarray:
     return g
 
 
+def _indices(a, bound: int, what: str) -> np.ndarray:
+    """``a`` as a new int32 array, once every entry of the input (not yet
+    wrapped by the cast) is checked to lie in [0, bound)."""
+    a = np.asarray(a)
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise ValueError(f"{what} index out of range")
+    return np.array(a, dtype=np.int32)
+
+
 def copied_triangles(parent_of: np.ndarray) -> np.ndarray:
     """Mask of the triangles `refine` copied from the previous mesh: those
     whose parent has exactly one child.  `_bisect` copies such a row as it
@@ -229,7 +240,10 @@ class Mesh:
     ``gradient_planes`` and ``gradient_operator`` are computed on first use
     unless given, and live as long as the mesh.  The hat gradients are
     stored once, as the planes, which ``gradient_operator`` holds as its
-    data.
+    data, with ``triangles`` as its indices.  The connectivity (``triangles``,
+    ``parent_of``, ``vertex_parents``, `EdgeTable`) is int32, so n_vertices
+    and 3 n_triangles + 1 must fit in int32; indices are range-checked
+    before the cast, which would wrap them.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
@@ -239,22 +253,21 @@ class Mesh:
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         if not np.isfinite(self.vertices).all():
             raise ValueError("vertex coordinates must be finite")
-        self.triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+        self.triangles = _indices(triangles, self.n_vertices, "triangle vertex").reshape(-1, 3)
+        if max(self.n_vertices, 3 * self.n_triangles + 1) > _INT32_MAX:
+            raise ValueError("too many vertices or triangles for 32-bit indices")
         self.boundary_edges = np.array(boundary_edges, dtype=np.int64).reshape(-1, 2)
         self.boundary_markers = np.array(boundary_markers, dtype=np.int64).reshape(-1)
         self.level = int(level)
-        if parent_of is None:
-            parent_of = np.arange(self.triangles.shape[0], dtype=np.int64)
-        self.parent_of = np.array(parent_of, dtype=np.int64)
-        self.vertex_parents = (None if vertex_parents is None
-                               else np.array(vertex_parents, dtype=np.int64).reshape(-1, 2))
+        self.parent_of = (np.arange(self.n_triangles, dtype=np.int32) if parent_of is None
+                          else _indices(parent_of, self.n_triangles, "parent triangle"))
+        self.vertex_parents = (None if vertex_parents is None else
+                               _indices(vertex_parents, self.n_vertices, "vertex parent")
+                               .reshape(-1, 2))
         self.n_coarse_vertices = (self.vertices.shape[0] if n_coarse_vertices is None
                                   else int(n_coarse_vertices))
         if self.boundary_markers.shape[0] != self.boundary_edges.shape[0]:
             raise ValueError("need one marker per boundary edge")
-        if self.triangles.size and (self.triangles.min() < 0
-                                    or self.triangles.max() >= self.n_vertices):
-            raise ValueError("triangle vertex index out of range")
         self.areas = self.signed_areas() if areas is None else np.asarray(areas, dtype=float)
         if not (self.areas > 0.0).all():
             raise ValueError("triangles must be positively oriented and non-degenerate")
@@ -300,19 +313,17 @@ class Mesh:
         return planes
 
     @cached_property
-    def gradient_operator(self) -> sp.csr_matrix:
-        """The P1 gradient as a (2 nT, nV) CSR matrix: row t holds the x
-        components of the hat gradients of triangle t in the columns of its
-        vertices, row nT + t the y components.  Its data array is
-        ``gradient_planes``, not a copy; ``indptr`` is 0, 3, 6, ...
+    def gradient_operator(self) -> tuple:
+        """The P1 gradient as two (nT, nV) CSR matrices, of x and of y
+        components: row t holds the hat gradients of triangle t in the
+        columns of its vertices.  Nothing is copied: their data are the
+        planes of ``gradient_planes``, their indices ``triangles`` itself
+        (int32), and they share one ``indptr``, 0, 3, 6, ...
         """
-        n = self.n_triangles
-        index = np.int32 if 6 * n <= np.iinfo(np.int32).max else np.int64
-        return sp.csr_matrix(
-            (self.gradient_planes.reshape(-1),
-             np.concatenate((self.triangles, self.triangles), axis=None, dtype=index),
-             np.arange(0, 6 * n + 1, 3, dtype=index)),
-            shape=(2 * n, self.n_vertices))
+        indptr = np.arange(0, 3 * self.n_triangles + 1, 3, dtype=np.int32)
+        return tuple(sp.csr_matrix((plane.reshape(-1), self.triangles.reshape(-1), indptr),
+                                   shape=(self.n_triangles, self.n_vertices))
+                     for plane in self.gradient_planes)
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)

@@ -38,6 +38,8 @@ OPERATOR = "tests/test_fem.py::test_gradient_operator_holds_the_hat_gradients"
 HANDOVER = "tests/test_driver.py::test_solved_level_released_before_the_next"
 SELECTION = "tests/test_estimator.py::test_doerfler_selection_equals_full_sort"
 SORT_ORACLES = "tests/test_mesh.py::test_edge_table_and_dofmap_match_sort_oracles"
+COMPACT = "tests/test_estimator.py::test_index_arrays_are_compact_and_shared"
+WRAP = "tests/test_mesh.py::test_indices_a_32_bit_cast_would_wrap_are_rejected"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -82,9 +84,9 @@ MUTANTS = [
      "x, log.state = state.iterate, state",
      [HANDOVER]),
     # Doerfler marking by selection
-    ("ties at the k-th largest value dropped from the candidates", "estimator.py",
-     "top = np.sort(sq[sq >= np.partition(sq, n - k)[n - k]])[::-1]",
-     "top = np.sort(sq[sq > np.partition(sq, n - k)[n - k]])[::-1]",
+    ("the k-th largest value dropped from the candidates", "estimator.py",
+     "top = np.sort(np.partition(sq, n - k)[n - k:])[::-1]",
+     "top = np.sort(np.partition(sq, n - k)[n - k + 1:])[::-1]",
      [SELECTION]),
     ("ties at the last marked value taken from the highest index", "estimator.py",
      "marked[np.flatnonzero(sq == top[count - 1])[:count - np.count_nonzero(marked)]] = True",
@@ -160,10 +162,23 @@ MUTANTS = [
      "else:",
      [SAMPLED_ONCE]),
     # the gradient operator
-    ("the x plane in both blocks of the gradient operator", "mesh.py",
-     "(self.gradient_planes.reshape(-1),",
-     "(np.tile(self.gradient_planes[0].ravel(), 2),",
+    ("the x plane in both matrices of the gradient operator", "mesh.py",
+     "for plane in self.gradient_planes)",
+     "for plane in (self.gradient_planes[0],) * 2)",
      [OPERATOR]),
+    ("the gradient operator's indices copied", "mesh.py",
+     "(plane.reshape(-1), self.triangles.reshape(-1), indptr)",
+     "(plane.reshape(-1), self.triangles.reshape(-1).astype(np.int64), indptr)",
+     [OPERATOR, COMPACT]),
+    # 32-bit connectivity and the per-step index arrays
+    ("interior-edge triangle ids left strided", "estimator.py",
+     'np.intp, order="C")',
+     "np.intp)",
+     [COMPACT]),
+    ("no range check before the 32-bit cast", "mesh.py",
+     "if a.size and (a.min() < 0 or a.max() >= bound):",
+     "if False:",
+     [WRAP]),
     # the run configuration and the sweep specification
     ("a configuration that keeps the domain as spelled", "driver.py",
      'object.__setattr__(self, "domain", get_problem(self.domain).name)',

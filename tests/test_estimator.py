@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
-                  create_initial, doerfler_mark, indicators, total,
+                  create_initial, doerfler_mark, indicators, refine, total,
                   uniform_refine)
 from afem.estimator import EstimatorData, IndicatorField
 from afem.fem import energy_norm, prolongate, sample
@@ -66,6 +66,30 @@ def test_estimator_data_matches_indicators():
     # repeated evaluation is deterministic
     assert np.allclose(sq, data.eval_squared(problem.nonlinearity,
                                              v.vertex_values()), rtol=0, atol=0)
+
+
+def test_index_arrays_are_compact_and_shared():
+    """On a root mesh and on refined ones (carried edge tables): the
+    connectivity is int32; the gradient operator's two matrices take their
+    indices from ``triangles``, their data from ``gradient_planes`` and
+    share one indptr; the triangle ids that every estimator evaluation
+    reads (interior edges and Neumann owners) are contiguous np.intp."""
+    problem, rng = get_problem("zshape"), np.random.default_rng(2)
+    mesh = create_initial("z_shape")
+    for level in range(4):
+        et = mesh.edges
+        arrays = [mesh.triangles, mesh.parent_of, et.nodes, et.of_triangle, et.incident]
+        for a in arrays + ([] if level == 0 else [mesh.vertex_parents]):
+            assert a.dtype == np.int32
+        gx, gy = mesh.gradient_operator
+        for op, plane in ((gx, mesh.gradient_planes[0]), (gy, mesh.gradient_planes[1])):
+            assert np.shares_memory(op.indices, mesh.triangles)
+            assert np.shares_memory(op.data, plane)
+        assert np.shares_memory(gx.indptr, gy.indptr)
+        data = EstimatorData(sample(mesh, problem.source, problem.neumann))
+        for a in (data.ie_left, data.ie_right, data.neumann[0]):
+            assert a.dtype == np.intp and a.flags.c_contiguous
+        mesh = refine(mesh, rng.random(mesh.n_triangles) < 0.4)
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
@@ -223,6 +247,25 @@ def test_doerfler_selection_equals_full_sort(size, theta, values, seed):
     assert np.array_equal(marked, doerfler_reference(squared, theta))
     if theta == 1.0:
         assert np.array_equal(marked, np.flatnonzero(squared))
+
+
+SPREADS = {"uniform": lambda rng, n: rng.random(n),
+           "decaying": lambda rng, n: rng.random(n) ** 8,
+           "quarters": lambda rng, n: rng.integers(0, 5, n) / 4.0,
+           "one large": lambda rng, n: np.r_[1e3, rng.random(n - 1) * 1e-3]}
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("spread", SPREADS.values(), ids=SPREADS.keys())
+def test_doerfler_selection_equals_full_sort_on_spread_values(spread, theta):
+    """6144 indicators, continuous, decaying, tied, or one far above a
+    flat tail: the marked set is the full sort's."""
+    mesh = L_SHAPES[-1]
+    for _ in range(3):
+        mesh = uniform_refine(mesh)
+    squared = spread(np.random.default_rng(7), mesh.n_triangles)
+    marked = doerfler_mark(IndicatorField(mesh, squared), theta)
+    assert np.array_equal(marked, doerfler_reference(squared, theta))
 
 
 def test_doerfler_dropping_smallest_breaks_criterion():

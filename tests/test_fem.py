@@ -72,7 +72,8 @@ def test_gradient_operator_holds_the_hat_gradients(domain, seed, levels):
     """On an affine image of a root refined at random, with the hat
     gradients carried across the levels after a touch and computed afresh
     after none: the operator's data are the hat gradient planes, equal to a
-    fresh computation and to the (nT, 3, 2) oracle, and its matvec is
+    fresh computation and to the (nT, 3, 2) oracle, its indices are the
+    triangles and its indptr is shared, nothing copied, and its matvecs are
     bitwise the einsum oracle."""
     rng = np.random.default_rng(seed)
     mesh = random_root(domain, rng)
@@ -89,15 +90,19 @@ def test_gradient_operator_holds_the_hat_gradients(domain, seed, levels):
     assert np.array_equal(planes, fresh.gradient_planes)
     assert np.array_equal(planes, stacked_hat_gradients(mesh).transpose(2, 0, 1))
     assert not planes.flags.writeable
-    op = mesh.gradient_operator
-    assert op.shape == (2 * n, mesh.n_vertices)
-    assert np.shares_memory(op.data, planes)
-    assert np.array_equal(op.data, np.concatenate([planes[d].ravel() for d in (0, 1)]))
-    assert np.array_equal(op.indices, np.tile(mesh.triangles.ravel(), 2))
-    assert np.array_equal(op.indptr, np.arange(0, 6 * n + 1, 3))
+    ops = mesh.gradient_operator
+    assert len(ops) == 2
+    for op, plane in zip(ops, planes):
+        assert op.shape == (n, mesh.n_vertices)
+        assert np.shares_memory(op.data, plane) and np.array_equal(op.data, plane.ravel())
+        assert np.shares_memory(op.indices, mesh.triangles)
+        assert np.array_equal(op.indices, mesh.triangles.ravel())
+        assert np.shares_memory(op.indptr, ops[0].indptr)
+        assert np.array_equal(op.indptr, np.arange(0, 3 * n + 1, 3))
     values = rng.standard_normal(mesh.n_vertices)
     gx, gy = element_gradients(mesh, values)
-    assert np.array_equal(np.concatenate([gx, gy]), op @ values)
+    assert np.array_equal(np.concatenate([gx, gy]),
+                          np.concatenate([ops[0] @ values, ops[1] @ values]))
     assert np.array_equal(np.column_stack([gx, gy]), einsum_element_gradients(mesh, values))
 
 

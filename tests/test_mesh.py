@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from afem import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                   overlay, read_text, refine, uniform_refine, write_text)
+from afem import mesh as mesh_module
 from afem.fem import DofMap
 from afem.mesh import _build_edge_table, _incident, closure_cost, locate
 
@@ -206,15 +207,16 @@ def test_refine_matches_case_table_oracle(domain, seed, kinds):
 @given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape", "one_triangle"]),
        seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(0, 6))
 def test_edge_table_and_dofmap_match_sort_oracles(domain, seed, rounds):
-    """One sort and two masks give the same index arrays, dtype included,
-    as the former argsort and setdiff forms."""
+    """One sort and two masks give the same index arrays as the former
+    argsort and setdiff forms; the edge table holds them as int32, the
+    DofMap in the oracle's dtype."""
     mesh = one_triangle() if domain == "one_triangle" else \
         random_mesh(domain, np.random.default_rng(seed), rounds=rounds)
     want = unique_argsort_edge_table(mesh.triangles, mesh.n_vertices)
     for table in (mesh.edges, _build_edge_table(mesh.triangles, mesh.n_vertices)):
         for name in ("nodes", "of_triangle", "incident"):
             a, b = getattr(table, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.dtype == np.int32 and np.array_equal(a, b), name
     got, want = DofMap.from_mesh(mesh), setdiff_dofmap(mesh)
     for name in ("free_vertices", "dof_of_vertex"):
         a, b = getattr(got, name), getattr(want, name)
@@ -417,6 +419,54 @@ def test_non_finite_coordinates_are_rejected(bad):
             "boundary 3\n0 1 D\n1 2 D\n2 0 D\n")
     with pytest.raises(ValueError, match="finite"):
         read_text(io.StringIO(text))
+
+
+WRAPS = {"2**31": lambda v: 2 ** 31, "2**32+v": lambda v: 2 ** 32 + v,
+         "-2**32+v": lambda v: v - 2 ** 32}
+
+
+@pytest.mark.parametrize("wrap", WRAPS.values(), ids=WRAPS.keys())
+@pytest.mark.parametrize("where", ["triangles", "parent_of", "vertex_parents", "read_text"])
+def test_indices_a_32_bit_cast_would_wrap_are_rejected(where, wrap):
+    """An index past int32 raises on the input, even where the cast would
+    wrap it to the valid index v (2**32 + 2 to 2)."""
+    square = create_initial("unit_square")
+    given = {"triangles": square.triangles.astype(np.int64), "parent_of": np.array([0, 1]),
+             "vertex_parents": np.array([[0, 2]])}
+
+    def make():
+        return Mesh(square.vertices, given["triangles"], square.boundary_edges,
+                    square.boundary_markers, parent_of=given["parent_of"],
+                    vertex_parents=given["vertex_parents"])
+
+    assert make().n_triangles == 2
+    with pytest.raises(ValueError, match="index out of range"):
+        if where == "read_text":
+            buf = io.StringIO()
+            write_text(square, buf)
+            i, j, k = square.triangles[0].tolist()
+            text = buf.getvalue().replace(f"\n{i} {j} {k}\n", f"\n{i} {j} {wrap(k)}\n")
+            assert text != buf.getvalue()
+            read_text(io.StringIO(text))
+        else:
+            given[where].flat[-1] = wrap(given[where].flat[-1])
+            make()
+
+
+def test_int32_limits_on_vertex_and_triangle_counts(monkeypatch):
+    """nV and 3 nT + 1 (the gradient operator's indptr) must fit the
+    32-bit index type; checked here with a lowered limit."""
+    square = create_initial("unit_square")
+    args = (square.vertices, square.triangles, square.boundary_edges,
+            square.boundary_markers)
+    monkeypatch.setattr(mesh_module, "_INT32_MAX", 3)
+    with pytest.raises(ValueError, match="too many vertices or triangles"):
+        Mesh(*args)
+    monkeypatch.setattr(mesh_module, "_INT32_MAX", 6)
+    with pytest.raises(ValueError, match="too many vertices or triangles"):
+        Mesh(*args)
+    monkeypatch.setattr(mesh_module, "_INT32_MAX", 7)
+    assert Mesh(*args).n_triangles == 2
 
 
 def test_read_text_rejects_malformed(tmp_path):
