@@ -241,12 +241,13 @@ def pcg_step(state: SolverState, precond) -> SolverState:
     if not np.isfinite(pap) or pap <= 0.0:
         return replace(state, iterations=state.iterations + 1, increment=0.0, breakdown=True)
     alpha = rz / pap
+    step, astep = alpha * p, alpha * ap
     return replace(state,
-                   iterate=state.iterate + alpha * p,
-                   residual=state.residual - alpha * ap,
+                   iterate=state.iterate + step,
+                   residual=state.residual - astep,
                    direction=p, rz=rz,
-                   drift=state.drift + alpha * p,
-                   operator_drift=state.operator_drift + alpha * ap,
+                   drift=state.drift + step,
+                   operator_drift=state.operator_drift + astep,
                    iterations=state.iterations + 1,
                    increment=float(abs(alpha) * np.sqrt(pap)),
                    converged=False)

@@ -57,8 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        config = AdaptiveConfig(**{f.name: getattr(args, f.name)
-                                   for f in fields(AdaptiveConfig)})
+        try:
+            config = AdaptiveConfig(**{f.name: getattr(args, f.name)
+                                       for f in fields(AdaptiveConfig)})
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 1
         run_benchmark([config], out_dir=args.out, verbose=True)
         return 0
     if args.command == "sweep":

@@ -133,17 +133,22 @@ def read_csv(source, types: dict, required: Sequence[str]) -> List[dict]:
 
     Each cell is parsed by ``types[column]``, empty cells read as None.
     The header must start with ``required`` and name only columns in
-    ``types``.
+    ``types``, and every row must have as many cells as the header.
     """
     text = source.read() if hasattr(source, "read") else Path(source).read_text()
-    lines = [row for row in csv.reader(text.splitlines()) if row]
+    reader = csv.reader(text.splitlines())
+    lines = [(reader.line_num, row) for row in reader if row]
     if not lines:
         raise ValueError("empty CSV file")
-    header = lines[0]
+    header = lines[0][1]
     if set(header) - set(types) or header[:len(required)] != list(required):
         raise ValueError(f"unrecognized CSV header: {','.join(header)!r}")
+    for number, row in lines[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"CSV line {number} has {len(row)} cells, "
+                             f"the header {len(header)}")
     return [{name: None if cell == "" else types[name](cell)
-             for name, cell in zip(header, row)} for row in lines[1:]]
+             for name, cell in zip(header, row)} for _, row in lines[1:]]
 
 
 _STEP_TYPES = field_types(StepRecord)

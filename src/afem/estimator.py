@@ -105,6 +105,7 @@ class EstimatorData:
         del gx, gy, mu
 
         edge_sq = np.zeros(mesh.n_triangles)
+        # no jumps without interior edges (one triangle), where np.bincount is int64
         if self.ie_left.size:
             left, right = self.ie_left, self.ie_right
             # gathers by np.take, faster than fancy indexing; numpy reuses the

@@ -210,30 +210,21 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
     ``f`` maps (..., 2) point arrays to values; ``g`` additionally receives
     the outward unit normal (broadcast per edge).  Without ``g`` the Neumann
     data is zero.  When ``previous`` holds the samples of the same ``f`` and
-    ``g`` on the mesh that ``mesh`` was refined from, what did not change is
-    gathered from it: the volume data of copied triangles (``f_phi`` and
-    ``f_sq``) and the lengths, normals and ``g`` values of unsplit Neumann
-    edges.  ``f`` then sees only the nodes of the new triangles and ``g``
-    only those of the halves of split edges, and is not called when no
-    Neumann edge was split; any other ``previous`` is ignored.
+    ``g`` on the mesh that ``mesh`` was refined from (`Mesh.refines`), what
+    did not change is gathered from it: the volume data of copied triangles
+    (``f_phi`` and ``f_sq``) and the lengths, normals and ``g`` values of
+    unsplit Neumann edges.  ``f`` then sees only the nodes of the new
+    triangles and ``g`` only those of the halves of split edges, and is not
+    called when no Neumann edge was split; any other ``previous`` is
+    ignored.
     """
-    if previous is not None and not _is_parent(previous.mesh, mesh):
+    if previous is not None and not mesh.refines(previous.mesh):
         previous = None
     volume = (None, None) if f is None else _volume_samples(mesh, f, previous)
     sel = mesh.boundary_markers != DIRICHLET
     if not sel.any():
         return Samples(mesh, *volume, None)
     return Samples(mesh, *volume, _neumann_samples(mesh, g, sel, previous))
-
-
-def _is_parent(parent: Mesh, mesh: Mesh) -> bool:
-    """Whether ``mesh`` was refined from ``parent``: one level finer, with
-    the triangle count ``parent_of`` implies and with ``parent``'s vertices
-    as its coarse vertices (the vertex set fixes a newest-vertex bisection
-    mesh of a given root)."""
-    return parent.level + 1 == mesh.level and parent.n_vertices == mesh.n_coarse_vertices \
-        and (not mesh.n_triangles or mesh.parent_of[-1] + 1 == parent.n_triangles) \
-        and np.array_equal(parent.vertices, mesh.vertices[:parent.n_vertices])
 
 
 def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
@@ -332,11 +323,12 @@ def energy_functional(nl: Nonlinearity, v: FeFunction, rhs: np.ndarray) -> float
 
 
 def prolongate(coarse: FeFunction, fine_dofmap: DofMap) -> FeFunction:
-    """Exact re-representation on a one-level refinement (energy norm and
-    pointwise values are preserved)."""
+    """Exact re-representation on a one-level refinement, a mesh that
+    `Mesh.refines` the source mesh (energy norm and pointwise values are
+    preserved); raises ValueError on any other mesh."""
     fine = fine_dofmap.mesh
     cmesh = coarse.mesh
-    if fine.vertex_parents is None or fine.n_coarse_vertices != cmesh.n_vertices:
+    if not fine.refines(cmesh):
         raise ValueError("target mesh is not a one-level refinement of the source mesh")
     vals = np.empty(fine.n_vertices)
     vals[:cmesh.n_vertices] = coarse.vertex_values()

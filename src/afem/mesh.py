@@ -21,8 +21,10 @@ the child a table carried from the parent's (an edge that is not bisected
 keeps its row, the new edges are merged in, a copied triangle keeps its
 edges), together with the edge id of every boundary edge, so connectivity
 costs gathers in proportion to the mesh and a sort only of what changed.
-The areas and the hat gradients, stored once as (2, nT, 3) x and y planes,
-are likewise gathered for copied triangles and computed for new ones.
+Every mesh holds its areas and hat gradients, stored once as (2, nT, 3) x
+and y planes: a root mesh computes them when built, `refine` gathers those
+of copied triangles and computes those of new ones.  `Mesh.refines` is the
+one test of whether a mesh was refined from another.
 """
 
 from __future__ import annotations
@@ -175,32 +177,31 @@ def _boundary_ids(et: EdgeTable, boundary_edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _signed_areas(p: np.ndarray) -> np.ndarray:
-    """Signed areas of triangles with vertex coordinates p, (n, 3, 2)."""
+def _geometry(p: np.ndarray) -> tuple:
+    """Areas, (n,), and hat gradients as an x plane and a y plane, (2, n,
+    3), of triangles with vertex coordinates p, (n, 3, 2); raises unless
+    every triangle is positively oriented and non-degenerate."""
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-
-def _gradient_planes(p: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Hat gradients of triangles with vertex coordinates p, (n, 3, 2), as
-    an x plane and a y plane, (2, n, 3)."""
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    if not (areas > 0.0).all():
+        raise ValueError("triangles must be positively oriented and non-degenerate")
     det = 2.0 * areas
     g = np.empty((2, len(p), 3))
     for i in range(3):
         e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         g[0, :, i] = -e[:, 1] / det
         g[1, :, i] = e[:, 0] / det
-    return g
+    return areas, g
 
 
-def _indices(a, bound: int, what: str) -> np.ndarray:
-    """``a`` as a new int32 array, once every entry of the input (not yet
-    wrapped by the cast) is checked to lie in [0, bound)."""
+def _indices(a, bound: int, what: str, dtype=np.int32) -> np.ndarray:
+    """``a`` as a new array of ``dtype``, once every entry of the input (not
+    yet wrapped by the cast) is checked to lie in [0, bound)."""
     a = np.asarray(a)
     if a.size and (a.min() < 0 or a.max() >= bound):
         raise ValueError(f"{what} index out of range")
-    return np.array(a, dtype=np.int32)
+    return np.array(a, dtype=dtype)
 
 
 def copied_triangles(parent_of: np.ndarray) -> np.ndarray:
@@ -225,30 +226,31 @@ class Mesh:
     parent_of : (n_triangles,) indices into the previous mesh (identity for
         a root mesh).
     vertex_parents : (n_new_vertices, 2) endpoint indices of the bisected
-        edge that created each appended vertex, or None for a root mesh.
-    n_coarse_vertices : vertex count of the previous mesh.
+        edge that created each appended vertex, or None for a root mesh;
+        the endpoints are coarse vertices, those before the appended ones.
 
-    areas, gradient_planes, edges, boundary_ids : values of
-        ``signed_areas()`` and of the properties of those names when the
-        caller already has them, as `refine` does: it gathers areas and hat
-        gradients of copied triangles from the parent mesh and carries the
-        parent's edge table.
+    geometry, edges, boundary_ids : ``(areas, gradient_planes)`` and the
+        values of the properties ``edges`` and ``boundary_ids`` when the
+        caller already has them, as `refine` does: it gathers the geometry
+        of copied triangles from the parent mesh and carries its edge table.
 
-    The read-only attribute ``areas`` holds the (positive) triangle areas;
-    vertex coordinates must be finite.  ``edges`` (`EdgeTable`),
-    ``boundary_ids`` (the edge id of each boundary edge),
-    ``gradient_planes`` and ``gradient_operator`` are computed on first use
-    unless given, and live as long as the mesh.  The hat gradients are
-    stored once, as the planes, which ``gradient_operator`` holds as its
-    data, with ``triangles`` as its indices.  The connectivity (``triangles``,
+    The read-only ``areas`` (positive) and ``gradient_planes`` (the hat
+    gradients as x and y planes, (2, nT, 3)) are computed at construction
+    unless given as ``geometry``.  ``edges`` (`EdgeTable`), ``boundary_ids``
+    (the edge id of each boundary edge) and ``gradient_operator`` are
+    computed on first use unless given, and live as long as the mesh.  The
+    hat gradients are stored once, as the planes, which
+    ``gradient_operator`` holds as its data, with ``triangles`` as its
+    indices.  ``n_coarse_vertices`` is derived from ``vertex_parents``.
+    Vertex coordinates must be finite, boundary vertex indices in range and
+    markers DIRICHLET or NEUMANN.  The connectivity (``triangles``,
     ``parent_of``, ``vertex_parents``, `EdgeTable`) is int32, so n_vertices
     and 3 n_triangles + 1 must fit in int32; indices are range-checked
     before the cast, which would wrap them.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
-                 level: int = 0, parent_of=None, vertex_parents=None,
-                 n_coarse_vertices: int | None = None, areas=None, gradient_planes=None,
+                 level: int = 0, parent_of=None, vertex_parents=None, geometry=None,
                  edges: EdgeTable | None = None, boundary_ids=None):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         if not np.isfinite(self.vertices).all():
@@ -256,31 +258,30 @@ class Mesh:
         self.triangles = _indices(triangles, self.n_vertices, "triangle vertex").reshape(-1, 3)
         if max(self.n_vertices, 3 * self.n_triangles + 1) > _INT32_MAX:
             raise ValueError("too many vertices or triangles for 32-bit indices")
-        self.boundary_edges = np.array(boundary_edges, dtype=np.int64).reshape(-1, 2)
+        self.boundary_edges = _indices(boundary_edges, self.n_vertices, "boundary vertex",
+                                       np.int64).reshape(-1, 2)
         self.boundary_markers = np.array(boundary_markers, dtype=np.int64).reshape(-1)
+        if not ((self.boundary_markers == DIRICHLET) | (self.boundary_markers == NEUMANN)).all():
+            raise ValueError("boundary markers must be DIRICHLET or NEUMANN")
         self.level = int(level)
         self.parent_of = (np.arange(self.n_triangles, dtype=np.int32) if parent_of is None
                           else _indices(parent_of, self.n_triangles, "parent triangle"))
-        self.vertex_parents = (None if vertex_parents is None else
-                               _indices(vertex_parents, self.n_vertices, "vertex parent")
-                               .reshape(-1, 2))
-        self.n_coarse_vertices = (self.vertices.shape[0] if n_coarse_vertices is None
-                                  else int(n_coarse_vertices))
+        if vertex_parents is not None:  # parents are coarse vertices
+            vertex_parents = np.reshape(vertex_parents, (-1, 2))
+            vertex_parents = _indices(vertex_parents, self.n_vertices - len(vertex_parents),
+                                      "vertex parent")
+        self.vertex_parents = vertex_parents
         if self.boundary_markers.shape[0] != self.boundary_edges.shape[0]:
             raise ValueError("need one marker per boundary edge")
-        self.areas = self.signed_areas() if areas is None else np.asarray(areas, dtype=float)
-        if not (self.areas > 0.0).all():
-            raise ValueError("triangles must be positively oriented and non-degenerate")
-        for a in (self.vertices, self.triangles, self.boundary_edges,
-                  self.boundary_markers, self.parent_of, self.areas):
+        self.areas, self.gradient_planes = (_geometry(self.vertices[self.triangles])
+                                            if geometry is None else geometry)
+        for a in (self.vertices, self.triangles, self.boundary_edges, self.boundary_markers,
+                  self.parent_of, self.areas, self.gradient_planes):
             a.setflags(write=False)
         if self.vertex_parents is not None:
             self.vertex_parents.setflags(write=False)
         # given values fill the cached properties
-        if gradient_planes is not None:
-            gradient_planes.setflags(write=False)
-        for name, value in (("gradient_planes", gradient_planes), ("edges", edges),
-                            ("boundary_ids", boundary_ids)):
+        for name, value in (("edges", edges), ("boundary_ids", boundary_ids)):
             if value is not None:
                 self.__dict__[name] = value
 
@@ -292,8 +293,22 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def signed_areas(self) -> np.ndarray:
-        return _signed_areas(self.vertices[self.triangles])
+    @property
+    def n_coarse_vertices(self) -> int:
+        """Vertex count of the mesh this one was refined from: the vertices
+        before those ``vertex_parents`` appended (all, for a root mesh)."""
+        return self.n_vertices - (0 if self.vertex_parents is None else len(self.vertex_parents))
+
+    def refines(self, coarse: "Mesh") -> bool:
+        """Whether `refine` made this mesh from ``coarse``: not a root mesh,
+        one level finer, with ``coarse``'s vertex count as its coarse
+        vertex count, the triangle count that ``parent_of`` implies, and
+        ``coarse``'s vertices as its first vertices (the vertex set fixes a
+        newest-vertex bisection mesh of a given root)."""
+        return self.vertex_parents is not None and self.level == coarse.level + 1 \
+            and self.n_coarse_vertices == coarse.n_vertices \
+            and (not self.n_triangles or self.parent_of[-1] + 1 == coarse.n_triangles) \
+            and np.array_equal(coarse.vertices, self.vertices[:coarse.n_vertices])
 
     @cached_property
     def edges(self) -> EdgeTable:
@@ -303,14 +318,6 @@ class Mesh:
     def boundary_ids(self) -> np.ndarray:
         """Edge id of each entry of ``boundary_edges``."""
         return _boundary_ids(self.edges, self.boundary_edges)
-
-    @cached_property
-    def gradient_planes(self) -> np.ndarray:
-        """Gradients of the three nodal basis functions per triangle, as a
-        read-only x plane and y plane, (2, nT, 3)."""
-        planes = _gradient_planes(self.vertices[self.triangles], self.areas)
-        planes.setflags(write=False)
-        return planes
 
     @cached_property
     def gradient_operator(self) -> tuple:
@@ -359,8 +366,6 @@ class Mesh:
             raise ValueError("duplicate boundary edge")
         if not np.array_equal(_boundary_ids(et, self.boundary_edges), self.boundary_ids):
             raise ValueError("boundary_ids do not match the boundary edges")
-        if not np.isin(self.boundary_markers, (DIRICHLET, NEUMANN)).all():
-            raise ValueError("invalid boundary marker")
         return self
 
 
@@ -457,10 +462,9 @@ def refine(mesh: Mesh, marked) -> Mesh:
     for the second).  So a triangle has 1 to 4 children, in place of the
     parent; a split boundary edge ``(a, b)`` becomes ``(a, m), (m, b)``.
     Only the new triangles get their areas and hat gradients computed; those
-    of copied triangles (`copied_triangles`) are gathered from ``mesh``,
-    ``gradient_planes`` only if ``mesh`` has computed its own.  The child's
-    edge table and boundary edge ids come from those of ``mesh``
-    (`_carried_edge_table`), not from a sort.
+    of copied triangles (`copied_triangles`) are gathered from ``mesh``.
+    The child's edge table and boundary edge ids come from those of
+    ``mesh`` (`_carried_edge_table`), not from a sort.
     """
     n_t = mesh.n_triangles
     marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
@@ -511,18 +515,13 @@ def refine(mesh: Mesh, marked) -> Mesh:
     bedges[first, 1] = bedges[first + 1, 0] = bmids[split]
     boundary_ids = np.searchsorted(codes, _pair_codes(bedges, len(vertices)))
 
-    # areas and (once computed on the parent) hat gradients: gathered
-    # through parent_of, then computed afresh on the new triangles
-    p = vertices[twice[new]]
+    # areas and hat gradients: gathered through parent_of, then computed
+    # afresh on the new triangles
     areas = np.take(mesh.areas, parent_of)
-    areas[new] = _signed_areas(p)
-    planes = None
-    if "gradient_planes" in vars(mesh):
-        planes = np.take(mesh.gradient_planes, parent_of, axis=1)
-        planes[:, new] = _gradient_planes(p, areas[new])
+    planes = np.take(mesh.gradient_planes, parent_of, axis=1)
+    areas[new], planes[:, new] = _geometry(vertices[twice[new]])
     return Mesh(vertices, twice, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
-                parent_of=parent_of, vertex_parents=vertex_parents,
-                n_coarse_vertices=n_old, areas=areas, gradient_planes=planes,
+                parent_of=parent_of, vertex_parents=vertex_parents, geometry=(areas, planes),
                 edges=edges, boundary_ids=boundary_ids)
 
 
@@ -596,7 +595,7 @@ class MeshHierarchy:
         return self.levels[-1]
 
     def append(self, mesh: Mesh) -> None:
-        if mesh.n_coarse_vertices != self.finest.n_vertices:
+        if not mesh.refines(self.finest):
             raise ValueError("mesh does not refine the current finest level")
         self.levels.append(mesh)
 
@@ -604,14 +603,6 @@ class MeshHierarchy:
         new = refine(self.finest, marked)
         self.levels.append(new)
         return new
-
-    @property
-    def new_vertices_per_level(self) -> list[np.ndarray]:
-        """Index ranges of the vertices created at each level (empty at 0)."""
-        out = [np.empty(0, dtype=np.int64)]
-        for mesh in self.levels[1:]:
-            out.append(np.arange(mesh.n_coarse_vertices, mesh.n_vertices, dtype=np.int64))
-        return out
 
 
 def closure_cost(hierarchy, markings) -> float:

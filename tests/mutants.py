@@ -40,6 +40,8 @@ SELECTION = "tests/test_estimator.py::test_doerfler_selection_equals_full_sort"
 SORT_ORACLES = "tests/test_mesh.py::test_edge_table_and_dofmap_match_sort_oracles"
 COMPACT = "tests/test_estimator.py::test_index_arrays_are_compact_and_shared"
 WRAP = "tests/test_mesh.py::test_indices_a_32_bit_cast_would_wrap_are_rejected"
+HIERARCHY = "tests/test_mesh.py::test_hierarchy_bookkeeping"
+BOUNDARY = "tests/test_mesh.py::test_boundary_input_is_checked_at_construction"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -179,6 +181,34 @@ MUTANTS = [
      "if a.size and (a.min() < 0 or a.max() >= bound):",
      "if False:",
      [WRAP]),
+    # the mesh's lineage and its boundary input
+    ("refines without the vertex-prefix compare", "mesh.py",
+     "and np.array_equal(coarse.vertices, self.vertices[:coarse.n_vertices])",
+     "and True",
+     [HIERARCHY, "tests/test_fem.py::test_prolongation_preserves_function"]),
+    ("n_coarse_vertices that ignores vertex_parents", "mesh.py",
+     "return self.n_vertices - (0 if self.vertex_parents is None else len(self.vertex_parents))",
+     "return self.n_vertices",
+     [HIERARCHY]),
+    ("vertex parents checked against all vertices, not the coarse ones", "mesh.py",
+     "vertex_parents = _indices(vertex_parents, self.n_vertices - len(vertex_parents),",
+     "vertex_parents = _indices(vertex_parents, self.n_vertices,",
+     ["tests/test_mesh.py::test_vertex_parents_are_coarse_vertices"]),
+    ("no range check on boundary vertex indices", "mesh.py",
+     "self.boundary_edges = _indices(boundary_edges, self.n_vertices, \"boundary vertex\",",
+     "self.boundary_edges = _indices(np.clip(boundary_edges, 0, self.n_vertices - 1), "
+     "self.n_vertices, \"boundary vertex\",",
+     [BOUNDARY]),
+    ("no check of the boundary markers", "mesh.py",
+     "if not ((self.boundary_markers == DIRICHLET) | (self.boundary_markers == NEUMANN)).all():",
+     "if False:",
+     [BOUNDARY]),
+    # the CSV reader
+    ("CSV rows of any cell count", "driver.py",
+     "if len(row) != len(header):",
+     "if False:",
+     ["tests/test_driver.py::test_run_log_rejects_garbage",
+      "tests/test_experiments.py::test_cli_rates_rejects_a_truncated_index"]),
     # the run configuration and the sweep specification
     ("a configuration that keeps the domain as spelled", "driver.py",
      'object.__setattr__(self, "domain", get_problem(self.domain).name)',

@@ -104,8 +104,7 @@ def case_table_refine(mesh: Mesh, marked) -> Mesh:
     if not mask.any():
         return Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
                     mesh.boundary_markers, level=mesh.level + 1,
-                    parent_of=np.arange(n_t), vertex_parents=np.empty((0, 2), np.int64),
-                    n_coarse_vertices=mesh.n_vertices)
+                    parent_of=np.arange(n_t), vertex_parents=np.empty((0, 2), np.int64))
 
     et = mesh.edges
     marked_edge = np.zeros(et.n_edges, dtype=bool)
@@ -179,8 +178,7 @@ def case_table_refine(mesh: Mesh, marked) -> Mesh:
         bmarks = np.empty(0, dtype=np.int64)
 
     return Mesh(new_vertices, children, bedges, bmarks, level=mesh.level + 1,
-                parent_of=parent, vertex_parents=et.nodes[bis_edges],
-                n_coarse_vertices=mesh.n_vertices)
+                parent_of=parent, vertex_parents=et.nodes[bis_edges])
 
 
 # (domain, seed) of the kernel oracle checks: z_shape meshes have Neumann

@@ -210,6 +210,12 @@ def test_run_log_rejects_garbage():
         RunLog.from_csv(io.StringIO(""))
     with pytest.raises(ValueError):
         RunLog.from_csv(io.StringIO("l,k,banana\n1,1,1\n"))
+    # a row one cell short or one cell long
+    header, row = ",".join(BASE_COLUMNS), ",".join(["1"] * len(BASE_COLUMNS))
+    assert len(RunLog.from_csv(io.StringIO(f"{header}\n{row}\n")).records) == 1
+    for bad in (row[:-2], row + ",1"):
+        with pytest.raises(ValueError, match="line 3"):
+            RunLog.from_csv(io.StringIO(f"{header}\n{row}\n{bad}\n"))
 
 
 def test_diagnostics_columns():

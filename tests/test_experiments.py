@@ -235,6 +235,18 @@ def test_collect_rates_falls_back_to_stored_rate(tmp_path):
         collect_rates(str(tmp_path / "missing"))
 
 
+def test_cli_rates_rejects_a_truncated_index(tmp_path, capsys):
+    """A runs.csv row cut short, with no level table to recompute from,
+    fails naming its line, not with a KeyError."""
+    row = _write_synthetic_run(str(tmp_path), "zshape_t0.5_a0.01_p0.01", 0.5, np.ones(4))
+    os.remove(tmp_path / "zshape_t0.5_a0.01_p0.01.levels.csv")
+    _write_runs_index(str(tmp_path), [row, row[:9]])
+    with pytest.raises(ValueError, match="line 3"):
+        collect_rates(str(tmp_path))
+    assert main(["rates", "--in", str(tmp_path)]) == 1
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_collect_rates_rejects_the_former_uniform_column(tmp_path, capsys):
     row = _write_synthetic_run(str(tmp_path), "zshape_t0.5_a0.01_p0.01",
                                0.5, np.ones(4))
@@ -295,6 +307,14 @@ def test_cli_sweep(tmp_path, capsys):
     empty.write_text("# no runs here\n")
     assert main(["sweep", "--spec", str(empty), "--out", str(out)]) == 1
     capsys.readouterr()
+
+
+def test_cli_run_rejects_a_bad_configuration(tmp_path, capsys):
+    for argv, message in ((["--theta", "0"], "theta must lie in (0, 1]"),
+                          (["--domain", "nowhere"], "nowhere")):
+        assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_requires_subcommand():

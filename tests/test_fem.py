@@ -66,24 +66,18 @@ def test_element_gradients_match_einsum_oracle(domain, seed):
 @settings(max_examples=60, deadline=None)
 @given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
        seed=st.integers(0, 2 ** 32 - 1),
-       levels=st.lists(st.tuples(st.sampled_from(MARKING_KINDS), st.booleans()),
-                       max_size=6))
-def test_gradient_operator_holds_the_hat_gradients(domain, seed, levels):
+       kinds=st.lists(st.sampled_from(MARKING_KINDS), max_size=6))
+def test_gradient_operator_holds_the_hat_gradients(domain, seed, kinds):
     """On an affine image of a root refined at random, with the hat
-    gradients carried across the levels after a touch and computed afresh
-    after none: the operator's data are the hat gradient planes, equal to a
-    fresh computation and to the (nT, 3, 2) oracle, its indices are the
-    triangles and its indptr is shared, nothing copied, and its matvecs are
-    bitwise the einsum oracle."""
+    gradients carried across the levels: the operator's data are the hat
+    gradient planes, equal to a fresh computation and to the (nT, 3, 2)
+    oracle, its indices are the triangles and its indptr is shared, nothing
+    copied, and its matvecs are bitwise the einsum oracle."""
     rng = np.random.default_rng(seed)
     mesh = random_root(domain, rng)
-    for kind, touch in levels:
-        if touch:
-            mesh.gradient_operator
+    for kind in kinds:
         mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
     n = mesh.n_triangles
-    # once computed, the planes are carried to every later mesh
-    assert ("gradient_planes" in vars(mesh)) == any(touch for _, touch in levels)
     fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
     planes = mesh.gradient_planes
     assert planes.shape == (2, n, 3)
@@ -268,6 +262,14 @@ def test_prolongation_preserves_function():
     assert np.allclose(uf.vertex_values()[:mesh.n_vertices], u.vertex_values())
     with pytest.raises(ValueError):
         prolongate(u, dofmap)
+    # a refinement of another root with the same vertex count
+    square = create_initial("unit_square")
+    other = Mesh(2.0 * square.vertices + 1.0, square.triangles, square.boundary_edges,
+                 square.boundary_markers)
+    fine = DofMap.from_mesh(refine(other, [0, 1]))
+    prolongate(FeFunction.zero(DofMap.from_mesh(other)), fine)
+    with pytest.raises(ValueError):
+        prolongate(FeFunction.zero(DofMap.from_mesh(square)), fine)
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,27 +306,20 @@ SAMPLED = ("f_phi", "f_sq")
 @settings(max_examples=60, deadline=None)
 @given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
        seed=st.integers(0, 2 ** 32 - 1),
-       levels=st.lists(st.tuples(st.sampled_from(MARKING_KINDS), st.booleans()),
-                       min_size=1, max_size=8))
-def test_carried_arrays_match_fresh_computation(domain, seed, levels):
+       kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
+def test_carried_arrays_match_fresh_computation(domain, seed, kinds):
     """What `refine` and `sample` gather from the parent for copied
-    triangles and unsplit Neumann edges is bitwise what a fresh computation
-    on the same mesh gives; hat gradients are carried exactly when the
-    parent had computed them."""
+    triangles and unsplit Neumann edges, the areas and hat gradients
+    included, is bitwise what a fresh computation on the same mesh gives."""
     rng = np.random.default_rng(seed)
     mesh = create_initial(domain)
     samples = sample(mesh, smooth_source, smooth_flux)
-    for kind, touch in levels:
-        if touch:
-            mesh.gradient_planes
-        had = "gradient_planes" in vars(mesh)
+    for kind in kinds:
         mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
         samples = sample(mesh, smooth_source, smooth_flux, previous=samples)
         fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
         assert np.array_equal(mesh.areas, fresh.areas)
-        assert ("gradient_planes" in vars(mesh)) == had
-        if had:
-            assert np.array_equal(mesh.gradient_planes, fresh.gradient_planes)
+        assert np.array_equal(mesh.gradient_planes, fresh.gradient_planes)
         want = sample(fresh, smooth_source, smooth_flux)
         for name in SAMPLED:
             assert np.array_equal(getattr(samples, name), getattr(want, name)), name

@@ -33,7 +33,8 @@ def assert_conforming(mesh):
     boundary = {(min(a, b), max(a, b)) for a, b in mesh.boundary_edges}
     single = {e for e, c in census.items() if c == 1}
     assert single == boundary, "boundary list must be exactly the single-count edges"
-    assert mesh.signed_areas().min() > 0
+    fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
+    assert fresh.areas.min() > 0 and np.array_equal(fresh.areas, mesh.areas)
 
 
 def test_initial_meshes():
@@ -274,6 +275,39 @@ def test_validate_rejects_a_wrong_boundary_list():
         bad.validate()
 
 
+BAD_BOUNDARY = {"index -4": ((3, -4), DIRICHLET, "boundary vertex index out of range"),
+                "index n_vertices": ((4, 0), NEUMANN, "boundary vertex index out of range"),
+                "marker 7": ((3, 0), 7, "DIRICHLET or NEUMANN"),
+                "marker -1": ((3, 0), -1, "DIRICHLET or NEUMANN")}
+
+
+@pytest.mark.parametrize("edge, marker, message", BAD_BOUNDARY.values(),
+                         ids=BAD_BOUNDARY.keys())
+def test_boundary_input_is_checked_at_construction(edge, marker, message):
+    """A boundary vertex index outside [0, n_vertices) or a marker other
+    than DIRICHLET and NEUMANN raises when the mesh is built, not at the
+    first refine (an index) or never (a marker, read as Neumann)."""
+    square = create_initial("unit_square")
+    edges, markers = square.boundary_edges.copy(), square.boundary_markers.copy()
+    Mesh(square.vertices, square.triangles, edges, markers)
+    edges[-1], markers[-1] = edge, marker
+    with pytest.raises(ValueError, match=message):
+        Mesh(square.vertices, square.triangles, edges, markers)
+
+
+@pytest.mark.parametrize("parents", [[[0, 1]] * 5, [[3, 3]], [[0, 3]]],
+                         ids=["more parents than vertices", "appended", "one appended"])
+def test_vertex_parents_are_coarse_vertices(parents):
+    """The endpoints of a bisected edge lie among the n_vertices -
+    len(vertex_parents) coarse vertices, so n_coarse_vertices is never
+    negative."""
+    square = create_initial("unit_square")
+    arrays = (square.vertices, square.triangles, square.boundary_edges, square.boundary_markers)
+    assert Mesh(*arrays, level=1, vertex_parents=[[0, 2]]).n_coarse_vertices == 3
+    with pytest.raises(ValueError, match="vertex parent index out of range"):
+        Mesh(*arrays, level=1, vertex_parents=parents)
+
+
 def test_edge_shared_by_three_triangles_is_rejected():
     mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)],
                 [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [])
@@ -348,14 +382,23 @@ def test_hierarchy_bookkeeping():
         markings.append(marked)
         hier.refine(marked)
     assert len(hier.levels) == 7
-    spans = hier.new_vertices_per_level
-    assert spans[0].size == 0
-    total = hier.levels[0].n_vertices + sum(s.size for s in spans)
-    assert total == hier.finest.n_vertices
+    assert hier.levels[0].n_coarse_vertices == hier.levels[0].n_vertices
+    for coarse, fine in zip(hier.levels, hier.levels[1:]):
+        assert fine.refines(coarse) and not coarse.refines(fine)
+        assert fine.n_coarse_vertices == coarse.n_vertices
     ratio = closure_cost(hier, markings)
     assert 1.0 <= ratio < 10.0
     with pytest.raises(ValueError):
         hier.append(create_initial("l_shape"))
+    # a refinement of another root with the same vertex count
+    square = create_initial("unit_square")
+    other = Mesh(2.0 * square.vertices + 1.0, square.triangles, square.boundary_edges,
+                 square.boundary_markers)
+    fine = refine(other, [0, 1])
+    assert fine.refines(other) and not fine.refines(square)
+    with pytest.raises(ValueError):
+        MeshHierarchy(square).append(fine)
+    MeshHierarchy(other).append(fine)
 
 
 def test_overlay_refines_both_inputs():
