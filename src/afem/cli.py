@@ -66,14 +66,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run_benchmark([config], out_dir=args.out, verbose=True)
         return 0
     if args.command == "sweep":
-        with open(args.spec) as fh:
-            configs = parse_sweep_spec(fh.read())
-        if not configs:
-            print("sweep spec expands to no runs", file=sys.stderr)
-            return 1
         try:
+            with open(args.spec) as fh:
+                configs = parse_sweep_spec(fh.read())
+            if not configs:
+                raise ValueError("sweep spec expands to no runs")
             run_benchmark(configs, out_dir=args.out, verbose=True)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(exc, file=sys.stderr)
             return 1
         return 0

@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, get_type_hints
@@ -55,7 +57,9 @@ class AdaptiveConfig:
     is known; diagnostics additionally solves each linear system exactly to
     log the algebraic error and the combined quasi-error.  domain is stored
     by its canonical problem name (``z_shape`` reads as ``zshape``).
-    Out-of-range values raise ValueError at construction.
+    Out-of-range values raise ValueError at construction; both lambdas must
+    be finite (an infinite one would switch its stopping test off) and
+    max_elements an integer.
     """
 
     domain: str = "zshape"
@@ -71,10 +75,11 @@ class AdaptiveConfig:
         # raises ValueError for an unknown domain
         object.__setattr__(self, "domain", get_problem(self.domain).name)
         checks = [(0.0 < self.theta <= 1.0, "theta must lie in (0, 1]"),
-                  (self.lambda_alg > 0.0, "lambda_alg must be positive"),
-                  (self.lambda_pic > 0.0, "lambda_pic must be positive"),
+                  (0.0 < self.lambda_alg < math.inf, "lambda_alg must be positive and finite"),
+                  (0.0 < self.lambda_pic < math.inf, "lambda_pic must be positive and finite"),
                   (self.eta_tol >= 0.0, "eta_tol must be nonnegative"),
-                  (self.max_elements >= 1, "max_elements must be at least 1")]
+                  (isinstance(self.max_elements, numbers.Integral) and self.max_elements >= 1,
+                   "max_elements must be an integer of at least 1")]
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)

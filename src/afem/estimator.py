@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import EDGE_QUAD_W, FeFunction, Samples, element_gradients, sample
+from .fem import FeFunction, Samples, element_gradients, sample
 from .mesh import Mesh
 from .nonlinearity import Nonlinearity
 
@@ -62,11 +62,11 @@ def total(field: IndicatorField, subset=None) -> float:
 class EstimatorData:
     """Mesh- and data-dependent precomputations for indicator evaluation.
 
-    Everything that does not depend on the argument function is computed
-    once from the mesh and the data samples: interior edge topology and
-    normals, the volume data integral per element, and the Neumann data
-    moments per edge.  `eval_squared` then costs a handful of vectorized
-    passes.
+    Everything that does not depend on the argument function is prepared
+    once: the interior edge topology and normals from the mesh, and, as
+    `sample` integrated them, the volume data integral per element and the
+    Neumann data integrals per edge.  `eval_squared` then costs a handful
+    of vectorized passes.
     """
 
     def __init__(self, samples: Samples):
@@ -84,17 +84,9 @@ class EstimatorData:
         # (2, n) rows: the coordinates of the unit normals
         self.ie_normal = np.array([tang[:, 1], -tang[:, 0]]) / self.ie_length
 
-        # the volume term |T| ||f||^2_{L2(T)} per element
-        self.volume_sq = np.zeros(mesh.n_triangles) if samples.f_sq is None else \
-            mesh.areas * samples.f_sq
-
-        self.neumann = None
-        if samples.neumann is not None:
-            _, lengths, normals, owner, gq = samples.neumann
-            g_sq_int = lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2)
-            g_int = lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq)
-            self.neumann = (owner, lengths, normals, g_sq_int, g_int)
-
+        # the volume term |T| ||f||^2_{L2(T)} per element and the Neumann
+        # data integrals per edge, as sampled
+        self.volume_sq, self.neumann = samples.volume_sq, samples.neumann
         self.sqrt_areas = np.sqrt(mesh.areas)
 
     def eval_squared(self, nl: Nonlinearity, vertex_values: np.ndarray) -> np.ndarray:
@@ -117,7 +109,7 @@ class EstimatorData:
             edge_sq += np.bincount(left, weights=jump, minlength=mesh.n_triangles)
             edge_sq += np.bincount(right, weights=jump, minlength=mesh.n_triangles)
         if self.neumann is not None:
-            owner, lengths, normals, g_sq_int, g_int = self.neumann
+            _, owner, lengths, normals, _, g_int, g_sq_int = self.neumann
             c = np.take(fx, owner) * normals[:, 0] + np.take(fy, owner) * normals[:, 1]
             mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
             edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),

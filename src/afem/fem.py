@@ -10,15 +10,17 @@ vanish on the Dirichlet boundary; coefficient vectors run over the free
 Volume integrands are approximated with the symmetric 7-point rule of
 degree 5, edge integrands with 3-point Gauss, everywhere a data or
 nonlinear integrand appears; polynomial integrands are thereby exact.
-`sample` evaluates the problem data at these nodes once per mesh and keeps,
-of the volume data, only the per-triangle integrals that the load vector
-and the estimator read.  Given the samples of the parent mesh it evaluates
-f only on the new triangles and g only on the halves of split Neumann
-edges: the integrals of a copied triangle and the lengths, normals and g
-values of an unsplit Neumann edge are gathered from the parent's samples,
-and each edge's owning triangle is read from the edge table that `refine`
-carried; ``g`` is not called on a level where no Neumann edge was split.
-The load vector and the estimator both integrate the same `Samples`.
+`sample` evaluates the problem data at these nodes once per mesh and keeps
+only the integrals that the load vector and the estimator read: per
+triangle, those of f against the three hat functions and |T| times that of
+f^2; per Neumann edge, those of g against the hat functions of its two
+endpoints, of g and of g^2.  Given the samples of the parent mesh it
+evaluates f only on the new triangles and g only on the halves of split
+Neumann edges: the integrals of a copied triangle and the lengths, normals
+and integrals of an unsplit Neumann edge are gathered from the parent's
+samples, and each edge's owning triangle is read from the edge table that
+`refine` carried; ``g`` is not called on a level where no Neumann edge was
+split.  The load vector and the estimator both read the same `Samples`.
 
 The element gradients of a P1 function are two sparse matvecs, with the x
 and y matrices of `Mesh.gradient_operator`, whose data are the hat gradients
@@ -186,41 +188,42 @@ def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Samples:
-    """Problem data at the quadrature nodes of one mesh.
+    """Integrals of the problem data on one mesh.
 
-    ``f_phi`` (nT, 3) and ``f_sq`` (nT,) hold, per triangle, the integrals
-    of f against the three hat functions (the load) and of f^2 (the
-    estimator's volume term), from f at the 7 volume nodes; both are None
-    without volume data.  ``neumann`` is None without Neumann edges, else
-    ``(edges, lengths, normals, owner, gq)``: endpoints (nN, 2), lengths,
-    outward unit normals, the owning triangle (np.intp, which the estimator
-    gathers by on every evaluation), and g at the 3 nodes of each edge.
+    ``f_phi`` (nT, 3) holds, per triangle, the integrals of f against the
+    three hat functions (the load), and ``volume_sq`` (nT,) |T| times the
+    integral of f^2 (the estimator's volume term), from f at the 7 volume
+    nodes.  ``neumann`` is None without Neumann edges, else ``(edges, owner,
+    lengths, normals, g_phi, g_int, g_sq_int)``: endpoints (nN, 2), the
+    owning triangle (np.intp, which the estimator gathers by on every
+    evaluation), lengths, outward unit normals, and, from g at the 3 nodes
+    of each edge, the integrals of g against the hat functions of its two
+    endpoints (nN, 2), of g and of g^2.
     """
 
     mesh: Mesh
-    f_phi: np.ndarray | None
-    f_sq: np.ndarray | None
+    f_phi: np.ndarray
+    volume_sq: np.ndarray
     neumann: tuple | None
 
 
 def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
-    """Evaluate ``f(points)`` and ``g(points, normals)`` at the quadrature
-    nodes, each once.
+    """Integrate ``f(points)`` and ``g(points, normals)`` by quadrature,
+    evaluating each once per node.
 
     ``f`` maps (..., 2) point arrays to values; ``g`` additionally receives
     the outward unit normal (broadcast per edge).  Without ``g`` the Neumann
     data is zero.  When ``previous`` holds the samples of the same ``f`` and
     ``g`` on the mesh that ``mesh`` was refined from (`Mesh.refines`), what
-    did not change is gathered from it: the volume data of copied triangles
-    (``f_phi`` and ``f_sq``) and the lengths, normals and ``g`` values of
-    unsplit Neumann edges.  ``f`` then sees only the nodes of the new
-    triangles and ``g`` only those of the halves of split edges, and is not
-    called when no Neumann edge was split; any other ``previous`` is
-    ignored.
+    did not change is gathered from it: the integrals of copied triangles
+    and the lengths, normals and integrals of unsplit Neumann edges.  ``f``
+    then sees only the nodes of the new triangles and ``g`` only those of
+    the halves of split edges, and is not called when no Neumann edge was
+    split; any other ``previous`` is ignored.
     """
     if previous is not None and not mesh.refines(previous.mesh):
         previous = None
-    volume = (None, None) if f is None else _volume_samples(mesh, f, previous)
+    volume = _volume_samples(mesh, f, previous)
     sel = mesh.boundary_markers != DIRICHLET
     if not sel.any():
         return Samples(mesh, *volume, None)
@@ -228,13 +231,13 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
 
 
 def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
-    """``f_phi`` and ``f_sq`` of `Samples`, gathered from the parent mesh's
-    samples ``previous`` for the copied triangles."""
-    if previous is None or previous.f_phi is None:
+    """``f_phi`` and ``volume_sq`` of `Samples`, gathered from the parent
+    mesh's samples ``previous`` for the copied triangles."""
+    if previous is None:
         return _volume_moments(np.asarray(f(triangle_quad_points(mesh))), mesh.areas)
     new = np.flatnonzero(~copied_triangles(mesh.parent_of))
     fq = np.asarray(f(triangle_quad_points(mesh, new)))
-    out = tuple(np.take(a, mesh.parent_of, axis=0) for a in (previous.f_phi, previous.f_sq))
+    out = tuple(np.take(a, mesh.parent_of, axis=0) for a in (previous.f_phi, previous.volume_sq))
     for a, fresh in zip(out, _volume_moments(fq, mesh.areas[new])):
         a[new] = fresh
     return out
@@ -247,17 +250,17 @@ def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -
     edges = mesh.boundary_edges[sel]
     owner = mesh.edges.incident[mesh.boundary_ids[sel], 0].astype(np.intp)
     if previous is None or previous.neumann is None:
-        fresh = np.arange(len(edges))
-        lengths, normals = np.empty(len(edges)), np.empty((len(edges), 2))
-        gq = np.empty((len(edges), EDGE_QUAD_X.size))
+        n = len(edges)
+        fresh = np.arange(n)
+        per_edge = np.empty(n), np.empty((n, 2)), np.empty((n, 2)), np.empty(n), np.empty(n)
     else:
         # `refine` puts the halves (a, m), (m, b) of a split edge in its
         # place; m is new, so each second half shifts the parent rows by one
         second = edges[:, 0] >= mesh.n_coarse_vertices
         from_parent = np.arange(len(edges)) - np.cumsum(second)
-        _, lengths, normals, _, gq = previous.neumann
-        lengths, normals, gq = (np.take(a, from_parent, axis=0) for a in (lengths, normals, gq))
+        per_edge = tuple(np.take(a, from_parent, axis=0) for a in previous.neumann[2:])
         fresh = np.flatnonzero(second | (edges[:, 1] >= mesh.n_coarse_vertices))
+    lengths, normals, g_phi, g_int, g_sq_int = per_edge
     a = mesh.vertices[edges[fresh, 0]]
     b = mesh.vertices[edges[fresh, 1]]
     tang = b - a
@@ -267,39 +270,39 @@ def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -
     outward = (a + b) / 2 - mesh.vertices[mesh.triangles[owner[fresh]]].mean(axis=1)
     normal[(normal * outward).sum(axis=1) < 0] *= -1.0
     normals[fresh] = normal
-    if g is None:
-        gq[fresh] = 0.0
-    elif fresh.size:
+    gq = np.zeros((len(fresh), EDGE_QUAD_X.size))
+    if g is not None and fresh.size:
         pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
-        gq[fresh] = np.asarray(g(pts, normal[:, None, :]))
-    return edges, lengths, normals, owner, gq
+        gq[:] = g(pts, normal[:, None, :])
+    g_phi[fresh, 0] = length * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
+    g_phi[fresh, 1] = length * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
+    g_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq)
+    g_sq_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2)
+    return (edges, owner) + per_edge
 
 
 def _volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:
-    """Per-triangle integrals of f against the hat functions, (n, 3), and of
-    f^2, (n,), from f at the volume nodes and the triangle areas."""
+    """Per-triangle integrals of f against the hat functions, (n, 3), and
+    |T| times the integral of f^2, (n,), from f at the volume nodes and the
+    triangle areas."""
     f_phi = np.zeros((len(fq), 3))
     for q, (w, bary) in enumerate(zip(TRI_QUAD_W, TRI_QUAD_BARY)):
         f_phi += fq[:, q, None] * w * bary * areas[:, None]
-    return f_phi, np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, areas)
+    return f_phi, areas * np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, areas)
 
 
 def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
-    """Load vector: the sampled volume and Neumann data integrated against
-    the nodal basis."""
+    """Load vector: the sampled integrals of the volume and Neumann data
+    against the nodal basis, scattered to the vertices."""
     mesh = dofmap.mesh
     if samples.mesh is not mesh:
         raise ValueError("samples were taken on a different mesh")
-    rhs_v = np.zeros(mesh.n_vertices)
-    if samples.f_phi is not None:
-        rhs_v += np.bincount(mesh.triangles.ravel(), weights=samples.f_phi.ravel(),
-                             minlength=mesh.n_vertices)
+    rhs_v = np.bincount(mesh.triangles.ravel(), weights=samples.f_phi.ravel(),
+                        minlength=mesh.n_vertices)
     if samples.neumann is not None:
-        edges, lengths, _, _, gq = samples.neumann
-        w0 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
-        w1 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
-        np.add.at(rhs_v, edges[:, 0], w0)
-        np.add.at(rhs_v, edges[:, 1], w1)
+        edges, _, _, _, g_phi, _, _ = samples.neumann
+        np.add.at(rhs_v, edges[:, 0], g_phi[:, 0])
+        np.add.at(rhs_v, edges[:, 1], g_phi[:, 1])
     return rhs_v[dofmap.free_vertices]
 
 

@@ -23,15 +23,17 @@ edges), together with the edge id of every boundary edge, so connectivity
 costs gathers in proportion to the mesh and a sort only of what changed.
 Every mesh holds its areas and hat gradients, stored once as (2, nT, 3) x
 and y planes: a root mesh computes them when built, `refine` gathers those
-of copied triangles and computes those of new ones.  `Mesh.refines` is the
-one test of whether a mesh was refined from another.
+of copied triangles and computes those of new ones.  A mesh is complete
+when built, with no lazy attribute: its edge table, boundary edge ids and
+gradient operator exist from construction, so a root mesh whose edge has
+three triangles or whose boundary list is wrong raises at once.
+`Mesh.refines` is the one test of whether a mesh was refined from another.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -230,23 +232,26 @@ class Mesh:
         the endpoints are coarse vertices, those before the appended ones.
 
     geometry, edges, boundary_ids : ``(areas, gradient_planes)`` and the
-        values of the properties ``edges`` and ``boundary_ids`` when the
+        values of the attributes ``edges`` and ``boundary_ids`` when the
         caller already has them, as `refine` does: it gathers the geometry
         of copied triangles from the parent mesh and carries its edge table.
 
-    The read-only ``areas`` (positive) and ``gradient_planes`` (the hat
-    gradients as x and y planes, (2, nT, 3)) are computed at construction
-    unless given as ``geometry``.  ``edges`` (`EdgeTable`), ``boundary_ids``
-    (the edge id of each boundary edge) and ``gradient_operator`` are
-    computed on first use unless given, and live as long as the mesh.  The
-    hat gradients are stored once, as the planes, which
-    ``gradient_operator`` holds as its data, with ``triangles`` as its
-    indices.  ``n_coarse_vertices`` is derived from ``vertex_parents``.
-    Vertex coordinates must be finite, boundary vertex indices in range and
-    markers DIRICHLET or NEUMANN.  The connectivity (``triangles``,
-    ``parent_of``, ``vertex_parents``, `EdgeTable`) is int32, so n_vertices
-    and 3 n_triangles + 1 must fit in int32; indices are range-checked
-    before the cast, which would wrap them.
+    A mesh is complete when built: the read-only ``areas`` (positive),
+    ``gradient_planes`` (the hat gradients as x and y planes, (2, nT, 3)),
+    ``edges`` (`EdgeTable`) and ``boundary_ids`` (the edge id of each
+    boundary edge) are computed at construction unless given, and so is
+    ``gradient_operator``, the P1 gradient as two (nT, nV) CSR matrices of
+    x and of y components: row t holds the hat gradients of triangle t in
+    the columns of its vertices.  Nothing is copied: their data are the
+    planes, their indices ``triangles`` itself (int32), and they share one
+    ``indptr``, 0, 3, 6, ...  ``n_coarse_vertices`` is derived from
+    ``vertex_parents``.  Vertex coordinates must be finite, boundary vertex
+    indices in range and markers DIRICHLET or NEUMANN; no edge may have
+    more than two triangles, and the boundary edges must be exactly the
+    edges of one triangle.  The connectivity (``triangles``, ``parent_of``,
+    ``vertex_parents``, `EdgeTable`) is int32, so n_vertices and 3
+    n_triangles + 1 must fit in int32; indices are range-checked before the
+    cast, which would wrap them.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
@@ -275,15 +280,20 @@ class Mesh:
             raise ValueError("need one marker per boundary edge")
         self.areas, self.gradient_planes = (_geometry(self.vertices[self.triangles])
                                             if geometry is None else geometry)
+        self.edges = (_build_edge_table(self.triangles, self.n_vertices) if edges is None
+                      else edges)
+        self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)
+                             if boundary_ids is None else boundary_ids)
         for a in (self.vertices, self.triangles, self.boundary_edges, self.boundary_markers,
-                  self.parent_of, self.areas, self.gradient_planes):
+                  self.parent_of, self.areas, self.gradient_planes, self.boundary_ids):
             a.setflags(write=False)
         if self.vertex_parents is not None:
             self.vertex_parents.setflags(write=False)
-        # given values fill the cached properties
-        for name, value in (("edges", edges), ("boundary_ids", boundary_ids)):
-            if value is not None:
-                self.__dict__[name] = value
+        indptr = np.arange(0, 3 * self.n_triangles + 1, 3, dtype=np.int32)
+        self.gradient_operator = tuple(
+            sp.csr_matrix((plane.reshape(-1), self.triangles.reshape(-1), indptr),
+                          shape=(self.n_triangles, self.n_vertices))
+            for plane in self.gradient_planes)
 
     @property
     def n_vertices(self) -> int:
@@ -310,28 +320,6 @@ class Mesh:
             and (not self.n_triangles or self.parent_of[-1] + 1 == coarse.n_triangles) \
             and np.array_equal(coarse.vertices, self.vertices[:coarse.n_vertices])
 
-    @cached_property
-    def edges(self) -> EdgeTable:
-        return _build_edge_table(self.triangles, self.n_vertices)
-
-    @cached_property
-    def boundary_ids(self) -> np.ndarray:
-        """Edge id of each entry of ``boundary_edges``."""
-        return _boundary_ids(self.edges, self.boundary_edges)
-
-    @cached_property
-    def gradient_operator(self) -> tuple:
-        """The P1 gradient as two (nT, nV) CSR matrices, of x and of y
-        components: row t holds the hat gradients of triangle t in the
-        columns of its vertices.  Nothing is copied: their data are the
-        planes of ``gradient_planes``, their indices ``triangles`` itself
-        (int32), and they share one ``indptr``, 0, 3, 6, ...
-        """
-        indptr = np.arange(0, 3 * self.n_triangles + 1, 3, dtype=np.int32)
-        return tuple(sp.csr_matrix((plane.reshape(-1), self.triangles.reshape(-1), indptr),
-                                   shape=(self.n_triangles, self.n_vertices))
-                     for plane in self.gradient_planes)
-
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
@@ -353,7 +341,6 @@ class Mesh:
 
     def validate(self) -> "Mesh":
         """Full conformity audit; raises ValueError on any violation."""
-        et = self.edges  # raises if an edge has > 2 incident triangles
         uniq_v = np.unique(self.vertices, axis=0)
         if uniq_v.shape[0] != self.n_vertices:
             raise ValueError("duplicate vertex coordinates")
@@ -364,7 +351,8 @@ class Mesh:
         listed = np.sort(self.boundary_edges, axis=1)
         if len(np.unique(listed, axis=0)) != len(listed):
             raise ValueError("duplicate boundary edge")
-        if not np.array_equal(_boundary_ids(et, self.boundary_edges), self.boundary_ids):
+        if not np.array_equal(_boundary_ids(self.edges, self.boundary_edges),
+                              self.boundary_ids):
             raise ValueError("boundary_ids do not match the boundary edges")
         return self
 

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .fem import TRI_QUAD_W, element_gradients, triangle_quad_points
 from .nonlinearity import (Nonlinearity, constant_nonlinearity,
                            lshape_nonlinearity, zshape_nonlinearity)
 
@@ -42,7 +43,7 @@ class Problem:
     name: str
     domain: str
     nonlinearity: Nonlinearity
-    source: Optional[Callable[[np.ndarray], np.ndarray]]
+    source: Callable[[np.ndarray], np.ndarray]
     neumann: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     exact: Optional[ExactSolution] = None
 
@@ -173,8 +174,6 @@ class ErrorData:
     """
 
     def __init__(self, mesh, exact: ExactSolution):
-        from .fem import TRI_QUAD_W, triangle_quad_points
-
         self.mesh = mesh
         pts = triangle_quad_points(mesh)
         areas = mesh.areas
@@ -205,8 +204,6 @@ class ErrorData:
 
     def error(self, vertex_values: np.ndarray) -> float:
         """Energy norm of (exact - piecewise linear with these vertex values)."""
-        from .fem import element_gradients
-
         gx, gy = element_gradients(self.mesh, vertex_values)
         err2 = (self._e0_total - 2.0 * float((self._gint * np.column_stack([gx, gy])).sum())
                 + float((self.mesh.areas * (gx * gx + gy * gy)).sum()))

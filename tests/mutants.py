@@ -42,6 +42,8 @@ COMPACT = "tests/test_estimator.py::test_index_arrays_are_compact_and_shared"
 WRAP = "tests/test_mesh.py::test_indices_a_32_bit_cast_would_wrap_are_rejected"
 HIERARCHY = "tests/test_mesh.py::test_hierarchy_bookkeeping"
 BOUNDARY = "tests/test_mesh.py::test_boundary_input_is_checked_at_construction"
+WRONG_BOUNDARY = "tests/test_mesh.py::test_validate_rejects_a_wrong_boundary_list"
+RHS_ORACLE = "tests/test_fem.py::test_assemble_rhs_matches_einsum_oracle"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -146,7 +148,8 @@ MUTANTS = [
     ("no check for an edge of three triangles", "mesh.py",
      "if 2 * n_edges - np.count_nonzero(single) != 3 * len(of_triangle):",
      "if False:",
-     ["tests/test_mesh.py::test_carried_incidence_rejects_an_edge_of_three_triangles"]),
+     ["tests/test_mesh.py::test_carried_incidence_rejects_an_edge_of_three_triangles",
+      "tests/test_mesh.py::test_edge_shared_by_three_triangles_is_rejected"]),
     ("shifted boundary edge ids", "mesh.py",
      "boundary_ids = np.searchsorted(codes, _pair_codes(bedges, len(vertices)))",
      "boundary_ids = np.roll(np.searchsorted(codes, _pair_codes(bedges, len(vertices))), 1)",
@@ -160,9 +163,19 @@ MUTANTS = [
      "fresh = np.arange(len(edges))",
      [SAMPLED_ONCE]),
     ("g called on a level that split no Neumann edge", "fem.py",
-     "elif fresh.size:",
-     "else:",
+     "if g is not None and fresh.size:",
+     "if g is not None:",
      [SAMPLED_ONCE]),
+    ("the g integral of a split edge left as the parent's", "fem.py",
+     'g_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq)',
+     'g_int[fresh] = g_int[fresh] if previous is not None else '
+     'length * np.einsum("q,nq->n", EDGE_QUAD_W, gq)',
+     [CARRIED]),
+    # the load vector scatters the sampled integrals
+    ("the endpoint integrals of g scattered to swapped endpoints", "fem.py",
+     "edges, _, _, _, g_phi, _, _ = samples.neumann",
+     "edges, _, _, _, g_phi, _, _ = samples.neumann\n        g_phi = g_phi[:, ::-1]",
+     [RHS_ORACLE]),
     # the gradient operator
     ("the x plane in both matrices of the gradient operator", "mesh.py",
      "for plane in self.gradient_planes)",
@@ -203,6 +216,10 @@ MUTANTS = [
      "if not ((self.boundary_markers == DIRICHLET) | (self.boundary_markers == NEUMANN)).all():",
      "if False:",
      [BOUNDARY]),
+    ("a root mesh's boundary ids taken unchecked", "mesh.py",
+     "self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)",
+     "self.boundary_ids = (np.flatnonzero(self.edges.is_boundary)",
+     [WRONG_BOUNDARY]),
     # the CSV reader
     ("CSV rows of any cell count", "driver.py",
      "if len(row) != len(header):",

@@ -263,18 +263,31 @@ def einsum_apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     return r[w.dofmap.free_vertices]
 
 
-def einsum_assemble_rhs(dofmap: DofMap, samples: Samples, f) -> np.ndarray:
-    """The load vector of the source ``f`` (None: no volume term) and the
-    Neumann data of ``samples``."""
+def neumann_data_at_nodes(samples: Samples, g) -> np.ndarray:
+    """g at the 3 nodes of each Neumann edge of ``samples`` (zero for None),
+    (nN, 3), at the points and normals the library evaluates it at."""
+    mesh = samples.mesh
+    edges, _, _, normals = samples.neumann[:4]
+    a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    gq = np.zeros((len(edges), EDGE_QUAD_X.size))
+    if g is not None:
+        gq[:] = g(a[:, None, :] + EDGE_QUAD_X[None, :, None] * (b - a)[:, None, :],
+                  normals[:, None, :])
+    return gq
+
+
+def einsum_assemble_rhs(dofmap: DofMap, samples: Samples, f, g) -> np.ndarray:
+    """The load vector of the source ``f`` and the Neumann data ``g`` on
+    the Neumann edges of ``samples``."""
     mesh = dofmap.mesh
+    fq = f(einsum_triangle_quad_points(mesh))
+    contrib = np.einsum("tq,q,qi,t->ti", fq, TRI_QUAD_W, TRI_QUAD_BARY, mesh.areas)
     rhs_v = np.zeros(mesh.n_vertices)
-    if f is not None:
-        fq = f(einsum_triangle_quad_points(mesh))
-        contrib = np.einsum("tq,q,qi,t->ti", fq, TRI_QUAD_W, TRI_QUAD_BARY, mesh.areas)
-        rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                             minlength=mesh.n_vertices)
+    rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                         minlength=mesh.n_vertices)
     if samples.neumann is not None:
-        edges, lengths, _, _, gq = samples.neumann
+        edges, _, lengths = samples.neumann[:3]
+        gq = neumann_data_at_nodes(samples, g)
         w0 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
         w1 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
         np.add.at(rhs_v, edges[:, 0], w0)
@@ -282,24 +295,22 @@ def einsum_assemble_rhs(dofmap: DofMap, samples: Samples, f) -> np.ndarray:
     return rhs_v[dofmap.free_vertices]
 
 
-def einsum_estimator_moments(samples: Samples, f):
-    """Integral of the source ``f`` squared per element (zero for None), and
-    the Neumann data moments ``(g_sq_int, g_int)`` per edge (None without
-    Neumann edges)."""
+def einsum_estimator_moments(samples: Samples, f, g):
+    """|T| times the integral of the source ``f`` squared per element, and
+    the Neumann data moments ``(g_sq_int, g_int)`` of ``g`` per edge (None
+    without Neumann edges)."""
     mesh = samples.mesh
-    if f is None:
-        f_sq_int = np.zeros(mesh.n_triangles)
-    else:
-        fq = f(einsum_triangle_quad_points(mesh))
-        f_sq_int = np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, mesh.areas)
+    fq = f(einsum_triangle_quad_points(mesh))
+    volume_sq = mesh.areas * np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, mesh.areas)
     if samples.neumann is None:
-        return f_sq_int, None
-    _, lengths, _, _, gq = samples.neumann
-    return f_sq_int, (lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2),
-                      lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq))
+        return volume_sq, None
+    lengths = samples.neumann[2]
+    gq = neumann_data_at_nodes(samples, g)
+    return volume_sq, (lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2),
+                       lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq))
 
 
-def einsum_eval_squared(samples: Samples, f, nl: Nonlinearity,
+def einsum_eval_squared(samples: Samples, f, g, nl: Nonlinearity,
                         vertex_values: np.ndarray) -> np.ndarray:
     """Squared residual indicators, set-up and evaluation in one pass."""
     mesh = samples.mesh
@@ -311,7 +322,7 @@ def einsum_eval_squared(samples: Samples, f, nl: Nonlinearity,
     tang = mesh.vertices[nodes[:, 1]] - mesh.vertices[nodes[:, 0]]
     ie_length = np.linalg.norm(tang, axis=1)
     ie_normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / ie_length[:, None]
-    f_sq_int, moments = einsum_estimator_moments(samples, f)
+    volume_sq, moments = einsum_estimator_moments(samples, f, g)
 
     grads = einsum_element_gradients(mesh, vertex_values)
     t = (grads ** 2).sum(axis=1)
@@ -324,13 +335,13 @@ def einsum_eval_squared(samples: Samples, f, nl: Nonlinearity,
         edge_sq += np.bincount(ie_left, weights=contrib, minlength=mesh.n_triangles)
         edge_sq += np.bincount(ie_right, weights=contrib, minlength=mesh.n_triangles)
     if moments is not None:
-        _, lengths, normals, owner, _ = samples.neumann
+        _, owner, lengths, normals = samples.neumann[:4]
         g_sq_int, g_int = moments
         c = (flux[owner] * normals).sum(axis=1)
         mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
         edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
                                minlength=mesh.n_triangles)
-    return mesh.areas * f_sq_int + np.sqrt(mesh.areas) * edge_sq
+    return volume_sq + np.sqrt(mesh.areas) * edge_sq
 
 
 # The edge table and the free-vertex numbering in their former form: a second

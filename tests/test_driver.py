@@ -284,8 +284,9 @@ def test_bad_configuration_raises():
 @pytest.mark.parametrize("name, value", [
     ("domain", "torus"), ("theta", 0.0), ("theta", -0.5), ("theta", 1.5),
     ("theta", float("nan")), ("lambda_alg", 0.0), ("lambda_alg", -1e-2),
-    ("lambda_pic", 0.0), ("lambda_pic", float("nan")), ("eta_tol", -1e-3),
-    ("max_elements", 0)])
+    ("lambda_alg", float("inf")), ("lambda_pic", 0.0), ("lambda_pic", float("nan")),
+    ("lambda_pic", float("inf")), ("eta_tol", -1e-3), ("max_elements", 0),
+    ("max_elements", 2.5), ("max_elements", 1e5)])
 def test_configuration_rejected_at_construction(name, value):
     with pytest.raises(ValueError):
         AdaptiveConfig(**{name: value})

@@ -24,6 +24,10 @@ def one(p):
     return np.ones(p.shape[:-1])
 
 
+def zero(p):
+    return np.zeros(p.shape[:-1])
+
+
 def test_hand_value_volume_only():
     # zero function, f = 1, all-Dirichlet square: no jumps, no Neumann term,
     # so eta(T)^2 = |T| * ||f||_{L2(T)}^2 = |T|^2 = 1/4 on both triangles
@@ -42,15 +46,14 @@ def test_jump_term_detects_kinks():
     # a function with a kink across the diagonal produces a flux jump there
     mesh = create_initial("unit_square")
     dofmap = DofMap.from_mesh(mesh)
-    zero = FeFunction.zero(dofmap)
     nl = constant_nonlinearity(1.0)
-    flat = indicators(nl, None, None, zero)
+    flat = indicators(nl, zero, None, FeFunction.zero(dofmap))
     assert np.allclose(flat.squared, 0.0)
     fine = uniform_refine(mesh)
     fdof = DofMap.from_mesh(fine)
     spike = FeFunction.from_vertex_values(
         fdof, np.eye(fine.n_vertices)[4])  # hat at the diagonal midpoint
-    field = indicators(nl, None, None, spike)
+    field = indicators(nl, zero, None, spike)
     assert field.total > 0.1
 
 
@@ -87,7 +90,7 @@ def test_index_arrays_are_compact_and_shared():
             assert np.shares_memory(op.data, plane)
         assert np.shares_memory(gx.indptr, gy.indptr)
         data = EstimatorData(sample(mesh, problem.source, problem.neumann))
-        for a in (data.ie_left, data.ie_right, data.neumann[0]):
+        for a in (data.ie_left, data.ie_right, data.neumann[1]):
             assert a.dtype == np.intp and a.flags.c_contiguous
         mesh = refine(mesh, rng.random(mesh.n_triangles) < 0.4)
 
@@ -97,19 +100,23 @@ def test_eval_squared_matches_einsum_oracle(domain, seed):
     problem, _, samples, values = kernel_case(domain, seed)
     nl = problem.nonlinearity
     assert np.array_equal(EstimatorData(samples).eval_squared(nl, values),
-                          einsum_eval_squared(samples, problem.source, nl, values))
+                          einsum_eval_squared(samples, problem.source, problem.neumann, nl,
+                                              values))
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
 def test_estimator_moments_match_einsum_oracle(domain, seed):
     problem, _, samples, _ = kernel_case(domain, seed)
     data = EstimatorData(samples)
-    f_sq_int, moments = einsum_estimator_moments(samples, problem.source)
-    assert np.array_equal(data.volume_sq, samples.mesh.areas * f_sq_int)
+    # the sampled integrals themselves, not copies or a second integration
+    assert data.volume_sq is samples.volume_sq and data.neumann is samples.neumann
+    volume_sq, moments = einsum_estimator_moments(samples, problem.source, problem.neumann)
+    assert np.array_equal(data.volume_sq, volume_sq)
     assert (data.neumann is None) == (moments is None) == (domain == "l_shape")
     if moments is not None:
-        assert np.array_equal(data.neumann[3], moments[0])
-        assert np.array_equal(data.neumann[4], moments[1])
+        g_int, g_sq_int = data.neumann[5:]
+        assert np.array_equal(g_sq_int, moments[0])
+        assert np.array_equal(g_int, moments[1])
 
 
 def test_neumann_mismatch_toggle():

@@ -309,8 +309,24 @@ def test_cli_sweep(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("theta = 0\n", "theta must lie in (0, 1]"),
+    ("thetta = 0.5\n", "unknown configuration key 'thetta'"),
+    (None, "No such file or directory")], ids=["theta 0", "unknown key", "missing file"])
+def test_cli_sweep_rejects_a_bad_spec(spec, message, tmp_path, capsys):
+    """A spec that names a bad value or an unknown key, or a spec file that
+    does not exist, prints its message and exits 1, with no traceback."""
+    path = tmp_path / "sweep.txt"
+    if spec is not None:
+        path.write_text(spec)
+    assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_rejects_a_bad_configuration(tmp_path, capsys):
     for argv, message in ((["--theta", "0"], "theta must lie in (0, 1]"),
+                          (["--lambda-alg", "inf"], "lambda_alg must be positive and finite"),
                           (["--domain", "nowhere"], "nowhere")):
         assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err

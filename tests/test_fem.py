@@ -27,6 +27,10 @@ from oracles import (KERNEL_CASES, MARKING_KINDS, einsum_apply_nonlinear,
                      stacked_hat_gradients, sum_stiffness_diagonal)
 
 
+def zero_source(points):
+    return np.zeros(points.shape[:-1])
+
+
 def neumann_square():
     base = create_initial("unit_square")
     return Mesh(base.vertices, base.triangles, base.boundary_edges,
@@ -130,7 +134,8 @@ def test_apply_nonlinear_matches_einsum_oracle(domain, seed):
 def test_assemble_rhs_matches_einsum_oracle(domain, seed):
     problem, dofmap, samples, _ = kernel_case(domain, seed)
     assert np.array_equal(assemble_rhs(dofmap, samples),
-                          einsum_assemble_rhs(dofmap, samples, problem.source))
+                          einsum_assemble_rhs(dofmap, samples, problem.source,
+                                              problem.neumann))
 
 
 def test_triangle_quadrature_degree_five():
@@ -170,7 +175,7 @@ def test_rhs_neumann_term():
     mesh = neumann_square()
     dofmap = DofMap.from_mesh(mesh)
     rhs = assemble_rhs(dofmap, sample(
-        mesh, None, lambda p, n: np.ones(np.broadcast(p[..., 0], n[..., 0]).shape)))
+        mesh, zero_source, lambda p, n: np.ones(np.broadcast(p[..., 0], n[..., 0]).shape)))
     # each unit boundary edge contributes h/2 = 1/2 to both endpoints, and
     # every corner of the square touches two boundary edges
     expected = np.array([1.0, 1.0, 1.0, 1.0, 0.0])[:mesh.n_vertices]
@@ -180,7 +185,7 @@ def test_rhs_neumann_term():
 
 def test_neumann_edge_normals():
     mesh = create_initial("z_shape")
-    edges, lengths, normals, owner, _ = sample(mesh, None).neumann
+    edges, owner, lengths, normals = sample(mesh, zero_source).neumann[:4]
     assert len(edges) == 8
     assert np.allclose(lengths, np.linalg.norm(
         mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1))
@@ -191,7 +196,7 @@ def test_neumann_edge_normals():
             assert np.allclose(n, [1.0, 0.0])
         if np.isclose(a[1], -1.0) and np.isclose(b[1], -1.0):
             assert np.allclose(n, [0.0, -1.0])
-    assert sample(create_initial("unit_square"), None).neumann is None
+    assert sample(create_initial("unit_square"), zero_source).neumann is None
 
 
 def test_apply_nonlinear_hand_value():
@@ -300,7 +305,7 @@ def smooth_flux(points, normals):
     return np.sin(2.0 * x - y) * normals[..., 0] + np.exp(x * y) * normals[..., 1]
 
 
-SAMPLED = ("f_phi", "f_sq")
+SAMPLED = ("f_phi", "volume_sq")
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,7 +349,7 @@ def test_sample_gathers_only_from_the_parent_samples():
     cases = [(sample(parent, smooth_source), new)] + [
         (previous, child.n_triangles) for previous in
         (sample(root, smooth_source), sample(aunt, smooth_source),
-         sample(child, smooth_source), sample(parent, None), None)]
+         sample(child, smooth_source), None)]
     for previous, evaluated in cases:
         points.clear()
         got = sample(child, f, previous=previous)

@@ -1,6 +1,7 @@
 """Mesh construction, bisection refinement, conformity, and exchange format."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,39 +240,57 @@ def test_carried_edge_table_matches_fresh_build(domain, seed, kinds):
     mesh = create_initial(domain)
     for kind in kinds:
         mesh = refine(mesh, random_marking(rng, mesh.n_triangles, kind))
-        carried = vars(mesh)["edges"]  # given by refine, not computed on use
+        carried = mesh.edges
         want = _build_edge_table(mesh.triangles, mesh.n_vertices)
         for name in EDGE_TABLE:
             a, b = getattr(carried, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
                      mesh.boundary_markers).boundary_ids
-        got = vars(mesh)["boundary_ids"]
+        got = mesh.boundary_ids
         assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
         assert np.array_equal(edge_ids(want, mesh.boundary_edges), fresh)
 
 
+def mesh_text(vertices, triangles, boundary_edges, markers) -> str:
+    """`write_text` of the given arrays, which need not make a valid mesh."""
+    arrays = SimpleNamespace(vertices=np.reshape(vertices, (-1, 2)),
+                             triangles=np.reshape(triangles, (-1, 3)),
+                             boundary_edges=np.reshape(boundary_edges, (-1, 2)),
+                             boundary_markers=np.asarray(markers))
+    arrays.n_vertices, arrays.n_triangles = len(arrays.vertices), len(arrays.triangles)
+    buf = io.StringIO()
+    write_text(arrays, buf)
+    return buf.getvalue()
+
+
 def test_validate_rejects_a_wrong_boundary_list():
+    """A root mesh whose boundary list is not exactly its edges of one
+    triangle raises when built, through `read_text` as well; `validate`
+    rechecks boundary ids that were given."""
     mesh = refine(create_initial("l_shape"), [0, 3])
     mesh.validate()
     b, marks = mesh.boundary_edges, mesh.boundary_markers
     interior = mesh.edges.nodes[~mesh.edges.is_boundary][0]
     mismatch = "boundary_edges do not match the single-incidence edges"
-    wrong = [(np.vstack([b[:-1], interior]), marks, mismatch),  # an interior edge
-             (b[:-1], marks[:-1], mismatch),                     # one left out
-             (np.vstack([b, b[:1]]), np.append(marks, marks[0]), "duplicate boundary edge")]
-    for edges, markers, message in wrong:
-        bad = Mesh(mesh.vertices, mesh.triangles, edges, markers)
-        with pytest.raises(ValueError, match=message):
-            bad.validate()
-    # refine needs the edge id of every boundary edge, so it rejects such a
-    # root mesh as well
-    with pytest.raises(ValueError, match=mismatch):
-        refine(Mesh(mesh.vertices, mesh.triangles, b[:-1], marks[:-1]), [0])
-    # carried boundary ids that disagree with the list are caught as well
+    wrong = [(np.vstack([b[:-1], interior]), marks),             # an interior edge
+             (b[:-1], marks[:-1]),                                # one left out
+             (np.vstack([b, b[:1]]), np.append(marks, marks[0]))]  # one twice
+    for edges, markers in wrong:
+        with pytest.raises(ValueError, match=mismatch):
+            Mesh(mesh.vertices, mesh.triangles, edges, markers)
+        text = mesh_text(mesh.vertices, mesh.triangles, edges, markers)
+        with pytest.raises(ValueError, match=mismatch):
+            read_text(io.StringIO(text))
+    good = mesh_text(mesh.vertices, mesh.triangles, b, marks)
+    assert np.array_equal(read_text(io.StringIO(good)).boundary_ids, mesh.boundary_ids)
+    # carried boundary ids that disagree with the list are caught by validate
     ids = np.roll(mesh.boundary_ids, 1)
     bad = Mesh(mesh.vertices, mesh.triangles, b, marks, boundary_ids=ids)
     with pytest.raises(ValueError, match="boundary_ids"):
+        bad.validate()
+    bad = Mesh(mesh.vertices, mesh.triangles, *wrong[2], boundary_ids=np.append(ids, 0))
+    with pytest.raises(ValueError, match="duplicate boundary edge"):
         bad.validate()
 
 
@@ -309,10 +328,13 @@ def test_vertex_parents_are_coarse_vertices(parents):
 
 
 def test_edge_shared_by_three_triangles_is_rejected():
-    mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)],
-                [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [])
+    """Such a root mesh raises when built, through `read_text` as well."""
+    arrays = ([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)],
+              [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [])
     with pytest.raises(ValueError, match="more than two triangles"):
-        mesh.edges
+        Mesh(*arrays)
+    with pytest.raises(ValueError, match="more than two triangles"):
+        read_text(io.StringIO(mesh_text(*arrays)))
 
 
 def test_carried_incidence_rejects_an_edge_of_three_triangles():
