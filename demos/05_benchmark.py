@@ -9,7 +9,7 @@ such a directory back and checks every fitted rate against its reference
 slope, which is what `afem rates --assert` scripts in CI.
 
 Budgets here are small so the demo finishes in a few seconds; the rates
-are already close to their asymptotic values.  Push max_elements to 1e5
+are already close to their asymptotic values.  Push max_elements to 100000
 to reproduce the headline numbers.
 """
 

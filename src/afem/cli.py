@@ -71,8 +71,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 configs = parse_sweep_spec(fh.read())
             if not configs:
                 raise ValueError("sweep spec expands to no runs")
-            run_benchmark(configs, out_dir=args.out, verbose=True)
         except (OSError, ValueError) as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        try:
+            run_benchmark(configs, out_dir=args.out, verbose=True)
+        except ValueError as exc:
             print(exc, file=sys.stderr)
             return 1
         return 0

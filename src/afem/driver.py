@@ -78,7 +78,8 @@ class AdaptiveConfig:
                   (0.0 < self.lambda_alg < math.inf, "lambda_alg must be positive and finite"),
                   (0.0 < self.lambda_pic < math.inf, "lambda_pic must be positive and finite"),
                   (self.eta_tol >= 0.0, "eta_tol must be nonnegative"),
-                  (isinstance(self.max_elements, numbers.Integral) and self.max_elements >= 1,
+                  (isinstance(self.max_elements, numbers.Integral)
+                   and not isinstance(self.max_elements, bool) and self.max_elements >= 1,
                    "max_elements must be an integer of at least 1")]
         for ok, message in checks:
             if not ok:

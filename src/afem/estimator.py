@@ -108,10 +108,11 @@ class EstimatorData:
             jump *= self.ie_length
             edge_sq += np.bincount(left, weights=jump, minlength=mesh.n_triangles)
             edge_sq += np.bincount(right, weights=jump, minlength=mesh.n_triangles)
-        if self.neumann is not None:
-            _, owner, lengths, normals, _, g_int, g_sq_int = self.neumann
-            c = np.take(fx, owner) * normals[:, 0] + np.take(fy, owner) * normals[:, 1]
-            mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
+        nm = self.neumann
+        if nm is not None:
+            owner = nm.owner
+            c = np.take(fx, owner) * nm.normals[:, 0] + np.take(fy, owner) * nm.normals[:, 1]
+            mismatch = nm.g_sq_int - 2.0 * c * nm.g_int + c ** 2 * nm.lengths
             edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
                                    minlength=mesh.n_triangles)
         return self.volume_sq + self.sqrt_areas * edge_sq

@@ -38,6 +38,7 @@ entries (rather than 9 per triangle).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,10 @@ def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     return r[w.dofmap.free_vertices]
 
 
+NeumannSamples = namedtuple("NeumannSamples",
+                            "edges owner lengths normals g_phi g_int g_sq_int")
+
+
 @dataclass(frozen=True)
 class Samples:
     """Integrals of the problem data on one mesh.
@@ -193,18 +198,18 @@ class Samples:
     ``f_phi`` (nT, 3) holds, per triangle, the integrals of f against the
     three hat functions (the load), and ``volume_sq`` (nT,) |T| times the
     integral of f^2 (the estimator's volume term), from f at the 7 volume
-    nodes.  ``neumann`` is None without Neumann edges, else ``(edges, owner,
-    lengths, normals, g_phi, g_int, g_sq_int)``: endpoints (nN, 2), the
-    owning triangle (np.intp, which the estimator gathers by on every
-    evaluation), lengths, outward unit normals, and, from g at the 3 nodes
-    of each edge, the integrals of g against the hat functions of its two
-    endpoints (nN, 2), of g and of g^2.
+    nodes.  ``neumann`` is None without Neumann edges, else `NeumannSamples`
+    with fields ``edges``, endpoints (nN, 2); ``owner``, the owning triangle
+    (np.intp, which the estimator gathers by on every evaluation);
+    ``lengths``; ``normals``, outward unit; and, from g at the 3 nodes of
+    each edge, the integrals of g against the hat functions of its two
+    endpoints ``g_phi`` (nN, 2), of g ``g_int`` and of g^2 ``g_sq_int``.
     """
 
     mesh: Mesh
     f_phi: np.ndarray
     volume_sq: np.ndarray
-    neumann: tuple | None
+    neumann: NeumannSamples | None
 
 
 def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
@@ -243,7 +248,7 @@ def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
     return out
 
 
-def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -> tuple:
+def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -> NeumannSamples:
     """``Samples.neumann`` of the boundary edges selected by ``sel``; the
     rows of unsplit edges are gathered from the parent mesh's samples
     ``previous`` and the rest are computed."""
@@ -252,15 +257,18 @@ def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -
     if previous is None or previous.neumann is None:
         n = len(edges)
         fresh = np.arange(n)
-        per_edge = np.empty(n), np.empty((n, 2)), np.empty((n, 2)), np.empty(n), np.empty(n)
+        lengths, g_int, g_sq_int = np.empty(n), np.empty(n), np.empty(n)
+        normals, g_phi = np.empty((n, 2)), np.empty((n, 2))
     else:
         # `refine` puts the halves (a, m), (m, b) of a split edge in its
         # place; m is new, so each second half shifts the parent rows by one
         second = edges[:, 0] >= mesh.n_coarse_vertices
         from_parent = np.arange(len(edges)) - np.cumsum(second)
-        per_edge = tuple(np.take(a, from_parent, axis=0) for a in previous.neumann[2:])
+        p = previous.neumann
+        lengths, normals, g_phi, g_int, g_sq_int = (
+            np.take(a, from_parent, axis=0)
+            for a in (p.lengths, p.normals, p.g_phi, p.g_int, p.g_sq_int))
         fresh = np.flatnonzero(second | (edges[:, 1] >= mesh.n_coarse_vertices))
-    lengths, normals, g_phi, g_int, g_sq_int = per_edge
     a = mesh.vertices[edges[fresh, 0]]
     b = mesh.vertices[edges[fresh, 1]]
     tang = b - a
@@ -278,7 +286,7 @@ def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -
     g_phi[fresh, 1] = length * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
     g_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq)
     g_sq_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2)
-    return (edges, owner) + per_edge
+    return NeumannSamples(edges, owner, lengths, normals, g_phi, g_int, g_sq_int)
 
 
 def _volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:
@@ -299,10 +307,10 @@ def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
         raise ValueError("samples were taken on a different mesh")
     rhs_v = np.bincount(mesh.triangles.ravel(), weights=samples.f_phi.ravel(),
                         minlength=mesh.n_vertices)
-    if samples.neumann is not None:
-        edges, _, _, _, g_phi, _, _ = samples.neumann
-        np.add.at(rhs_v, edges[:, 0], g_phi[:, 0])
-        np.add.at(rhs_v, edges[:, 1], g_phi[:, 1])
+    nm = samples.neumann
+    if nm is not None:
+        for k in (0, 1):
+            np.add.at(rhs_v, nm.edges[:, k], nm.g_phi[:, k])
     return rhs_v[dofmap.free_vertices]
 
 

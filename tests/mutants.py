@@ -150,6 +150,10 @@ MUTANTS = [
      "if False:",
      ["tests/test_mesh.py::test_carried_incidence_rejects_an_edge_of_three_triangles",
       "tests/test_mesh.py::test_edge_shared_by_three_triangles_is_rejected"]),
+    ("a child mesh that rebuilds its edge table and boundary ids", "mesh.py",
+     "edges=edges, boundary_ids=boundary_ids)",
+     ")",
+     [EDGE_TABLE]),
     ("shifted boundary edge ids", "mesh.py",
      "boundary_ids = np.searchsorted(codes, _pair_codes(bedges, len(vertices)))",
      "boundary_ids = np.roll(np.searchsorted(codes, _pair_codes(bedges, len(vertices))), 1)",
@@ -173,8 +177,8 @@ MUTANTS = [
      [CARRIED]),
     # the load vector scatters the sampled integrals
     ("the endpoint integrals of g scattered to swapped endpoints", "fem.py",
-     "edges, _, _, _, g_phi, _, _ = samples.neumann",
-     "edges, _, _, _, g_phi, _, _ = samples.neumann\n        g_phi = g_phi[:, ::-1]",
+     "np.add.at(rhs_v, nm.edges[:, k], nm.g_phi[:, k])",
+     "np.add.at(rhs_v, nm.edges[:, k], nm.g_phi[:, 1 - k])",
      [RHS_ORACLE]),
     # the gradient operator
     ("the x plane in both matrices of the gradient operator", "mesh.py",

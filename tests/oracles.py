@@ -267,7 +267,7 @@ def neumann_data_at_nodes(samples: Samples, g) -> np.ndarray:
     """g at the 3 nodes of each Neumann edge of ``samples`` (zero for None),
     (nN, 3), at the points and normals the library evaluates it at."""
     mesh = samples.mesh
-    edges, _, _, normals = samples.neumann[:4]
+    edges, normals = samples.neumann.edges, samples.neumann.normals
     a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     gq = np.zeros((len(edges), EDGE_QUAD_X.size))
     if g is not None:
@@ -286,7 +286,7 @@ def einsum_assemble_rhs(dofmap: DofMap, samples: Samples, f, g) -> np.ndarray:
     rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                          minlength=mesh.n_vertices)
     if samples.neumann is not None:
-        edges, _, lengths = samples.neumann[:3]
+        edges, lengths = samples.neumann.edges, samples.neumann.lengths
         gq = neumann_data_at_nodes(samples, g)
         w0 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
         w1 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
@@ -304,7 +304,7 @@ def einsum_estimator_moments(samples: Samples, f, g):
     volume_sq = mesh.areas * np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, mesh.areas)
     if samples.neumann is None:
         return volume_sq, None
-    lengths = samples.neumann[2]
+    lengths = samples.neumann.lengths
     gq = neumann_data_at_nodes(samples, g)
     return volume_sq, (lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2),
                        lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq))
@@ -335,7 +335,8 @@ def einsum_eval_squared(samples: Samples, f, g, nl: Nonlinearity,
         edge_sq += np.bincount(ie_left, weights=contrib, minlength=mesh.n_triangles)
         edge_sq += np.bincount(ie_right, weights=contrib, minlength=mesh.n_triangles)
     if moments is not None:
-        _, owner, lengths, normals = samples.neumann[:4]
+        nm = samples.neumann
+        owner, lengths, normals = nm.owner, nm.lengths, nm.normals
         g_sq_int, g_int = moments
         c = (flux[owner] * normals).sum(axis=1)
         mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths

@@ -286,7 +286,7 @@ def test_bad_configuration_raises():
     ("theta", float("nan")), ("lambda_alg", 0.0), ("lambda_alg", -1e-2),
     ("lambda_alg", float("inf")), ("lambda_pic", 0.0), ("lambda_pic", float("nan")),
     ("lambda_pic", float("inf")), ("eta_tol", -1e-3), ("max_elements", 0),
-    ("max_elements", 2.5), ("max_elements", 1e5)])
+    ("max_elements", 2.5), ("max_elements", 1e5), ("max_elements", True)])
 def test_configuration_rejected_at_construction(name, value):
     with pytest.raises(ValueError):
         AdaptiveConfig(**{name: value})

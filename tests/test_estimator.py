@@ -90,7 +90,7 @@ def test_index_arrays_are_compact_and_shared():
             assert np.shares_memory(op.data, plane)
         assert np.shares_memory(gx.indptr, gy.indptr)
         data = EstimatorData(sample(mesh, problem.source, problem.neumann))
-        for a in (data.ie_left, data.ie_right, data.neumann[1]):
+        for a in (data.ie_left, data.ie_right, data.neumann.owner):
             assert a.dtype == np.intp and a.flags.c_contiguous
         mesh = refine(mesh, rng.random(mesh.n_triangles) < 0.4)
 
@@ -114,9 +114,8 @@ def test_estimator_moments_match_einsum_oracle(domain, seed):
     assert np.array_equal(data.volume_sq, volume_sq)
     assert (data.neumann is None) == (moments is None) == (domain == "l_shape")
     if moments is not None:
-        g_int, g_sq_int = data.neumann[5:]
-        assert np.array_equal(g_sq_int, moments[0])
-        assert np.array_equal(g_int, moments[1])
+        assert np.array_equal(data.neumann.g_sq_int, moments[0])
+        assert np.array_equal(data.neumann.g_int, moments[1])
 
 
 def test_neumann_mismatch_toggle():

@@ -185,7 +185,8 @@ def test_rhs_neumann_term():
 
 def test_neumann_edge_normals():
     mesh = create_initial("z_shape")
-    edges, owner, lengths, normals = sample(mesh, zero_source).neumann[:4]
+    nm = sample(mesh, zero_source).neumann
+    edges, lengths, normals = nm.edges, nm.lengths, nm.normals
     assert len(edges) == 8
     assert np.allclose(lengths, np.linalg.norm(
         mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1))
