@@ -37,6 +37,7 @@ increment is zero.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -45,6 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import DofMap, assemble_laplacian
+from .mesh import sorted_unique
 
 
 class IdentityPreconditioner:
@@ -107,12 +109,12 @@ class MultilevelPreconditioner:
             saved.append(r[grp.smooth])
             # add.at sums per parent in ascending child order, the order of a
             # transposed-prolongation matvec; np.bincount would reassociate
-            np.add.at(r, grp.parents.ravel(), np.repeat(0.5 * r[grp.children], 2))
+            np.add.at(r, grp.parents.ravel(), (0.5 * r[grp.children]).repeat(2))
         y = np.zeros_like(r)
         y[self._coarse_free] = self._coarse_solve(r[self._coarse_free])
         for grp, w, s in zip(self.groups, self.weights, reversed(saved)):
-            p = grp.parents
-            y[grp.children] = 0.5 * y[p[:, 0]] + 0.5 * y[p[:, 1]]
+            half = 0.5 * y[grp.parents]
+            y[grp.children] = half[:, 0] + half[:, 1]
             y[grp.smooth] += w * s
         return y[self._free]
 
@@ -124,7 +126,7 @@ class MultilevelPreconditioner:
         if operator.shape != (fine_dofmap.n_dofs,) * 2:
             raise ValueError("operator shape does not match the free vertex count")
         new_parents = fine.vertex_parents
-        new_gen = 1 + self.gen[new_parents].max(axis=1)
+        new_gen = 1 + np.maximum.reduce(self.gen[new_parents], axis=1)
         successor = copy.copy(self)  # shares the coarse factorization
         successor.gen = np.concatenate((self.gen, new_gen))
         successor.groups = groups = _grown(self.groups, self.gen.size, new_gen, new_parents,
@@ -133,7 +135,7 @@ class MultilevelPreconditioner:
         smooth = [grp.smooth for grp in groups]
         dof = fine_dofmap.dof_of_vertex[np.concatenate(smooth or [_EMPTY.smooth])]
         inv_diag = 1.0 / operator.diagonal()[dof]
-        cuts = np.cumsum([0] + [len(s) for s in smooth]).tolist()
+        cuts = list(itertools.accumulate([len(s) for s in smooth], initial=0))
         successor.weights = tuple(inv_diag[a:b] for a, b in zip(cuts, cuts[1:]))
         successor._free = fine_dofmap.free_vertices
         return successor
@@ -146,32 +148,23 @@ def _grown(groups: tuple, n_old: int, new_gen: np.ndarray, new_parents: np.ndarr
     have the highest indices, so appending keeps ``children`` ascending;
     a generation that gains no vertices keeps its `Generation`, and only
     one that gains vertices changes its ``smooth`` set."""
-    n_gen = max(len(groups), int(new_gen.max(initial=0)))
-    order = np.argsort(new_gen, kind="stable")   # a radix sort: new vertices by generation
-    ends = np.cumsum(np.bincount(new_gen, minlength=n_gen + 1))
+    n_gen = max(len(groups), int(np.maximum.reduce(new_gen, initial=0)))
+    order = new_gen.argsort(kind="stable")   # a radix sort: new vertices by generation
+    ends = np.bincount(new_gen, minlength=n_gen + 1).cumsum()
     dof = fine_dofmap.dof_of_vertex
     grown = list(groups) + [_EMPTY] * (n_gen - len(groups))
-    for g in np.flatnonzero(ends[1:] > ends[:-1]).tolist():  # generation g + 1 gains
+    for g in (ends[1:] > ends[:-1]).nonzero()[0].tolist():  # generation g + 1 gains
         grp, rows = grown[g], order[ends[g]:ends[g + 1]]
         kids = n_old + rows
-        kid_parents = np.take(new_parents, rows, axis=0)
+        kid_parents = new_parents.take(rows, axis=0)
         # the free vertices among the old smoothing set, the new children
         # and their parents, sorted and de-duplicated
         members = np.concatenate((grp.smooth, kids, kid_parents.ravel()))
-        smooth = _sorted_unique(members[dof[members] >= 0])
+        smooth = sorted_unique(members[dof[members] >= 0])
         grown[g] = Generation(children=np.concatenate((grp.children, kids)),
                               parents=np.concatenate((grp.parents, kid_parents)),
                               smooth=smooth)
     return tuple(grown)
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a 1-D integer array by one stable sort, which on a
-    sorted run plus a short tail beats the hash table numpy uses."""
-    a = np.sort(a, kind="stable")
-    keep = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:

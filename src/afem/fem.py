@@ -18,9 +18,12 @@ endpoints, of g and of g^2.  Given the samples of the parent mesh it
 evaluates f only on the new triangles and g only on the halves of split
 Neumann edges: the integrals of a copied triangle and the lengths, normals
 and integrals of an unsplit Neumann edge are gathered from the parent's
-samples, and each edge's owning triangle is read from the edge table that
-`refine` carried; ``g`` is not called on a level where no Neumann edge was
-split.  The load vector and the estimator both read the same `Samples`.
+samples, the new triangles are the mesh's `Mesh.new_triangles`, and each
+edge's owning triangle is read from the edge table that `refine` carried;
+nothing of the Neumann edges is computed, and ``g`` is not called, on a
+level where no Neumann edge was split.  Edge lengths add the two squared
+coordinates, as `np.linalg.norm` does, without its reduction over rows of
+two.  The load vector and the estimator both read the same `Samples`.
 
 The element gradients of a P1 function are two sparse matvecs, with the x
 and y matrices of `Mesh.gradient_operator`, whose data are the hat gradients
@@ -33,7 +36,9 @@ The other element kernels are explicit sums over the 2 coordinates and the
 it replaced, so results are bitwise equal to the einsum oracles as well.
 The stiffness matrix is assembled over the edge graph: one sum per edge of
 `Mesh.edges` and one per vertex, in triangle order, give its n + 2 n_edges
-entries (rather than 9 per triangle).
+entries (rather than 9 per triangle).  They are handed to the CSR
+conversion as entries below the diagonal, the diagonal, then entries above
+it, each in edge order, so every row arrives sorted and scipy needs no sort.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET, Mesh, copied_triangles
+from .mesh import DIRICHLET, EDGE_ENDS, Mesh
 from .nonlinearity import Nonlinearity
 
 _A5 = (6.0 + np.sqrt(15.0)) / 21.0
@@ -66,6 +71,11 @@ TRI_QUAD_W = np.array([9 / 40, _WA, _WA, _WA, _WB, _WB, _WB])
 _G3 = 0.5 * np.sqrt(3.0 / 5.0)
 EDGE_QUAD_X = np.array([0.5 - _G3, 0.5, 0.5 + _G3])  # on the unit interval
 EDGE_QUAD_W = np.array([5 / 18, 8 / 18, 5 / 18])
+# the weights against the hat functions of an edge's start and end vertex
+_EDGE_W_START = EDGE_QUAD_W * (1.0 - EDGE_QUAD_X)
+_EDGE_W_END = EDGE_QUAD_W * EDGE_QUAD_X
+_TURN = np.array([1.0, -1.0])
+
 
 def triangle_quad_points(mesh: Mesh, rows=slice(None)) -> np.ndarray:
     """Physical coordinates of the volume quadrature nodes, (nT, 7, 2), of
@@ -88,8 +98,8 @@ class DofMap:
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "DofMap":
         free = np.ones(mesh.n_vertices, dtype=bool)
-        free[mesh.dirichlet_vertices()] = False
-        free = np.flatnonzero(free)
+        free[mesh.boundary_edges[mesh.boundary_markers == DIRICHLET]] = False
+        free = free.nonzero()[0]
         dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
         dof[free] = np.arange(free.size)
         dof.setflags(write=False)
@@ -112,7 +122,7 @@ class FeFunction:
         self.coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
         if self.coeffs.size != self.dofmap.n_dofs:
             raise ValueError("coefficient count does not match the free vertex count")
-        if self.coeffs.size and not np.isfinite(self.coeffs).all():
+        if not np.logical_and.reduce(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
 
     @property
@@ -155,16 +165,20 @@ def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
     mesh, n = dofmap.mesh, dofmap.n_dofs
     gx, gy = mesh.gradient_planes
     a = mesh.areas[:, None]
-    i, j = [1, 2, 0], [2, 0, 1]  # the ends of the edge opposite local vertex k
+    i, j = EDGE_ENDS
     off = np.bincount(mesh.edges.of_triangle.ravel(), minlength=mesh.edges.n_edges,
                       weights=(gx[:, i] * gx[:, j] * a + gy[:, i] * gy[:, j] * a).ravel())
     diag = np.bincount(mesh.triangles.ravel(), weights=((gx ** 2 + gy ** 2) * a).ravel(),
                        minlength=mesh.n_vertices)
-    lo, hi = dofmap.dof_of_vertex[mesh.edges.nodes.T]
+    lo, hi = dofmap.dof_of_vertex.take(mesh.edges.nodes.T)
     keep = (lo >= 0) & (hi >= 0)
     lo, hi, off, d = lo[keep], hi[keep], off[keep], np.arange(n)
-    return sp.csr_matrix((np.concatenate([diag[dofmap.free_vertices], off, off]),
-                          (np.concatenate([d, lo, hi]), np.concatenate([d, hi, lo]))),
+    # edges are in (lo, hi) order, so row r receives its columns below r,
+    # then r, then those above r, each ascending: the CSR conversion keeps
+    # that order and finds the matrix canonical, with no sort
+    return sp.csr_matrix((np.concatenate((off, diag[dofmap.free_vertices], off)),
+                          (np.concatenate((hi, d, lo), dtype=np.int32),
+                           np.concatenate((lo, d, hi), dtype=np.int32))),
                          shape=(n, n))
 
 
@@ -229,8 +243,8 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
     if previous is not None and not mesh.refines(previous.mesh):
         previous = None
     volume = _volume_samples(mesh, f, previous)
-    sel = mesh.boundary_markers != DIRICHLET
-    if not sel.any():
+    sel = (mesh.boundary_markers != DIRICHLET).nonzero()[0]
+    if not sel.size:
         return Samples(mesh, *volume, None)
     return Samples(mesh, *volume, _neumann_samples(mesh, g, sel, previous))
 
@@ -240,62 +254,74 @@ def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
     mesh's samples ``previous`` for the copied triangles."""
     if previous is None:
         return _volume_moments(np.asarray(f(triangle_quad_points(mesh))), mesh.areas)
-    new = np.flatnonzero(~copied_triangles(mesh.parent_of))
+    new = mesh.new_triangles
     fq = np.asarray(f(triangle_quad_points(mesh, new)))
-    out = tuple(np.take(a, mesh.parent_of, axis=0) for a in (previous.f_phi, previous.volume_sq))
-    for a, fresh in zip(out, _volume_moments(fq, mesh.areas[new])):
-        a[new] = fresh
-    return out
+    f_phi = previous.f_phi.take(mesh.parent_of, axis=0)
+    volume_sq = previous.volume_sq.take(mesh.parent_of)
+    f_phi[new], volume_sq[new] = _volume_moments(fq, mesh.areas[new])
+    return f_phi, volume_sq
 
 
 def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -> NeumannSamples:
-    """``Samples.neumann`` of the boundary edges selected by ``sel``; the
-    rows of unsplit edges are gathered from the parent mesh's samples
-    ``previous`` and the rest are computed."""
+    """``Samples.neumann`` of the boundary edges ``sel``; the rows of
+    unsplit edges are gathered from the parent mesh's samples ``previous``
+    and only the rest are computed."""
     edges = mesh.boundary_edges[sel]
     owner = mesh.edges.incident[mesh.boundary_ids[sel], 0].astype(np.intp)
     if previous is None or previous.neumann is None:
-        n = len(edges)
-        fresh = np.arange(n)
-        lengths, g_int, g_sq_int = np.empty(n), np.empty(n), np.empty(n)
-        normals, g_phi = np.empty((n, 2)), np.empty((n, 2))
-    else:
-        # `refine` puts the halves (a, m), (m, b) of a split edge in its
-        # place; m is new, so each second half shifts the parent rows by one
-        second = edges[:, 0] >= mesh.n_coarse_vertices
-        from_parent = np.arange(len(edges)) - np.cumsum(second)
-        p = previous.neumann
-        lengths, normals, g_phi, g_int, g_sq_int = (
-            np.take(a, from_parent, axis=0)
-            for a in (p.lengths, p.normals, p.g_phi, p.g_int, p.g_sq_int))
-        fresh = np.flatnonzero(second | (edges[:, 1] >= mesh.n_coarse_vertices))
-    a = mesh.vertices[edges[fresh, 0]]
-    b = mesh.vertices[edges[fresh, 1]]
+        return NeumannSamples(edges, owner, *_edge_integrals(mesh, g, edges, owner))
+    # `refine` puts the halves (a, m), (m, b) of a split edge in its place;
+    # m is new, so each second half shifts the parent rows by one
+    n_coarse = mesh.n_coarse_vertices
+    second = edges[:, 0] >= n_coarse
+    from_parent = np.arange(len(edges)) - second.cumsum()
+    p = previous.neumann
+    rows = [a.take(from_parent, axis=0)
+            for a in (p.lengths, p.normals, p.g_phi, p.g_int, p.g_sq_int)]
+    fresh = (second | (edges[:, 1] >= n_coarse)).nonzero()[0]
+    if fresh.size:
+        for a, computed in zip(rows, _edge_integrals(mesh, g, edges[fresh], owner[fresh])):
+            a[fresh] = computed
+    return NeumannSamples(edges, owner, *rows)
+
+
+def _edge_integrals(mesh: Mesh, g, edges: np.ndarray, owner: np.ndarray) -> tuple:
+    """Lengths, outward unit normals, ``g_phi``, ``g_int`` and ``g_sq_int``
+    (see `Samples`) of the boundary ``edges`` with owning triangles
+    ``owner``, from g at the 3 nodes of each edge (zero without ``g``)."""
+    a = mesh.vertices[edges[:, 0]]
+    b = mesh.vertices[edges[:, 1]]
     tang = b - a
-    lengths[fresh] = length = np.linalg.norm(tang, axis=1)
-    normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+    # the Euclidean norm, as np.linalg.norm computes it, and the turned
+    # tangent (t_y, -t_x)
+    sq = tang * tang
+    length = np.sqrt(sq[:, 0] + sq[:, 1])
+    normal = tang[:, ::-1] * _TURN / length[:, None]
     # orient away from the owning triangle
-    outward = (a + b) / 2 - mesh.vertices[mesh.triangles[owner[fresh]]].mean(axis=1)
-    normal[(normal * outward).sum(axis=1) < 0] *= -1.0
-    normals[fresh] = normal
-    gq = np.zeros((len(fresh), EDGE_QUAD_X.size))
-    if g is not None and fresh.size:
+    outward = (a + b) / 2 - mesh.vertices[mesh.triangles[owner]].mean(axis=1)
+    side = normal * outward
+    normal[side[:, 0] + side[:, 1] < 0] *= -1.0
+    gq = np.zeros((len(edges), EDGE_QUAD_X.size))
+    if g is not None:
         pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
         gq[:] = g(pts, normal[:, None, :])
-    g_phi[fresh, 0] = length * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
-    g_phi[fresh, 1] = length * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
-    g_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq)
-    g_sq_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2)
-    return NeumannSamples(edges, owner, lengths, normals, g_phi, g_int, g_sq_int)
+    g_phi = np.empty((len(edges), 2))
+    g_phi[:, 0] = length * np.einsum("q,nq->n", _EDGE_W_START, gq)
+    g_phi[:, 1] = length * np.einsum("q,nq->n", _EDGE_W_END, gq)
+    return (length, normal, g_phi, length * np.einsum("q,nq->n", EDGE_QUAD_W, gq),
+            length * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2))
 
 
 def _volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:
     """Per-triangle integrals of f against the hat functions, (n, 3), and
     |T| times the integral of f^2, (n,), from f at the volume nodes and the
     triangle areas."""
+    # the term of node q is ((f_q w_q) bary_q) |T|, summed from 0 in node
+    # order; one (n, 3) term at a time, for peak memory
+    fw, a = fq * TRI_QUAD_W, areas[:, None]
     f_phi = np.zeros((len(fq), 3))
-    for q, (w, bary) in enumerate(zip(TRI_QUAD_W, TRI_QUAD_BARY)):
-        f_phi += fq[:, q, None] * w * bary * areas[:, None]
+    for q, bary in enumerate(TRI_QUAD_BARY):
+        f_phi += fw[:, q, None] * bary * a
     return f_phi, areas * np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, areas)
 
 
@@ -341,11 +367,11 @@ def prolongate(coarse: FeFunction, fine_dofmap: DofMap) -> FeFunction:
     cmesh = coarse.mesh
     if not fine.refines(cmesh):
         raise ValueError("target mesh is not a one-level refinement of the source mesh")
-    vals = np.empty(fine.n_vertices)
-    vals[:cmesh.n_vertices] = coarse.vertex_values()
-    vals[cmesh.n_vertices:] = vals[fine.vertex_parents].mean(axis=1) \
-        if fine.vertex_parents.size else 0.0
-    return FeFunction.from_vertex_values(fine_dofmap, vals)
+    vals = np.zeros(fine.n_vertices)
+    vals[coarse.dofmap.free_vertices] = coarse.coeffs
+    ends = vals[fine.vertex_parents]
+    vals[cmesh.n_vertices:] = 0.5 * (ends[:, 0] + ends[:, 1])
+    return FeFunction(fine_dofmap, vals[fine_dofmap.free_vertices])
 
 
 def energy_error_vs_exact(v: FeFunction, grad_exact) -> float:

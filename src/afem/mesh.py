@@ -9,10 +9,12 @@ edge.  `refine` produces the coarsest conforming refinement in which every
 marked triangle is bisected at least once (closure marks further refinement
 edges as needed) by applying that single bisection twice: once to every
 triangle whose refinement edge is marked, then once to every child whose
-inherited refinement edge is marked, which yields 1 to 4 children.  `overlay`
-computes the coarsest common refinement of two meshes grown from the same
-root, and `MeshHierarchy` keeps the level bookkeeping that the multilevel
-solver relies on.
+inherited refinement edge is marked, which yields 1 to 4 children.  Only
+the bisected triangles' rows are built, all in one gather from a table of
+the six possible children (`_CHILDREN`); every other row is copied.
+`overlay` computes the coarsest common refinement of two meshes grown from
+the same root, and `MeshHierarchy` keeps the level bookkeeping that the
+multilevel solver relies on.
 
 Vertex indexing is append-only across refinement: vertices of the coarse
 mesh keep their indices, midpoints are appended in edge-id order.  Only a
@@ -22,12 +24,22 @@ keeps its row, the new edges are merged in, a copied triangle keeps its
 edges), together with the edge id of every boundary edge, so connectivity
 costs gathers in proportion to the mesh and a sort only of what changed.
 Every mesh holds its areas and hat gradients, stored once as (2, nT, 3) x
-and y planes: a root mesh computes them when built, `refine` gathers those
-of copied triangles and computes those of new ones.  A mesh is complete
-when built, with no lazy attribute: its edge table, boundary edge ids and
-gradient operator exist from construction, so a root mesh whose edge has
-three triangles or whose boundary list is wrong raises at once.
-`Mesh.refines` is the one test of whether a mesh was refined from another.
+and y planes: a root mesh computes them when built, from the three edge
+vectors at once, and `refine` gathers those of copied triangles and
+computes those of new ones; `Mesh.new_triangles` lists the latter, for
+`fem.sample`.  A mesh is complete when built, with no lazy attribute: its
+edge table, boundary edge ids and gradient operator exist from
+construction, so a root mesh whose edge has three triangles or whose
+boundary list is wrong raises at once.  `Mesh.refines` is the one test of
+whether a mesh was refined from another.
+
+`refine` and `Mesh.__init__` run once per level, on meshes of a few hundred
+triangles in a deep adaptive run, where each numpy call costs more than
+its arithmetic.  So they make few calls: array methods (``a.take``,
+``a.nonzero()``) rather than the ``np.*`` wrappers, ufunc reductions with
+``axis=None`` rather than ``a.all()`` or ``a.min()``, no reduction over a
+short last axis (numpy loops over its rows one by one), and gathers and
+scatters by np.intp indices (int32 indices are cast on every use).
 """
 
 from __future__ import annotations
@@ -44,6 +56,10 @@ _INT32_MAX = np.iinfo(np.int32).max  # connectivity is 32-bit
 
 _MARKER_TO_CHAR = {DIRICHLET: "D", NEUMANN: "N"}
 _CHAR_TO_MARKER = {"D": DIRICHLET, "N": NEUMANN}
+
+
+# the ends of the edge opposite local vertex k, k = 0, 1, 2
+EDGE_ENDS = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _pair_codes(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -98,48 +114,47 @@ def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
                      incident=_incident(of_triangle, len(uniq)))
 
 
-def _carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,
-                        triangles: np.ndarray, parent_of: np.ndarray,
-                        new: np.ndarray, n_vertices: int):
+def _carried_edge_table(parent: EdgeTable, of_triangle: np.ndarray, bisected: np.ndarray,
+                        n_old: int, parent_of: np.ndarray, new: np.ndarray,
+                        children: np.ndarray, n_vertices: int):
     """The edge table of the mesh `refine` made from a mesh with table
-    ``parent``, and the sorted pair codes of its edges.
+    ``parent`` (whose ``of_triangle`` is also given as np.intp), and the
+    sorted pair codes of its edges.
 
     An edge that is not ``bisected`` survives with its (lo, hi) row; every
     other edge of the child has a new vertex (index ``n_old`` and up) as
-    its hi end and lies on one of the ``new`` (not copied) triangles.  The
-    new rows are merged into the sorted survivors, a copied triangle takes
-    its parent's ``of_triangle`` row through the old -> new id map, and
-    only the new triangles look their edges up.  Equal, array for array,
-    to `_build_edge_table` on the child.
+    its hi end and lies on one of the ``new`` triangles, whose vertices are
+    ``children``.  The new rows are merged into the sorted survivors, a
+    copied triangle takes its parent's ``of_triangle`` row through the
+    old -> new id map, and only the new triangles look their edges up.
+    Equal, array for array, to `_build_edge_table` on the child.
     """
     n_v = np.int64(n_vertices)
-    survivors = np.flatnonzero(~bisected)
-    kept_codes = np.take(parent.nodes[:, 0] * n_v + parent.nodes[:, 1], survivors)
-    t = np.take(triangles, new, axis=0)
-    pair_codes = _pair_codes(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]),
-                             n_vertices)
-    del t
-    # one sort of the new triangles' edges; those with a new vertex are added
-    distinct, inverse = np.unique(pair_codes, return_inverse=True)
-    added = distinct[distinct % n_v >= n_old]
-    at = np.searchsorted(kept_codes, added) + np.arange(len(added))
+    surviving = ~bisected
+    kept = parent.nodes.take(surviving.nonzero()[0], axis=0)
+    kept_codes = kept[:, 0] * n_v
+    kept_codes += kept[:, 1]
+    # column k: the edge opposite local vertex k of each new triangle
+    ends = children[:, EDGE_ENDS[0]], children[:, EDGE_ENDS[1]]
+    hi = np.maximum(*ends)
+    new_codes = np.minimum(*ends) * n_v + hi
+    # the distinct ones with a new vertex are added, merged in sorted order
+    added = sorted_unique(new_codes[hi >= n_old])
     n_e = len(kept_codes) + len(added)
-    is_added = np.zeros(n_e, dtype=bool)
-    is_added[at] = True
-    rows = np.flatnonzero(~is_added)
+    at = kept_codes.searchsorted(added) + np.arange(len(added))
+    is_kept = np.ones(n_e, dtype=bool)
+    is_kept[at] = False
+    # 1-D masked copies, several times faster than scatters; each (lo, hi)
+    # row moves as one 64-bit word
     codes = np.empty(n_e, dtype=np.int64)
-    codes[rows], codes[at] = kept_codes, added
-    # (n, 2) rows move by np.take, several times faster than a row scatter
-    parent_row = np.zeros(n_e, dtype=np.int64)
-    parent_row[rows] = survivors
-    nodes = np.take(parent.nodes, parent_row, axis=0)
+    codes[is_kept], codes[at] = kept_codes, added
+    nodes = np.empty((n_e, 2), dtype=np.int32)
+    nodes.view(np.int64).reshape(-1)[is_kept] = kept.view(np.int64).reshape(-1)
     nodes[at, 0], nodes[at, 1] = added // n_v, added % n_v
-    old_to_new = np.full(parent.n_edges, -1, dtype=np.int32)
-    old_to_new[survivors] = rows
-    of_triangle = np.take(old_to_new, np.take(parent.of_triangle, parent_of, axis=0))
-    looked_up = np.searchsorted(codes, distinct)[inverse].reshape(3, -1)
-    for k in range(3):
-        of_triangle[new, k] = looked_up[k]
+    old_to_new = np.empty(parent.n_edges, dtype=np.int32)
+    old_to_new[surviving] = is_kept.nonzero()[0]
+    of_triangle = old_to_new.take(of_triangle.take(parent_of, axis=0))
+    of_triangle[new] = codes.searchsorted(new_codes)
     return EdgeTable(nodes=nodes, of_triangle=of_triangle,
                      incident=_incident(of_triangle, n_e)), codes
 
@@ -147,15 +162,17 @@ def _carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,
 def _incident(of_triangle: np.ndarray, n_edges: int) -> np.ndarray:
     """``EdgeTable.incident`` from ``of_triangle`` by scatters, no sort;
     every edge must occur in ``of_triangle``."""
+    cols = of_triangle.T.astype(np.intp)  # scatters by int32 indices cast them each time
     tri = np.arange(len(of_triangle), dtype=np.int32)
+    incident = np.empty((n_edges, 2), dtype=np.int32)
+    first, last = incident[:, 0], incident[:, 1]
     # of repeated indices the last write stays: the backward pass writes
     # the first occurrence in column-major order last, the forward pass the
     # last occurrence
-    first, last = np.empty(n_edges, dtype=np.int32), np.empty(n_edges, dtype=np.int32)
     for k in (2, 1, 0):
-        first[of_triangle[::-1, k]] = tri[::-1]
+        first[cols[k, ::-1]] = tri[::-1]
     for k in (0, 1, 2):
-        last[of_triangle[:, k]] = tri
+        last[cols[k]] = tri
     # a triangle holds an edge at most once, so first == last marks the
     # edges of one triangle; 3 n_triangles = 2 n_edges - (those) holds
     # exactly when no edge has more than two
@@ -163,7 +180,7 @@ def _incident(of_triangle: np.ndarray, n_edges: int) -> np.ndarray:
     if 2 * n_edges - np.count_nonzero(single) != 3 * len(of_triangle):
         raise ValueError("non-conforming mesh: an edge is shared by more than two triangles")
     last[single] = -1
-    return np.column_stack((first, last))
+    return incident
 
 
 def _boundary_ids(et: EdgeTable, boundary_edges: np.ndarray) -> np.ndarray:
@@ -182,18 +199,19 @@ def _boundary_ids(et: EdgeTable, boundary_edges: np.ndarray) -> np.ndarray:
 def _geometry(p: np.ndarray) -> tuple:
     """Areas, (n,), and hat gradients as an x plane and a y plane, (2, n,
     3), of triangles with vertex coordinates p, (n, 3, 2); raises unless
-    every triangle is positively oriented and non-degenerate."""
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    if not (areas > 0.0).all():
+    every triangle is positively oriented and non-degenerate.  The hat
+    gradient of vertex i is the edge opposite it, p[i + 2] - p[i + 1]
+    (indices mod 3), turned by -90 degrees and divided by twice the area."""
+    e = p[:, EDGE_ENDS[1]] - p[:, EDGE_ENDS[0]]
+    # e[:, 2] = p1 - p0, and e[:, 1] = p0 - p2 is exactly -(p2 - p0)
+    areas = 0.5 * (e[:, 2, 1] * e[:, 1, 0] - e[:, 2, 0] * e[:, 1, 1])
+    if not np.logical_and.reduce(areas > 0.0):
         raise ValueError("triangles must be positively oriented and non-degenerate")
-    det = 2.0 * areas
+    det = (2.0 * areas)[:, None]
     g = np.empty((2, len(p), 3))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        g[0, :, i] = -e[:, 1] / det
-        g[1, :, i] = e[:, 0] / det
+    np.negative(e[:, :, 1], out=g[0])
+    g[0] /= det
+    np.divide(e[:, :, 0], det, out=g[1])
     return areas, g
 
 
@@ -201,14 +219,25 @@ def _indices(a, bound: int, what: str, dtype=np.int32) -> np.ndarray:
     """``a`` as a new array of ``dtype``, once every entry of the input (not
     yet wrapped by the cast) is checked to lie in [0, bound)."""
     a = np.asarray(a)
-    if a.size and (a.min() < 0 or a.max() >= bound):
+    if a.size and (np.minimum.reduce(a, axis=None) < 0
+                   or np.maximum.reduce(a, axis=None) >= bound):
         raise ValueError(f"{what} index out of range")
-    return np.array(a, dtype=dtype)
+    return a.astype(dtype)
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array, flattened, by one stable sort,
+    which on a sorted run plus a short tail beats the hash table numpy
+    uses."""
+    a = np.sort(a, axis=None, kind="stable")
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def copied_triangles(parent_of: np.ndarray) -> np.ndarray:
     """Mask of the triangles `refine` copied from the previous mesh: those
-    whose parent has exactly one child.  `_bisect` copies such a row as it
+    whose parent has exactly one child.  `refine` copies such a row as it
     is, so a value computed from its vertices has the same bits on both
     meshes and can be gathered through ``parent_of`` instead."""
     return np.bincount(parent_of)[parent_of] == 1
@@ -231,15 +260,20 @@ class Mesh:
         edge that created each appended vertex, or None for a root mesh;
         the endpoints are coarse vertices, those before the appended ones.
 
-    geometry, edges, boundary_ids : ``(areas, gradient_planes)`` and the
-        values of the attributes ``edges`` and ``boundary_ids`` when the
-        caller already has them, as `refine` does: it gathers the geometry
-        of copied triangles from the parent mesh and carries its edge table.
+    geometry, edges, boundary_ids, new_triangles : ``(areas,
+        gradient_planes)`` and the values of the attributes ``edges``,
+        ``boundary_ids`` and ``new_triangles`` when the caller already has
+        them, as `refine` does: it gathers the geometry of copied triangles
+        from the parent mesh, carries its edge table and knows which
+        triangles it built.
 
     A mesh is complete when built: the read-only ``areas`` (positive),
     ``gradient_planes`` (the hat gradients as x and y planes, (2, nT, 3)),
     ``edges`` (`EdgeTable`) and ``boundary_ids`` (the edge id of each
-    boundary edge) are computed at construction unless given, and so is
+    boundary edge) are computed at construction unless given, as is
+    ``new_triangles``, the indices of the triangles that are not copies of
+    a triangle of the mesh this one was refined from (`copied_triangles`;
+    all of a root mesh's), and so is
     ``gradient_operator``, the P1 gradient as two (nT, nV) CSR matrices of
     x and of y components: row t holds the hat gradients of triangle t in
     the columns of its vertices.  Nothing is copied: their data are the
@@ -256,9 +290,9 @@ class Mesh:
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
                  level: int = 0, parent_of=None, vertex_parents=None, geometry=None,
-                 edges: EdgeTable | None = None, boundary_ids=None):
+                 edges: EdgeTable | None = None, boundary_ids=None, new_triangles=None):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
-        if not np.isfinite(self.vertices).all():
+        if not np.logical_and.reduce(np.isfinite(self.vertices), axis=None):
             raise ValueError("vertex coordinates must be finite")
         self.triangles = _indices(triangles, self.n_vertices, "triangle vertex").reshape(-1, 3)
         if max(self.n_vertices, 3 * self.n_triangles + 1) > _INT32_MAX:
@@ -266,7 +300,8 @@ class Mesh:
         self.boundary_edges = _indices(boundary_edges, self.n_vertices, "boundary vertex",
                                        np.int64).reshape(-1, 2)
         self.boundary_markers = np.array(boundary_markers, dtype=np.int64).reshape(-1)
-        if not ((self.boundary_markers == DIRICHLET) | (self.boundary_markers == NEUMANN)).all():
+        if not np.logical_and.reduce((self.boundary_markers == DIRICHLET)
+                                     | (self.boundary_markers == NEUMANN)):
             raise ValueError("boundary markers must be DIRICHLET or NEUMANN")
         self.level = int(level)
         self.parent_of = (np.arange(self.n_triangles, dtype=np.int32) if parent_of is None
@@ -278,6 +313,10 @@ class Mesh:
         self.vertex_parents = vertex_parents
         if self.boundary_markers.shape[0] != self.boundary_edges.shape[0]:
             raise ValueError("need one marker per boundary edge")
+        if new_triangles is None:
+            new_triangles = (~copied_triangles(self.parent_of)).nonzero()[0] \
+                if vertex_parents is not None else np.arange(self.n_triangles)
+        self.new_triangles = new_triangles
         self.areas, self.gradient_planes = (_geometry(self.vertices[self.triangles])
                                             if geometry is None else geometry)
         self.edges = (_build_edge_table(self.triangles, self.n_vertices) if edges is None
@@ -285,15 +324,16 @@ class Mesh:
         self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)
                              if boundary_ids is None else boundary_ids)
         for a in (self.vertices, self.triangles, self.boundary_edges, self.boundary_markers,
-                  self.parent_of, self.areas, self.gradient_planes, self.boundary_ids):
+                  self.parent_of, self.new_triangles, self.areas, self.gradient_planes,
+                  self.boundary_ids) + (() if vertex_parents is None else (vertex_parents,)):
             a.setflags(write=False)
-        if self.vertex_parents is not None:
-            self.vertex_parents.setflags(write=False)
-        indptr = np.arange(0, 3 * self.n_triangles + 1, 3, dtype=np.int32)
-        self.gradient_operator = tuple(
-            sp.csr_matrix((plane.reshape(-1), self.triangles.reshape(-1), indptr),
-                          shape=(self.n_triangles, self.n_vertices))
-            for plane in self.gradient_planes)
+        # the y matrix shares the x matrix's indices and indptr
+        gx = sp.csr_matrix((self.gradient_planes[0].reshape(-1), self.triangles.reshape(-1),
+                            np.arange(0, 3 * self.n_triangles + 1, 3, dtype=np.int32)),
+                           shape=(self.n_triangles, self.n_vertices))
+        gy = sp.csr_matrix(gx)
+        gy.data = self.gradient_planes[1].reshape(-1)
+        self.gradient_operator = gx, gy
 
     @property
     def n_vertices(self) -> int:
@@ -315,10 +355,11 @@ class Mesh:
         vertex count, the triangle count that ``parent_of`` implies, and
         ``coarse``'s vertices as its first vertices (the vertex set fixes a
         newest-vertex bisection mesh of a given root)."""
+        n = coarse.n_vertices
         return self.vertex_parents is not None and self.level == coarse.level + 1 \
-            and self.n_coarse_vertices == coarse.n_vertices \
+            and self.n_coarse_vertices == n \
             and (not self.n_triangles or self.parent_of[-1] + 1 == coarse.n_triangles) \
-            and np.array_equal(coarse.vertices, self.vertices[:coarse.n_vertices])
+            and np.logical_and.reduce(coarse.vertices == self.vertices[:n], axis=None)
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
@@ -417,25 +458,15 @@ def create_initial(domain: str) -> Mesh:
     return Mesh(verts, tris, bedges, marks)
 
 
-def _bisect(triangles: np.ndarray, mids: np.ndarray):
-    """One round of single bisections, children in place of their parent.
-
-    Each triangle ``(z0, z1, z2)`` with ``mids >= 0`` is replaced by
-    ``(m, z2, z0)`` and ``(m, z0, z1)``, where ``m`` is its entry of ``mids``,
-    the new vertex on the refinement edge ``z1 z2``; the first child's
-    refinement edge is the parent's ``z2 z0``, the second's is ``z0 z1``.
-    Returns the new triangles and the index each one came from.
-    """
-    cut = mids >= 0
-    origin = np.repeat(np.arange(len(triangles)), 1 + cut)
-    out = np.take(triangles, origin, axis=0)
-    rows = np.flatnonzero(cut)
-    first = rows + np.arange(len(rows))  # slot of each cut triangle's first child
-    t = np.take(triangles, rows, axis=0)
-    out[first, 0] = out[first + 1, 0] = mids[rows]
-    out[first, 1:] = t[:, [2, 0]]
-    out[first + 1, 1:] = t[:, :2]
-    return out, origin
+# A bisected triangle (z0, z1, z2) with new vertices (m0, m1, m2) on its
+# edges (m1, m2 where those are bisected too) has as children, in order, the
+# rows of _CHILDREN (columns of [z0 z1 z2 m0 m1 m2]) whose edge of
+# _CHILD_EDGE is bisected exactly when _CHILD_IF is True: (m0, z2, z0) or
+# its halves (m1, z0, m0), (m1, m0, z2); then (m0, z0, z1) or its halves
+# (m2, z1, m0), (m2, m0, z0).
+_CHILDREN = np.array([(3, 2, 0), (4, 0, 3), (4, 3, 2), (3, 0, 1), (5, 1, 3), (5, 3, 0)])
+_CHILD_EDGE = [1, 1, 1, 2, 2, 2]
+_CHILD_IF = np.array([False, True, True, False, True, True])
 
 
 def refine(mesh: Mesh, marked) -> Mesh:
@@ -443,16 +474,18 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
     ``marked`` is a boolean mask or integer triangle indices.  The closure
     loop marks the refinement edge of any triangle with a hanging node until
-    the result is conforming.  The children come from one rule applied twice
-    (`_bisect`): round 1 bisects each triangle whose refinement edge is
-    marked, round 2 bisects each child whose own refinement edge is marked
-    (the parent's edge opposite ``z1`` for the first child, opposite ``z2``
-    for the second).  So a triangle has 1 to 4 children, in place of the
-    parent; a split boundary edge ``(a, b)`` becomes ``(a, m), (m, b)``.
-    Only the new triangles get their areas and hat gradients computed; those
-    of copied triangles (`copied_triangles`) are gathered from ``mesh``.
-    The child's edge table and boundary edge ids come from those of
-    ``mesh`` (`_carried_edge_table`), not from a sort.
+    the result is conforming.  The children come from one rule applied twice:
+    a triangle ``(z0, z1, z2)`` whose refinement edge is marked becomes
+    ``(m, z2, z0)`` and ``(m, z0, z1)``, with ``m`` the new vertex on ``z1
+    z2``, and each child whose own refinement edge is marked (the parent's
+    edge opposite ``z1`` for the first child, opposite ``z2`` for the second)
+    is bisected by the same rule.  So a triangle has 1 to 4 children, in
+    place of the parent; only the bisected triangles' rows are built, the
+    others are copied.  A split boundary edge ``(a, b)`` becomes ``(a, m),
+    (m, b)``.  Only the new triangles get their areas and hat gradients
+    computed; those of copied triangles are gathered from ``mesh``.  The
+    child's edge table and boundary edge ids come from those of ``mesh``
+    (`_carried_edge_table`), not from a sort.
     """
     n_t = mesh.n_triangles
     marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
@@ -467,50 +500,58 @@ def refine(mesh: Mesh, marked) -> Mesh:
             raise ValueError("marked triangle index out of range")
 
     et = mesh.edges
+    of_triangle = et.of_triangle.astype(np.intp)  # gathers by int32 indices cast them each time
     marked_edge = np.zeros(et.n_edges, dtype=bool)
-    marked_edge[et.of_triangle[marked, 0]] = True
+    marked_edge[of_triangle[marked, 0]] = True
     while True:  # closure: hanging nodes force refinement-edge marks
-        em = marked_edge[et.of_triangle]
-        need = ~em[:, 0] & (em[:, 1] | em[:, 2])
-        if not need.any():
+        em = marked_edge[of_triangle]
+        hanging = of_triangle[:, 0][~em[:, 0] & (em[:, 1] | em[:, 2])]
+        if not hanging.size:
             break
-        marked_edge[et.of_triangle[need, 0]] = True
+        marked_edge[hanging] = True
 
+    # the new vertices, one per bisected edge in edge order
     n_old = mesh.n_vertices
-    bis_edges = np.flatnonzero(marked_edge)
-    edge_to_new = np.full(et.n_edges, -1, dtype=np.int64)
-    edge_to_new[bis_edges] = n_old + np.arange(len(bis_edges))
-    vertex_parents = np.take(et.nodes, bis_edges, axis=0)
-    vertices = np.vstack([mesh.vertices, mesh.vertices[vertex_parents].mean(axis=1)])
+    bisected_edges = marked_edge.nonzero()[0]
+    vertex_parents = et.nodes.take(bisected_edges, axis=0)
+    ends = mesh.vertices[vertex_parents]
+    vertices = np.concatenate((mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])))
 
-    mids = edge_to_new[et.of_triangle]
-    once, from_parent = _bisect(mesh.triangles, mids[:, 0])
-    second = np.zeros(len(once), dtype=bool)
-    second[1:] = from_parent[1:] == from_parent[:-1]
-    twice, from_once = _bisect(once, mids[from_parent, 1 + second])
-    parent_of = from_parent[from_once]
-    del mids, once, from_parent, second, from_once  # freed before the edge table: peak memory
-    new = np.flatnonzero(~copied_triangles(parent_of))
-    edges, codes = _carried_edge_table(et, marked_edge, n_old, twice, parent_of, new,
-                                       len(vertices))
+    # em is conforming: a triangle's edges 1 and 2 are marked only with its
+    # refinement edge; a bisected triangle has 2 + (those) children
+    bisected = em[:, 0].nonzero()[0]
+    flags = em.take(bisected, axis=0)
+    n_children = 2 + flags[:, 1] + flags[:, 2].astype(np.intp)
+    counts = np.ones(n_t, dtype=np.intp)
+    counts[bisected] = n_children
+    parent_of = np.arange(n_t).repeat(counts)
+    new = em[:, 0].repeat(counts).nonzero()[0]  # the children of bisected triangles
+    corners = np.concatenate((mesh.triangles.take(bisected, axis=0),
+                              n_old + bisected_edges.searchsorted(
+                                  of_triangle.take(bisected, axis=0))), axis=1)
+    children = corners[:, _CHILDREN][flags[:, _CHILD_EDGE] == _CHILD_IF]
+    triangles = mesh.triangles.take(parent_of, axis=0)
+    triangles[new] = children
+    edges, codes = _carried_edge_table(et, of_triangle, marked_edge, n_old, parent_of, new,
+                                       children, len(vertices))
 
-    bmids = edge_to_new[mesh.boundary_ids]
-    split = bmids >= 0
-    keep = np.repeat(np.arange(len(split)), 1 + split)
+    split = marked_edge[mesh.boundary_ids]
+    keep = np.arange(len(split)).repeat(1 + split)
     bedges = mesh.boundary_edges[keep]
-    first = np.flatnonzero(split)
+    first = split.nonzero()[0]
     first += np.arange(len(first))
-    bedges[first, 1] = bedges[first + 1, 0] = bmids[split]
-    boundary_ids = np.searchsorted(codes, _pair_codes(bedges, len(vertices)))
+    bedges[first, 1] = bedges[first + 1, 0] = \
+        n_old + bisected_edges.searchsorted(mesh.boundary_ids[split])
+    boundary_ids = codes.searchsorted(_pair_codes(bedges, len(vertices)))
 
     # areas and hat gradients: gathered through parent_of, then computed
     # afresh on the new triangles
-    areas = np.take(mesh.areas, parent_of)
-    planes = np.take(mesh.gradient_planes, parent_of, axis=1)
-    areas[new], planes[:, new] = _geometry(vertices[twice[new]])
-    return Mesh(vertices, twice, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
+    areas = mesh.areas.take(parent_of)
+    planes = mesh.gradient_planes.take(parent_of, axis=1)
+    areas[new], planes[:, new] = _geometry(vertices[children])
+    return Mesh(vertices, triangles, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
                 parent_of=parent_of, vertex_parents=vertex_parents, geometry=(areas, planes),
-                edges=edges, boundary_ids=boundary_ids)
+                edges=edges, boundary_ids=boundary_ids, new_triangles=new)
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:

@@ -44,6 +44,8 @@ HIERARCHY = "tests/test_mesh.py::test_hierarchy_bookkeeping"
 BOUNDARY = "tests/test_mesh.py::test_boundary_input_is_checked_at_construction"
 WRONG_BOUNDARY = "tests/test_mesh.py::test_validate_rejects_a_wrong_boundary_list"
 RHS_ORACLE = "tests/test_fem.py::test_assemble_rhs_matches_einsum_oracle"
+FORMER_MERGE = "tests/test_mesh.py::test_carried_edge_table_matches_former_merge"
+AT_BOUND = "tests/test_mesh.py::test_an_index_at_its_bound_or_negative_is_rejected"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -53,12 +55,12 @@ MUTANTS = [
      "members = np.concatenate((grp.smooth, kids))",
      [GENERATIONS, "tests/test_algsolver.py::test_preconditioner_is_symmetric_positive_definite"]),
     ("min for max in the generation rule", "algsolver.py",
-     "new_gen = 1 + self.gen[new_parents].max(axis=1)",
-     "new_gen = 1 + self.gen[new_parents].min(axis=1)",
+     "new_gen = 1 + np.maximum.reduce(self.gen[new_parents], axis=1)",
+     "new_gen = 1 + np.minimum.reduce(self.gen[new_parents], axis=1)",
      ["tests/test_algsolver.py::test_generation_groups_hold_no_parent_of_their_own"]),
     ("an unstable sort of the new vertices", "algsolver.py",
-     'order = np.argsort(new_gen, kind="stable")',
-     'order = np.argsort(new_gen, kind="quicksort")',
+     'order = new_gen.argsort(kind="stable")',
+     'order = new_gen.argsort(kind="quicksort")',
      [GENERATIONS]),
     ("halved Jacobi weights", "algsolver.py",
      "inv_diag = 1.0 / operator.diagonal()[dof]",
@@ -75,8 +77,8 @@ MUTANTS = [
      "enumerate(zip(groups, cuts, cuts[1:])))",
      [GENERATIONS]),
     ("Jacobi weights paired with the wrong generation", "algsolver.py",
-     "cuts = np.cumsum([0] + [len(s) for s in smooth]).tolist()",
-     "cuts = np.cumsum([0] + [len(s) for s in smooth[::-1]]).tolist()",
+     "cuts = list(itertools.accumulate([len(s) for s in smooth], initial=0))",
+     "cuts = list(itertools.accumulate([len(s) for s in smooth[::-1]], initial=0))",
      [GENERATIONS]),
     # the handover between levels
     ("a preconditioner that keeps the finest DofMap", "algsolver.py",
@@ -89,17 +91,17 @@ MUTANTS = [
      [HANDOVER]),
     # Doerfler marking by selection
     ("the k-th largest value dropped from the candidates", "estimator.py",
-     "top = np.sort(np.partition(sq, n - k)[n - k:])[::-1]",
-     "top = np.sort(np.partition(sq, n - k)[n - k + 1:])[::-1]",
+     "top = np.partition(sq, n - k)[n - k:]",
+     "top = np.partition(sq, n - k)[n - k + 1:]",
      [SELECTION]),
     ("ties at the last marked value taken from the highest index", "estimator.py",
-     "marked[np.flatnonzero(sq == top[count - 1])[:count - np.count_nonzero(marked)]] = True",
-     "marked[np.flatnonzero(sq == top[count - 1])[::-1][:count - np.count_nonzero(marked)]] "
+     "marked[(sq == top[count - 1]).nonzero()[0][:count - np.count_nonzero(marked)]] = True",
+     "marked[(sq == top[count - 1]).nonzero()[0][::-1][:count - np.count_nonzero(marked)]] "
      "= True",
      [SELECTION]),
     ("a target above the sorted total marks zero indicators", "estimator.py",
-     "count = int(np.searchsorted(csum, min(target, csum[-1]))) + 1",
-     "count = min(int(np.searchsorted(csum, target)) + 1, len(top))",
+     "count = int(csum.searchsorted(min(target, csum[-1]))) + 1",
+     "count = min(int(csum.searchsorted(target)) + 1, len(top))",
      [SELECTION, "tests/test_estimator.py::test_doerfler_frozen_examples"]),
     # observed contraction columns
     ("pic_ratio over all steps", "driver.py",
@@ -112,38 +114,57 @@ MUTANTS = [
      [CONTRACTIONS]),
     # values carried for copied triangles
     ("shifted parent_of in the areas gather", "mesh.py",
-     "areas = np.take(mesh.areas, parent_of)",
-     "areas = np.take(mesh.areas, np.roll(parent_of, 1))",
+     "areas = mesh.areas.take(parent_of)",
+     "areas = mesh.areas.take(np.roll(parent_of, 1))",
      [CARRIED]),
     ("shifted parent_of in the hat gradients gather", "mesh.py",
-     "planes = np.take(mesh.gradient_planes, parent_of, axis=1)",
-     "planes = np.take(mesh.gradient_planes, np.roll(parent_of, 1), axis=1)",
+     "planes = mesh.gradient_planes.take(parent_of, axis=1)",
+     "planes = mesh.gradient_planes.take(np.roll(parent_of, 1), axis=1)",
      [CARRIED]),
-    ("shifted parent_of in the samples gather", "fem.py",
-     "out = tuple(np.take(a, mesh.parent_of, axis=0)",
-     "out = tuple(np.take(a, np.roll(mesh.parent_of, 1), axis=0)",
+    ("shifted parent_of in the samples gather of f_phi", "fem.py",
+     "f_phi = previous.f_phi.take(mesh.parent_of, axis=0)",
+     "f_phi = previous.f_phi.take(np.roll(mesh.parent_of, 1), axis=0)",
+     [CARRIED]),
+    ("shifted parent_of in the samples gather of volume_sq", "fem.py",
+     "volume_sq = previous.volume_sq.take(mesh.parent_of)",
+     "volume_sq = previous.volume_sq.take(np.roll(mesh.parent_of, 1))",
      [CARRIED]),
     ("a copied mask that accepts every triangle", "mesh.py",
      "return np.bincount(parent_of)[parent_of] == 1",
      "return np.bincount(parent_of)[parent_of] >= 1",
-     [CARRIED, SAMPLED_ONCE]),
+     [FORMER_MERGE]),
+    ("every triangle of a refined mesh taken as new", "mesh.py",
+     "new = em[:, 0].repeat(counts).nonzero()[0]  # the children of bisected triangles",
+     "new = np.arange(len(parent_of))",
+     [SAMPLED_ONCE]),
+    ("the halves of a bisected triangle's first child swapped", "mesh.py",
+     "_CHILDREN = np.array([(3, 2, 0), (4, 0, 3), (4, 3, 2), (3, 0, 1), (5, 1, 3), (5, 3, 0)])",
+     "_CHILDREN = np.array([(3, 2, 0), (4, 3, 2), (4, 0, 3), (3, 0, 1), (5, 1, 3), (5, 3, 0)])",
+     ["tests/test_mesh.py::test_refine_matches_case_table_oracle"]),
+    ("a sum of the volume moments that starts at -0.0", "fem.py",
+     "f_phi = np.zeros((len(fq), 3))",
+     "f_phi = np.full((len(fq), 3), -0.0)",
+     ["tests/test_fem.py::test_volume_moments_match_loop_oracle"]),
     ("a driver that passes no previous samples", "driver.py",
      "samples = sample(mesh, problem.source, problem.neumann, samples)",
      "samples = sample(mesh, problem.source, problem.neumann, None)",
      [SAMPLED_ONCE]),
     # the carried edge table, boundary ids and Neumann samples
     ("shifted parent_of in the of_triangle gather", "mesh.py",
-     "of_triangle = np.take(old_to_new, np.take(parent.of_triangle, parent_of, axis=0))",
-     "of_triangle = np.take(old_to_new, np.take(parent.of_triangle, np.roll(parent_of, 1), "
-     "axis=0))",
+     "of_triangle = old_to_new.take(of_triangle.take(parent_of, axis=0))",
+     "of_triangle = old_to_new.take(of_triangle.take(np.roll(parent_of, 1), axis=0))",
      [EDGE_TABLE]),
     ("swapped incident columns", "mesh.py",
-     "return np.column_stack((first, last))",
-     "return np.column_stack((last, first))",
+     "first, last = incident[:, 0], incident[:, 1]",
+     "last, first = incident[:, 0], incident[:, 1]",
      [EDGE_TABLE, SORT_ORACLES]),
     ("off-by-one merge insertion", "mesh.py",
-     "at = np.searchsorted(kept_codes, added) + np.arange(len(added))",
-     "at = np.searchsorted(kept_codes, added) + np.arange(1, len(added) + 1)",
+     "at = kept_codes.searchsorted(added) + np.arange(len(added))",
+     "at = kept_codes.searchsorted(added) + np.arange(1, len(added) + 1)",
+     [EDGE_TABLE]),
+    ("surviving edge rows moved with lo and hi swapped", "mesh.py",
+     "nodes.view(np.int64).reshape(-1)[is_kept] = kept.view(np.int64).reshape(-1)",
+     "nodes[is_kept] = kept[:, ::-1]",
      [EDGE_TABLE]),
     ("no check for an edge of three triangles", "mesh.py",
      "if 2 * n_edges - np.count_nonzero(single) != 3 * len(of_triangle):",
@@ -151,29 +172,28 @@ MUTANTS = [
      ["tests/test_mesh.py::test_carried_incidence_rejects_an_edge_of_three_triangles",
       "tests/test_mesh.py::test_edge_shared_by_three_triangles_is_rejected"]),
     ("a child mesh that rebuilds its edge table and boundary ids", "mesh.py",
-     "edges=edges, boundary_ids=boundary_ids)",
-     ")",
+     "edges=edges, boundary_ids=boundary_ids, new_triangles=new)",
+     "new_triangles=new)",
      [EDGE_TABLE]),
     ("shifted boundary edge ids", "mesh.py",
-     "boundary_ids = np.searchsorted(codes, _pair_codes(bedges, len(vertices)))",
-     "boundary_ids = np.roll(np.searchsorted(codes, _pair_codes(bedges, len(vertices))), 1)",
+     "boundary_ids = codes.searchsorted(_pair_codes(bedges, len(vertices)))",
+     "boundary_ids = np.roll(codes.searchsorted(_pair_codes(bedges, len(vertices))), 1)",
      [EDGE_TABLE]),
     ("shifted boundary-parent map in the Neumann carry", "fem.py",
-     "from_parent = np.arange(len(edges)) - np.cumsum(second)",
-     "from_parent = np.roll(np.arange(len(edges)) - np.cumsum(second), 1)",
+     "from_parent = np.arange(len(edges)) - second.cumsum()",
+     "from_parent = np.roll(np.arange(len(edges)) - second.cumsum(), 1)",
      [CARRIED]),
     ("g on every Neumann edge, not only the split ones", "fem.py",
-     "fresh = np.flatnonzero(second | (edges[:, 1] >= mesh.n_coarse_vertices))",
+     "fresh = (second | (edges[:, 1] >= n_coarse)).nonzero()[0]",
      "fresh = np.arange(len(edges))",
      [SAMPLED_ONCE]),
     ("g called on a level that split no Neumann edge", "fem.py",
-     "if g is not None and fresh.size:",
-     "if g is not None:",
+     "if fresh.size:",
+     "if True:",
      [SAMPLED_ONCE]),
-    ("the g integral of a split edge left as the parent's", "fem.py",
-     'g_int[fresh] = length * np.einsum("q,nq->n", EDGE_QUAD_W, gq)',
-     'g_int[fresh] = g_int[fresh] if previous is not None else '
-     'length * np.einsum("q,nq->n", EDGE_QUAD_W, gq)',
+    ("the g integrals of a split edge left as the parent's", "fem.py",
+     "for a, computed in zip(rows, _edge_integrals(mesh, g, edges[fresh], owner[fresh])):",
+     "for a, computed in zip(rows[:3], _edge_integrals(mesh, g, edges[fresh], owner[fresh])):",
      [CARRIED]),
     # the load vector scatters the sampled integrals
     ("the endpoint integrals of g scattered to swapped endpoints", "fem.py",
@@ -182,12 +202,13 @@ MUTANTS = [
      [RHS_ORACLE]),
     # the gradient operator
     ("the x plane in both matrices of the gradient operator", "mesh.py",
-     "for plane in self.gradient_planes)",
-     "for plane in (self.gradient_planes[0],) * 2)",
+     "gy.data = self.gradient_planes[1].reshape(-1)",
+     "gy.data = self.gradient_planes[0].reshape(-1)",
      [OPERATOR]),
     ("the gradient operator's indices copied", "mesh.py",
-     "(plane.reshape(-1), self.triangles.reshape(-1), indptr)",
-     "(plane.reshape(-1), self.triangles.reshape(-1).astype(np.int64), indptr)",
+     "gx = sp.csr_matrix((self.gradient_planes[0].reshape(-1), self.triangles.reshape(-1),",
+     "gx = sp.csr_matrix((self.gradient_planes[0].reshape(-1), "
+     "self.triangles.reshape(-1).astype(np.int64),",
      [OPERATOR, COMPACT]),
     # 32-bit connectivity and the per-step index arrays
     ("interior-edge triangle ids left strided", "estimator.py",
@@ -195,12 +216,36 @@ MUTANTS = [
      "np.intp)",
      [COMPACT]),
     ("no range check before the 32-bit cast", "mesh.py",
-     "if a.size and (a.min() < 0 or a.max() >= bound):",
-     "if False:",
+     "if a.size and (np.minimum.reduce(a, axis=None) < 0",
+     "if False and (np.minimum.reduce(a, axis=None) < 0",
      [WRAP]),
+    ("a range check that lets the bound through", "mesh.py",
+     "or np.maximum.reduce(a, axis=None) >= bound):",
+     "or np.maximum.reduce(a, axis=None) > bound):",
+     [AT_BOUND]),
+    ("a range check that lets -1 through", "mesh.py",
+     "if a.size and (np.minimum.reduce(a, axis=None) < 0",
+     "if a.size and (np.minimum.reduce(a, axis=None) < -1",
+     [AT_BOUND]),
+    ("no check that vertex coordinates are finite", "mesh.py",
+     "if not np.logical_and.reduce(np.isfinite(self.vertices), axis=None):",
+     "if False:",
+     ["tests/test_mesh.py::test_non_finite_coordinates_are_rejected"]),
+    ("flat triangles accepted", "mesh.py",
+     "if not np.logical_and.reduce(areas > 0.0):",
+     "if not np.logical_and.reduce(areas >= 0.0):",
+     ["tests/test_mesh.py::test_clockwise_or_flat_triangles_are_rejected"]),
+    ("infinite indicators accepted", "estimator.py",
+     "if not np.logical_and.reduce((sq >= 0.0) & (sq < np.inf)):",
+     "if not np.logical_and.reduce((sq >= 0.0) & (sq <= np.inf)):",
+     ["tests/test_estimator.py::test_indicator_field_rejects_non_finite"]),
+    ("no check that coefficients are finite", "fem.py",
+     "if not np.logical_and.reduce(np.isfinite(self.coeffs)):",
+     "if False:",
+     ["tests/test_fem.py::test_fe_function_round_trip"]),
     # the mesh's lineage and its boundary input
     ("refines without the vertex-prefix compare", "mesh.py",
-     "and np.array_equal(coarse.vertices, self.vertices[:coarse.n_vertices])",
+     "and np.logical_and.reduce(coarse.vertices == self.vertices[:n], axis=None)",
      "and True",
      [HIERARCHY, "tests/test_fem.py::test_prolongation_preserves_function"]),
     ("n_coarse_vertices that ignores vertex_parents", "mesh.py",
@@ -217,8 +262,8 @@ MUTANTS = [
      "self.n_vertices, \"boundary vertex\",",
      [BOUNDARY]),
     ("no check of the boundary markers", "mesh.py",
-     "if not ((self.boundary_markers == DIRICHLET) | (self.boundary_markers == NEUMANN)).all():",
-     "if False:",
+     "if not np.logical_and.reduce((self.boundary_markers == DIRICHLET)",
+     "if False and np.logical_and.reduce((self.boundary_markers == DIRICHLET)",
      [BOUNDARY]),
     ("a root mesh's boundary ids taken unchecked", "mesh.py",
      "self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)",

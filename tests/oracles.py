@@ -684,3 +684,82 @@ def _additive_schwarz(coarse_solve, levels):
         return y
 
     return apply
+
+
+# Kernels in the form they had before the passes that run once per level
+# were merged into fewer numpy calls.  The library's forms must give the
+# same bits (`same_bits`: dtype, shape and bytes, so -0.0 differs from 0.0).
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def loop_geometry(p: np.ndarray) -> tuple:
+    """Areas and hat-gradient planes of triangles with vertex coordinates
+    p, (n, 3, 2), one vertex at a time."""
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    det = 2.0 * areas
+    g = np.empty((2, len(p), 3))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        g[0, :, i] = -e[:, 1] / det
+        g[1, :, i] = e[:, 0] / det
+    return areas, g
+
+
+def loop_volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:
+    """``f_phi`` and ``volume_sq`` from f at the 7 volume nodes, one node
+    at a time."""
+    f_phi = np.zeros((len(fq), 3))
+    for q, (w, bary) in enumerate(zip(TRI_QUAD_W, TRI_QUAD_BARY)):
+        f_phi += fq[:, q, None] * w * bary * areas[:, None]
+    return f_phi, areas * np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, areas)
+
+
+def merge_carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,
+                             triangles: np.ndarray, parent_of: np.ndarray, new: np.ndarray,
+                             n_vertices: int) -> tuple:
+    """The child's edge table and sorted pair codes from the parent's
+    table: np.unique of the new triangles' edges, merged into the
+    survivors by row scatters."""
+    n_v = np.int64(n_vertices)
+    survivors = np.flatnonzero(~bisected)
+    kept_codes = np.take(parent.nodes[:, 0] * n_v + parent.nodes[:, 1], survivors)
+    t = np.take(triangles, new, axis=0)
+    pair_codes = _pair_codes(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]),
+                             n_vertices)
+    distinct, inverse = np.unique(pair_codes, return_inverse=True)
+    added = distinct[distinct % n_v >= n_old]
+    at = np.searchsorted(kept_codes, added) + np.arange(len(added))
+    n_e = len(kept_codes) + len(added)
+    is_added = np.zeros(n_e, dtype=bool)
+    is_added[at] = True
+    rows = np.flatnonzero(~is_added)
+    codes = np.empty(n_e, dtype=np.int64)
+    codes[rows], codes[at] = kept_codes, added
+    parent_row = np.zeros(n_e, dtype=np.int64)
+    parent_row[rows] = survivors
+    nodes = np.take(parent.nodes, parent_row, axis=0)
+    nodes[at, 0], nodes[at, 1] = added // n_v, added % n_v
+    old_to_new = np.full(parent.n_edges, -1, dtype=np.int32)
+    old_to_new[survivors] = rows
+    of_triangle = np.take(old_to_new, np.take(parent.of_triangle, parent_of, axis=0))
+    looked_up = np.searchsorted(codes, distinct)[inverse].reshape(3, -1)
+    for k in range(3):
+        of_triangle[new, k] = looked_up[k]
+    return nodes, of_triangle, codes
+
+
+def norm_edge_frames(vertices: np.ndarray, edges: np.ndarray,
+                     inside: np.ndarray) -> tuple:
+    """Lengths and unit normals of edges, (n, 2) vertex pairs, turned away
+    from the points ``inside``, by np.linalg.norm and np.column_stack."""
+    a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    tang = b - a
+    length = np.linalg.norm(tang, axis=1)
+    normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+    normal[(normal * ((a + b) / 2 - inside)).sum(axis=1) < 0] *= -1.0
+    return length, normal

@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import io
 import json
+import os
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -341,6 +343,44 @@ def test_data_sampled_once_per_level(monkeypatch):
     assert calls == {"f": levels, "g": levels - split.count(0)}
     assert points["g"] == [(n, 3) for n in split if n]
     assert sum(split) < sum(map(len, neumann)) / 2
+
+
+def calls_per_level(config: AdaptiveConfig) -> float:
+    """Python-level calls of `run_adaptive` per level: the "call" and
+    "c_call" events of `sys.setprofile` whose calling frame runs code of
+    the afem package.  Calls inside numpy and scipy do not count, so the
+    number depends on this package's code, not on the library versions."""
+    package = str(Path(driver.__file__).parent) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        caller = frame if event == "c_call" else frame.f_back if event == "call" else None
+        if caller is not None and caller.f_code.co_filename.startswith(package):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        log = run_adaptive(config)
+    finally:
+        sys.setprofile(None)
+    return count / len(log.level_table())
+
+
+BUDGET_CONFIG = AdaptiveConfig(domain="zshape", theta=0.1, max_elements=1000)
+CALLS_PER_LEVEL = 471
+
+
+def test_calls_per_level_stay_within_budget():
+    """A level's fixed cost is mostly Python-level calls: on zshape with
+    theta = 0.1 (230 levels to 1000 triangles) the count per level stays
+    within 10 % of CALLS_PER_LEVEL, so calls added to the code that runs
+    once per level (refine, sample, assembly, the preconditioner's
+    extension, the handover) show here.  The count was 652 at commit
+    5765fc0 and 471 once the per-level passes were merged (Python 3.11).
+    To measure again, print `calls_per_level(BUDGET_CONFIG)` with `tests`
+    and `src` on the path."""
+    assert calls_per_level(BUDGET_CONFIG) <= 1.1 * CALLS_PER_LEVEL
 
 
 def test_solved_level_released_before_the_next(monkeypatch):

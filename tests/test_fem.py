@@ -13,8 +13,9 @@ from afem import (DofMap, FeFunction, NEUMANN, apply_nonlinear,
                   uniform_refine)
 from afem.algsolver import solve_exact
 from afem.mesh import Mesh
+from afem.estimator import EstimatorData
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
-                      element_gradients, energy_error_vs_exact,
+                      _volume_moments, element_gradients, energy_error_vs_exact,
                       energy_functional, sample, triangle_quad_points)
 from afem.nonlinearity import (constant_nonlinearity, derived_constants,
                                zshape_nonlinearity)
@@ -22,9 +23,10 @@ from afem.problems import get_problem
 
 from oracles import (KERNEL_CASES, MARKING_KINDS, einsum_apply_nonlinear,
                      einsum_assemble_laplacian, einsum_assemble_rhs, einsum_element_gradients,
-                     einsum_triangle_quad_points, kernel_case, one_triangle,
-                     picard_map, random_marking, random_mesh, random_root,
-                     stacked_hat_gradients, sum_stiffness_diagonal)
+                     einsum_triangle_quad_points, kernel_case, loop_volume_moments,
+                     norm_edge_frames, one_triangle, picard_map, random_marking,
+                     random_mesh, random_root, same_bits, stacked_hat_gradients,
+                     sum_stiffness_diagonal)
 
 
 def zero_source(points):
@@ -333,6 +335,53 @@ def test_carried_arrays_match_fresh_computation(domain, seed, kinds):
         if domain == "z_shape":
             for got, expected in zip(samples.neumann, want.neumann):
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40),
+       zeros=st.floats(0.0, 1.0), scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e150]))
+def test_volume_moments_match_loop_oracle(seed, n, zeros, scale):
+    """The products f_q w_q taken for all nodes at once give the bits of
+    the former loop, signed zeros included (a triangle where f is -0.0 at
+    every node)."""
+    rng = np.random.default_rng(seed)
+    fq = scale * rng.standard_normal((n, 7))
+    fq[rng.random((n, 7)) < zeros] = -0.0
+    fq[::3] = -0.0
+    areas = rng.random(n) + 1e-3
+    got, want = _volume_moments(fq, areas), loop_volume_moments(fq, areas)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kinds=st.lists(st.sampled_from(MARKING_KINDS),
+                                                        min_size=1, max_size=5))
+def test_edge_frames_match_norm_oracle(seed, kinds):
+    """Lengths and normals of Neumann edges (computed or carried) and of
+    interior edges, as the sums of the two squared coordinates, equal bit
+    for bit those of np.linalg.norm and np.column_stack; prolongation
+    takes the former mean of the two parent values bit for bit as well."""
+    rng = np.random.default_rng(seed)
+    mesh = random_root("z_shape", rng)
+    samples = sample(mesh, smooth_source, smooth_flux)
+    for kind in kinds:
+        coarse, mesh = mesh, refine(mesh, random_marking(rng, mesh.n_triangles, kind))
+        samples = sample(mesh, smooth_source, smooth_flux, previous=samples)
+        nm = samples.neumann
+        centroids = mesh.vertices[mesh.triangles[nm.owner]].mean(axis=1)
+        length, normal = norm_edge_frames(mesh.vertices, nm.edges, centroids)
+        assert same_bits(nm.lengths, length) and same_bits(nm.normals, normal)
+        est = EstimatorData(samples)
+        inner = mesh.edges.nodes[~mesh.edges.is_boundary]
+        tang = mesh.vertices[inner[:, 1]] - mesh.vertices[inner[:, 0]]
+        assert same_bits(est.ie_length, np.linalg.norm(tang, axis=1))
+        dofmap = DofMap.from_mesh(coarse)
+        u = FeFunction(dofmap, rng.standard_normal(dofmap.n_dofs))
+        vals = np.empty(mesh.n_vertices)
+        vals[:coarse.n_vertices] = u.vertex_values()
+        vals[coarse.n_vertices:] = vals[mesh.vertex_parents].mean(axis=1)
+        fine = DofMap.from_mesh(mesh)
+        assert same_bits(prolongate(u, fine).coeffs, vals[fine.free_vertices])
 
 
 def test_sample_gathers_only_from_the_parent_samples():

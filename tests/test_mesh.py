@@ -13,10 +13,12 @@ from afem import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                   overlay, read_text, refine, uniform_refine, write_text)
 from afem import mesh as mesh_module
 from afem.fem import DofMap
-from afem.mesh import _build_edge_table, _incident, closure_cost, locate
+from afem.mesh import (_build_edge_table, _carried_edge_table, _geometry, _incident,
+                       closure_cost, copied_triangles, locate)
 
-from oracles import (MARKING_KINDS, case_table_refine, edge_ids, one_triangle,
-                     random_marking, random_mesh, setdiff_dofmap, unique_argsort_edge_table)
+from oracles import (MARKING_KINDS, case_table_refine, edge_ids, loop_geometry,
+                     merge_carried_edge_table, one_triangle, random_marking, random_mesh,
+                     random_root, same_bits, setdiff_dofmap, unique_argsort_edge_table)
 
 
 def edge_census(mesh):
@@ -256,6 +258,59 @@ def test_carried_edge_table_matches_fresh_build(domain, seed, kinds):
         assert np.array_equal(edge_ids(want, mesh.boundary_edges), fresh)
 
 
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=6))
+def test_carried_edge_table_matches_former_merge(domain, seed, kinds):
+    """The carried edge table and its pair codes equal, bit for bit, those
+    of the former merge (np.unique of the new triangles' edges, row
+    scatters); the new triangles are those `copied_triangles` does not
+    mark, also on a mesh rebuilt by hand from the same arrays."""
+    rng = np.random.default_rng(seed)
+    mesh = random_root(domain, rng)
+    assert np.array_equal(mesh.new_triangles, np.arange(mesh.n_triangles))
+    for kind in kinds:
+        parent, mesh = mesh, refine(mesh, random_marking(rng, mesh.n_triangles, kind))
+        new = mesh.new_triangles
+        assert np.array_equal(new, np.flatnonzero(~copied_triangles(mesh.parent_of)))
+        by_hand = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                       mesh.boundary_markers, level=mesh.level, parent_of=mesh.parent_of,
+                       vertex_parents=mesh.vertex_parents)
+        assert same_bits(by_hand.new_triangles, new.astype(np.int64))
+        bisected = np.zeros(parent.edges.n_edges, dtype=bool)
+        bisected[edge_ids(parent.edges, mesh.vertex_parents)] = True
+        table, codes = _carried_edge_table(
+            parent.edges, parent.edges.of_triangle.astype(np.intp), bisected,
+            parent.n_vertices, mesh.parent_of.astype(np.intp), new,
+            mesh.triangles[new].astype(np.int64), mesh.n_vertices)
+        nodes, of_triangle, want_codes = merge_carried_edge_table(
+            parent.edges, bisected, parent.n_vertices, mesh.triangles, mesh.parent_of, new,
+            mesh.n_vertices)
+        assert same_bits(table.nodes, nodes) and same_bits(table.of_triangle, of_triangle)
+        assert same_bits(codes, want_codes)
+        assert same_bits(table.incident, _incident(of_triangle, len(nodes)))
+        for name in EDGE_TABLE:
+            assert same_bits(getattr(mesh.edges, name), getattr(table, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(0, 5))
+def test_geometry_matches_loop_oracle(domain, seed, rounds):
+    """Areas and hat-gradient planes from the stacked edge vectors equal,
+    bit for bit, the former computation one vertex at a time, on a moved
+    root and on random refinements of it (computed or carried)."""
+    rng = np.random.default_rng(seed)
+    mesh = random_root(domain, rng)
+    for _ in range(rounds):
+        mesh = refine(mesh, rng.random(mesh.n_triangles) < rng.random())
+    p = mesh.vertices[mesh.triangles]
+    areas, planes = loop_geometry(p)
+    for got in (_geometry(p), (mesh.areas, mesh.gradient_planes)):
+        assert same_bits(got[0], areas) and same_bits(got[1], planes)
+
+
 def mesh_text(vertices, triangles, boundary_edges, markers) -> str:
     """`write_text` of the given arrays, which need not make a valid mesh."""
     arrays = SimpleNamespace(vertices=np.reshape(vertices, (-1, 2)),
@@ -476,6 +531,16 @@ def test_text_round_trip(tmp_path):
     assert buf.getvalue() == buf2.getvalue()
 
 
+@pytest.mark.parametrize("corners", [[(0, 2, 1)], [(0, 1, 3)]], ids=["clockwise", "flat"])
+def test_clockwise_or_flat_triangles_are_rejected(corners):
+    """A clockwise triangle and one of zero area (three collinear vertices)
+    give no mesh."""
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 0.0)]
+    a, b, c = corners[0]
+    with pytest.raises(ValueError, match="positively oriented and non-degenerate"):
+        Mesh(vertices, corners, [(a, b), (b, c), (c, a)], [DIRICHLET] * 3)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_coordinates_are_rejected(bad):
     """A vertex at nan or +-inf gives no mesh, neither through the
@@ -520,6 +585,32 @@ def test_indices_a_32_bit_cast_would_wrap_are_rejected(where, wrap):
         else:
             given[where].flat[-1] = wrap(given[where].flat[-1])
             make()
+
+
+@pytest.mark.parametrize("offset", ["bound", "-1"])
+@pytest.mark.parametrize("where", ["triangles", "boundary_edges", "parent_of",
+                                   "vertex_parents"])
+def test_an_index_at_its_bound_or_negative_is_rejected(where, offset):
+    """Each range-checked index array of a mesh built by hand accepts its
+    largest valid index, bound - 1, and rejects the bound itself and -1:
+    n_vertices for vertex indices, n_triangles for parent_of, the coarse
+    vertex count for vertex_parents."""
+    square = create_initial("unit_square")
+    bounds = {"triangles": 4, "boundary_edges": 4, "parent_of": 2, "vertex_parents": 3}
+
+    def make(**changed):
+        given = {"triangles": square.triangles.astype(np.int64),
+                 "boundary_edges": square.boundary_edges.copy(),
+                 "parent_of": np.array([0, 1]), "vertex_parents": np.array([[0, 2]])}
+        for name, value in changed.items():
+            given[name].flat[-1] = value
+        return Mesh(square.vertices, given["triangles"], given["boundary_edges"],
+                    square.boundary_markers, parent_of=given["parent_of"],
+                    vertex_parents=given["vertex_parents"])
+
+    assert getattr(make(), where).max() == bounds[where] - 1
+    with pytest.raises(ValueError, match="index out of range"):
+        make(**{where: bounds[where] if offset == "bound" else -1})
 
 
 def test_int32_limits_on_vertex_and_triangle_counts(monkeypatch):
