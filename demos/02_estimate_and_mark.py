@@ -34,7 +34,7 @@ delta = derived_constants(nl).damping
 x = np.zeros(dofmap.n_dofs)
 for k in range(30):
     u = FeFunction(dofmap, x)
-    x = solve_exact(a, a @ x + delta * (load - apply_nonlinear(nl, u)))
+    x += solve_exact(a, delta * (load - apply_nonlinear(nl, u)))
 u = FeFunction(dofmap, x)
 
 field = indicators(nl, problem.source, problem.neumann, u)

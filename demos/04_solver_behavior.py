@@ -24,7 +24,7 @@ from afem.problems import get_problem
 
 
 def steps_to_tol(operator, rhs, pre, tol=1e-8):
-    state = init_solver_state(operator, rhs, np.zeros(operator.shape[0]))
+    state = init_solver_state(operator, rhs)
     norm0 = None
     while True:
         state = pcg_step(state, pre)

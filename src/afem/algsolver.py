@@ -25,13 +25,15 @@ the new vertices by generation), rebuilds the smoothing set of only the
 generations that gained vertices, and reads the Jacobi weights of every
 generation from the new level's operator in one gather.
 
-`pcg_step` advances exactly one iteration and exposes the increment norms
-the adaptive driver's stopping tests need; the energy-norm error is
-non-increasing from step to step.  An ``r.z`` of exactly zero (an empty
-system, or a residual that vanishes to working precision) is convergence;
-any other non-positive or non-finite ``r.z`` or ``p.Ap`` is a breakdown,
-which ends the adaptive run.  Either way the iterate stays put and the
-increment is zero.
+`init_solver_state(operator, rhs)` starts a solve at the zero iterate, so
+its residual is ``rhs`` itself.  `pcg_step` advances exactly one iteration
+and exposes the norms the adaptive driver's stopping tests need: the energy
+norm of the last step and, through `SolverState.norm`, of the iterate; the
+energy-norm error is non-increasing from step to step.  An ``r.z`` of
+exactly zero (an empty system, or a residual that vanishes to working
+precision) is convergence; any other non-positive or non-finite ``r.z`` or
+``p.Ap`` is a breakdown, which ends the adaptive run.  Either way the
+iterate stays put and the increment is zero.
 """
 
 from __future__ import annotations
@@ -181,39 +183,35 @@ def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
 
 @dataclass(frozen=True)
 class SolverState:
-    """State of a one-step PCG solve of ``operator @ x = rhs``.
+    """State of a one-step PCG solve of ``operator @ x = rhs`` started at 0.
 
-    ``increment`` is the energy norm of the last step, ``drift`` tracks
-    x - x0 and operator @ (x - x0) so the energy distance to the initial
-    iterate is available without extra matvecs.
+    ``increment`` is the energy norm of the last step.  The residual is
+    updated as ``rhs - operator @ iterate``, so `norm` reads the energy norm
+    of the iterate, ``sqrt(iterate . (rhs - residual))``, without a matvec.
     """
 
     operator: sp.csr_matrix
+    rhs: np.ndarray
     iterate: np.ndarray
     residual: np.ndarray
     direction: Optional[np.ndarray]
     rz: float
-    drift: np.ndarray
-    operator_drift: np.ndarray
     iterations: int
     increment: float
     converged: bool
     breakdown: bool = False
 
-    def drift_norm(self) -> float:
-        """Energy norm of iterate - initial iterate."""
-        return float(np.sqrt(max(self.drift @ self.operator_drift, 0.0)))
+    def norm(self) -> float:
+        """Energy norm of the iterate."""
+        return float(np.sqrt(max(self.iterate @ (self.rhs - self.residual), 0.0)))
 
 
-def init_solver_state(operator: sp.csr_matrix, rhs: np.ndarray,
-                      x0: np.ndarray) -> SolverState:
-    x0 = np.asarray(x0, dtype=float)
+def init_solver_state(operator: sp.csr_matrix, rhs: np.ndarray) -> SolverState:
+    """PCG state at the zero iterate, whose residual is ``rhs`` itself."""
     rhs = np.asarray(rhs, dtype=float)
-    r = rhs - operator @ x0
-    n = x0.size
-    return SolverState(operator=operator, iterate=x0, residual=r, direction=None, rz=0.0,
-                       drift=np.zeros(n), operator_drift=np.zeros(n),
-                       iterations=0, increment=0.0, converged=(n == 0))
+    return SolverState(operator=operator, rhs=rhs, iterate=np.zeros(rhs.size), residual=rhs,
+                       direction=None, rz=0.0, iterations=0, increment=0.0,
+                       converged=(rhs.size == 0))
 
 
 def pcg_step(state: SolverState, precond) -> SolverState:
@@ -234,13 +232,10 @@ def pcg_step(state: SolverState, precond) -> SolverState:
     if not np.isfinite(pap) or pap <= 0.0:
         return replace(state, iterations=state.iterations + 1, increment=0.0, breakdown=True)
     alpha = rz / pap
-    step, astep = alpha * p, alpha * ap
     return replace(state,
-                   iterate=state.iterate + step,
-                   residual=state.residual - astep,
+                   iterate=state.iterate + alpha * p,
+                   residual=state.residual - alpha * ap,
                    direction=p, rz=rz,
-                   drift=state.drift + step,
-                   operator_drift=state.operator_drift + astep,
                    iterations=state.iterations + 1,
                    increment=float(abs(alpha) * np.sqrt(pap)),
                    converged=False)

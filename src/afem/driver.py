@@ -1,12 +1,14 @@
 """Adaptive solve loop: mesh refinement around linearization around PCG.
 
 The algorithm nests three loops.  On each mesh a damped fixed-point
-linearization of the quasilinear operator is iterated; each linear system
-is solved inexactly, one preconditioned CG step at a time; the error
-estimator is recomputed after every step and drives both stopping tests
-and the marking of elements for refinement.  The contraction factor of
-the linearization and of the preconditioned solver are mesh independent,
-so total work stays proportional to the cumulative number of elements.
+linearization of the quasilinear operator is iterated: the step from x is
+x + e with A e = delta (load - N(x)), A the stiffness matrix.  Each such
+system is solved inexactly for the update e, one preconditioned CG step at
+a time from e = 0; the error estimator is recomputed at x + e after every
+step and drives both stopping tests and the marking of elements for
+refinement.  The contraction factor of the linearization and of the
+preconditioned solver are mesh independent, so total work stays
+proportional to the cumulative number of elements.
 
 A level samples the data, assembles, builds or extends the preconditioner,
 is solved and is marked.  The handover (refine, DofMap, prolongation) holds
@@ -243,12 +245,6 @@ def picard_stop(pic_inc: float, eta: float, lambda_pic: float) -> bool:
     return pic_inc <= lambda_pic * eta
 
 
-def picard_rhs(nl, operator, load: np.ndarray, u: FeFunction,
-               damping: float) -> np.ndarray:
-    """Right-hand side of the damped fixed-point linear system at u."""
-    return operator @ u.coeffs + damping * (load - apply_nonlinear(nl, u))
-
-
 def quasi_error(record: StepRecord) -> float:
     """Combined error measure: true error + algebraic error + estimator."""
     return (record.err or 0.0) + (record.alg_err or 0.0) + record.eta
@@ -302,19 +298,19 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
         if k > MAX_PICARD_PER_LEVEL:
             raise RuntimeError(f"linearization did not stop within "
                                f"{MAX_PICARD_PER_LEVEL} iterations")
-        rhs = picard_rhs(nl, operator, load, FeFunction(dofmap, x), damping)
-        xstar = lu(rhs) if lu is not None else None
-        state = alg.init_solver_state(operator, rhs, x)
+        rhs = damping * (load - apply_nonlinear(nl, FeFunction(dofmap, x)))
+        estar = lu(rhs) if lu is not None else None
+        state = alg.init_solver_state(operator, rhs)
         while True:
             if state.iterations >= MAX_PCG_PER_LINEARIZATION:
                 raise RuntimeError(f"solver did not stop within "
                                    f"{MAX_PCG_PER_LINEARIZATION} steps")
             state = alg.pcg_step(state, pre)
-            vertex_values[dofmap.free_vertices] = state.iterate
+            vertex_values[dofmap.free_vertices] = x + state.iterate
             squared = est.eval_squared(nl, vertex_values)
             eta = float(np.sqrt(squared.sum()))
             alg_inc = state.increment
-            pic_inc = state.drift_norm()
+            pic_inc = state.norm()
             stop_alg = algebraic_stop(alg_inc, pic_inc, eta, config.lambda_alg)
             stop_pic = stop_alg and picard_stop(pic_inc, eta, config.lambda_pic)
             step += 1
@@ -326,7 +322,7 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
             if errdata is not None:
                 rec.err = errdata.error(vertex_values)
             if config.diagnostics:
-                d = xstar - state.iterate
+                d = estar - state.iterate
                 rec.alg_err = float(np.sqrt(max(d @ (operator @ d), 0.0)))
                 rec.delta = quasi_error(rec)
             log.records.append(rec)
@@ -335,7 +331,7 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
                 return pre, u, None
             if stop_alg:
                 break
-        x = state.iterate
+        x = x + state.iterate
         if stop_pic:
             break
     u = FeFunction(dofmap, x)

@@ -3,8 +3,9 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py [--write] [--check]
 
 reruns every configuration in `GOLDEN_CONFIGS` and prints, per file in
-`tests/data/golden/`, whether the integer columns are identical and the
-largest relative change of each float column.  A change is measured on the
+`tests/data/golden/`, whether the integer columns are identical, the
+first level whose ``nT`` differs if any does, and the largest relative
+change of each float column with the ``(l, k, j)`` of its record.  A change is measured on the
 scale `test_step_log_matches_golden` uses: relative to the old entry, but
 never to less than 1e-12 of the column's largest value.  The rerun is read
 back through its CSV text first, so both sides carry the same 12 digits and
@@ -38,8 +39,8 @@ GOLDEN_CONFIGS = {
                                 track_error=True),
 }
 # leading hex digits of the sha1 of each benchmark workload's step log
-PINNED_DIGESTS = {"zshape-bulk": "3a03931e2beb", "zshape-fine": "0dd8bdc11d03",
-                  "lshape-tight": "3bf11cd4179f"}
+PINNED_DIGESTS = {"zshape-bulk": "e0fc68a533e5", "zshape-fine": "b8a841c1aad4",
+                  "lshape-tight": "9bd5466fc6ac"}
 
 
 def compare(want: RunLog, got: RunLog) -> list:
@@ -54,6 +55,9 @@ def compare(want: RunLog, got: RunLog) -> list:
     same = all(getattr(a, c) == getattr(b, c)
                for a, b in zip(want.records[:n], got.records[:n]) for c in ints)
     lines.append(f"integer columns {'identical' if same else 'DIFFER'}")
+    moved = next((a.l for a, b in zip(want.records, got.records) if a.nT != b.nT), None)
+    if moved is not None:
+        lines.append(f"nT first differs on level {moved}")
     for column in got.columns():
         if column in ints:
             continue
@@ -61,7 +65,11 @@ def compare(want: RunLog, got: RunLog) -> list:
         a = np.array([getattr(r, column) for r in got.records[:n]], dtype=float)
         scale = np.maximum(np.abs(b), 1e-12 * np.abs(b).max(initial=0.0))
         change = np.divide(np.abs(a - b), scale, out=np.zeros(n), where=a != b)
-        lines.append(f"{column}: largest relative change {change.max(initial=0.0):.3g}")
+        line = f"{column}: largest relative change {change.max(initial=0.0):.3g}"
+        if change.any():
+            rec = want.records[int(change.argmax())]
+            line += f" at (l, k, j) = ({rec.l}, {rec.k}, {rec.j})"
+        lines.append(line)
     return lines
 
 

@@ -46,6 +46,7 @@ WRONG_BOUNDARY = "tests/test_mesh.py::test_validate_rejects_a_wrong_boundary_lis
 RHS_ORACLE = "tests/test_fem.py::test_assemble_rhs_matches_einsum_oracle"
 FORMER_MERGE = "tests/test_mesh.py::test_carried_edge_table_matches_former_merge"
 AT_BOUND = "tests/test_mesh.py::test_an_index_at_its_bound_or_negative_is_rejected"
+GOLDEN_ZSHAPE = "tests/test_driver.py::test_step_log_matches_golden[zshape_diagnostics]"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -86,9 +87,18 @@ MUTANTS = [
      "successor._free, successor.dofmap = fine_dofmap.free_vertices, fine_dofmap",
      [HANDOVER]),
     ("a solver state that survives into refine", "driver.py",
-     "x = state.iterate",
-     "x, log.state = state.iterate, state",
+     "x = x + state.iterate",
+     "x, log.state = x + state.iterate, state",
      [HANDOVER]),
+    # the Picard update
+    ("the estimator fed the update, not the new iterate", "driver.py",
+     "vertex_values[dofmap.free_vertices] = x + state.iterate",
+     "vertex_values[dofmap.free_vertices] = state.iterate",
+     [GOLDEN_ZSHAPE]),
+    ("pic_inc read without the residual", "algsolver.py",
+     "return float(np.sqrt(max(self.iterate @ (self.rhs - self.residual), 0.0)))",
+     "return float(np.sqrt(max(self.iterate @ self.rhs, 0.0)))",
+     ["tests/test_algsolver.py::test_pcg_increment_and_update_norm_accounting"]),
     # Doerfler marking by selection
     ("the k-th largest value dropped from the candidates", "estimator.py",
      "top = np.partition(sq, n - k)[n - k:]",

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 from afem import algsolver, driver
 from afem.algsolver import solve_exact
 from afem.driver import (AdaptiveConfig, RunLog, StepRecord, algebraic_stop,
-                         field_types, picard_rhs, picard_stop, quasi_error,
-                         run_adaptive)
-from afem.fem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
-                      sample)
+                         field_types, picard_stop, quasi_error, run_adaptive)
+from afem.fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
+                      assemble_rhs, sample)
 from afem.mesh import NEUMANN, create_initial, uniform_refine
 from afem.nonlinearity import derived_constants
 from afem.problems import get_problem
@@ -58,15 +57,19 @@ def test_stopping_tests_accept_equality():
     assert not picard_stop(0.02 * (1 + 1e-9), 2.0, 0.01)
 
 
-def test_picard_rhs_is_plain_load_for_linear_problem():
-    # constant unit diffusion: the damped step solves the original system
-    problem, dofmap, operator, load = small_problem("square_linear")
+def picard_residual(problem, dofmap, load, x):
+    """The right-hand side delta (load - N(x)) of the driver's update system."""
     damping = derived_constants(problem.nonlinearity).damping
-    assert damping == pytest.approx(1.0)
+    return damping * (load - apply_nonlinear(problem.nonlinearity, FeFunction(dofmap, x)))
+
+
+def test_picard_residual_is_load_residual_for_linear_problem():
+    # constant unit diffusion: the damped update solves A e = load - A x
+    problem, dofmap, operator, load = small_problem("square_linear")
+    assert derived_constants(problem.nonlinearity).damping == pytest.approx(1.0)
     x = np.random.default_rng(3).standard_normal(dofmap.n_dofs)
-    rhs = picard_rhs(problem.nonlinearity, operator, load,
-                     FeFunction(dofmap, x), damping)
-    assert np.allclose(rhs, load, rtol=0, atol=1e-12 * np.abs(load).max())
+    rhs = picard_residual(problem, dofmap, load, x)
+    assert np.allclose(rhs, load - operator @ x, rtol=0, atol=1e-12)
 
 
 def test_discrete_solution_is_fixed_point():
@@ -77,10 +80,8 @@ def test_discrete_solution_is_fixed_point():
         x = step(x)
     d = step(x) - x
     assert np.sqrt(d @ (operator @ d)) <= 1e-10
-    damping = derived_constants(problem.nonlinearity).damping
-    rhs = picard_rhs(problem.nonlinearity, operator, load,
-                     FeFunction(dofmap, x), damping)
-    assert np.allclose(solve_exact(operator, rhs), x, rtol=1e-9, atol=1e-12)
+    e = solve_exact(operator, picard_residual(problem, dofmap, load, x))
+    assert np.sqrt(e @ (operator @ e)) <= 1e-10
 
 
 def test_exact_picard_steps_contract():
