@@ -15,7 +15,6 @@ from afem.estimator import doerfler_mark, indicators, total
 from afem.fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
                       assemble_rhs, sample)
 from afem.mesh import create_initial, uniform_refine
-from afem.nonlinearity import derived_constants
 from afem.problems import get_problem
 
 problem = get_problem("zshape")
@@ -30,7 +29,7 @@ load = assemble_rhs(dofmap, sample(mesh, problem.source, problem.neumann))
 
 # the damped iteration u <- u + delta A^-1 (F - N(u)) contracts with a
 # mesh-independent factor, so a handful of steps is plenty here
-delta = derived_constants(nl).damping
+delta = nl.damping
 x = np.zeros(dofmap.n_dofs)
 for k in range(30):
     u = FeFunction(dofmap, x)
@@ -39,7 +38,7 @@ u = FeFunction(dofmap, x)
 
 field = indicators(nl, problem.source, problem.neumann, u)
 print("mesh: %d triangles, estimator total %.4f"
-      % (mesh.n_triangles, field.total))
+      % (mesh.n_triangles, total(field)))
 
 # indicators concentrate where the solution is singular
 r = np.linalg.norm(mesh.centroids(), axis=1)
@@ -52,4 +51,4 @@ for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
     marked = doerfler_mark(field, theta)
     print("theta=%.1f marks %4d of %d elements  (eta(M)/eta = %.3f)"
           % (theta, len(marked), mesh.n_triangles,
-             total(field, marked) / field.total))
+             total(field, marked) / total(field)))

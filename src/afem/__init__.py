@@ -21,8 +21,7 @@ from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
 from .mesh import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
                    overlay, read_text, refine, uniform_refine, write_text)
 from .nonlinearity import (Nonlinearity, constant_nonlinearity,
-                           derived_constants, lshape_nonlinearity,
-                           zshape_nonlinearity)
+                           lshape_nonlinearity, zshape_nonlinearity)
 from .problems import (ErrorData, ExactSolution, Problem, ZSHAPE_BETA,
                        get_problem, zshape_exact)
 
@@ -35,7 +34,7 @@ __all__ = [
     "NEUMANN", "Nonlinearity", "Problem", "RunLog", "RunResult",
     "StepRecord", "ZSHAPE_BETA", "apply_nonlinear", "assemble_laplacian",
     "assemble_rhs", "build_preconditioner", "constant_nonlinearity",
-    "create_initial", "derived_constants", "doerfler_mark", "energy_norm",
+    "create_initial", "doerfler_mark", "energy_norm",
     "expected_rate", "fit_rate", "get_problem", "indicators",
     "init_solver_state", "interpolate", "lshape_nonlinearity", "overlay",
     "parse_sweep_spec", "pcg_step", "prolongate", "quasi_error",

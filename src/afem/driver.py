@@ -37,7 +37,6 @@ from .estimator import EstimatorData, IndicatorField, doerfler_mark
 from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
                   assemble_rhs, prolongate, sample)
 from .mesh import create_initial, refine
-from .nonlinearity import derived_constants
 from .problems import ErrorData, get_problem
 
 # safety valves: a level or a linearization this long means a stopping test
@@ -49,19 +48,21 @@ MAX_PICARD_PER_LEVEL = MAX_PCG_PER_LINEARIZATION = 10 ** 4
 class AdaptiveConfig:
     """Knobs of the adaptive run.
 
-    theta is the bulk marking parameter; theta = 1 marks every element, so
-    it is full refinement.  lambda_alg and lambda_pic scale the algebraic
-    and linearization stopping tests against the estimator.  The run stops
-    after solving on the first mesh with at least max_elements elements (or
-    once the estimator drops to eta_tol); every other level refines at least
-    one element, so max_elements also bounds the number of levels.
-    track_error adds a per-step energy error column when the exact solution
-    is known; diagnostics additionally solves each linear system exactly to
-    log the algebraic error and the combined quasi-error.  domain is stored
-    by its canonical problem name (``z_shape`` reads as ``zshape``).
-    Out-of-range values raise ValueError at construction; both lambdas must
-    be finite (an infinite one would switch its stopping test off) and
-    max_elements an integer.
+    theta is the bulk marking parameter; theta = 1 marks every positive
+    indicator, so it is full refinement.  lambda_alg and lambda_pic scale
+    the algebraic and linearization stopping tests against the estimator.
+    The run stops after solving on the first mesh with at least
+    max_elements elements (or once the estimator drops to eta_tol); every
+    other level refines at least one element, so max_elements also bounds
+    the number of levels.  track_error adds a per-step energy error column
+    when the exact solution is known; diagnostics additionally solves each
+    linear system exactly to log the algebraic error and the combined
+    quasi-error.  domain is stored by its canonical problem name
+    (``z_shape`` reads as ``zshape``).  A wrong type or an out-of-range
+    value raises ValueError at construction: domain is a str, the flags
+    bools, theta, the lambdas and eta_tol real numbers but not bools, the
+    lambdas finite (an infinite one would switch its stopping test off)
+    and max_elements an integer.
     """
 
     domain: str = "zshape"
@@ -74,6 +75,12 @@ class AdaptiveConfig:
     diagnostics: bool = False
 
     def __post_init__(self):
+        kinds = [("domain", str), ("track_error", bool), ("diagnostics", bool)] + [
+            (name, numbers.Real) for name in ("theta", "lambda_alg", "lambda_pic", "eta_tol")]
+        for name, kind in kinds:
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (kind is numbers.Real and isinstance(value, bool)):
+                raise ValueError(f"{name} must be of type {kind.__name__}")
         # raises ValueError for an unknown domain
         object.__setattr__(self, "domain", get_problem(self.domain).name)
         checks = [(0.0 < self.theta <= 1.0, "theta must lie in (0, 1]"),
@@ -278,7 +285,7 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
     and the marked set, which is None when the run ends here (see
     ``log.exit_reason``).  All else of the level dies with this frame."""
     nl = problem.nonlinearity
-    damping = derived_constants(nl).damping
+    damping = nl.damping
     dofmap, mesh = u.dofmap, samples.mesh
     operator = assemble_laplacian(dofmap)
     pre = alg.MultilevelPreconditioner(dofmap, operator) if pre is None \

@@ -15,12 +15,11 @@ with the load vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .fem import FeFunction, Samples, element_gradients, sample
-from .mesh import Mesh
+from .mesh import Mesh, triangle_subset
 from .nonlinearity import Nonlinearity
 
 
@@ -44,19 +43,12 @@ class IndicatorField:
     def values(self) -> np.ndarray:
         return np.sqrt(self.squared)
 
-    @cached_property
-    def total(self) -> float:
-        """sqrt of the sum of squared indicators."""
-        return float(np.sqrt(self.squared.sum()))
-
 
 def total(field: IndicatorField, subset=None) -> float:
-    """Estimator total over a triangle subset (all triangles by default)."""
-    if subset is None:
-        return field.total
-    subset = np.asarray(list(subset) if not isinstance(subset, np.ndarray) else subset,
-                        dtype=np.int64)
-    return float(np.sqrt(field.squared[subset].sum())) if subset.size else 0.0
+    """sqrt of the sum of squared indicators over a triangle subset, read by
+    `mesh.triangle_subset` (all triangles by default)."""
+    sq = field.squared if subset is None else field.squared[triangle_subset(field.mesh, subset)]
+    return float(np.sqrt(sq.sum()))
 
 
 class EstimatorData:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .driver import (AdaptiveConfig, RunLog, field_types, read_csv,
                      run_adaptive, write_csv)
+from .problems import get_problem
 
 _CONFIG_TYPES = field_types(AdaptiveConfig)
 _LEVEL_TYPES = dict(l=int, nT=int, n_picard=int, n_steps=int, max_pcg=int,
@@ -58,7 +59,8 @@ def fit_rate(xs: Sequence[float], ys: Sequence[float], window: float = 10.0,
     Only the asymptotic tail is informative, so the fit keeps the points
     with ``x >= max(x) / window`` (one decade by default), widened to the
     last ``min_points`` points when the window is thinner than that.
-    Returns NaN when fewer than two usable points remain.
+    Returns NaN when fewer than two usable points remain, or when the tail
+    holds fewer than two distinct x, through which no slope is defined.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -70,18 +72,15 @@ def fit_rate(xs: Sequence[float], ys: Sequence[float], window: float = 10.0,
     if tail.sum() < min(min_points, x.size):
         tail = np.zeros(x.size, dtype=bool)
         tail[-min(min_points, x.size):] = True
+    if np.unique(x[tail]).size < 2:
+        return math.nan
     return float(np.polyfit(np.log(x[tail]), np.log(y[tail]), 1)[0])
 
 
 def expected_rate(config: AdaptiveConfig) -> float:
-    """Reference estimator decay rate versus element count."""
-    if config.theta >= 1.0:
-        if config.domain == "zshape":
-            return -2.0 / 7.0
-        if config.domain == "lshape":
-            return -1.0 / 3.0
-        return -0.5  # smooth solution: uniform refinement is already optimal
-    return -0.5
+    """Reference estimator rate versus element count: `Problem.uniform_rate`
+    under full refinement (theta = 1), else the optimal -1/2."""
+    return get_problem(config.domain).uniform_rate if config.theta >= 1.0 else -0.5
 
 
 def run_id_for(config: AdaptiveConfig) -> str:

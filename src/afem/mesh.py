@@ -44,7 +44,6 @@ scatters by np.intp indices (int32 indices are cast on every use).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ NEUMANN = 1
 _INT32_MAX = np.iinfo(np.int32).max  # connectivity is 32-bit
 
 _MARKER_TO_CHAR = {DIRICHLET: "D", NEUMANN: "N"}
-_CHAR_TO_MARKER = {"D": DIRICHLET, "N": NEUMANN}
+_CHAR_TO_MARKER = {c: m for m, c in _MARKER_TO_CHAR.items()}
 
 
 # the ends of the edge opposite local vertex k, k = 0, 1, 2
@@ -404,7 +403,7 @@ def _assign_refinement_edges(vertices, triangles) -> np.ndarray:
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     p = verts[tris]
-    d = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    d = p[:, EDGE_ENDS[1]] - p[:, EDGE_ENDS[0]]
     lsq = (d ** 2).sum(axis=2)  # squared length of edge opposite local vertex k
     n_t = tris.shape[0]
     rows = np.arange(n_t)
@@ -469,10 +468,28 @@ _CHILD_EDGE = [1, 1, 1, 2, 2, 2]
 _CHILD_IF = np.array([False, True, True, False, True, True])
 
 
+def triangle_subset(mesh: Mesh, marked) -> np.ndarray:
+    """``marked``, a subset of ``mesh``'s triangles from an array or any
+    sequence: a boolean mask of length n_triangles as it is, or indices as
+    int64, checked to lie in [0, n_triangles); raises ValueError otherwise."""
+    n_t = mesh.n_triangles
+    marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
+    if marked.dtype == bool:
+        if marked.shape != (n_t,):
+            raise ValueError("boolean mark array has wrong length")
+        return marked
+    if marked.size and marked.dtype.kind not in "iu":
+        raise ValueError("marked triangles must be a boolean mask or integer indices")
+    marked = marked.astype(np.int64)
+    if marked.size and (marked.min() < 0 or marked.max() >= n_t):
+        raise ValueError("marked triangle index out of range")
+    return marked
+
+
 def refine(mesh: Mesh, marked) -> Mesh:
     """Coarsest conforming refinement bisecting every marked triangle.
 
-    ``marked`` is a boolean mask or integer triangle indices.  The closure
+    ``marked`` is a triangle subset, read by `triangle_subset`.  The closure
     loop marks the refinement edge of any triangle with a hanging node until
     the result is conforming.  The children come from one rule applied twice:
     a triangle ``(z0, z1, z2)`` whose refinement edge is marked becomes
@@ -488,17 +505,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     (`_carried_edge_table`), not from a sort.
     """
     n_t = mesh.n_triangles
-    marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
-    if marked.dtype == bool:
-        if marked.shape != (n_t,):
-            raise ValueError("boolean mark array has wrong length")
-    else:
-        if marked.size and marked.dtype.kind not in "iu":
-            raise ValueError("marked triangles must be a boolean mask or integer indices")
-        marked = marked.astype(np.int64)
-        if marked.size and (marked.min() < 0 or marked.max() >= n_t):
-            raise ValueError("marked triangle index out of range")
-
+    marked = triangle_subset(mesh, marked)
     et = mesh.edges
     of_triangle = et.of_triangle.astype(np.intp)  # gathers by int32 indices cast them each time
     marked_edge = np.zeros(et.n_edges, dtype=bool)
@@ -676,44 +683,32 @@ def write_text(mesh: Mesh, target) -> None:
 def read_text(source) -> Mesh:
     """Read a mesh written by `write_text`; returns a level-0 mesh."""
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
     else:
         with open(source) as f:
-            lines = f.read().splitlines()
-    pos = 0
+            text = f.read()
+    lines = (line for line in text.splitlines() if line.strip())
 
-    def _section(name):
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
+    def section(name):
+        """The rows of section ``name``, each split into its fields."""
+        head = next(lines, None)
+        if head is None:
             raise ValueError(f"missing '{name}' section")
-        head = lines[pos].split()
-        if len(head) != 2 or head[0] != name:
-            raise ValueError(f"expected '{name} N' header, got {lines[pos]!r}")
-        pos += 1
-        return int(head[1])
+        fields = head.split()
+        if len(fields) != 2 or fields[0] != name:
+            raise ValueError(f"expected '{name} N' header, got {head!r}")
+        # an exhausted generator stays exhausted: a short file ends in []
+        rows = [next(lines, "").split() for _ in range(int(fields[1]))]
+        if rows and not rows[-1]:
+            raise ValueError("truncated mesh file")
+        return rows
 
-    def _rows(count):
-        nonlocal pos
-        out = []
-        for _ in range(count):
-            while pos < len(lines) and not lines[pos].strip():
-                pos += 1
-            if pos >= len(lines):
-                raise ValueError("truncated mesh file")
-            out.append(lines[pos].split())
-            pos += 1
-        return out
-
-    n_v = _section("vertices")
-    verts = np.array([[float(a), float(b)] for a, b in _rows(n_v)], dtype=float).reshape(-1, 2)
-    n_t = _section("triangles")
-    tris = np.array([[int(a), int(b), int(c)] for a, b, c in _rows(n_t)],
+    verts = np.array([[float(a), float(b)] for a, b in section("vertices")],
+                     dtype=float).reshape(-1, 2)
+    tris = np.array([[int(a), int(b), int(c)] for a, b, c in section("triangles")],
                     dtype=np.int64).reshape(-1, 3)
-    n_b = _section("boundary")
     bedges, bmarks = [], []
-    for i, j, mk in _rows(n_b):
+    for i, j, mk in section("boundary"):
         if mk not in _CHAR_TO_MARKER:
             raise ValueError(f"unknown boundary marker {mk!r}")
         bedges.append((int(i), int(j)))

@@ -38,21 +38,16 @@ class Nonlinearity:
     gamma1: float
     gamma2: float
 
+    @property
+    def damping(self) -> float:
+        """Step size alpha / L^2."""
+        return self.alpha / self.lipschitz ** 2
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants of the damped fixed-point linearization."""
-
-    q_pic: float     # contraction factor sqrt(1 - alpha^2 / L^2)
-    damping: float   # step size alpha / L^2
-    c_cea: float     # quasi-best-approximation factor L / alpha
-
-
-def derived_constants(nl: Nonlinearity) -> DerivedConstants:
-    ratio = nl.alpha / nl.lipschitz
-    return DerivedConstants(q_pic=math.sqrt(1.0 - ratio * ratio),
-                            damping=nl.alpha / nl.lipschitz ** 2,
-                            c_cea=nl.lipschitz / nl.alpha)
+    @property
+    def q_pic(self) -> float:
+        """Contraction factor sqrt(1 - alpha^2 / L^2)."""
+        ratio = self.alpha / self.lipschitz
+        return math.sqrt(1.0 - ratio * ratio)
 
 
 def zshape_nonlinearity() -> Nonlinearity:

@@ -40,10 +40,13 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class Problem:
+    """``uniform_rate``: the estimator's slope versus nT under uniform refinement."""
+
     name: str
     domain: str
     nonlinearity: Nonlinearity
     source: Callable[[np.ndarray], np.ndarray]
+    uniform_rate: float
     neumann: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     exact: Optional[ExactSolution] = None
 
@@ -105,16 +108,16 @@ def _zshape_problem() -> Problem:
         flux = nl.mu(t)[..., None] * exact.gradient(points)
         return np.einsum("...d,...d->...", flux, normals)
 
-    return Problem(name="zshape", domain="z_shape", nonlinearity=nl,
-                   source=source, neumann=neumann, exact=exact)
+    return Problem(name="zshape", domain="z_shape", nonlinearity=nl, source=source,
+                   uniform_rate=-ZSHAPE_BETA / 2.0, neumann=neumann, exact=exact)
 
 
 def _lshape_problem() -> Problem:
     def source(points):
         return np.ones(np.asarray(points).shape[:-1])
 
-    return Problem(name="lshape", domain="l_shape",
-                   nonlinearity=lshape_nonlinearity(), source=source)
+    return Problem(name="lshape", domain="l_shape", nonlinearity=lshape_nonlinearity(),
+                   source=source, uniform_rate=-1.0 / 3.0)
 
 
 def _square_linear_problem() -> Problem:
@@ -140,7 +143,7 @@ def _square_linear_problem() -> Problem:
     exact = ExactSolution(value=value, gradient=gradient, gradient_sq=gradient_sq)
     return Problem(name="square_linear", domain="unit_square",
                    nonlinearity=constant_nonlinearity(1.0),
-                   source=source, exact=exact)
+                   source=source, uniform_rate=-0.5, exact=exact)
 
 
 _CATALOG = {

@@ -298,6 +298,24 @@ MUTANTS = [
      "if key in grid:",
      "if False:",
      ["tests/test_experiments.py::test_parse_sweep_spec_rejects_repeated_key"]),
+    ("a subset total that reads a mask as indices", "estimator.py",
+     "sq = field.squared if subset is None else "
+     "field.squared[triangle_subset(field.mesh, subset)]",
+     "sq = field.squared if subset is None else "
+     "field.squared[triangle_subset(field.mesh, subset).astype(np.int64)]",
+     ["tests/test_estimator.py::test_total_reads_a_subset_as_refine_does"]),
+    ("a Picard contraction factor from alpha / L unsquared", "nonlinearity.py",
+     "return math.sqrt(1.0 - ratio * ratio)",
+     "return math.sqrt(1.0 - ratio)",
+     ["tests/test_nonlinearity.py::test_derived_constants"]),
+    ("the zshape uniform rate set to the lshape one", "problems.py",
+     "uniform_rate=-ZSHAPE_BETA / 2.0, neumann=neumann, exact=exact)",
+     "uniform_rate=-1.0 / 3.0, neumann=neumann, exact=exact)",
+     ["tests/test_experiments.py::test_expected_rates"]),
+    ("a mesh file read on past its end", "mesh.py",
+     "if rows and not rows[-1]:",
+     "if False:",
+     ["tests/test_mesh.py::test_read_text_rejects_malformed"]),
 ]
 
 

@@ -23,7 +23,7 @@ from afem.mesh import EdgeTable, Mesh, _pair_codes
 from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
 from afem.estimator import IndicatorField
-from afem.nonlinearity import Nonlinearity, derived_constants
+from afem.nonlinearity import Nonlinearity
 
 
 def random_mesh(domain: str, rng: np.random.Generator, rounds: int = 4,
@@ -382,7 +382,7 @@ def setdiff_dofmap(mesh: Mesh) -> DofMap:
 
 def picard_map(nl: Nonlinearity, dofmap: DofMap, operator, load):
     """One exact damped fixed-point step u -> u + delta A^-1 (F - N(u))."""
-    damping = derived_constants(nl).damping
+    damping = nl.damping
 
     def step(coeffs: np.ndarray) -> np.ndarray:
         u = FeFunction(dofmap, coeffs)

@@ -41,7 +41,7 @@ def test_factorized_empty_system():
 
 
 def test_pcg_error_monotone_in_energy_norm():
-    _, _, a, rhs = small_system(seed=2)
+    _, _, a, rhs = small_system(seed=2, rounds=7)
     xstar = solve_exact(a, rhs)
     state = init_solver_state(a, rhs)
     pre = IdentityPreconditioner()
@@ -78,7 +78,7 @@ def test_pcg_increment_and_update_norm_accounting():
 
 
 def test_pcg_converged_state_is_a_fixed_point():
-    _, _, a, rhs = small_system(seed=5)
+    _, _, a, rhs = small_system(seed=5, rounds=7)
     state = init_solver_state(a, rhs)
     pre = IdentityPreconditioner()
     for _ in range(500):
@@ -108,7 +108,7 @@ def test_pcg_zero_rhs_converges_immediately():
 ])
 def test_pcg_breakdown_is_not_convergence(sign, apply):
     # the update of the solve started at x0 = 1
-    _, _, a, rhs = small_system(seed=16)
+    _, _, a, rhs = small_system(seed=16, rounds=7)
     x0 = np.ones_like(rhs)
     state = pcg_step(init_solver_state(sign * a, rhs - sign * a @ x0),
                      SimpleNamespace(apply=apply))

@@ -22,7 +22,6 @@ from afem.driver import (AdaptiveConfig, RunLog, StepRecord, algebraic_stop,
 from afem.fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
                       assemble_rhs, sample)
 from afem.mesh import NEUMANN, create_initial, uniform_refine
-from afem.nonlinearity import derived_constants
 from afem.problems import get_problem
 from golden import GOLDEN, GOLDEN_CONFIGS
 from oracles import (audit_stop_semantics, geometric_fit_ratio,
@@ -59,14 +58,14 @@ def test_stopping_tests_accept_equality():
 
 def picard_residual(problem, dofmap, load, x):
     """The right-hand side delta (load - N(x)) of the driver's update system."""
-    damping = derived_constants(problem.nonlinearity).damping
+    damping = problem.nonlinearity.damping
     return damping * (load - apply_nonlinear(problem.nonlinearity, FeFunction(dofmap, x)))
 
 
 def test_picard_residual_is_load_residual_for_linear_problem():
     # constant unit diffusion: the damped update solves A e = load - A x
     problem, dofmap, operator, load = small_problem("square_linear")
-    assert derived_constants(problem.nonlinearity).damping == pytest.approx(1.0)
+    assert problem.nonlinearity.damping == pytest.approx(1.0)
     x = np.random.default_rng(3).standard_normal(dofmap.n_dofs)
     rhs = picard_residual(problem, dofmap, load, x)
     assert np.allclose(rhs, load - operator @ x, rtol=0, atol=1e-12)
@@ -88,7 +87,7 @@ def test_exact_picard_steps_contract():
     rng = np.random.default_rng(7)
     for name in ("zshape", "lshape"):
         problem, dofmap, operator, load = small_problem(name)
-        q = derived_constants(problem.nonlinearity).q_pic
+        q = problem.nonlinearity.q_pic
         worst = max_contraction_ratio(problem.nonlinearity, dofmap, operator,
                                       load, rng, n_pairs=6)
         assert worst <= q + 1e-9
@@ -289,7 +288,9 @@ def test_bad_configuration_raises():
     ("theta", float("nan")), ("lambda_alg", 0.0), ("lambda_alg", -1e-2),
     ("lambda_alg", float("inf")), ("lambda_pic", 0.0), ("lambda_pic", float("nan")),
     ("lambda_pic", float("inf")), ("eta_tol", -1e-3), ("max_elements", 0),
-    ("max_elements", 2.5), ("max_elements", 1e5), ("max_elements", True)])
+    ("max_elements", 2.5), ("max_elements", 1e5), ("max_elements", True), ("domain", 5),
+    ("track_error", 1), ("diagnostics", "off"), ("theta", True), ("theta", "0.5"),
+    ("lambda_alg", "1e-2"), ("lambda_pic", False), ("eta_tol", None)])
 def test_configuration_rejected_at_construction(name, value):
     with pytest.raises(ValueError):
         AdaptiveConfig(**{name: value})

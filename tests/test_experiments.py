@@ -43,6 +43,7 @@ def test_fit_rate_degenerate_inputs():
     assert math.isnan(fit_rate([5.0], [1.0]))
     assert math.isnan(fit_rate([1.0, 2.0], [-1.0, 3.0]))
     assert math.isnan(fit_rate([1.0, np.nan], [1.0, 2.0]))
+    assert math.isnan(fit_rate([1000, 1000, 1000], [1, 2, 3]))
 
 
 def test_expected_rates():

@@ -17,8 +17,7 @@ from afem.estimator import EstimatorData
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       _volume_moments, element_gradients, energy_error_vs_exact,
                       energy_functional, sample, triangle_quad_points)
-from afem.nonlinearity import (constant_nonlinearity, derived_constants,
-                               zshape_nonlinearity)
+from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
 
 from oracles import (KERNEL_CASES, MARKING_KINDS, einsum_apply_nonlinear,

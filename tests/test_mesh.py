@@ -630,12 +630,16 @@ def test_int32_limits_on_vertex_and_triangle_counts(monkeypatch):
 
 
 def test_read_text_rejects_malformed(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 'vertices N' header, got 'triangles 1'"):
         read_text(io.StringIO("triangles 1\n0 1 2\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated mesh file"):
         read_text(io.StringIO("vertices 2\n0 0\n"))
+    with pytest.raises(ValueError, match="truncated mesh file"):
+        read_text(io.StringIO("vertices 2\n0 0\n\n  \n"))
     text = ("vertices 3\n0 0\n1 0\n0 1\n"
             "triangles 1\n0 1 2\n"
             "boundary 3\n0 1 D\n1 2 X\n2 0 D\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown boundary marker 'X'"):
         read_text(io.StringIO(text))
+    with pytest.raises(ValueError, match="missing 'boundary' section"):
+        read_text(io.StringIO(text[:text.index("boundary")] + "\n\n"))

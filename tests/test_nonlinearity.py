@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from afem.nonlinearity import (LSHAPE_ALPHA, LSHAPE_LIPSCHITZ,
-                               check_monotonicity_bounds,
-                               constant_nonlinearity, derived_constants,
+                               check_monotonicity_bounds, constant_nonlinearity,
                                lshape_nonlinearity, zshape_nonlinearity)
 
 
@@ -87,17 +86,15 @@ def test_lshape_constants_near_true_extrema():
 
 
 def test_derived_constants():
-    z = derived_constants(zshape_nonlinearity())
+    z = zshape_nonlinearity()
     assert z.q_pic == pytest.approx(math.sqrt(5.0) / 3.0, abs=1e-15)
     assert z.damping == pytest.approx(2.0 / 9.0, abs=1e-15)
-    assert z.c_cea == pytest.approx(1.5)
 
-    l = derived_constants(lshape_nonlinearity())
+    l = lshape_nonlinearity()
     assert 0.0 < l.q_pic < 1.0
     assert l.q_pic == pytest.approx(
         math.sqrt(1.0 - (LSHAPE_ALPHA / LSHAPE_LIPSCHITZ) ** 2), abs=1e-15)
 
-    c = derived_constants(constant_nonlinearity(2.0))
+    c = constant_nonlinearity(2.0)
     assert c.q_pic == 0.0
     assert c.damping == pytest.approx(0.5)
-    assert c.c_cea == 1.0
