@@ -18,12 +18,15 @@ Parents have a lower generation than their children, so no vertex of a
 generation is a parent of another, and the grid transfers run in place in
 vertex space: one scatter (restriction) and one gather (prolongation) per
 generation, with no transfer matrix stored.  The coarse operator is
-factorized once, when the preconditioner is built; `extended(fine_dofmap,
-operator)` reuses that factorization, appends the generations of the new
-vertices, appends each new vertex to its generation (one stable sort of
-the new vertices by generation), rebuilds the smoothing set of only the
-generations that gained vertices, and reads the Jacobi weights of every
-generation from the new level's operator in one gather.
+inverted once, densely, when the preconditioner is built, so the coarse
+solve is one matrix-vector product; the inverse takes memory quadratic in
+the coarse dof count, so the coarsest mesh is meant to be small.
+`extended(fine_dofmap, operator)` shares that inverse, appends the
+generations of the new vertices, appends each new vertex to its
+generation (one stable sort of the new vertices by generation), rebuilds
+the smoothing set of only the generations that gained vertices, and reads
+the Jacobi weights of every generation from the new level's operator in
+one gather.
 
 `init_solver_state(operator, rhs)` starts a solve at the zero iterate, so
 its residual is ``rhs`` itself.  `pcg_step` advances exactly one iteration
@@ -34,6 +37,10 @@ exactly zero (an empty system, or a residual that vanishes to working
 precision) is convergence; any other non-positive or non-finite ``r.z`` or
 ``p.Ap`` is a breakdown, which ends the adaptive run.  Either way the
 iterate stays put and the increment is zero.
+
+The adaptive loop needs only `scipy.sparse`.  `factorized` and
+`solve_exact`, the direct sparse solves of the diagnostics and of the
+tests, import SuperLU (`scipy.sparse.linalg`) when first called.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fem import DofMap, assemble_laplacian
 from .mesh import sorted_unique
@@ -79,7 +85,8 @@ class MultilevelPreconditioner:
     each child to the mean of its parents.  Dirichlet entries are never
     read: a new vertex is Dirichlet only when both parents are.  Built on
     the coarsest level from its assembled stiffness ``coarse_operator``,
-    which it factorizes; `extended` adds one refinement level.
+    whose dense inverse it holds (see `coarse_inverse`); `extended` adds one
+    refinement level.
 
     ``gen`` holds the generation of each vertex of the finest mesh (0 on
     the coarsest mesh).  ``groups`` holds one `Generation` per generation
@@ -92,7 +99,7 @@ class MultilevelPreconditioner:
     def __init__(self, coarse_dofmap: DofMap, coarse_operator):
         if coarse_operator.shape != (coarse_dofmap.n_dofs,) * 2:
             raise ValueError("operator shape does not match the free vertex count")
-        self._coarse_solve = factorized(coarse_operator)
+        self._coarse_inverse = coarse_inverse(coarse_operator)
         self._coarse_free = coarse_dofmap.free_vertices
         n = coarse_dofmap.mesh.n_vertices
         self.gen = np.zeros(n, dtype=np.int16)
@@ -113,7 +120,7 @@ class MultilevelPreconditioner:
             # transposed-prolongation matvec; np.bincount would reassociate
             np.add.at(r, grp.parents.ravel(), (0.5 * r[grp.children]).repeat(2))
         y = np.zeros_like(r)
-        y[self._coarse_free] = self._coarse_solve(r[self._coarse_free])
+        y[self._coarse_free] = self._coarse_inverse @ r[self._coarse_free]
         for grp, w, s in zip(self.groups, self.weights, reversed(saved)):
             half = 0.5 * y[grp.parents]
             y[grp.children] = half[:, 0] + half[:, 1]
@@ -129,7 +136,7 @@ class MultilevelPreconditioner:
             raise ValueError("operator shape does not match the free vertex count")
         new_parents = fine.vertex_parents
         new_gen = 1 + np.maximum.reduce(self.gen[new_parents], axis=1)
-        successor = copy.copy(self)  # shares the coarse factorization
+        successor = copy.copy(self)  # shares the coarse inverse
         successor.gen = np.concatenate((self.gen, new_gen))
         successor.groups = groups = _grown(self.groups, self.gen.size, new_gen, new_parents,
                                            fine_dofmap)
@@ -241,10 +248,18 @@ def pcg_step(state: SolverState, precond) -> SolverState:
                    converged=False)
 
 
+def coarse_inverse(operator: sp.csr_matrix) -> np.ndarray:
+    """Dense inverse of the coarse operator (0 x 0 for an empty system).
+    Its memory is quadratic in the operator's size, so it is meant for the
+    few dofs of a coarsest mesh."""
+    return np.linalg.inv(operator.toarray())
+
+
 def factorized(operator: sp.csr_matrix) -> Callable:
     """Reusable direct solver handle (empty systems solve to empty)."""
     if operator.shape[0] == 0:
         return lambda b: np.zeros(0)
+    import scipy.sparse.linalg as spla  # SuperLU, only where a direct solve is asked for
     return spla.splu(sp.csc_matrix(operator)).solve
 
 

@@ -248,8 +248,8 @@ class Mesh:
     Parameters
     ----------
     vertices : (n_vertices, 2) float array.
-    triangles : (n_triangles, 3) int array, counterclockwise; the edge
-        opposite the first-listed vertex is the refinement edge.
+    triangles : (n_triangles, 3) int array, counterclockwise, at least one
+        row; the edge opposite the first-listed vertex is the refinement edge.
     boundary_edges : (n_boundary, 2) int array of boundary vertex pairs.
     boundary_markers : (n_boundary,) int array, DIRICHLET or NEUMANN.
     level : refinement generation, 0 for a root mesh.
@@ -294,6 +294,8 @@ class Mesh:
         if not np.logical_and.reduce(np.isfinite(self.vertices), axis=None):
             raise ValueError("vertex coordinates must be finite")
         self.triangles = _indices(triangles, self.n_vertices, "triangle vertex").reshape(-1, 3)
+        if not self.n_triangles:
+            raise ValueError("a mesh needs at least one triangle")
         if max(self.n_vertices, 3 * self.n_triangles + 1) > _INT32_MAX:
             raise ValueError("too many vertices or triangles for 32-bit indices")
         self.boundary_edges = _indices(boundary_edges, self.n_vertices, "boundary vertex",
@@ -357,7 +359,7 @@ class Mesh:
         n = coarse.n_vertices
         return self.vertex_parents is not None and self.level == coarse.level + 1 \
             and self.n_coarse_vertices == n \
-            and (not self.n_triangles or self.parent_of[-1] + 1 == coarse.n_triangles) \
+            and self.parent_of[-1] + 1 == coarse.n_triangles \
             and np.logical_and.reduce(coarse.vertices == self.vertices[:n], axis=None)
 
     def centroids(self) -> np.ndarray:
@@ -697,8 +699,11 @@ def read_text(source) -> Mesh:
         fields = head.split()
         if len(fields) != 2 or fields[0] != name:
             raise ValueError(f"expected '{name} N' header, got {head!r}")
+        count = int(fields[1])
+        if count < 0:
+            raise ValueError(f"negative '{name}' count {count}")
         # an exhausted generator stays exhausted: a short file ends in []
-        rows = [next(lines, "").split() for _ in range(int(fields[1]))]
+        rows = [next(lines, "").split() for _ in range(count)]
         if rows and not rows[-1]:
             raise ValueError("truncated mesh file")
         return rows

@@ -39,7 +39,7 @@ GOLDEN_CONFIGS = {
                                 track_error=True),
 }
 # leading hex digits of the sha1 of each benchmark workload's step log
-PINNED_DIGESTS = {"zshape-bulk": "e0fc68a533e5", "zshape-fine": "b8a841c1aad4",
+PINNED_DIGESTS = {"zshape-bulk": "adf3c8a8fd98", "zshape-fine": "68cde198edfe",
                   "lshape-tight": "9bd5466fc6ac"}
 
 

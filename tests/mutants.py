@@ -95,6 +95,14 @@ MUTANTS = [
      "vertex_values[dofmap.free_vertices] = x + state.iterate",
      "vertex_values[dofmap.free_vertices] = state.iterate",
      [GOLDEN_ZSHAPE]),
+    ("no coarse correction", "algsolver.py",
+     "y[self._coarse_free] = self._coarse_inverse @ r[self._coarse_free]",
+     "y[self._coarse_free] = 0.0 * r[self._coarse_free]",
+     ["tests/test_algsolver.py::test_vertex_space_apply_equals_csr_oracle"]),
+    ("a Jacobi coarse solve, the inverse diagonal for the inverse", "algsolver.py",
+     "return np.linalg.inv(operator.toarray())",
+     "return np.diag(1.0 / operator.diagonal())",
+     ["tests/test_algsolver.py::test_coarse_solve_matches_solve_exact"]),
     ("pic_inc read without the residual", "algsolver.py",
      "return float(np.sqrt(max(self.iterate @ (self.rhs - self.residual), 0.0)))",
      "return float(np.sqrt(max(self.iterate @ self.rhs, 0.0)))",
@@ -312,6 +320,14 @@ MUTANTS = [
      "uniform_rate=-ZSHAPE_BETA / 2.0, neumann=neumann, exact=exact)",
      "uniform_rate=-1.0 / 3.0, neumann=neumann, exact=exact)",
      ["tests/test_experiments.py::test_expected_rates"]),
+    ("a negative section count read as no rows", "mesh.py",
+     "if count < 0:",
+     "if False:",
+     ["tests/test_mesh.py::test_read_text_rejects_malformed"]),
+    ("a mesh of no triangles", "mesh.py",
+     "if not self.n_triangles:",
+     "if False:",
+     ["tests/test_mesh.py::test_a_mesh_without_triangles_is_rejected"]),
     ("a mesh file read on past its end", "mesh.py",
      "if rows and not rows[-1]:",
      "if False:",

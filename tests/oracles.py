@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from afem import (DIRICHLET, NEUMANN, AdaptiveConfig, DofMap, FeFunction,
                   apply_nonlinear, assemble_laplacian, create_initial, doerfler_mark,
                   refine)
-from afem.algsolver import Generation, factorized, solve_exact
+from afem.algsolver import Generation, coarse_inverse, solve_exact
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       Samples, sample)
 from afem.mesh import EdgeTable, Mesh, _pair_codes
@@ -583,7 +583,7 @@ def csr_multilevel_apply(dofmaps):
         local = local[local >= 0]
         inv_diag = 1.0 / sum_stiffness_diagonal(fine)[local]
         levels.append((p, local, inv_diag))
-    return _additive_schwarz(factorized(assemble_laplacian(dofmaps[0])), levels)
+    return _additive_schwarz(coarse_inverse(assemble_laplacian(dofmaps[0])), levels)
 
 
 def vertex_generations(meshes):
@@ -664,12 +664,14 @@ def csr_generation_apply(dofmaps):
         smooth = np.array(sorted(smooth), dtype=np.int64)
         levels.append((p, np.searchsorted(spaces[g], smooth),
                        1.0 / diag[fine.dof_of_vertex[smooth]]))
-    return _additive_schwarz(factorized(assemble_laplacian(dofmaps[0])), levels)
+    return _additive_schwarz(coarse_inverse(assemble_laplacian(dofmaps[0])), levels)
 
 
-def _additive_schwarz(coarse_solve, levels):
-    """z -> y of a multilevel additive Schwarz operator given per level its
-    prolongation, the positions it smooths and their inverse diagonal."""
+def _additive_schwarz(coarse, levels):
+    """z -> y of a multilevel additive Schwarz operator given the dense
+    inverse of the coarse operator, the preconditioner's own coarse solve,
+    and per level its prolongation, the positions it smooths and their
+    inverse diagonal."""
     levels = [(p, p.T.tocsr(), local, inv_diag) for p, local, inv_diag in levels]
 
     def apply(z: np.ndarray) -> np.ndarray:
@@ -677,7 +679,7 @@ def _additive_schwarz(coarse_solve, levels):
         for _, restriction, _, _ in reversed(levels):
             residuals.append(restriction @ residuals[-1])
         residuals.reverse()
-        y = coarse_solve(residuals[0])
+        y = coarse @ residuals[0]
         for (prolongation, _, local, inv_diag), r in zip(levels, residuals[1:]):
             y = prolongation @ y
             y[local] += inv_diag * r[local]

@@ -1,5 +1,10 @@
 """Exact solves, PCG stepping semantics, and the multilevel preconditioner."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +14,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afem import (DofMap, IdentityPreconditioner, assemble_laplacian,
-                  build_preconditioner, create_initial, doerfler_mark,
-                  init_solver_state, pcg_step, refine, solve_exact,
+from afem import (DofMap, IdentityPreconditioner, MultilevelPreconditioner,
+                  assemble_laplacian, build_preconditioner, create_initial,
+                  doerfler_mark, init_solver_state, pcg_step, refine, solve_exact,
                   uniform_refine)
-from afem.algsolver import factorized
+from afem.algsolver import coarse_inverse, factorized
 from afem.estimator import IndicatorField
 
 from oracles import (MARKING_KINDS, csr_generation_apply, csr_multilevel_apply,
@@ -38,6 +43,60 @@ def test_solve_exact_matches_spsolve():
 def test_factorized_empty_system():
     lu = factorized(sp.csr_matrix((0, 0)))
     assert lu(np.zeros(0)).shape == (0,)
+
+
+COARSE_SYSTEMS = {"z_shape root": lambda: create_initial("z_shape"),
+                  "l_shape twice uniform": lambda: uniform_refine(uniform_refine(
+                      create_initial("l_shape"))),
+                  "l_shape root": lambda: create_initial("l_shape")}
+
+
+@pytest.mark.parametrize("name", COARSE_SYSTEMS)
+def test_coarse_solve_matches_solve_exact(name):
+    """The preconditioner's coarse solve, a product with the dense inverse,
+    agrees with the direct sparse solve to 1e-12 relative; a coarse system
+    of no dofs solves to an empty vector."""
+    dofmap = DofMap.from_mesh(COARSE_SYSTEMS[name]())
+    a = assemble_laplacian(dofmap)
+    pre = MultilevelPreconditioner(dofmap, a)
+    assert coarse_inverse(a).shape == a.shape
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        rhs = rng.standard_normal(dofmap.n_dofs)
+        x = solve_exact(a, rhs)
+        y = pre.apply(rhs)
+        assert y.shape == (dofmap.n_dofs,)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+    if name == "z_shape root":
+        assert dofmap.n_dofs == 7
+        fine = DofMap.from_mesh(uniform_refine(dofmap.mesh))
+        grown = pre.extended(fine, assemble_laplacian(fine))
+        assert grown._coarse_inverse is pre._coarse_inverse
+    if name == "l_shape root":
+        assert dofmap.n_dofs == 0
+
+
+def test_run_path_leaves_the_direct_solver_unimported():
+    """An adaptive run imports neither `scipy.sparse.linalg` nor
+    `scipy.linalg`; a run with diagnostics imports SuperLU when it asks for
+    the exact algebraic error, and logs it finite."""
+    script = ("import json, math, sys\n"
+              "import afem\n"
+              "solvers = ('scipy.sparse.linalg', 'scipy.linalg')\n"
+              "afem.run_adaptive(afem.AdaptiveConfig(max_elements=300))\n"
+              "plain = [m for m in solvers if m in sys.modules]\n"
+              "log = afem.run_adaptive(afem.AdaptiveConfig(max_elements=300, diagnostics=True))\n"
+              "print(json.dumps([plain, [m for m in solvers if m in sys.modules],\n"
+              "                  all(math.isfinite(r.alg_err) for r in log.records)]))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    plain, diagnosed, finite = json.loads(done.stdout.splitlines()[-1])
+    assert plain == []
+    assert "scipy.sparse.linalg" in diagnosed and finite
 
 
 def test_pcg_error_monotone_in_energy_norm():

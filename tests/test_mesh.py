@@ -541,6 +541,13 @@ def test_clockwise_or_flat_triangles_are_rejected(corners):
         Mesh(vertices, corners, [(a, b), (b, c), (c, a)], [DIRICHLET] * 3)
 
 
+@pytest.mark.parametrize("vertices", [[], [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]],
+                         ids=["no vertices", "three vertices"])
+def test_a_mesh_without_triangles_is_rejected(vertices):
+    with pytest.raises(ValueError, match="at least one triangle"):
+        Mesh(vertices, np.empty((0, 3), dtype=np.int64), [], [])
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_coordinates_are_rejected(bad):
     """A vertex at nan or +-inf gives no mesh, neither through the
@@ -643,3 +650,9 @@ def test_read_text_rejects_malformed(tmp_path):
         read_text(io.StringIO(text))
     with pytest.raises(ValueError, match="missing 'boundary' section"):
         read_text(io.StringIO(text[:text.index("boundary")] + "\n\n"))
+    with pytest.raises(ValueError, match="negative 'vertices' count -1"):
+        read_text(io.StringIO("vertices -1\ntriangles -5\nboundary 0\n"))
+    with pytest.raises(ValueError, match="negative 'triangles' count -5"):
+        read_text(io.StringIO(text[:text.index("triangles")] + "triangles -5\nboundary 0\n"))
+    with pytest.raises(ValueError, match="at least one triangle"):
+        read_text(io.StringIO("vertices 0\ntriangles 0\nboundary 0\n"))
