@@ -7,8 +7,11 @@ Three subcommands cover the benchmark workflow:
   afem sweep  a batch of runs from a sweep specification file
   afem rates  rate report over a benchmark output directory
 
-`rates --assert` exits with status 2 when a fitted rate misses its
-reference slope, which makes regression checks scriptable.
+A flag of `afem run` and a key of a sweep file are read by the same
+parser, `experiments._coerce`, so both accept and reject the same text.
+A user error (a bad value, a missing file) prints its message and exits
+with status 1; `rates --assert` exits with status 2 when a fitted rate
+misses its reference slope, which makes regression checks scriptable.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import fields
 from typing import Optional, Sequence
 
 from .driver import AdaptiveConfig, field_types
-from .experiments import (collect_rates, parse_sweep_spec, rates_report,
-                          run_benchmark)
+from .experiments import (_coerce, collect_rates, parse_sweep_spec,
+                          rates_report, run_benchmark)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,12 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          description=AdaptiveConfig.__doc__)
     types = field_types(AdaptiveConfig)
     for f in fields(AdaptiveConfig):
+        # every value stays text here, for `_coerce`
         flag = "--" + f.name.replace("_", "-")
         if types[f.name] is bool:
-            run.add_argument(flag, action="store_true")
+            run.add_argument(flag, action="store_const", const="true", default="false")
         else:
-            run.add_argument(flag, type=types[f.name], help="default %(default)s",
-                             default=f.default)
+            run.add_argument(flag, help="default %(default)s", default=str(f.default))
     run.add_argument("--out", required=True, help="output directory")
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
@@ -56,41 +59,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        try:
-            config = AdaptiveConfig(**{f.name: getattr(args, f.name)
-                                       for f in fields(AdaptiveConfig)})
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        run_benchmark([config], out_dir=args.out, verbose=True)
-        return 0
-    if args.command == "sweep":
-        try:
+    try:
+        if args.command == "rates":
+            ok = rates_report(collect_rates(args.in_dir))
+            return 2 if args.check and not ok else 0
+        if args.command == "run":
+            configs = [AdaptiveConfig(**{f.name: _coerce(f.name, getattr(args, f.name))
+                                         for f in fields(AdaptiveConfig)})]
+        else:
             with open(args.spec) as fh:
                 configs = parse_sweep_spec(fh.read())
             if not configs:
                 raise ValueError("sweep spec expands to no runs")
-        except (OSError, ValueError) as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        try:
-            run_benchmark(configs, out_dir=args.out, verbose=True)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        return 0
-    if args.command == "rates":
-        try:
-            rows = collect_rates(args.in_dir)
-        except (FileNotFoundError, ValueError) as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        ok = rates_report(rows)
-        if args.check and not ok:
-            return 2
-        return 0
-    raise AssertionError("unreachable")
+        run_benchmark(configs, out_dir=args.out, verbose=True)
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -168,6 +168,10 @@ def read_csv(source, types: dict, required: Sequence[str]) -> List[dict]:
 
 _STEP_TYPES = field_types(StepRecord)
 _BASE_COLUMNS = [f.name for f in fields(StepRecord) if f.default is MISSING]
+# the columns of `RunLog.level_table`, in CSV order, with the types they read as
+LEVEL_TYPES = dict(l=int, nT=int, n_picard=int, n_steps=int, max_pcg=int, eta=float,
+                   cumcost=int, err=float, alg_ratio=float, pic_ratio=float,
+                   n_marked=int, closure_ratio=float)
 
 
 @dataclass
@@ -187,7 +191,8 @@ class RunLog:
         return self.records[-1]
 
     def level_table(self) -> List[dict]:
-        """Per-level summary from the accepted (last) step of each level.
+        """Per-level summary from the accepted (last) step of each level, one
+        dict per level keyed by the `LEVEL_TYPES` columns.
 
         Two columns give the contraction observed on the level, or None
         where it has no pair to compare: ``alg_ratio``, the largest ratio of
@@ -201,19 +206,14 @@ class RunLog:
         rows = []
         for rec in self.records:
             if not rows or rows[-1]["l"] != rec.l:
-                row = {"l": rec.l, "nT": rec.nT, "n_picard": rec.k, "n_steps": 1,
-                       "eta": rec.eta, "cumcost": rec.cumcost, "err": rec.err,
-                       "max_pcg": rec.j, "alg_ratio": None, "pic_ratio": None,
-                       "n_marked": None, "closure_ratio": None}
-                rows.append(row)
+                rows.append(dict(dict.fromkeys(LEVEL_TYPES), l=rec.l, nT=rec.nT,
+                                 n_steps=0, max_pcg=0))
                 prev = accepted = None
-            else:
-                row = rows[-1]
-                row.update(n_picard=rec.k, n_steps=row["n_steps"] + 1,
-                           eta=rec.eta, cumcost=rec.cumcost, err=rec.err,
-                           max_pcg=max(row["max_pcg"], rec.j))
-                if prev.k == rec.k and prev.alg_inc > 0.0:
-                    row["alg_ratio"] = _larger(row["alg_ratio"], rec.alg_inc / prev.alg_inc)
+            row = rows[-1]
+            row.update(n_picard=rec.k, n_steps=row["n_steps"] + 1, eta=rec.eta,
+                       cumcost=rec.cumcost, err=rec.err, max_pcg=max(row["max_pcg"], rec.j))
+            if prev is not None and prev.k == rec.k and prev.alg_inc > 0.0:
+                row["alg_ratio"] = _larger(row["alg_ratio"], rec.alg_inc / prev.alg_inc)
             if rec.alg_stop:
                 if accepted:
                     row["pic_ratio"] = _larger(row["pic_ratio"], rec.pic_inc / accepted)

@@ -19,7 +19,6 @@ configurations run once.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import os
@@ -30,23 +29,46 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .driver import (AdaptiveConfig, RunLog, field_types, read_csv,
+from .driver import (LEVEL_TYPES, AdaptiveConfig, RunLog, field_types, read_csv,
                      run_adaptive, write_csv)
 from .problems import get_problem
 
 _CONFIG_TYPES = field_types(AdaptiveConfig)
-_LEVEL_TYPES = dict(l=int, nT=int, n_picard=int, n_steps=int, max_pcg=int,
-                    eta=float, cumcost=int, err=float, alg_ratio=float, pic_ratio=float,
-                    n_marked=int, closure_ratio=float)
-LEVEL_COLUMNS = tuple(_LEVEL_TYPES)
-RUNS_COLUMNS = ("run_id", "domain", "theta", "lambda_alg", "lambda_pic",
-                "max_elements", "n_levels", "n_steps", "nT",
-                "eta", "cumcost", "rate_vs_n", "rate_vs_cost",
-                "max_alg_ratio", "max_pic_ratio", "exit_reason", "seconds")
-_RUN_OUTCOME_TYPES = dict(run_id=str, n_levels=int, n_steps=int, nT=int,
-                          eta=float, cumcost=int, rate_vs_n=float,
-                          rate_vs_cost=float, max_alg_ratio=float,
-                          max_pic_ratio=float, exit_reason=str, seconds=float)
+
+
+def _coerce(key: str, raw: str):
+    """Configuration field ``key`` from its text form, by the field's type.
+
+    The one reader of configuration text: sweep files, `afem run` flags and
+    the configuration cells of runs.csv.  Integer fields take integral
+    values in any float notation (``1e5``).  Text that does not read as the
+    field's type raises ValueError naming the key and the text.
+    """
+    kind, text = _CONFIG_TYPES[key], raw.strip()
+    try:
+        if kind is bool:
+            return {"1": True, "true": True, "yes": True, "on": True,
+                    "0": False, "false": False, "no": False, "off": False}[text.lower()]
+        if kind is not int:
+            return kind(text)
+        if float(text).is_integer():
+            return int(float(text))
+    except (KeyError, ValueError):
+        pass
+    raise ValueError(f"bad {kind.__name__} value for {key}: {raw!r}")
+
+
+# runs.csv in column order: the run id, the configuration fields that tell
+# runs apart, then the outcome
+_RUNS_TYPES = dict(
+    run_id=str,
+    **{c: partial(_coerce, c)
+       for c in ("domain", "theta", "lambda_alg", "lambda_pic", "max_elements")},
+    n_levels=int, n_steps=int, nT=int, eta=float, cumcost=int, rate_vs_n=float,
+    rate_vs_cost=float, max_alg_ratio=float, max_pic_ratio=float, exit_reason=str,
+    seconds=float)
+RUNS_COLUMNS = tuple(_RUNS_TYPES)
+LEVEL_COLUMNS = tuple(LEVEL_TYPES)
 
 # slope check used by `rates --assert`
 RATE_TOLERANCE = 0.08
@@ -125,7 +147,7 @@ def rates_from_log(log: RunLog) -> tuple:
 
 
 def read_levels_csv(path: str) -> List[dict]:
-    return read_csv(path, _LEVEL_TYPES, LEVEL_COLUMNS)
+    return read_csv(path, LEVEL_TYPES, LEVEL_COLUMNS)
 
 
 def run_benchmark(configs: Iterable[AdaptiveConfig],
@@ -192,20 +214,6 @@ def robustness_grid(domain: str = "zshape",
     return unique
 
 
-def _coerce(key: str, raw: str):
-    """Configuration field ``key`` from its text form, by the field's type."""
-    kind, raw = _CONFIG_TYPES[key], raw.strip()
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError("bad boolean for %s: %r" % (key, raw))
-    if kind is int and not float(raw).is_integer():
-        raise ValueError("bad integer for %s: %r" % (key, raw))
-    return int(float(raw)) if kind is int else kind(raw)
-
-
 def parse_sweep_spec(text: str) -> List[AdaptiveConfig]:
     """Expand a sweep specification into configurations, in file order."""
     configs: List[AdaptiveConfig] = []
@@ -245,10 +253,8 @@ def collect_rates(directory: str) -> List[dict]:
     index = os.path.join(directory, "runs.csv")
     if not os.path.isfile(index):
         raise FileNotFoundError("no runs.csv in %s" % directory)
-    types = {c: _RUN_OUTCOME_TYPES.get(c) or partial(_coerce, c)
-             for c in RUNS_COLUMNS}
     rows = []
-    for run in read_csv(index, types, RUNS_COLUMNS):
+    for run in read_csv(index, _RUNS_TYPES, RUNS_COLUMNS):
         config = AdaptiveConfig(**{c: run[c] for c in RUNS_COLUMNS
                                    if c in _CONFIG_TYPES})
         rate_n, rate_cost = run["rate_vs_n"], run["rate_vs_cost"]
@@ -265,18 +271,12 @@ def collect_rates(directory: str) -> List[dict]:
 
 
 def rates_report(rows: List[dict], out=None) -> bool:
-    """Print the rate table; True when every run matches its reference."""
-    stream = out or io.StringIO()
-    stream.write("%-32s %10s %12s %12s %10s %6s\n"
-                 % ("run_id", "nT", "rate_vs_n", "rate_vs_cost",
-                    "expected", "ok"))
-    all_ok = True
+    """Print the rate table to ``out`` (stdout by default); True when every
+    run matches its reference."""
+    print("%-32s %10s %12s %12s %10s %6s"
+          % ("run_id", "nT", "rate_vs_n", "rate_vs_cost", "expected", "ok"), file=out)
     for row in rows:
-        all_ok &= row["ok"]
-        stream.write("%-32s %10d %12.4f %12.4f %10.4f %6s\n"
-                     % (row["run_id"], row["nT"], row["rate_vs_n"],
-                        row["rate_vs_cost"], row["expected"],
-                        "yes" if row["ok"] else "NO"))
-    if out is None:
-        print(stream.getvalue(), end="")
-    return all_ok
+        print("%-32s %10d %12.4f %12.4f %10.4f %6s"
+              % (row["run_id"], row["nT"], row["rate_vs_n"], row["rate_vs_cost"],
+                 row["expected"], "yes" if row["ok"] else "NO"), file=out)
+    return all(row["ok"] for row in rows)

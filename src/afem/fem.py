@@ -143,9 +143,6 @@ class FeFunction:
         v[self.dofmap.free_vertices] = self.coeffs
         return v
 
-    def copy(self) -> "FeFunction":
-        return FeFunction(self.dofmap, self.coeffs.copy())
-
 
 def interpolate(dofmap: DofMap, func) -> FeFunction:
     """Vertex interpolant of a callable on points (values at Dirichlet

@@ -376,11 +376,6 @@ class Mesh:
             angles[:, k] = np.arccos(np.clip(c, -1.0, 1.0))
         return float(angles.min())
 
-    def dirichlet_vertices(self) -> np.ndarray:
-        on = np.zeros(self.n_vertices, dtype=bool)
-        on[self.boundary_edges[self.boundary_markers == DIRICHLET]] = True
-        return np.flatnonzero(on)
-
     def validate(self) -> "Mesh":
         """Full conformity audit; raises ValueError on any violation."""
         uniq_v = np.unique(self.vertices, axis=0)
@@ -683,40 +678,58 @@ def write_text(mesh: Mesh, target) -> None:
 
 
 def read_text(source) -> Mesh:
-    """Read a mesh written by `write_text`; returns a level-0 mesh."""
+    """Read a mesh written by `write_text`; returns a level-0 mesh.
+
+    A header, count or row that does not read, and a non-blank line after
+    the boundary section, raise ValueError naming the 1-based line.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source) as f:
             text = f.read()
-    lines = (line for line in text.splitlines() if line.strip())
+    lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), 1) if line.strip())
 
-    def section(name):
-        """The rows of section ``name``, each split into its fields."""
-        head = next(lines, None)
+    def parse(n, line, what, kinds):
+        """The fields of line ``n``, one read by each of ``kinds``."""
+        fields = line.split()
+        if len(fields) != len(kinds):
+            raise ValueError(f"line {n}: {what} {line!r} has {len(fields)} fields, "
+                             f"not {len(kinds)}")
+        try:
+            return [kind(field) for kind, field in zip(kinds, fields)]
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {what} {line!r}: {exc}") from None
+
+    def section(name, kinds):
+        """The rows of section ``name``, each read by ``kinds``."""
+        n, head = next(lines, (0, None))
         if head is None:
             raise ValueError(f"missing '{name}' section")
         fields = head.split()
         if len(fields) != 2 or fields[0] != name:
-            raise ValueError(f"expected '{name} N' header, got {head!r}")
-        count = int(fields[1])
+            raise ValueError(f"line {n}: expected '{name} N' header, got {head!r}")
+        [count] = parse(n, fields[1], f"'{name}' count", (int,))
         if count < 0:
-            raise ValueError(f"negative '{name}' count {count}")
-        # an exhausted generator stays exhausted: a short file ends in []
-        rows = [next(lines, "").split() for _ in range(count)]
-        if rows and not rows[-1]:
-            raise ValueError("truncated mesh file")
+            raise ValueError(f"line {n}: negative '{name}' count {count}")
+        rows = []
+        for _ in range(count):
+            # an exhausted generator stays exhausted: a short file ends in None
+            n, line = next(lines, (0, None))
+            if line is None:
+                raise ValueError("truncated mesh file")
+            rows.append(parse(n, line, f"'{name}' row", kinds))
         return rows
 
-    verts = np.array([[float(a), float(b)] for a, b in section("vertices")],
-                     dtype=float).reshape(-1, 2)
-    tris = np.array([[int(a), int(b), int(c)] for a, b, c in section("triangles")],
-                    dtype=np.int64).reshape(-1, 3)
-    bedges, bmarks = [], []
-    for i, j, mk in section("boundary"):
-        if mk not in _CHAR_TO_MARKER:
-            raise ValueError(f"unknown boundary marker {mk!r}")
-        bedges.append((int(i), int(j)))
-        bmarks.append(_CHAR_TO_MARKER[mk])
-    return Mesh(verts, tris, np.array(bedges, dtype=np.int64).reshape(-1, 2),
-                np.array(bmarks, dtype=np.int64))
+    def marker(char):
+        if char not in _CHAR_TO_MARKER:
+            raise ValueError(f"unknown boundary marker {char!r}")
+        return _CHAR_TO_MARKER[char]
+
+    verts = np.array(section("vertices", (float, float)), dtype=float).reshape(-1, 2)
+    tris = np.array(section("triangles", (int, int, int)), dtype=np.int64).reshape(-1, 3)
+    boundary = np.array(section("boundary", (int, int, marker)), dtype=np.int64).reshape(-1, 3)
+    extra = next(lines, None)
+    if extra is not None:
+        raise ValueError(f"line {extra[0]}: {extra[1]!r} after the boundary section")
+    return Mesh(verts, tris, boundary[:, :2], boundary[:, 2])

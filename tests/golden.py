@@ -9,12 +9,13 @@ change of each float column with the ``(l, k, j)`` of its record.  A change is m
 scale `test_step_log_matches_golden` uses: relative to the old entry, but
 never to less than 1e-12 of the column's largest value.  The rerun is read
 back through its CSV text first, so both sides carry the same 12 digits and
-an unchanged run reads 0.  The files are rewritten only with ``--write``.
-Then it prints the sha1 of the step log of each benchmark workload, with
-the configurations of `perfbench/workloads.py`; running the command at two
-commits compares all five "same numbers" runs of the ROADMAP.  With
-``--check`` it exits with status 1 if a golden file changed or a workload
-digest does not begin with its entry of `PINNED_DIGESTS`.
+an unchanged run reads 0.  Then it prints the sha1 of the step log of each
+benchmark workload, with the configurations of `perfbench/workloads.py`;
+running the command at two commits compares all five "same numbers" runs
+of the ROADMAP.  With ``--check`` it exits with status 1 if a golden file
+changed or a workload digest does not begin with its entry of
+`PINNED_DIGESTS`.  ``--write`` rewrites the golden files that changed and
+the entries of `PINNED_DIGESTS`, in this file, that no longer match.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def benchmark_configs() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="rewrite the golden files")
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite the changed golden files and digest pins")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on a changed golden file or an unpinned digest")
     args = parser.parse_args(argv)
@@ -102,9 +104,15 @@ def main(argv=None) -> int:
             print("  rewritten")
     for name, config in benchmark_configs().items():
         digest = hashlib.sha1(run_adaptive(AdaptiveConfig(**config)).to_csv().encode()).hexdigest()
-        pinned = digest.startswith(PINNED_DIGESTS[name])
+        pin = PINNED_DIGESTS[name]
+        pinned = digest.startswith(pin)
         same &= pinned
-        print(f"{name}: sha1 {digest}{'' if pinned else ' (pinned ' + PINNED_DIGESTS[name] + ')'}")
+        print(f"{name}: sha1 {digest}{'' if pinned else ' (pinned ' + pin + ')'}")
+        if args.write and not pinned:
+            this = Path(__file__)
+            this.write_text(this.read_text().replace(f'"{name}": "{pin}"',
+                                                     f'"{name}": "{digest[:len(pin)]}"'))
+            print("  pin rewritten")
     return 1 if args.check and not same else 0
 
 

@@ -47,6 +47,8 @@ RHS_ORACLE = "tests/test_fem.py::test_assemble_rhs_matches_einsum_oracle"
 FORMER_MERGE = "tests/test_mesh.py::test_carried_edge_table_matches_former_merge"
 AT_BOUND = "tests/test_mesh.py::test_an_index_at_its_bound_or_negative_is_rejected"
 GOLDEN_ZSHAPE = "tests/test_driver.py::test_step_log_matches_golden[zshape_diagnostics]"
+READ_TEXT = "tests/test_mesh.py::test_read_text_rejects_malformed"
+DECLARED = "tests/test_experiments.py::test_rows_hold_exactly_the_declared_columns"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -127,8 +129,8 @@ MUTANTS = [
      "if True:",
      [CONTRACTIONS]),
     ("alg_ratio across linearizations", "driver.py",
-     "if prev.k == rec.k and prev.alg_inc > 0.0:",
-     "if prev.alg_inc > 0.0:",
+     "if prev is not None and prev.k == rec.k and prev.alg_inc > 0.0:",
+     "if prev is not None and prev.alg_inc > 0.0:",
      [CONTRACTIONS]),
     # values carried for copied triangles
     ("shifted parent_of in the areas gather", "mesh.py",
@@ -323,15 +325,45 @@ MUTANTS = [
     ("a negative section count read as no rows", "mesh.py",
      "if count < 0:",
      "if False:",
-     ["tests/test_mesh.py::test_read_text_rejects_malformed"]),
+     [READ_TEXT]),
     ("a mesh of no triangles", "mesh.py",
      "if not self.n_triangles:",
      "if False:",
      ["tests/test_mesh.py::test_a_mesh_without_triangles_is_rejected"]),
     ("a mesh file read on past its end", "mesh.py",
-     "if rows and not rows[-1]:",
+     "if line is None:",
      "if False:",
-     ["tests/test_mesh.py::test_read_text_rejects_malformed"]),
+     [READ_TEXT]),
+    ("a mesh row of the wrong field count read in part", "mesh.py",
+     "if len(fields) != len(kinds):",
+     "if False:",
+     [READ_TEXT]),
+    ("a mesh field that does not read raised without its line", "mesh.py",
+     "except ValueError as exc:",
+     "except KeyError as exc:",
+     [READ_TEXT]),
+    ("a section count read without its line", "mesh.py",
+     "[count] = parse(n, fields[1], f\"'{name}' count\", (int,))",
+     "count = int(fields[1])",
+     [READ_TEXT]),
+    ("text after the boundary section ignored", "mesh.py",
+     "if extra is not None:",
+     "if False:",
+     [READ_TEXT]),
+    # one declaration per CSV table, one reader of configuration text
+    ("a level-table key that is no column", "driver.py",
+     "rows.append(dict(dict.fromkeys(LEVEL_TYPES), l=rec.l, nT=rec.nT,",
+     "rows.append(dict(dict.fromkeys(LEVEL_TYPES), l=rec.l, nT=rec.nT, level=rec.l,",
+     [DECLARED]),
+    ("a runs.csv key that is no column", "experiments.py",
+     "n_steps=len(self.log.records), nT=final.nT, eta=final.eta,",
+     "n_steps=len(self.log.records), nT=final.nT, eta=final.eta, n_records=0,",
+     [DECLARED]),
+    ("an integer field that truncates a fraction", "experiments.py",
+     "if float(text).is_integer():",
+     "if True:",
+     ["tests/test_experiments.py::test_parse_sweep_spec_rejects_garbage",
+      "tests/test_experiments.py::test_cli_and_sweep_spec_read_the_same_text"]),
 ]
 
 

@@ -115,6 +115,24 @@ def test_criterion_3_rate_robust_across_parameters(grid_results, capsys):
     assert ok, detail
 
 
+def test_picard_contraction_within_design_bound(grid_results):
+    """The abstract's contraction claim: every observed Picard ratio of a
+    theta = 0.5 member with lambda_pic >= lambda_alg stays at or below the
+    design bound q_pic of the problem's nonlinearity (0.7454 for zshape); a
+    level with no ratio passes.  Measured at max_elements = 40000, their
+    largest ratios are 0.521, 0.489, 0.491 and 0.398, and lambda_pic = 1 has
+    none.  The other members are outside the claim: with an algebraic stop
+    looser than the Picard stop (lambda_pic < lambda_alg) the ratios reach
+    1.10, 1.75 and 2.15, and theta = 0.9 reaches 0.7478 on one level."""
+    runs = [r for r in grid_results
+            if r.config.theta == 0.5 and r.config.lambda_pic >= r.config.lambda_alg]
+    assert len(runs) == 5
+    for r in runs:
+        q_pic = get_problem(r.config.domain).nonlinearity.q_pic
+        for row in r.log.level_table():
+            assert row["pic_ratio"] is None or row["pic_ratio"] <= q_pic, (r.run_id, row)
+
+
 def test_criterion_4_lshape_rates(l_runs, capsys):
     adaptive, uni = l_runs
     audit_stop_semantics(adaptive.log)

@@ -179,13 +179,21 @@ def test_parse_sweep_spec_rejects_garbage():
         parse_sweep_spec("banana\n")
     with pytest.raises(ValueError):
         parse_sweep_spec("flux_capacitor=1\n")
-    with pytest.raises(ValueError):
-        parse_sweep_spec("track_error=maybe\n")
     # integer fields take integral values only; exponent notation is fine
     for raw in ("2500.7", "1e-2", "inf", "nan"):
         with pytest.raises(ValueError):
             parse_sweep_spec("max-elements=%s\n" % raw)
     assert parse_sweep_spec("max-elements=1e4\n")[0].max_elements == 10000
+    # text that does not read as its field's type is named with its key
+    for spec, message in (("theta=\n", "bad float value for theta: ''"),
+                          ("theta=0.5,,0.7\n", "bad float value for theta: ''"),
+                          ("max_elements=abc\n", "bad int value for max_elements: 'abc'"),
+                          ("max-elements= 2500.7\n",
+                           "bad int value for max_elements: ' 2500.7'"),
+                          ("track_error=maybe\n", "bad bool value for track_error: 'maybe'")):
+        with pytest.raises(ValueError) as err:
+            parse_sweep_spec(spec)
+        assert str(err.value) == message
 
 
 def _write_synthetic_run(directory, run_id, theta, etas, stored_rate=-0.5):
@@ -386,3 +394,34 @@ def test_cli_and_sweep_spec_set_every_config_field(name, monkeypatch):
     assert from_spec == dataclasses.replace(AdaptiveConfig(), **{name: value})
     assert from_cli == from_spec
     assert type(getattr(from_cli, name)) is kind
+
+
+@pytest.mark.parametrize("name, text, accepted", [
+    ("max_elements", "1e4", True), ("max_elements", "2500.7", False),
+    ("max_elements", "abc", False), ("theta", "0.25", True), ("theta", "", False),
+    ("theta", "half", False), ("lambda_alg", "inf", False), ("eta_tol", "1e-3", True),
+    ("domain", "Z-Shape", True), ("domain", "nowhere", False)])
+def test_cli_and_sweep_spec_read_the_same_text(name, text, accepted, monkeypatch, capsys):
+    """A flag and a sweep key read the same text as the same value, or
+    reject it with the same message."""
+    captured = []
+    monkeypatch.setattr("afem.cli.run_benchmark",
+                        lambda configs, **kwargs: captured.extend(configs))
+    status = main(["run", "--" + name.replace("_", "-"), text, "--out", "unused"])
+    if accepted:
+        assert status == 0 and captured == parse_sweep_spec("%s=%s\n" % (name, text))
+    else:
+        with pytest.raises(ValueError) as err:
+            parse_sweep_spec("%s=%s\n" % (name, text))
+        assert status == 1 and not captured
+        assert capsys.readouterr().err == str(err.value) + "\n"
+
+
+def test_rows_hold_exactly_the_declared_columns():
+    """Every key of a level-table row and of a runs.csv row is a declared
+    column, so `write_csv` drops none, and every column has its key."""
+    [result] = run_benchmark([AdaptiveConfig(domain="square_linear", max_elements=100)])
+    table = result.log.level_table()
+    assert len(table) > 1 and table[0]["n_marked"] is not None
+    assert all(list(row) == list(LEVEL_COLUMNS) for row in table)
+    assert sorted(result.runs_row()) == sorted(RUNS_COLUMNS)

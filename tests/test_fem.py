@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afem import (DofMap, FeFunction, NEUMANN, apply_nonlinear,
+from afem import (DIRICHLET, DofMap, FeFunction, NEUMANN, apply_nonlinear,
                   assemble_laplacian, assemble_rhs, create_initial,
                   energy_norm, interpolate, prolongate, refine,
                   uniform_refine)
@@ -225,7 +225,7 @@ def test_dofmap_partition():
     mesh = random_mesh("z_shape", np.random.default_rng(3), rounds=2)
     dofmap = DofMap.from_mesh(mesh)
     free = set(dofmap.free_vertices.tolist())
-    fixed = set(mesh.dirichlet_vertices().tolist())
+    fixed = set(mesh.boundary_edges[mesh.boundary_markers == DIRICHLET].ravel().tolist())
     assert free | fixed == set(range(mesh.n_vertices))
     assert not free & fixed
     for v in range(mesh.n_vertices):
@@ -245,7 +245,7 @@ def test_fe_function_round_trip():
     again = FeFunction.from_vertex_values(dofmap, u.vertex_values())
     assert np.allclose(again.coeffs, coeffs)
     vals = u.vertex_values()
-    assert np.allclose(vals[mesh.dirichlet_vertices()], 0.0)
+    assert np.allclose(vals[dofmap.dof_of_vertex < 0], 0.0)
     with pytest.raises(ValueError):
         FeFunction(dofmap, coeffs[:-1])
     with pytest.raises(ValueError):

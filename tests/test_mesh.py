@@ -1,6 +1,7 @@
 """Mesh construction, bisection refinement, conformity, and exchange format."""
 
 import io
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -173,9 +174,8 @@ def test_refine_keeps_hierarchy_invariants(domain, seed, fracs):
         a, b = coarse.vertices[parents[:, 0]], coarse.vertices[parents[:, 1]]
         assert np.array_equal(fine.vertices[n_c:], 0.5 * (a + b))
         edge_ids(coarse.edges, parents)  # raises unless every pair is a coarse edge
-        dirichlet = np.zeros(fine.n_vertices, dtype=bool)
-        dirichlet[fine.dirichlet_vertices()] = True
-        assert np.array_equal(np.nonzero(dirichlet[:n_c])[0], coarse.dirichlet_vertices())
+        dirichlet = DofMap.from_mesh(fine).dof_of_vertex < 0
+        assert np.array_equal(dirichlet[:n_c], DofMap.from_mesh(coarse).dof_of_vertex < 0)
         assert dirichlet[parents[dirichlet[n_c:]]].all()
         coarse = fine
 
@@ -656,3 +656,15 @@ def test_read_text_rejects_malformed(tmp_path):
         read_text(io.StringIO(text[:text.index("triangles")] + "triangles -5\nboundary 0\n"))
     with pytest.raises(ValueError, match="at least one triangle"):
         read_text(io.StringIO("vertices 0\ntriangles 0\nboundary 0\n"))
+    # a malformed row or count, or text after the boundary section, names its line
+    good = text.replace("1 2 X", "1 2 D")
+    assert read_text(io.StringIO(good + "\n  \n")).n_triangles == 1
+    for old, new, message in [
+            ("0 1 2\n", "0 1\n", "line 6: 'triangles' row '0 1' has 2 fields, not 3"),
+            ("1 0\n", "1 0 5\n", "line 3: 'vertices' row '1 0 5' has 3 fields, not 2"),
+            ("vertices 3", "vertices x", "line 1: 'vertices' count 'x': invalid literal"),
+            ("0 1\ntri", "0 y\ntri", "line 4: 'vertices' row '0 y': could not convert"),
+            ("0 1 2\n", "0 1 2.5\n", "line 6: 'triangles' row '0 1 2.5': invalid literal"),
+            ("2 0 D\n", "2 0 D\nextra 5\n", "line 11: 'extra 5' after the boundary section")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_text(io.StringIO(good.replace(old, new)))
