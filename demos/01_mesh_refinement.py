@@ -9,30 +9,30 @@ shapes, so angles never degenerate no matter how locally we refine.
 
 import numpy as np
 
-from afem.mesh import (MeshHierarchy, closure_cost, create_initial, locate,
-                       read_text, write_text)
+from afem.mesh import (closure_cost, create_initial, locate, read_text, refine,
+                       write_text)
 
 mesh = create_initial("z_shape")
 print("initial mesh: %d vertices, %d triangles, min angle %.1f deg"
       % (mesh.n_vertices, mesh.n_triangles, np.degrees(mesh.min_angle())))
 
 # refine only the elements touching the re-entrant corner at the origin
-hier = MeshHierarchy(mesh)
+levels = [mesh]
 markings = []
 for _ in range(12):
-    m = hier.finest
+    m = levels[-1]
     touches = (np.abs(m.vertices[m.triangles]).max(axis=2).min(axis=1) < 1e-12)
     marked = np.nonzero(touches)[0]
     markings.append(marked)
-    hier.refine(marked)
+    levels.append(refine(m, marked))
 
-final = hier.finest
+final = levels[-1]
 print("after 12 corner-directed rounds: %d triangles, min angle %.1f deg"
       % (final.n_triangles, np.degrees(final.min_angle())))
 
 # closure adds elements beyond the marked ones, but only boundedly many
 print("elements created per marked element: %.2f"
-      % closure_cost(hier, markings))
+      % closure_cost(levels, markings))
 
 # smallest element sits at the corner, largest stays at the far boundary
 areas = final.areas

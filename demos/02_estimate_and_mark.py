@@ -32,8 +32,8 @@ load = assemble_rhs(dofmap, sample(mesh, problem.source, problem.neumann))
 delta = nl.damping
 x = np.zeros(dofmap.n_dofs)
 for k in range(30):
-    u = FeFunction(dofmap, x)
-    x += solve_exact(a, delta * (load - apply_nonlinear(nl, u)))
+    values = FeFunction(dofmap, x).vertex_values()
+    x += solve_exact(a, delta * (load - apply_nonlinear(nl, dofmap, values)))
 u = FeFunction(dofmap, x)
 
 field = indicators(nl, problem.source, problem.neumann, u)

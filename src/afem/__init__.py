@@ -18,7 +18,7 @@ from .experiments import (RunResult, expected_rate, fit_rate,
                           parse_sweep_spec, robustness_grid, run_benchmark)
 from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
                   assemble_rhs, energy_norm, interpolate, prolongate, sample)
-from .mesh import (DIRICHLET, NEUMANN, Mesh, MeshHierarchy, create_initial,
+from .mesh import (DIRICHLET, NEUMANN, Mesh, create_initial,
                    overlay, read_text, refine, uniform_refine, write_text)
 from .nonlinearity import (Nonlinearity, constant_nonlinearity,
                            lshape_nonlinearity, zshape_nonlinearity)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveConfig", "DIRICHLET", "DofMap", "ErrorData", "EstimatorData",
     "ExactSolution", "FeFunction", "IdentityPreconditioner",
-    "IndicatorField", "Mesh", "MeshHierarchy", "MultilevelPreconditioner",
+    "IndicatorField", "Mesh", "MultilevelPreconditioner",
     "NEUMANN", "Nonlinearity", "Problem", "RunLog", "RunResult",
     "StepRecord", "ZSHAPE_BETA", "apply_nonlinear", "assemble_laplacian",
     "assemble_rhs", "build_preconditioner", "constant_nonlinearity",

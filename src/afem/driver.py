@@ -298,6 +298,8 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
     step, cumcost = len(log.records), log.records[-1].cumcost if log.records else 0
 
     x = u.coeffs
+    # one buffer for the vertex values (zero on the Dirichlet vertices) of x,
+    # for the residual, and of x + e, for the estimator and the error
     vertex_values = np.zeros(mesh.n_vertices)
     k = 0
     while True:
@@ -305,7 +307,8 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
         if k > MAX_PICARD_PER_LEVEL:
             raise RuntimeError(f"linearization did not stop within "
                                f"{MAX_PICARD_PER_LEVEL} iterations")
-        rhs = damping * (load - apply_nonlinear(nl, FeFunction(dofmap, x)))
+        vertex_values[dofmap.free_vertices] = x
+        rhs = damping * (load - apply_nonlinear(nl, dofmap, vertex_values))
         estar = lu(rhs) if lu is not None else None
         state = alg.init_solver_state(operator, rhs)
         while True:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import FeFunction, Samples, element_gradients, sample
-from .mesh import Mesh, triangle_subset
+from .mesh import Mesh, edge_frame, triangle_subset
 from .nonlinearity import Nonlinearity
 
 
@@ -69,14 +69,8 @@ class EstimatorData:
         interior = (et.incident[:, 1] >= 0).nonzero()[0]
         self.ie_left, self.ie_right = et.incident.take(interior, axis=0).T.astype(
             np.intp, order="C")
-        nodes = et.nodes.take(interior, axis=0)
-        tang = mesh.vertices.take(nodes[:, 1], axis=0) - mesh.vertices.take(nodes[:, 0], axis=0)
-        # the Euclidean norm, as np.linalg.norm computes it, without its
-        # reduction over rows of two (several times slower)
-        sq = tang * tang
-        self.ie_length = np.sqrt(sq[:, 0] + sq[:, 1])
-        # (2, n) rows: the coordinates of the unit normals
-        self.ie_normal = np.array([tang[:, 1], -tang[:, 0]]) / self.ie_length
+        self.ie_length, self.ie_normal = edge_frame(mesh.vertices,
+                                                    et.nodes.take(interior, axis=0))
 
         # the volume term |T| ||f||^2_{L2(T)} per element and the Neumann
         # data integrals per edge, as sampled

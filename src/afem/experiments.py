@@ -40,9 +40,9 @@ def _coerce(key: str, raw: str):
     """Configuration field ``key`` from its text form, by the field's type.
 
     The one reader of configuration text: sweep files, `afem run` flags and
-    the configuration cells of runs.csv.  Integer fields take integral
-    values in any float notation (``1e5``).  Text that does not read as the
-    field's type raises ValueError naming the key and the text.
+    the configuration cells of runs.csv.  Integer fields read integral text
+    exactly, and integral values in float notation (``1e5``).  Text that does
+    not read as the field's type raises ValueError naming the key and text.
     """
     kind, text = _CONFIG_TYPES[key], raw.strip()
     try:
@@ -51,6 +51,8 @@ def _coerce(key: str, raw: str):
                     "0": False, "false": False, "no": False, "off": False}[text.lower()]
         if kind is not int:
             return kind(text)
+        if text.lstrip("+-").isdigit():
+            return int(text)  # float would round it above 2**53
         if float(text).is_integer():
             return int(float(text))
     except (KeyError, ValueError):

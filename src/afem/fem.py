@@ -21,9 +21,9 @@ and integrals of an unsplit Neumann edge are gathered from the parent's
 samples, the new triangles are the mesh's `Mesh.new_triangles`, and each
 edge's owning triangle is read from the edge table that `refine` carried;
 nothing of the Neumann edges is computed, and ``g`` is not called, on a
-level where no Neumann edge was split.  Edge lengths add the two squared
-coordinates, as `np.linalg.norm` does, without its reduction over rows of
-two.  The load vector and the estimator both read the same `Samples`.
+level where no Neumann edge was split.  Edge lengths and normals come from
+`mesh.edge_frame`, as the estimator's do.  The load vector and the
+estimator both read the same `Samples`.
 
 The element gradients of a P1 function are two sparse matvecs, with the x
 and y matrices of `Mesh.gradient_operator`, whose data are the hat gradients
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET, EDGE_ENDS, Mesh
+from .mesh import DIRICHLET, EDGE_ENDS, Mesh, edge_frame
 from .nonlinearity import Nonlinearity
 
 _A5 = (6.0 + np.sqrt(15.0)) / 21.0
@@ -74,7 +74,6 @@ EDGE_QUAD_W = np.array([5 / 18, 8 / 18, 5 / 18])
 # the weights against the hat functions of an edge's start and end vertex
 _EDGE_W_START = EDGE_QUAD_W * (1.0 - EDGE_QUAD_X)
 _EDGE_W_END = EDGE_QUAD_W * EDGE_QUAD_X
-_TURN = np.array([1.0, -1.0])
 
 
 def triangle_quad_points(mesh: Mesh, rows=slice(None)) -> np.ndarray:
@@ -179,11 +178,12 @@ def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
                          shape=(n, n))
 
 
-def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
-    """Vector of <mu(|grad w|^2) grad w, grad phi_i> over the free vertices."""
-    mesh = w.mesh
+def apply_nonlinear(nl: Nonlinearity, dofmap: DofMap, vertex_values: np.ndarray) -> np.ndarray:
+    """Vector of <mu(|grad w|^2) grad w, grad phi_i> over the free vertices
+    of ``dofmap``, for the P1 function w with these vertex values."""
+    mesh = dofmap.mesh
     hx, hy = mesh.gradient_planes
-    gx, gy = element_gradients(mesh, w.vertex_values())
+    gx, gy = element_gradients(mesh, vertex_values)
     ma = (np.asarray(nl.mu(gx ** 2 + gy ** 2)) * mesh.areas)[:, None]
     # this product order keeps the bits of the former einsum; for peak
     # memory one (nT, 3) term at a time, and none left for the scatter
@@ -195,7 +195,7 @@ def apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     del gx, gy, ma, term
     r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.n_vertices)
-    return r[w.dofmap.free_vertices]
+    return r[dofmap.free_vertices]
 
 
 NeumannSamples = namedtuple("NeumannSamples",
@@ -288,19 +288,15 @@ def _edge_integrals(mesh: Mesh, g, edges: np.ndarray, owner: np.ndarray) -> tupl
     ``owner``, from g at the 3 nodes of each edge (zero without ``g``)."""
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
-    tang = b - a
-    # the Euclidean norm, as np.linalg.norm computes it, and the turned
-    # tangent (t_y, -t_x)
-    sq = tang * tang
-    length = np.sqrt(sq[:, 0] + sq[:, 1])
-    normal = tang[:, ::-1] * _TURN / length[:, None]
+    length, normal = edge_frame(mesh.vertices, edges)
+    normal = normal.T
     # orient away from the owning triangle
     outward = (a + b) / 2 - mesh.vertices[mesh.triangles[owner]].mean(axis=1)
     side = normal * outward
     normal[side[:, 0] + side[:, 1] < 0] *= -1.0
     gq = np.zeros((len(edges), EDGE_QUAD_X.size))
     if g is not None:
-        pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * tang[:, None, :]
+        pts = a[:, None, :] + EDGE_QUAD_X[None, :, None] * (b - a)[:, None, :]
         gq[:] = g(pts, normal[:, None, :])
     g_phi = np.empty((len(edges), 2))
     g_phi[:, 0] = length * np.einsum("q,nq->n", _EDGE_W_START, gq)
@@ -337,10 +333,8 @@ def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
     return rhs_v[dofmap.free_vertices]
 
 
-def energy_norm(v: FeFunction, operator: sp.csr_matrix | None = None) -> float:
-    """H^1 seminorm ||grad v||; uses the assembled stiffness when given."""
-    if operator is not None:
-        return float(np.sqrt(max(v.coeffs @ (operator @ v.coeffs), 0.0)))
+def energy_norm(v: FeFunction) -> float:
+    """H^1 seminorm ||grad v||, from the element gradients."""
     gx, gy = element_gradients(v.mesh, v.vertex_values())
     return float(np.sqrt(((gx ** 2 + gy ** 2) * v.mesh.areas).sum()))
 

@@ -13,8 +13,7 @@ inherited refinement edge is marked, which yields 1 to 4 children.  Only
 the bisected triangles' rows are built, all in one gather from a table of
 the six possible children (`_CHILDREN`); every other row is copied.
 `overlay` computes the coarsest common refinement of two meshes grown from
-the same root, and `MeshHierarchy` keeps the level bookkeeping that the
-multilevel solver relies on.
+the same root, and `closure_cost` measures a list of successive meshes.
 
 Vertex indexing is append-only across refinement: vertices of the coarse
 mesh keep their indices, midpoints are appended in edge-id order.  Only a
@@ -212,6 +211,18 @@ def _geometry(p: np.ndarray) -> tuple:
     g[0] /= det
     np.divide(e[:, :, 0], det, out=g[1])
     return areas, g
+
+
+def edge_frame(vertices: np.ndarray, nodes: np.ndarray) -> tuple:
+    """Lengths (n,) and unit normals ((2, n), rows of x and y) of the edges
+    from vertices[nodes[:, 0]] to vertices[nodes[:, 1]]: the norm of the
+    tangent t as `np.linalg.norm` computes it, without its slow reduction
+    over rows of two, and t turned by -90 degrees, (t_y, -t_x)."""
+    # unnamed gathers: numpy writes the difference into one, not a new array
+    tang = vertices.take(nodes[:, 1], axis=0) - vertices.take(nodes[:, 0], axis=0)
+    sq = tang * tang
+    length = np.sqrt(sq[:, 0] + sq[:, 1])
+    return length, np.array([tang[:, 1], -tang[:, 0]]) / length
 
 
 def _indices(a, bound: int, what: str, dtype=np.int32) -> np.ndarray:
@@ -514,9 +525,12 @@ def refine(mesh: Mesh, marked) -> Mesh:
             break
         marked_edge[hanging] = True
 
-    # the new vertices, one per bisected edge in edge order
+    # the new vertices, one per bisected edge in edge order; new_vertex maps
+    # an edge to its new vertex, -1 (out of range) for an unbisected edge
     n_old = mesh.n_vertices
     bisected_edges = marked_edge.nonzero()[0]
+    new_vertex = np.full(et.n_edges, -1)
+    new_vertex[bisected_edges] = np.arange(n_old, n_old + len(bisected_edges))
     vertex_parents = et.nodes.take(bisected_edges, axis=0)
     ends = mesh.vertices[vertex_parents]
     vertices = np.concatenate((mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])))
@@ -531,8 +545,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     parent_of = np.arange(n_t).repeat(counts)
     new = em[:, 0].repeat(counts).nonzero()[0]  # the children of bisected triangles
     corners = np.concatenate((mesh.triangles.take(bisected, axis=0),
-                              n_old + bisected_edges.searchsorted(
-                                  of_triangle.take(bisected, axis=0))), axis=1)
+                              new_vertex.take(of_triangle.take(bisected, axis=0))), axis=1)
     children = corners[:, _CHILDREN][flags[:, _CHILD_EDGE] == _CHILD_IF]
     triangles = mesh.triangles.take(parent_of, axis=0)
     triangles[new] = children
@@ -544,8 +557,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     bedges = mesh.boundary_edges[keep]
     first = split.nonzero()[0]
     first += np.arange(len(first))
-    bedges[first, 1] = bedges[first + 1, 0] = \
-        n_old + bisected_edges.searchsorted(mesh.boundary_ids[split])
+    bedges[first, 1] = bedges[first + 1, 0] = new_vertex.take(mesh.boundary_ids[split])
     boundary_ids = codes.searchsorted(_pair_codes(bedges, len(vertices)))
 
     # areas and hat gradients: gathered through parent_of, then computed
@@ -617,31 +629,10 @@ def overlay(a: Mesh, b: Mesh, root: Mesh) -> Mesh:
     raise ValueError("overlay did not terminate; inputs are not compatible refinements")
 
 
-class MeshHierarchy:
-    """Nested sequence of meshes produced by successive refinement."""
-
-    def __init__(self, initial: Mesh):
-        self.levels: list[Mesh] = [initial]
-
-    @property
-    def finest(self) -> Mesh:
-        return self.levels[-1]
-
-    def append(self, mesh: Mesh) -> None:
-        if not mesh.refines(self.finest):
-            raise ValueError("mesh does not refine the current finest level")
-        self.levels.append(mesh)
-
-    def refine(self, marked) -> Mesh:
-        new = refine(self.finest, marked)
-        self.levels.append(new)
-        return new
-
-
-def closure_cost(hierarchy, markings) -> float:
-    """Ratio (#T_final - #T_0) / sum of marked-set sizes over the history."""
-    levels = hierarchy.levels if isinstance(hierarchy, MeshHierarchy) else list(hierarchy)
-    markings = list(markings)
+def closure_cost(levels, markings) -> float:
+    """Ratio (#T_final - #T_0) / sum of marked-set sizes over a list of
+    successive meshes and the marked sets that refined each into the next."""
+    levels, markings = list(levels), list(markings)
     if not markings:
         raise ValueError("empty markings history")
     if len(levels) != len(markings) + 1:

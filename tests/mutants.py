@@ -93,6 +93,10 @@ MUTANTS = [
      "x, log.state = x + state.iterate, state",
      [HANDOVER]),
     # the Picard update
+    ("the residual fed a buffer not refilled with x", "driver.py",
+     "vertex_values[dofmap.free_vertices] = x\n",
+     "pass\n",
+     [GOLDEN_ZSHAPE]),
     ("the estimator fed the update, not the new iterate", "driver.py",
      "vertex_values[dofmap.free_vertices] = x + state.iterate",
      "vertex_values[dofmap.free_vertices] = state.iterate",
@@ -157,6 +161,10 @@ MUTANTS = [
      "new = em[:, 0].repeat(counts).nonzero()[0]  # the children of bisected triangles",
      "new = np.arange(len(parent_of))",
      [SAMPLED_ONCE]),
+    ("new vertex ids off by one", "mesh.py",
+     "new_vertex[bisected_edges] = np.arange(n_old, n_old + len(bisected_edges))",
+     "new_vertex[bisected_edges] = np.arange(n_old - 1, n_old - 1 + len(bisected_edges))",
+     ["tests/test_mesh.py::test_refine_matches_case_table_oracle"]),
     ("the halves of a bisected triangle's first child swapped", "mesh.py",
      "_CHILDREN = np.array([(3, 2, 0), (4, 0, 3), (4, 3, 2), (3, 0, 1), (5, 1, 3), (5, 3, 0)])",
      "_CHILDREN = np.array([(3, 2, 0), (4, 3, 2), (4, 0, 3), (3, 0, 1), (5, 1, 3), (5, 3, 0)])",
@@ -289,6 +297,11 @@ MUTANTS = [
      "self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)",
      "self.boundary_ids = (np.flatnonzero(self.edges.is_boundary)",
      [WRONG_BOUNDARY]),
+    # the exits of a run
+    ("a zero estimator reported as a tolerance met", "driver.py",
+     'log.exit_reason = "eta_zero" if eta == 0.0 else "eta_tol"',
+     'log.exit_reason = "eta_tol"',
+     ["tests/test_driver.py::test_zero_data_ends_the_run_at_eta_zero"]),
     # the CSV reader
     ("CSV rows of any cell count", "driver.py",
      "if len(row) != len(header):",
@@ -364,6 +377,10 @@ MUTANTS = [
      "if True:",
      ["tests/test_experiments.py::test_parse_sweep_spec_rejects_garbage",
       "tests/test_experiments.py::test_cli_and_sweep_spec_read_the_same_text"]),
+    ("an integer field read through float", "experiments.py",
+     "return int(text)  # float would round it above 2**53",
+     "return int(float(text))  # float would round it above 2**53",
+     ["tests/test_experiments.py::test_cli_and_sweep_spec_read_the_same_text"]),
 ]
 
 

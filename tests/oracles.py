@@ -22,7 +22,6 @@ from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
 from afem.mesh import EdgeTable, Mesh, _pair_codes
 from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
-from afem.estimator import IndicatorField
 from afem.nonlinearity import Nonlinearity
 
 
@@ -385,8 +384,8 @@ def picard_map(nl: Nonlinearity, dofmap: DofMap, operator, load):
     damping = nl.damping
 
     def step(coeffs: np.ndarray) -> np.ndarray:
-        u = FeFunction(dofmap, coeffs)
-        rhs = operator @ coeffs + damping * (load - apply_nonlinear(nl, u))
+        values = FeFunction(dofmap, coeffs).vertex_values()
+        rhs = operator @ coeffs + damping * (load - apply_nonlinear(nl, dofmap, values))
         return solve_exact(operator, rhs)
 
     return step
@@ -472,10 +471,6 @@ def geometric_fit_ratio(deltas) -> float:
     x = np.arange(y.size, dtype=float)
     slope = np.polyfit(x, y, 1)[0]
     return float(np.exp(slope))
-
-
-def indicator_field_values(field: IndicatorField) -> np.ndarray:
-    return np.sqrt(field.values)
 
 
 def worst_window_ratio(deltas, start: int = 100, width: int = 50):

@@ -59,7 +59,8 @@ def test_stopping_tests_accept_equality():
 def picard_residual(problem, dofmap, load, x):
     """The right-hand side delta (load - N(x)) of the driver's update system."""
     damping = problem.nonlinearity.damping
-    return damping * (load - apply_nonlinear(problem.nonlinearity, FeFunction(dofmap, x)))
+    values = FeFunction(dofmap, x).vertex_values()
+    return damping * (load - apply_nonlinear(problem.nonlinearity, dofmap, values))
 
 
 def test_picard_residual_is_load_residual_for_linear_problem():
@@ -431,6 +432,22 @@ def test_non_finite_estimator_ends_the_run(monkeypatch):
     assert log.exit_reason == "non_finite"
     assert len(log.records) <= 1
     assert np.isnan(log.final().eta)
+
+
+@pytest.mark.parametrize("domain", ["lshape", "zshape"])
+@pytest.mark.parametrize("eta_tol", [0.0, 1e-3])
+def test_zero_data_ends_the_run_at_eta_zero(domain, eta_tol, monkeypatch):
+    # zero source and zero Neumann data: the solution is 0, the first step
+    # finds it exactly, and the run ends on the zero estimator, which is not
+    # a tolerance met
+    plain_get_problem = driver.get_problem
+    monkeypatch.setattr(driver, "get_problem", lambda name: dataclasses.replace(
+        plain_get_problem(name), source=lambda points: np.zeros(points.shape[:-1]),
+        neumann=None))
+    log = run_adaptive(AdaptiveConfig(domain=domain, eta_tol=eta_tol))
+    assert log.exit_reason == "eta_zero"
+    [rec] = log.records
+    assert rec.eta == rec.alg_inc == rec.pic_inc == 0.0
 
 
 class NegatedPreconditioner:

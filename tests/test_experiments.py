@@ -190,6 +190,7 @@ def test_parse_sweep_spec_rejects_garbage():
                           ("max_elements=abc\n", "bad int value for max_elements: 'abc'"),
                           ("max-elements= 2500.7\n",
                            "bad int value for max_elements: ' 2500.7'"),
+                          ("max_elements=1e400\n", "bad int value for max_elements: '1e400'"),
                           ("track_error=maybe\n", "bad bool value for track_error: 'maybe'")):
         with pytest.raises(ValueError) as err:
             parse_sweep_spec(spec)
@@ -400,16 +401,20 @@ def test_cli_and_sweep_spec_set_every_config_field(name, monkeypatch):
     ("max_elements", "1e4", True), ("max_elements", "2500.7", False),
     ("max_elements", "abc", False), ("theta", "0.25", True), ("theta", "", False),
     ("theta", "half", False), ("lambda_alg", "inf", False), ("eta_tol", "1e-3", True),
-    ("domain", "Z-Shape", True), ("domain", "nowhere", False)])
+    ("domain", "Z-Shape", True), ("domain", "nowhere", False),
+    ("max_elements", "9007199254740993", True), ("max_elements", "1e400", False)])
 def test_cli_and_sweep_spec_read_the_same_text(name, text, accepted, monkeypatch, capsys):
     """A flag and a sweep key read the same text as the same value, or
-    reject it with the same message."""
+    reject it with the same message; integral text reads exactly, also
+    above 2**53, where a float would round it."""
     captured = []
     monkeypatch.setattr("afem.cli.run_benchmark",
                         lambda configs, **kwargs: captured.extend(configs))
     status = main(["run", "--" + name.replace("_", "-"), text, "--out", "unused"])
     if accepted:
         assert status == 0 and captured == parse_sweep_spec("%s=%s\n" % (name, text))
+        if text.isdigit():
+            assert getattr(captured[0], name) == int(text)
     else:
         with pytest.raises(ValueError) as err:
             parse_sweep_spec("%s=%s\n" % (name, text))
