@@ -33,7 +33,7 @@ configs = parse_sweep_spec(spec)
 configs.append(AdaptiveConfig(domain="lshape", theta=0.5, max_elements=8000))
 configs.append(AdaptiveConfig(domain="zshape", theta=1.0, max_elements=8000))
 
-results = run_benchmark(configs, out_dir=out, verbose=True)
+results = run_benchmark(configs, out_dir=out, report=print)
 
 print("\nwrote %s:" % out)
 for name in sorted(os.listdir(out)):

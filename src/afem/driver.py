@@ -148,7 +148,7 @@ def read_csv(source, types: dict, required: Sequence[str]) -> List[dict]:
 
     Each cell is parsed by ``types[column]``, empty cells read as None.
     The header must start with ``required`` and name only columns in
-    ``types``, and every row must have as many cells as the header.
+    ``types``, each once; every row must have as many cells as the header.
     """
     text = source.read() if hasattr(source, "read") else Path(source).read_text()
     reader = csv.reader(text.splitlines())
@@ -158,6 +158,9 @@ def read_csv(source, types: dict, required: Sequence[str]) -> List[dict]:
     header = lines[0][1]
     if set(header) - set(types) or header[:len(required)] != list(required):
         raise ValueError(f"unrecognized CSV header: {','.join(header)!r}")
+    repeated = [name for name in header if header.count(name) > 1]
+    if repeated:
+        raise ValueError(f"CSV header names column {repeated[0]!r} twice")
     for number, row in lines[1:]:
         if len(row) != len(header):
             raise ValueError(f"CSV line {number} has {len(row)} cells, "

@@ -154,9 +154,9 @@ def read_levels_csv(path: str) -> List[dict]:
 
 def run_benchmark(configs: Iterable[AdaptiveConfig],
                   out_dir: Optional[str] = None,
-                  verbose: bool = False,
-                  report: Callable[[str], None] = print) -> List[RunResult]:
-    """Run each configuration once, optionally writing CSVs to out_dir.
+                  report: Optional[Callable[[str], None]] = None) -> List[RunResult]:
+    """Run each configuration once, optionally writing CSVs to out_dir and
+    passing a one-line summary of each run to ``report`` (None: silent).
 
     Raises ValueError before the first run when two different
     configurations would write to the same run id.
@@ -175,7 +175,7 @@ def run_benchmark(configs: Iterable[AdaptiveConfig],
         rate_n, rate_cost = rates_from_log(log)
         result = RunResult(run_id, config, log, rate_n, rate_cost, seconds)
         results.append(result)
-        if verbose:
+        if report is not None:
             final = log.final()
             report("%-32s nT=%-8d eta=%-12.4g rate_vs_n=%-8.4f "
                    "rate_vs_cost=%-8.4f %.1fs"
@@ -192,28 +192,18 @@ def run_benchmark(configs: Iterable[AdaptiveConfig],
     return results
 
 
-def robustness_grid(domain: str = "zshape",
-                    max_elements: int = 40000) -> List[AdaptiveConfig]:
+def robustness_grid(max_elements: int = 40000) -> List[AdaptiveConfig]:
     """Parameter grid probing insensitivity of the convergence rate.
 
-    Three families around the base point (theta=0.5, lambdas=1e-2): the
-    algebraic threshold sweep, the linearization threshold sweep, and the
-    bulk parameter sweep.  Overlapping members are deduplicated.
+    Three families around the `AdaptiveConfig` defaults (zshape, theta=0.5,
+    lambdas=1e-2): the algebraic threshold sweep, the linearization
+    threshold sweep, and the bulk parameter sweep, each one block of a
+    sweep specification; overlapping members run once.
     """
-    base = dict(domain=domain, theta=0.5, lambda_alg=1e-2, lambda_pic=1e-2,
-                max_elements=max_elements)
-    configs = []
-    for lam in (1e-1, 1e-2, 1e-3, 1e-4):
-        configs.append(AdaptiveConfig(**{**base, "lambda_alg": lam}))
-    for lam in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
-        configs.append(AdaptiveConfig(**{**base, "lambda_pic": lam}))
-    for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        configs.append(AdaptiveConfig(**{**base, "theta": theta}))
-    unique = []
-    for config in configs:
-        if config not in unique:
-            unique.append(config)
-    return unique
+    budget = f"max-elements = {max_elements}\n"
+    return parse_sweep_spec(f"lambda-alg = 1e-1, 1e-2, 1e-3, 1e-4\n{budget}\n"
+                            f"lambda-pic = 1, 1e-1, 1e-2, 1e-3, 1e-4\n{budget}\n"
+                            f"theta = 0.1, 0.3, 0.5, 0.7, 0.9\n{budget}")
 
 
 def parse_sweep_spec(text: str) -> List[AdaptiveConfig]:

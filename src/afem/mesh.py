@@ -52,8 +52,7 @@ DIRICHLET = 0
 NEUMANN = 1
 _INT32_MAX = np.iinfo(np.int32).max  # connectivity is 32-bit
 
-_MARKER_TO_CHAR = {DIRICHLET: "D", NEUMANN: "N"}
-_CHAR_TO_MARKER = {c: m for m, c in _MARKER_TO_CHAR.items()}
+_CHAR_TO_MARKER = {"D": DIRICHLET, "N": NEUMANN}
 
 
 # the ends of the edge opposite local vertex k, k = 0, 1, 2
@@ -226,9 +225,11 @@ def edge_frame(vertices: np.ndarray, nodes: np.ndarray) -> tuple:
 
 
 def _indices(a, bound: int, what: str, dtype=np.int32) -> np.ndarray:
-    """``a`` as a new array of ``dtype``, once every entry of the input (not
-    yet wrapped by the cast) is checked to lie in [0, bound)."""
+    """``a`` as a new array of ``dtype``, once the input is checked to hold
+    integers (no floats the cast would truncate, no booleans) in [0, bound)."""
     a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be given as integer indices, not {a.dtype}")
     if a.size and (np.minimum.reduce(a, axis=None) < 0
                    or np.maximum.reduce(a, axis=None) >= bound):
         raise ValueError(f"{what} index out of range")
@@ -294,8 +295,8 @@ class Mesh:
     more than two triangles, and the boundary edges must be exactly the
     edges of one triangle.  The connectivity (``triangles``, ``parent_of``,
     ``vertex_parents``, `EdgeTable`) is int32, so n_vertices and 3
-    n_triangles + 1 must fit in int32; indices are range-checked before the
-    cast, which would wrap them.
+    n_triangles + 1 must fit in int32; index arrays must hold integers in
+    range before the cast, which would truncate or wrap them.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
@@ -307,14 +308,14 @@ class Mesh:
         self.triangles = _indices(triangles, self.n_vertices, "triangle vertex").reshape(-1, 3)
         if not self.n_triangles:
             raise ValueError("a mesh needs at least one triangle")
-        if max(self.n_vertices, 3 * self.n_triangles + 1) > _INT32_MAX:
+        if self.n_vertices > _INT32_MAX or 3 * self.n_triangles + 1 > _INT32_MAX:
             raise ValueError("too many vertices or triangles for 32-bit indices")
         self.boundary_edges = _indices(boundary_edges, self.n_vertices, "boundary vertex",
                                        np.int64).reshape(-1, 2)
-        self.boundary_markers = np.array(boundary_markers, dtype=np.int64).reshape(-1)
-        if not np.logical_and.reduce((self.boundary_markers == DIRICHLET)
-                                     | (self.boundary_markers == NEUMANN)):
+        markers = np.asarray(boundary_markers).reshape(-1)  # compared before the cast
+        if not np.logical_and.reduce((markers == DIRICHLET) | (markers == NEUMANN)):
             raise ValueError("boundary markers must be DIRICHLET or NEUMANN")
+        self.boundary_markers = markers.astype(np.int64)
         self.level = int(level)
         self.parent_of = (np.arange(self.n_triangles, dtype=np.int32) if parent_of is None
                           else _indices(parent_of, self.n_triangles, "parent triangle"))
@@ -479,19 +480,14 @@ _CHILD_IF = np.array([False, True, True, False, True, True])
 def triangle_subset(mesh: Mesh, marked) -> np.ndarray:
     """``marked``, a subset of ``mesh``'s triangles from an array or any
     sequence: a boolean mask of length n_triangles as it is, or indices as
-    int64, checked to lie in [0, n_triangles); raises ValueError otherwise."""
+    int64, read by the mesh's index reader; raises ValueError otherwise."""
     n_t = mesh.n_triangles
     marked = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
     if marked.dtype == bool:
         if marked.shape != (n_t,):
             raise ValueError("boolean mark array has wrong length")
         return marked
-    if marked.size and marked.dtype.kind not in "iu":
-        raise ValueError("marked triangles must be a boolean mask or integer indices")
-    marked = marked.astype(np.int64)
-    if marked.size and (marked.min() < 0 or marked.max() >= n_t):
-        raise ValueError("marked triangle index out of range")
-    return marked
+    return _indices(marked, n_t, "marked triangle", np.int64)
 
 
 def refine(mesh: Mesh, marked) -> Mesh:
@@ -596,12 +592,16 @@ def locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return inside.argmax(axis=1)
 
 
-def _check_descends_from(mesh: Mesh, root: Mesh, what: str) -> None:
-    host = locate(root, mesh.centroids())
-    ratio = root.areas[host] / mesh.areas
-    depth = np.log2(ratio)
-    if np.abs(depth - np.rint(depth)).max() > 1e-6 or depth.min() < -1e-6:
-        raise ValueError(f"{what} is not a bisection refinement of the root mesh")
+def _depth(mesh: Mesh, coarse: Mesh, message: str) -> np.ndarray:
+    """Bisection depth of each triangle of ``mesh`` below the triangle of
+    ``coarse`` that holds its centroid, log2 of their area ratio (negative
+    where ``mesh`` is the coarser); raises ValueError(message) unless every
+    depth is an integer."""
+    depth = np.log2(coarse.areas[locate(coarse, mesh.centroids())] / mesh.areas)
+    rounded = np.rint(depth)
+    if np.abs(depth - rounded).max() > 1e-6:
+        raise ValueError(message)
+    return rounded
 
 
 def overlay(a: Mesh, b: Mesh, root: Mesh) -> Mesh:
@@ -613,19 +613,16 @@ def overlay(a: Mesh, b: Mesh, root: Mesh) -> Mesh:
     conforming bisection forests is conforming.  Terminates after at most
     the bisection depth of ``b`` rounds.
     """
-    _check_descends_from(a, root, "first mesh")
-    _check_descends_from(b, root, "second mesh")
+    for mesh, what in ((a, "first"), (b, "second")):
+        message = f"{what} mesh is not a bisection refinement of the root mesh"
+        if _depth(mesh, root, message).min() < 0:
+            raise ValueError(message)
     current = a
     for _ in range(128):
-        host = locate(b, current.centroids())
-        ratio = current.areas / b.areas[host]
-        depth = np.log2(ratio)
-        if np.abs(depth - np.rint(depth)).max() > 1e-6:
-            raise ValueError("meshes do not belong to the same bisection forest")
-        mark = np.rint(depth) >= 1
+        mark = _depth(current, b, "meshes do not belong to the same bisection forest") < 0
         if not mark.any():
             return current
-        current = refine(current, np.nonzero(mark)[0])
+        current = refine(current, mark)
     raise ValueError("overlay did not terminate; inputs are not compatible refinements")
 
 
@@ -651,15 +648,11 @@ def write_text(mesh: Mesh, target) -> None:
     i), ``boundary B`` then B lines ``i j D|N``.  Indices are 0-based.
     """
     def _dump(f):
-        f.write(f"vertices {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        f.write(f"triangles {mesh.n_triangles}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
-        f.write(f"boundary {len(mesh.boundary_edges)}\n")
-        for (i, j), marker in zip(mesh.boundary_edges, mesh.boundary_markers):
-            f.write(f"{i} {j} {_MARKER_TO_CHAR[int(marker)]}\n")
+        chars = np.where(mesh.boundary_markers == NEUMANN, "N", "D")
+        np.savetxt(f, mesh.vertices, "%.17g", header=f"vertices {mesh.n_vertices}", comments="")
+        np.savetxt(f, mesh.triangles, "%d", header=f"triangles {mesh.n_triangles}", comments="")
+        np.savetxt(f, np.column_stack((mesh.boundary_edges, chars)), "%s",
+                   header=f"boundary {len(chars)}", comments="")
 
     if hasattr(target, "write"):
         _dump(target)

@@ -46,6 +46,7 @@ WRONG_BOUNDARY = "tests/test_mesh.py::test_validate_rejects_a_wrong_boundary_lis
 RHS_ORACLE = "tests/test_fem.py::test_assemble_rhs_matches_einsum_oracle"
 FORMER_MERGE = "tests/test_mesh.py::test_carried_edge_table_matches_former_merge"
 AT_BOUND = "tests/test_mesh.py::test_an_index_at_its_bound_or_negative_is_rejected"
+NON_INTEGER = "tests/test_mesh.py::test_a_non_integer_index_is_rejected"
 GOLDEN_ZSHAPE = "tests/test_driver.py::test_step_log_matches_golden[zshape_diagnostics]"
 READ_TEXT = "tests/test_mesh.py::test_read_text_rejects_malformed"
 DECLARED = "tests/test_experiments.py::test_rows_hold_exactly_the_declared_columns"
@@ -290,9 +291,22 @@ MUTANTS = [
      "self.n_vertices, \"boundary vertex\",",
      [BOUNDARY]),
     ("no check of the boundary markers", "mesh.py",
-     "if not np.logical_and.reduce((self.boundary_markers == DIRICHLET)",
-     "if False and np.logical_and.reduce((self.boundary_markers == DIRICHLET)",
+     "if not np.logical_and.reduce((markers == DIRICHLET) | (markers == NEUMANN)):",
+     "if False:",
      [BOUNDARY]),
+    ("boundary markers cast before the comparison", "mesh.py",
+     "markers = np.asarray(boundary_markers).reshape(-1)  # compared before the cast",
+     "markers = np.asarray(boundary_markers).reshape(-1).astype(np.int64)",
+     [BOUNDARY]),
+    ("an index reader that casts fractions and booleans", "mesh.py",
+     'if a.size and a.dtype.kind not in "iu":',
+     "if False:",
+     [NON_INTEGER, "tests/test_mesh.py::test_refine_rejects_bad_input"]),
+    # the coarsest common refinement
+    ("overlay marking with the depth sign flipped", "mesh.py",
+     'mark = _depth(current, b, "meshes do not belong to the same bisection forest") < 0',
+     'mark = _depth(current, b, "meshes do not belong to the same bisection forest") > 0',
+     ["tests/test_mesh.py::test_overlay_refines_both_inputs"]),
     ("a root mesh's boundary ids taken unchecked", "mesh.py",
      "self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)",
      "self.boundary_ids = (np.flatnonzero(self.edges.is_boundary)",
@@ -308,6 +322,10 @@ MUTANTS = [
      "if False:",
      ["tests/test_driver.py::test_run_log_rejects_garbage",
       "tests/test_experiments.py::test_cli_rates_rejects_a_truncated_index"]),
+    ("a CSV column named twice read as its last cell", "driver.py",
+     "if repeated:",
+     "if False:",
+     ["tests/test_driver.py::test_run_log_rejects_garbage"]),
     # the run configuration and the sweep specification
     ("a configuration that keeps the domain as spelled", "driver.py",
      'object.__setattr__(self, "domain", get_problem(self.domain).name)',

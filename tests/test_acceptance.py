@@ -45,7 +45,7 @@ def _verdict(capsys, n: int, ok: bool, detail: str) -> str:
 
 
 def _bench(config):
-    return run_benchmark([config], verbose=False)[0]
+    return run_benchmark([config])[0]
 
 
 @pytest.fixture(scope="module")

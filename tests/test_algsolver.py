@@ -407,12 +407,17 @@ def test_extended_rejects_a_mismatched_operator():
     pre = build_preconditioner(meshes[:1], dofmaps[:1])
     with pytest.raises(ValueError, match="operator shape"):
         pre.extended(dofmaps[1], assemble_laplacian(dofmaps[0]))
+    with pytest.raises(ValueError, match="operator shape"):
+        MultilevelPreconditioner(dofmaps[0], assemble_laplacian(dofmaps[1]))
 
 
 def test_non_nested_meshes_rejected():
     meshes, dofmaps = grow_hierarchy("z_shape", 2)
     with pytest.raises(ValueError, match="not nested"):
         build_preconditioner([meshes[0], meshes[2]], [dofmaps[0], dofmaps[2]])
+    for lists in (([], []), (meshes[:1], dofmaps[:2])):
+        with pytest.raises(ValueError, match="need matching, nonempty mesh and dofmap lists"):
+            build_preconditioner(*lists)
 
 
 def iterations_to_reduce(a, pre, rhs, factor=1e-8, cap=200):

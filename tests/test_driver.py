@@ -219,6 +219,9 @@ def test_run_log_rejects_garbage():
     for bad in (row[:-2], row + ",1"):
         with pytest.raises(ValueError, match="line 3"):
             RunLog.from_csv(io.StringIO(f"{header}\n{row}\n{bad}\n"))
+    # a column named twice, whose last cell would win
+    with pytest.raises(ValueError, match="column 'eta' twice"):
+        RunLog.from_csv(io.StringIO(f"{header},eta\n{row},0.25\n"))
 
 
 def test_diagnostics_columns():

@@ -4,10 +4,14 @@ import csv
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import afem
 from afem.cli import main
 from afem.driver import AdaptiveConfig
 from afem.experiments import (LEVEL_COLUMNS, RUNS_COLUMNS, collect_rates,
@@ -80,14 +84,19 @@ def test_domain_spellings_are_one_problem(spelling, name, rate):
 
 
 def test_robustness_grid_members():
+    """The lambda_alg, lambda_pic and theta families around the defaults, in
+    that order, with the base point once."""
     grid = robustness_grid(max_elements=500)
-    assert len(grid) == 12
-    assert len(set(grid)) == 12
-    assert AdaptiveConfig(domain="zshape", theta=0.5, lambda_alg=1e-2,
-                          lambda_pic=1e-2, max_elements=500) in grid
-    assert all(c.max_elements == 500 and c.theta < 1.0 for c in grid)
-    assert sorted({c.theta for c in grid}) == [0.1, 0.3, 0.5, 0.7, 0.9]
-    assert sorted({c.lambda_pic for c in grid}) == [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+    assert [(c.lambda_alg, c.lambda_pic, c.theta) for c in grid] == [
+        (1e-1, 1e-2, 0.5), (1e-2, 1e-2, 0.5), (1e-3, 1e-2, 0.5), (1e-4, 1e-2, 0.5),
+        (1e-2, 1.0, 0.5), (1e-2, 1e-1, 0.5), (1e-2, 1e-3, 0.5), (1e-2, 1e-4, 0.5),
+        (1e-2, 1e-2, 0.1), (1e-2, 1e-2, 0.3), (1e-2, 1e-2, 0.7), (1e-2, 1e-2, 0.9)]
+    assert all(c == AdaptiveConfig(lambda_alg=c.lambda_alg, lambda_pic=c.lambda_pic,
+                                   theta=c.theta, max_elements=500) for c in grid)
+    # the README's sweep example is the same grid
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme[readme.index("# algebraic threshold family"):]
+    assert parse_sweep_spec(block[:block.index("```")]) == robustness_grid()
 
 
 def test_benchmark_writes_csv_layouts(tmp_path):
@@ -95,7 +104,7 @@ def test_benchmark_writes_csv_layouts(tmp_path):
                             track_error=True)
     lines = []
     results = run_benchmark([config, config], out_dir=str(tmp_path),
-                            verbose=True, report=lines.append)
+                            report=lines.append)
     assert len(results) == 1 and len(lines) == 1  # duplicate runs once
     result = results[0]
     assert result.run_id in lines[0]
@@ -291,6 +300,12 @@ def test_cli_run_and_rates(tmp_path, capsys):
     assert run_id in capsys.readouterr().out
     assert main(["rates", "--in", str(tmp_path / "missing")]) == 1
     assert "runs.csv" in capsys.readouterr().err
+    # the same through `python -m afem`
+    src = os.path.dirname(os.path.dirname(afem.__file__))
+    proc = subprocess.run([sys.executable, "-m", "afem", "rates", "--in",
+                           str(tmp_path / "missing")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1 and "no runs.csv in" in proc.stderr
 
 
 def test_cli_rates_assert_exit_codes(tmp_path, capsys):
@@ -357,8 +372,7 @@ def test_sweep_rejects_colliding_run_ids(tmp_path, capsys):
     assert len(configs) == 2
     lines = []
     with pytest.raises(ValueError) as err:
-        run_benchmark(configs, out_dir=str(tmp_path / "direct"), verbose=True,
-                      report=lines.append)
+        run_benchmark(configs, out_dir=str(tmp_path / "direct"), report=lines.append)
     assert all(str(config) in str(err.value) for config in configs)
     assert lines == [] and not (tmp_path / "direct").exists()
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1

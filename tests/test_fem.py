@@ -170,6 +170,9 @@ def test_rhs_volume_term():
         expected[tri] += mesh.areas[t] / 3.0
     assert np.allclose(rhs, expected[dofmap.free_vertices], atol=1e-15)
     assert rhs.sum() == pytest.approx(1.0)  # integral of 1 over the square
+    with pytest.raises(ValueError, match="samples were taken on a different mesh"):
+        assemble_rhs(DofMap.from_mesh(uniform_refine(mesh)),
+                     sample(mesh, lambda p: np.ones(p.shape[:-1])))
 
 
 def test_rhs_neumann_term():

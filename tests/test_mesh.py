@@ -2,6 +2,7 @@
 
 import io
 import re
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -351,12 +352,21 @@ def test_validate_rejects_a_wrong_boundary_list():
     bad = Mesh(mesh.vertices, mesh.triangles, *wrong[2], boundary_ids=np.append(ids, 0))
     with pytest.raises(ValueError, match="duplicate boundary edge"):
         bad.validate()
+    with pytest.raises(ValueError, match="need one marker per boundary edge"):
+        Mesh(mesh.vertices, mesh.triangles, b, marks[:-1])
+    # one more vertex: a copy of the first, or a point no triangle uses
+    for extra, message in ((mesh.vertices[:1], "duplicate vertex coordinates"),
+                           ([(0.125, 0.375)], "unreferenced vertices")):
+        bad = Mesh(np.vstack([mesh.vertices, extra]), mesh.triangles, b, marks)
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
 
 
 BAD_BOUNDARY = {"index -4": ((3, -4), DIRICHLET, "boundary vertex index out of range"),
                 "index n_vertices": ((4, 0), NEUMANN, "boundary vertex index out of range"),
                 "marker 7": ((3, 0), 7, "DIRICHLET or NEUMANN"),
-                "marker -1": ((3, 0), -1, "DIRICHLET or NEUMANN")}
+                "marker -1": ((3, 0), -1, "DIRICHLET or NEUMANN"),
+                "marker 0.3": ((3, 0), 0.3, "DIRICHLET or NEUMANN")}
 
 
 @pytest.mark.parametrize("edge, marker, message", BAD_BOUNDARY.values(),
@@ -364,9 +374,10 @@ BAD_BOUNDARY = {"index -4": ((3, -4), DIRICHLET, "boundary vertex index out of r
 def test_boundary_input_is_checked_at_construction(edge, marker, message):
     """A boundary vertex index outside [0, n_vertices) or a marker other
     than DIRICHLET and NEUMANN raises when the mesh is built, not at the
-    first refine (an index) or never (a marker, read as Neumann)."""
+    first refine (an index) or never (a marker, read as Neumann, or 0.3
+    cast to DIRICHLET)."""
     square = create_initial("unit_square")
-    edges, markers = square.boundary_edges.copy(), square.boundary_markers.copy()
+    edges, markers = square.boundary_edges.copy(), list(square.boundary_markers)
     Mesh(square.vertices, square.triangles, edges, markers)
     edges[-1], markers[-1] = edge, marker
     with pytest.raises(ValueError, match=message):
@@ -443,8 +454,9 @@ def test_refine_rejects_bad_input():
     with pytest.raises(ValueError):
         refine(mesh, np.array([True]))
     # a fractional or negative index names no triangle
-    for marked in ([1.9], [0.5], np.array([1.0]), [-1]):
-        with pytest.raises(ValueError):
+    for marked, message in (([1.9], "integer indices"), ([0.5], "integer indices"),
+                            (np.array([1.0]), "integer indices"), ([-1], "out of range")):
+        with pytest.raises(ValueError, match=message):
             refine(mesh, marked)
     for empty in ([], np.array([]), np.array([], dtype=np.uint8)):
         assert refine(mesh, empty).n_triangles == mesh.n_triangles
@@ -470,6 +482,10 @@ def test_hierarchy_bookkeeping():
     assert 1.0 <= ratio < 10.0
     with pytest.raises(ValueError):
         closure_cost(levels, markings[1:])
+    with pytest.raises(ValueError, match="empty markings history"):
+        closure_cost(levels[:1], [])
+    with pytest.raises(ValueError, match="markings are all empty"):
+        closure_cost([levels[0], refine(levels[0], [])], [[]])
     # a refinement of another root with the same vertex count
     square = create_initial("unit_square")
     other = Mesh(2.0 * square.vertices + 1.0, square.triangles, square.boundary_edges,
@@ -489,6 +505,14 @@ def test_overlay_refines_both_inputs():
     for _ in range(2):
         b = refine(b, rng.choice(b.n_triangles, size=max(1, b.n_triangles // 3),
                                  replace=False))
+    # the root grows into b, which is everywhere as fine or finer
+    assert overlay(root, b, root).n_triangles == b.n_triangles
+    # an input coarser than the root somewhere is not grown from it
+    fine_root = uniform_refine(root)
+    for args, which in (((root, fine_root, fine_root), "first"),
+                        ((fine_root, root, fine_root), "second")):
+        with pytest.raises(ValueError, match=f"{which} mesh is not a bisection refinement"):
+            overlay(*args)
     both = overlay(a, b, root)
     assert_conforming(both)
     assert np.isclose(both.areas.sum(), 1.0)
@@ -525,6 +549,14 @@ def test_text_round_trip(tmp_path):
     buf2 = io.StringIO()
     write_text(read_text(io.StringIO(buf.getvalue())), buf2)
     assert buf.getvalue() == buf2.getvalue()
+
+
+def test_write_text_matches_the_readme_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("```\nvertices 4\n") + len("```\n")
+    buf = io.StringIO()
+    write_text(create_initial("unit_square"), buf)
+    assert buf.getvalue() == readme[start:readme.index("```", start)]
 
 
 @pytest.mark.parametrize("corners", [[(0, 2, 1)], [(0, 1, 3)]], ids=["clockwise", "flat"])
@@ -614,6 +646,31 @@ def test_an_index_at_its_bound_or_negative_is_rejected(where, offset):
     assert getattr(make(), where).max() == bounds[where] - 1
     with pytest.raises(ValueError, match="index out of range"):
         make(**{where: bounds[where] if offset == "bound" else -1})
+
+
+NAMES = {"triangles": "triangle vertex", "boundary_edges": "boundary vertex",
+         "parent_of": "parent triangle", "vertex_parents": "vertex parent"}
+
+
+@pytest.mark.parametrize("where, kind", [(where, float) for where in NAMES] +
+                         [("triangles", bool)])
+def test_a_non_integer_index_is_rejected(where, kind):
+    """An index array of floats or booleans raises, naming the array, rather
+    than being cast: a fraction (2.7 for the last triangle entry, 2) is not
+    truncated to a valid index, nor a boolean read as 0 or 1."""
+    square = create_initial("unit_square")
+    given = {"triangles": square.triangles, "boundary_edges": square.boundary_edges,
+             "parent_of": np.array([0, 1]), "vertex_parents": np.array([[0, 2]])}
+
+    def make():
+        return Mesh(square.vertices, boundary_markers=square.boundary_markers, **given)
+
+    assert make().n_triangles == 2
+    given[where] = given[where].astype(kind)
+    if kind is float:
+        given[where].flat[-1] += 0.7  # the cast would truncate it to the valid index
+    with pytest.raises(ValueError, match=f"{NAMES[where]} must be given as integer indices"):
+        make()
 
 
 def test_int32_limits_on_vertex_and_triangle_counts(monkeypatch):
