@@ -9,9 +9,10 @@ Three subcommands cover the benchmark workflow:
 
 A flag of `afem run` and a key of a sweep file are read by the same
 parser, `experiments._coerce`, so both accept and reject the same text.
-A user error (a bad value, a missing file) prints its message and exits
-with status 1; `rates --assert` exits with status 2 when a fitted rate
-misses its reference slope, which makes regression checks scriptable.
+A user error (a bad value, a missing file) or a run past the driver's
+iteration limits prints its message and exits with status 1; `rates
+--assert` exits with status 2 when a fitted rate misses its reference
+slope, which makes regression checks scriptable.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not configs:
                 raise ValueError("sweep spec expands to no runs")
         run_benchmark(configs, out_dir=args.out, report=print)
-    except (OSError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import FeFunction, Samples, element_gradients, sample
-from .mesh import Mesh, edge_frame, triangle_subset
+from .mesh import Mesh, edge_frame, pair_ends, triangle_subset
 from .nonlinearity import Nonlinearity
 
 
@@ -70,7 +70,7 @@ class EstimatorData:
         self.ie_left, self.ie_right = et.incident.take(interior, axis=0).T.astype(
             np.intp, order="C")
         self.ie_length, self.ie_normal = edge_frame(mesh.vertices,
-                                                    et.nodes.take(interior, axis=0))
+                                                    pair_ends(et.codes.take(interior)))
 
         # the volume term |T| ||f||^2_{L2(T)} per element and the Neumann
         # data integrals per edge, as sampled

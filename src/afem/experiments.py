@@ -157,6 +157,8 @@ def run_benchmark(configs: Iterable[AdaptiveConfig],
                   report: Optional[Callable[[str], None]] = None) -> List[RunResult]:
     """Run each configuration once, optionally writing CSVs to out_dir and
     passing a one-line summary of each run to ``report`` (None: silent).
+    A run's CSVs and runs.csv are written as it ends, so one that raises
+    keeps those before it.
 
     Raises ValueError before the first run when two different
     configurations would write to the same run id.
@@ -175,20 +177,19 @@ def run_benchmark(configs: Iterable[AdaptiveConfig],
         rate_n, rate_cost = rates_from_log(log)
         result = RunResult(run_id, config, log, rate_n, rate_cost, seconds)
         results.append(result)
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, run_id)
+            log.to_csv(path + ".csv")
+            write_csv(LEVEL_COLUMNS, log.level_table(), path + ".levels.csv")
+            write_csv(RUNS_COLUMNS, [r.runs_row() for r in results],
+                      os.path.join(out_dir, "runs.csv"))
         if report is not None:
             final = log.final()
             report("%-32s nT=%-8d eta=%-12.4g rate_vs_n=%-8.4f "
                    "rate_vs_cost=%-8.4f %.1fs"
                    % (result.run_id, final.nT, final.eta, rate_n, rate_cost,
                       seconds))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for result in results:
-            path = os.path.join(out_dir, result.run_id)
-            result.log.to_csv(path + ".csv")
-            write_csv(LEVEL_COLUMNS, result.log.level_table(), path + ".levels.csv")
-        write_csv(RUNS_COLUMNS, [r.runs_row() for r in results],
-                  os.path.join(out_dir, "runs.csv"))
     return results
 
 

@@ -16,21 +16,22 @@ the six possible children (`_CHILDREN`); every other row is copied.
 the same root, and `closure_cost` measures a list of successive meshes.
 
 Vertex indexing is append-only across refinement: vertices of the coarse
-mesh keep their indices, midpoints are appended in edge-id order.  Only a
-root mesh sorts its vertex pairs to build its `EdgeTable`; `refine` hands
-the child a table carried from the parent's (an edge that is not bisected
-keeps its row, the new edges are merged in, a copied triangle keeps its
-edges), together with the edge id of every boundary edge, so connectivity
-costs gathers in proportion to the mesh and a sort only of what changed.
-Every mesh holds its areas and hat gradients, stored once as (2, nT, 3) x
-and y planes: a root mesh computes them when built, from the three edge
-vectors at once, and `refine` gathers those of copied triangles and
-computes those of new ones; `Mesh.new_triangles` lists the latter, for
-`fem.sample`.  A mesh is complete when built, with no lazy attribute: its
-edge table, boundary edge ids and gradient operator exist from
-construction, so a root mesh whose edge has three triangles or whose
-boundary list is wrong raises at once.  `Mesh.refines` is the one test of
-whether a mesh was refined from another.
+mesh keep their indices, midpoints are appended in edge-id order.  An edge
+is stored once, as the int64 code ``lo << 32 | hi``, which sorts as (lo,
+hi) on every level.  Only a root mesh sorts its vertex pairs to build its
+`EdgeTable`; `refine` hands the child a table carried from the parent's
+(an edge that is not bisected keeps its code, the new edges are merged in,
+a copied triangle keeps its edges), so connectivity costs gathers in
+proportion to the mesh and a sort only of what changed.  Every mesh holds
+its areas and hat gradients, stored once as (2, nT, 3) x and y planes: a
+root mesh computes them when built, from the three edge vectors at once,
+and `refine` gathers those of copied triangles and computes those of new
+ones; `Mesh.new_triangles` lists the latter, for `fem.sample`.  A mesh is
+complete when built, with no lazy attribute: its edge table, boundary edge
+ids (a binary search in the codes) and gradient operator exist from
+construction, so a mesh whose edge has three triangles or whose boundary
+list is wrong raises at once.  `Mesh.refines` is the one test of whether
+a mesh was refined from another.
 
 `refine` and `Mesh.__init__` run once per level, on meshes of a few hundred
 triangles in a deep adaptive run, where each numpy call costs more than
@@ -59,12 +60,20 @@ _CHAR_TO_MARKER = {"D": DIRICHLET, "N": NEUMANN}
 EDGE_ENDS = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _pair_codes(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Order-independent integer codes for vertex pairs."""
+_HALVES = np.dtype((np.int32, 2))  # an int64 pair code as its two int32 halves
+_LO_HI = np.s_[:, ::-1] if np.little_endian else np.s_[:, :]  # their (lo, hi) columns
+
+
+def _pair_codes(pairs: np.ndarray) -> np.ndarray:
+    """Order-independent int64 codes ``lo << 32 | hi`` of vertex pairs."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    return lo * np.int64(n_vertices) + hi
+    return np.minimum(pairs[:, 0], pairs[:, 1]) << 32 | np.maximum(pairs[:, 0], pairs[:, 1])
+
+
+def pair_ends(codes: np.ndarray) -> np.ndarray:
+    """The (lo, hi) ends of contiguous pair ``codes``, an (n, 2) int32 strided
+    view: to gather rows, take them from the codes first, several times faster."""
+    return codes.view(_HALVES)[_LO_HI]
 
 
 @dataclass(frozen=True)
@@ -73,12 +82,14 @@ class EdgeTable:
 
     Edge ids follow ascending (lo, hi) order.  A root mesh builds its table
     with one sort of the 3 n_triangles vertex-pair codes; `refine` carries
-    the parent's table over to the child (`_carried_edge_table`).  Like the
-    mesh's connectivity, all three arrays are int32.
+    the parent's table over to the child (`_carried_edge_table`).  All but
+    ``codes`` are int32, like the mesh's connectivity.
 
     Attributes
     ----------
-    nodes : (n_edges, 2) endpoint indices with lo < hi.
+    codes : (n_edges,) sorted int64 pair codes (`_pair_codes`), one per edge.
+    nodes : (n_edges, 2) endpoint indices with lo < hi, a view of ``codes``
+        (`pair_ends`); gather rows by ``pair_ends(codes.take(ids))``.
     of_triangle : (n_triangles, 3); column k holds the id of the edge
         opposite local vertex k, so column 0 is the refinement edge.
     incident : (n_edges, 2) adjacent triangle ids, -1 padding.
@@ -87,73 +98,66 @@ class EdgeTable:
         1 the other one.
     """
 
-    nodes: np.ndarray
+    codes: np.ndarray
     of_triangle: np.ndarray
     incident: np.ndarray
 
     @property
+    def nodes(self) -> np.ndarray:
+        return pair_ends(self.codes)
+
+    @property
     def n_edges(self) -> int:
-        return self.nodes.shape[0]
+        return self.codes.shape[0]
 
     @property
     def is_boundary(self) -> np.ndarray:
         return self.incident[:, 1] < 0
 
 
-def _build_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTable:
+def _build_edge_table(triangles: np.ndarray) -> EdgeTable:
     t = np.asarray(triangles)
     # edge k of a triangle is opposite local vertex k
     pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0)
-    uniq, inverse = np.unique(_pair_codes(pairs, n_vertices), return_inverse=True)
+    codes, inverse = np.unique(_pair_codes(pairs), return_inverse=True)
     of_triangle = inverse.reshape(3, len(t)).T.astype(np.int32, order="C")
-    nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices]).astype(np.int32)
-    return EdgeTable(nodes=nodes, of_triangle=of_triangle,
-                     incident=_incident(of_triangle, len(uniq)))
+    return EdgeTable(codes=codes, of_triangle=of_triangle,
+                     incident=_incident(of_triangle, len(codes)))
 
 
 def _carried_edge_table(parent: EdgeTable, of_triangle: np.ndarray, bisected: np.ndarray,
                         n_old: int, parent_of: np.ndarray, new: np.ndarray,
-                        children: np.ndarray, n_vertices: int):
+                        children: np.ndarray) -> EdgeTable:
     """The edge table of the mesh `refine` made from a mesh with table
-    ``parent`` (whose ``of_triangle`` is also given as np.intp), and the
-    sorted pair codes of its edges.
+    ``parent`` (whose ``of_triangle`` is also given as np.intp).
 
-    An edge that is not ``bisected`` survives with its (lo, hi) row; every
-    other edge of the child has a new vertex (index ``n_old`` and up) as
-    its hi end and lies on one of the ``new`` triangles, whose vertices are
-    ``children``.  The new rows are merged into the sorted survivors, a
-    copied triangle takes its parent's ``of_triangle`` row through the
-    old -> new id map, and only the new triangles look their edges up.
-    Equal, array for array, to `_build_edge_table` on the child.
-    """
-    n_v = np.int64(n_vertices)
+    An edge that is not ``bisected`` survives with its code; every other
+    edge of the child has a new vertex (index ``n_old`` and up) as its hi
+    end and lies on one of the ``new`` triangles, whose vertices are
+    ``children`` (int64).  Their codes are merged into the sorted
+    survivors, a copied triangle takes its parent's ``of_triangle`` row
+    through the old -> new id map, and only new triangles look edges up.
+    Equal, array for array, to `_build_edge_table` on the child."""
     surviving = ~bisected
-    kept = parent.nodes.take(surviving.nonzero()[0], axis=0)
-    kept_codes = kept[:, 0] * n_v
-    kept_codes += kept[:, 1]
+    kept_codes = parent.codes.take(surviving.nonzero()[0])
     # column k: the edge opposite local vertex k of each new triangle
     ends = children[:, EDGE_ENDS[0]], children[:, EDGE_ENDS[1]]
     hi = np.maximum(*ends)
-    new_codes = np.minimum(*ends) * n_v + hi
+    new_codes = np.minimum(*ends) << 32 | hi
     # the distinct ones with a new vertex are added, merged in sorted order
     added = sorted_unique(new_codes[hi >= n_old])
     n_e = len(kept_codes) + len(added)
     at = kept_codes.searchsorted(added) + np.arange(len(added))
     is_kept = np.ones(n_e, dtype=bool)
     is_kept[at] = False
-    # 1-D masked copies, several times faster than scatters; each (lo, hi)
-    # row moves as one 64-bit word
+    # 1-D masked copies, several times faster than scatters
     codes = np.empty(n_e, dtype=np.int64)
     codes[is_kept], codes[at] = kept_codes, added
-    nodes = np.empty((n_e, 2), dtype=np.int32)
-    nodes.view(np.int64).reshape(-1)[is_kept] = kept.view(np.int64).reshape(-1)
-    nodes[at, 0], nodes[at, 1] = added // n_v, added % n_v
     old_to_new = np.empty(parent.n_edges, dtype=np.int32)
     old_to_new[surviving] = is_kept.nonzero()[0]
     of_triangle = old_to_new.take(of_triangle.take(parent_of, axis=0))
     of_triangle[new] = codes.searchsorted(new_codes)
-    return EdgeTable(nodes=nodes, of_triangle=of_triangle,
-                     incident=_incident(of_triangle, n_e)), codes
+    return EdgeTable(codes=codes, of_triangle=of_triangle, incident=_incident(of_triangle, n_e))
 
 
 def _incident(of_triangle: np.ndarray, n_edges: int) -> np.ndarray:
@@ -181,16 +185,16 @@ def _incident(of_triangle: np.ndarray, n_edges: int) -> np.ndarray:
 
 
 def _boundary_ids(et: EdgeTable, boundary_edges: np.ndarray) -> np.ndarray:
-    """Edge id of each listed boundary edge; raises unless the list holds
-    exactly the edges with a single triangle."""
-    ids = np.flatnonzero(et.is_boundary)
-    listed = np.sort(boundary_edges, axis=1)
-    order = np.lexsort((listed[:, 1], listed[:, 0]))
-    if len(order) != len(ids) or not np.array_equal(listed[order], et.nodes[ids]):
+    """Edge id of each listed boundary edge, by binary search in the codes;
+    raises unless the list holds each edge of one triangle once, no other."""
+    codes = _pair_codes(boundary_edges)
+    ids = et.codes.searchsorted(codes)  # n_edges past the last code
+    # each pair is the edge found for it, found once if of one triangle, else never
+    if not (np.logical_and.reduce(et.codes.take(ids, mode="clip") == codes)
+            and np.logical_and.reduce(np.bincount(ids, minlength=et.n_edges + 1)[:-1]
+                                      == et.is_boundary)):
         raise ValueError("boundary_edges do not match the single-incidence edges")
-    out = np.empty(len(ids), dtype=np.int64)
-    out[order] = ids
-    return out
+    return ids
 
 
 def _geometry(p: np.ndarray) -> tuple:
@@ -271,29 +275,28 @@ class Mesh:
         edge that created each appended vertex, or None for a root mesh;
         the endpoints are coarse vertices, those before the appended ones.
 
-    geometry, edges, boundary_ids, new_triangles : ``(areas,
-        gradient_planes)`` and the values of the attributes ``edges``,
-        ``boundary_ids`` and ``new_triangles`` when the caller already has
-        them, as `refine` does: it gathers the geometry of copied triangles
-        from the parent mesh, carries its edge table and knows which
-        triangles it built.
+    geometry, edges, new_triangles : ``(areas, gradient_planes)`` and the
+        values of the attributes ``edges`` and ``new_triangles`` when the
+        caller already has them, as `refine` does: it gathers the geometry
+        of copied triangles from the parent mesh, carries its edge table
+        and knows which triangles it built.
 
     A mesh is complete when built: the read-only ``areas`` (positive),
-    ``gradient_planes`` (the hat gradients as x and y planes, (2, nT, 3)),
-    ``edges`` (`EdgeTable`) and ``boundary_ids`` (the edge id of each
-    boundary edge) are computed at construction unless given, as is
-    ``new_triangles``, the indices of the triangles that are not copies of
-    a triangle of the mesh this one was refined from (`copied_triangles`;
-    all of a root mesh's), and so is
-    ``gradient_operator``, the P1 gradient as two (nT, nV) CSR matrices of
-    x and of y components: row t holds the hat gradients of triangle t in
-    the columns of its vertices.  Nothing is copied: their data are the
-    planes, their indices ``triangles`` itself (int32), and they share one
-    ``indptr``, 0, 3, 6, ...  ``n_coarse_vertices`` is derived from
-    ``vertex_parents``.  Vertex coordinates must be finite, boundary vertex
-    indices in range and markers DIRICHLET or NEUMANN; no edge may have
-    more than two triangles, and the boundary edges must be exactly the
-    edges of one triangle.  The connectivity (``triangles``, ``parent_of``,
+    ``gradient_planes`` (the hat gradients as x and y planes, (2, nT, 3))
+    and ``edges`` (`EdgeTable`) are computed at construction unless given,
+    as is ``new_triangles``, the indices of the triangles that are not
+    copies of a triangle of the mesh this one was refined from
+    (`copied_triangles`; all of a root mesh's).  So are ``boundary_ids``,
+    each boundary edge's id in ``edges``, and ``gradient_operator``, the P1
+    gradient as two (nT, nV) CSR matrices of x and of y components: row t
+    holds the hat gradients of triangle t in the columns of its vertices.
+    Nothing is copied: their data are the planes, their indices
+    ``triangles`` itself (int32), and they share one ``indptr``, 0, 3, 6,
+    ...  ``n_coarse_vertices`` is derived from ``vertex_parents``.  Vertex
+    coordinates must be finite, boundary vertex indices in range and
+    markers DIRICHLET or NEUMANN; no edge may have more than two triangles,
+    and the boundary edges must be the edges of one triangle, each listed
+    once.  The connectivity (``triangles``, ``parent_of``,
     ``vertex_parents``, `EdgeTable`) is int32, so n_vertices and 3
     n_triangles + 1 must fit in int32; index arrays must hold integers in
     range before the cast, which would truncate or wrap them.
@@ -301,7 +304,7 @@ class Mesh:
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_markers,
                  level: int = 0, parent_of=None, vertex_parents=None, geometry=None,
-                 edges: EdgeTable | None = None, boundary_ids=None, new_triangles=None):
+                 edges: EdgeTable | None = None, new_triangles=None):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         if not np.logical_and.reduce(np.isfinite(self.vertices), axis=None):
             raise ValueError("vertex coordinates must be finite")
@@ -332,10 +335,8 @@ class Mesh:
         self.new_triangles = new_triangles
         self.areas, self.gradient_planes = (_geometry(self.vertices[self.triangles])
                                             if geometry is None else geometry)
-        self.edges = (_build_edge_table(self.triangles, self.n_vertices) if edges is None
-                      else edges)
-        self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)
-                             if boundary_ids is None else boundary_ids)
+        self.edges = _build_edge_table(self.triangles) if edges is None else edges
+        self.boundary_ids = _boundary_ids(self.edges, self.boundary_edges)
         for a in (self.vertices, self.triangles, self.boundary_edges, self.boundary_markers,
                   self.parent_of, self.new_triangles, self.areas, self.gradient_planes,
                   self.boundary_ids) + (() if vertex_parents is None else (vertex_parents,)):
@@ -389,7 +390,8 @@ class Mesh:
         return float(angles.min())
 
     def validate(self) -> "Mesh":
-        """Full conformity audit; raises ValueError on any violation."""
+        """Audit of what construction leaves unchecked: raises ValueError on
+        duplicate vertex coordinates or a vertex no triangle uses."""
         uniq_v = np.unique(self.vertices, axis=0)
         if uniq_v.shape[0] != self.n_vertices:
             raise ValueError("duplicate vertex coordinates")
@@ -397,12 +399,6 @@ class Mesh:
         used[self.triangles.ravel()] = True
         if not used.all():
             raise ValueError("unreferenced vertices")
-        listed = np.sort(self.boundary_edges, axis=1)
-        if len(np.unique(listed, axis=0)) != len(listed):
-            raise ValueError("duplicate boundary edge")
-        if not np.array_equal(_boundary_ids(self.edges, self.boundary_edges),
-                              self.boundary_ids):
-            raise ValueError("boundary_ids do not match the boundary edges")
         return self
 
 
@@ -505,8 +501,8 @@ def refine(mesh: Mesh, marked) -> Mesh:
     others are copied.  A split boundary edge ``(a, b)`` becomes ``(a, m),
     (m, b)``.  Only the new triangles get their areas and hat gradients
     computed; those of copied triangles are gathered from ``mesh``.  The
-    child's edge table and boundary edge ids come from those of ``mesh``
-    (`_carried_edge_table`), not from a sort.
+    child's edge table comes from that of ``mesh`` (`_carried_edge_table`),
+    not from a sort.
     """
     n_t = mesh.n_triangles
     marked = triangle_subset(mesh, marked)
@@ -527,7 +523,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     bisected_edges = marked_edge.nonzero()[0]
     new_vertex = np.full(et.n_edges, -1)
     new_vertex[bisected_edges] = np.arange(n_old, n_old + len(bisected_edges))
-    vertex_parents = et.nodes.take(bisected_edges, axis=0)
+    vertex_parents = pair_ends(et.codes.take(bisected_edges))
     ends = mesh.vertices[vertex_parents]
     vertices = np.concatenate((mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])))
 
@@ -545,8 +541,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     children = corners[:, _CHILDREN][flags[:, _CHILD_EDGE] == _CHILD_IF]
     triangles = mesh.triangles.take(parent_of, axis=0)
     triangles[new] = children
-    edges, codes = _carried_edge_table(et, of_triangle, marked_edge, n_old, parent_of, new,
-                                       children, len(vertices))
+    edges = _carried_edge_table(et, of_triangle, marked_edge, n_old, parent_of, new, children)
 
     split = marked_edge[mesh.boundary_ids]
     keep = np.arange(len(split)).repeat(1 + split)
@@ -554,7 +549,6 @@ def refine(mesh: Mesh, marked) -> Mesh:
     first = split.nonzero()[0]
     first += np.arange(len(first))
     bedges[first, 1] = bedges[first + 1, 0] = new_vertex.take(mesh.boundary_ids[split])
-    boundary_ids = codes.searchsorted(_pair_codes(bedges, len(vertices)))
 
     # areas and hat gradients: gathered through parent_of, then computed
     # afresh on the new triangles
@@ -563,7 +557,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     areas[new], planes[:, new] = _geometry(vertices[children])
     return Mesh(vertices, triangles, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
                 parent_of=parent_of, vertex_parents=vertex_parents, geometry=(areas, planes),
-                edges=edges, boundary_ids=boundary_ids, new_triangles=new)
+                edges=edges, new_triangles=new)
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:

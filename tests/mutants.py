@@ -45,6 +45,7 @@ BOUNDARY = "tests/test_mesh.py::test_boundary_input_is_checked_at_construction"
 WRONG_BOUNDARY = "tests/test_mesh.py::test_validate_rejects_a_wrong_boundary_list"
 RHS_ORACLE = "tests/test_fem.py::test_assemble_rhs_matches_einsum_oracle"
 FORMER_MERGE = "tests/test_mesh.py::test_carried_edge_table_matches_former_merge"
+PAIR_CODES = "tests/test_mesh.py::test_pair_codes_round_trip_and_sort_as_pairs"
 AT_BOUND = "tests/test_mesh.py::test_an_index_at_its_bound_or_negative_is_rejected"
 NON_INTEGER = "tests/test_mesh.py::test_a_non_integer_index_is_rejected"
 GOLDEN_ZSHAPE = "tests/test_driver.py::test_step_log_matches_golden[zshape_diagnostics]"
@@ -191,22 +192,26 @@ MUTANTS = [
      "at = kept_codes.searchsorted(added) + np.arange(len(added))",
      "at = kept_codes.searchsorted(added) + np.arange(1, len(added) + 1)",
      [EDGE_TABLE]),
-    ("surviving edge rows moved with lo and hi swapped", "mesh.py",
-     "nodes.view(np.int64).reshape(-1)[is_kept] = kept.view(np.int64).reshape(-1)",
-     "nodes[is_kept] = kept[:, ::-1]",
+    ("edge ends read with lo and hi swapped", "mesh.py",
+     "_LO_HI = np.s_[:, ::-1] if np.little_endian else np.s_[:, :]  # their (lo, hi) columns",
+     "_LO_HI = np.s_[:, :] if np.little_endian else np.s_[:, ::-1]  # their (lo, hi) columns",
+     [SORT_ORACLES, PAIR_CODES]),
+    ("the parent's kept codes gathered shifted", "mesh.py",
+     "kept_codes = parent.codes.take(surviving.nonzero()[0])",
+     "kept_codes = parent.codes.take(np.roll(surviving.nonzero()[0], 1))",
      [EDGE_TABLE]),
     ("no check for an edge of three triangles", "mesh.py",
      "if 2 * n_edges - np.count_nonzero(single) != 3 * len(of_triangle):",
      "if False:",
      ["tests/test_mesh.py::test_carried_incidence_rejects_an_edge_of_three_triangles",
       "tests/test_mesh.py::test_edge_shared_by_three_triangles_is_rejected"]),
-    ("a child mesh that rebuilds its edge table and boundary ids", "mesh.py",
-     "edges=edges, boundary_ids=boundary_ids, new_triangles=new)",
+    ("a child mesh that rebuilds its edge table", "mesh.py",
+     "edges=edges, new_triangles=new)",
      "new_triangles=new)",
      [EDGE_TABLE]),
     ("shifted boundary edge ids", "mesh.py",
-     "boundary_ids = codes.searchsorted(_pair_codes(bedges, len(vertices)))",
-     "boundary_ids = np.roll(codes.searchsorted(_pair_codes(bedges, len(vertices))), 1)",
+     "    return ids\n",
+     "    return np.roll(ids, 1)\n",
      [EDGE_TABLE]),
     ("shifted boundary-parent map in the Neumann carry", "fem.py",
      "from_parent = np.arange(len(edges)) - second.cumsum()",
@@ -307,9 +312,13 @@ MUTANTS = [
      'mark = _depth(current, b, "meshes do not belong to the same bisection forest") < 0',
      'mark = _depth(current, b, "meshes do not belong to the same bisection forest") > 0',
      ["tests/test_mesh.py::test_overlay_refines_both_inputs"]),
-    ("a root mesh's boundary ids taken unchecked", "mesh.py",
-     "self.boundary_ids = (_boundary_ids(self.edges, self.boundary_edges)",
-     "self.boundary_ids = (np.flatnonzero(self.edges.is_boundary)",
+    ("boundary ids taken unchecked", "mesh.py",
+     'if not (np.logical_and.reduce(et.codes.take(ids, mode="clip") == codes)',
+     'if False and (np.logical_and.reduce(et.codes.take(ids, mode="clip") == codes)',
+     [WRONG_BOUNDARY]),
+    ("a boundary check that takes any pair found in a boundary edge's slot", "mesh.py",
+     'if not (np.logical_and.reduce(et.codes.take(ids, mode="clip") == codes)',
+     "if not (True",
      [WRONG_BOUNDARY]),
     # the exits of a run
     ("a zero estimator reported as a tolerance met", "driver.py",

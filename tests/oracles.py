@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
 
 from afem import (DIRICHLET, NEUMANN, AdaptiveConfig, DofMap, FeFunction,
                   apply_nonlinear, assemble_laplacian, create_initial, doerfler_mark,
-                  refine)
-from afem.algsolver import Generation, coarse_inverse, solve_exact
+                  driver, refine)
+from afem.algsolver import Generation, MultilevelPreconditioner, coarse_inverse, solve_exact
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       Samples, sample)
-from afem.mesh import EdgeTable, Mesh, _pair_codes
+from afem.mesh import EdgeTable, Mesh
 from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
 from afem.nonlinearity import Nonlinearity
@@ -353,10 +354,11 @@ def unique_argsort_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTab
     t = np.asarray(triangles, dtype=np.int64)
     n_t = t.shape[0]
     pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0)
-    codes = _pair_codes(pairs, n_vertices)
+    # the former pair code, lo * n_vertices + hi
+    codes = pairs.min(axis=1) * n_vertices + pairs.max(axis=1)
     uniq, inverse = np.unique(codes, return_inverse=True)
     of_triangle = inverse.reshape(3, n_t).T.copy()
-    nodes = np.column_stack([uniq // n_vertices, uniq % n_vertices])
+    lo, hi = uniq // n_vertices, uniq % n_vertices
     counts = np.bincount(inverse, minlength=len(uniq))
     if len(counts) and counts.max() > 2:
         raise ValueError("non-conforming mesh: an edge is shared by more than two triangles")
@@ -368,7 +370,7 @@ def unique_argsort_edge_table(triangles: np.ndarray, n_vertices: int) -> EdgeTab
     incident[:, 0] = sorted_tris[starts[:-1]]
     second = counts == 2
     incident[second, 1] = sorted_tris[starts[:-1][second] + 1]
-    return EdgeTable(nodes=nodes, of_triangle=of_triangle, incident=incident)
+    return EdgeTable(codes=lo * 2 ** 32 + hi, of_triangle=of_triangle, incident=incident)
 
 
 def setdiff_dofmap(mesh: Mesh) -> DofMap:
@@ -719,15 +721,15 @@ def loop_volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:
 def merge_carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int,
                              triangles: np.ndarray, parent_of: np.ndarray, new: np.ndarray,
                              n_vertices: int) -> tuple:
-    """The child's edge table and sorted pair codes from the parent's
-    table: np.unique of the new triangles' edges, merged into the
-    survivors by row scatters."""
+    """The child's edge ends and ``of_triangle`` from the parent's table:
+    np.unique of the new triangles' edges, merged into the survivors by row
+    scatters, with the former pair code lo * n_vertices + hi."""
     n_v = np.int64(n_vertices)
     survivors = np.flatnonzero(~bisected)
     kept_codes = np.take(parent.nodes[:, 0] * n_v + parent.nodes[:, 1], survivors)
-    t = np.take(triangles, new, axis=0)
-    pair_codes = _pair_codes(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]),
-                             n_vertices)
+    t = np.take(triangles, new, axis=0).astype(np.int64)
+    pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
+    pair_codes = pairs.min(axis=1) * n_v + pairs.max(axis=1)
     distinct, inverse = np.unique(pair_codes, return_inverse=True)
     added = distinct[distinct % n_v >= n_old]
     at = np.searchsorted(kept_codes, added) + np.arange(len(added))
@@ -747,7 +749,7 @@ def merge_carried_edge_table(parent: EdgeTable, bisected: np.ndarray, n_old: int
     looked_up = np.searchsorted(codes, distinct)[inverse].reshape(3, -1)
     for k in range(3):
         of_triangle[new, k] = looked_up[k]
-    return nodes, of_triangle, codes
+    return nodes, of_triangle
 
 
 def norm_edge_frames(vertices: np.ndarray, edges: np.ndarray,
@@ -760,3 +762,32 @@ def norm_edge_frames(vertices: np.ndarray, edges: np.ndarray,
     normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
     normal[(normal * ((a + b) / 2 - inside)).sum(axis=1) < 0] *= -1.0
     return length, normal
+
+
+def from_scratch_run(config: AdaptiveConfig) -> RunLog:
+    """`run_adaptive` with nothing carried from one level to the next: each
+    child mesh is rebuilt from its arrays (a fresh edge table, boundary
+    ids, geometry and new triangles), the data are sampled afresh on every
+    mesh, and each preconditioner extension rebuilds the hierarchy from the
+    root over every level's DofMap with freshly assembled stiffness."""
+    dofmaps = []  # the DofMap of every mesh refined so far, root first
+    extended = MultilevelPreconditioner.extended
+
+    def fresh_refine(mesh, marked):
+        dofmaps.append(DofMap.from_mesh(mesh))
+        child = refine(mesh, marked)
+        return Mesh(child.vertices, child.triangles, child.boundary_edges,
+                    child.boundary_markers, level=child.level, parent_of=child.parent_of,
+                    vertex_parents=child.vertex_parents)
+
+    def from_root(pre, fine_dofmap, operator):
+        levels = dofmaps + [fine_dofmap]
+        rebuilt = MultilevelPreconditioner(levels[0], assemble_laplacian(levels[0]))
+        for dofmap in levels[1:]:
+            rebuilt = extended(rebuilt, dofmap, assemble_laplacian(dofmap))
+        return rebuilt
+
+    with mock.patch.object(driver, "refine", fresh_refine), \
+            mock.patch.object(driver, "sample", lambda mesh, f, g, _: sample(mesh, f, g)), \
+            mock.patch.object(MultilevelPreconditioner, "extended", from_root):
+        return driver.run_adaptive(config)

@@ -24,7 +24,7 @@ from afem.fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
 from afem.mesh import NEUMANN, create_initial, uniform_refine
 from afem.problems import get_problem
 from golden import GOLDEN, GOLDEN_CONFIGS
-from oracles import (audit_stop_semantics, geometric_fit_ratio,
+from oracles import (audit_stop_semantics, from_scratch_run, geometric_fit_ratio,
                      late_step_growth, max_contraction_ratio, picard_map,
                      window_constant)
 
@@ -492,6 +492,23 @@ def test_step_log_matches_golden(name):
                                        atol=1e-12 * np.abs(b).max(), err_msg=column)
         else:
             np.testing.assert_array_equal(a, b, err_msg=column)
+
+
+@pytest.mark.parametrize("config", [
+    AdaptiveConfig(domain="zshape", theta=0.5, max_elements=3000),
+    AdaptiveConfig(domain="zshape", theta=0.1, max_elements=600),
+    AdaptiveConfig(domain="lshape", lambda_alg=1e-4, max_elements=3000),
+    AdaptiveConfig(domain="square_linear", track_error=True, max_elements=2000)],
+    ids=["zshape", "zshape-fine", "lshape-tight", "square-error"])
+def test_carried_state_gives_the_run_built_from_scratch(config):
+    """Everything carried from one level to the next (the edge table and
+    boundary ids, geometry and new triangles, the samples, the
+    preconditioner hierarchy) leaves the step log as a run that rebuilds
+    it all on every level has it, field for field."""
+    plain, fresh = run_adaptive(config), from_scratch_run(config)
+    assert len(plain.records) > 20
+    assert fresh.records == plain.records
+    assert (fresh.exit_reason, fresh.n_marked) == (plain.exit_reason, plain.n_marked)
 
 
 def test_benchmark_tracing_hooks_cover_the_driver(monkeypatch):

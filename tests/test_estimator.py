@@ -88,7 +88,8 @@ def test_estimator_data_matches_indicators():
 
 def test_index_arrays_are_compact_and_shared():
     """On a root mesh and on refined ones (carried edge tables): the
-    connectivity is int32; the gradient operator's two matrices take their
+    connectivity is int32, the edge ends a view of the int64 edge codes;
+    the gradient operator's two matrices take their
     indices from ``triangles``, their data from ``gradient_planes`` and
     share one indptr; the triangle ids that every estimator evaluation
     reads (interior edges and Neumann owners) are contiguous np.intp."""
@@ -99,6 +100,7 @@ def test_index_arrays_are_compact_and_shared():
         arrays = [mesh.triangles, mesh.parent_of, et.nodes, et.of_triangle, et.incident]
         for a in arrays + ([] if level == 0 else [mesh.vertex_parents]):
             assert a.dtype == np.int32
+        assert et.codes.dtype == np.int64 and np.shares_memory(et.nodes, et.codes)
         gx, gy = mesh.gradient_operator
         for op, plane in ((gx, mesh.gradient_planes[0]), (gy, mesh.gradient_planes[1])):
             assert np.shares_memory(op.indices, mesh.triangles)

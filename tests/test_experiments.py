@@ -358,6 +358,26 @@ def test_cli_run_rejects_a_bad_configuration(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_keeps_the_runs_it_finished(tmp_path, capsys, monkeypatch):
+    """A run that raises (here the driver's Picard guard, on the second of
+    two configurations) leaves the first run's two logs and its runs.csv
+    row written; `afem sweep` prints the driver's message and exits 1."""
+    monkeypatch.setattr(afem.driver, "MAX_PICARD_PER_LEVEL", 5)
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("domain=zshape\nlambda_pic=0.01,1e-300\nmax-elements=100\n")
+    configs = parse_sweep_spec(spec.read_text())
+    with pytest.raises(RuntimeError, match="within 5 iterations"):
+        run_benchmark(configs, out_dir=str(tmp_path / "direct"))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "cli")]) == 1
+    assert "linearization did not stop within 5 iterations" in capsys.readouterr().err
+    first = run_id_for(configs[0])
+    for out in (tmp_path / "direct", tmp_path / "cli"):
+        assert sorted(os.listdir(out)) == sorted([first + ".csv", first + ".levels.csv",
+                                                  "runs.csv"])
+        with open(out / "runs.csv", newline="") as fh:
+            assert [row["run_id"] for row in csv.DictReader(fh)] == [first]
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -1,6 +1,7 @@
 """Mesh construction, bisection refinement, conformity, and exchange format."""
 
 import io
+import itertools
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from afem import (DIRICHLET, NEUMANN, Mesh, create_initial,
 from afem import mesh as mesh_module
 from afem.fem import DofMap
 from afem.mesh import (_build_edge_table, _carried_edge_table, _geometry, _incident,
-                       closure_cost, copied_triangles, locate)
+                       _pair_codes, closure_cost, copied_triangles, locate, pair_ends)
 
 from oracles import (MARKING_KINDS, case_table_refine, edge_ids, loop_geometry,
                      merge_carried_edge_table, one_triangle, random_marking, random_mesh,
@@ -219,7 +220,8 @@ def test_edge_table_and_dofmap_match_sort_oracles(domain, seed, rounds):
     mesh = one_triangle() if domain == "one_triangle" else \
         random_mesh(domain, np.random.default_rng(seed), rounds=rounds)
     want = unique_argsort_edge_table(mesh.triangles, mesh.n_vertices)
-    for table in (mesh.edges, _build_edge_table(mesh.triangles, mesh.n_vertices)):
+    for table in (mesh.edges, _build_edge_table(mesh.triangles)):
+        assert same_bits(table.codes, want.codes)
         for name in ("nodes", "of_triangle", "incident"):
             a, b = getattr(table, name), getattr(want, name)
             assert a.dtype == np.int32 and np.array_equal(a, b), name
@@ -229,7 +231,23 @@ def test_edge_table_and_dofmap_match_sort_oracles(domain, seed, rounds):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-EDGE_TABLE = ("nodes", "of_triangle", "incident")
+EDGE_TABLE = ("codes", "nodes", "of_triangle", "incident")
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 31 - 1))
+                      .filter(lambda p: p[0] != p[1]), min_size=1, max_size=20))
+def test_pair_codes_round_trip_and_sort_as_pairs(pairs):
+    """A pair code holds its ends up to the int32 bound: `pair_ends` gives
+    (min, max) back as int32, and the codes sort as the (lo, hi) pairs."""
+    pairs = np.array(pairs + [(2 ** 31 - 1, 2 ** 31 - 2), (0, 2 ** 31 - 1)], dtype=np.int64)
+    codes = _pair_codes(pairs)
+    ends = pair_ends(codes)
+    assert codes.dtype == np.int64 and ends.dtype == np.int32
+    assert np.shares_memory(ends, codes)
+    assert np.array_equal(ends, np.sort(pairs, axis=1))
+    assert np.array_equal(np.argsort(codes, kind="stable"),
+                          np.lexsort((ends[:, 1], ends[:, 0])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,18 +255,18 @@ EDGE_TABLE = ("nodes", "of_triangle", "incident")
        seed=st.integers(0, 2 ** 32 - 1),
        kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
 def test_carried_edge_table_matches_fresh_build(domain, seed, kinds):
-    """The edge table and boundary edge ids that `refine` carries from the
-    parent equal, array for array and dtype for dtype, those built from
-    scratch on the same mesh; `refine` builds neither from scratch."""
+    """The edge table that `refine` carries from the parent and the
+    boundary edge ids the child looks up in it equal, array for array and
+    dtype for dtype, those built from scratch on the same mesh; `refine`
+    builds no edge table from scratch."""
     rng = np.random.default_rng(seed)
     mesh = create_initial(domain)
     for kind in kinds:
         marking = random_marking(rng, mesh.n_triangles, kind)
-        with mock.patch.object(mesh_module, "_build_edge_table", side_effect=AssertionError), \
-                mock.patch.object(mesh_module, "_boundary_ids", side_effect=AssertionError):
+        with mock.patch.object(mesh_module, "_build_edge_table", side_effect=AssertionError):
             mesh = refine(mesh, marking)
         carried = mesh.edges
-        want = _build_edge_table(mesh.triangles, mesh.n_vertices)
+        want = _build_edge_table(mesh.triangles)
         for name in EDGE_TABLE:
             a, b = getattr(carried, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -264,10 +282,10 @@ def test_carried_edge_table_matches_fresh_build(domain, seed, kinds):
        seed=st.integers(0, 2 ** 32 - 1),
        kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=6))
 def test_carried_edge_table_matches_former_merge(domain, seed, kinds):
-    """The carried edge table and its pair codes equal, bit for bit, those
-    of the former merge (np.unique of the new triangles' edges, row
-    scatters); the new triangles are those `copied_triangles` does not
-    mark, also on a mesh rebuilt by hand from the same arrays."""
+    """The carried edge table equals, bit for bit, that of the former merge
+    (np.unique of the new triangles' edges, row scatters); the new
+    triangles are those `copied_triangles` does not mark, also on a mesh
+    rebuilt by hand from the same arrays."""
     rng = np.random.default_rng(seed)
     mesh = random_root(domain, rng)
     assert np.array_equal(mesh.new_triangles, np.arange(mesh.n_triangles))
@@ -281,15 +299,14 @@ def test_carried_edge_table_matches_former_merge(domain, seed, kinds):
         assert same_bits(by_hand.new_triangles, new.astype(np.int64))
         bisected = np.zeros(parent.edges.n_edges, dtype=bool)
         bisected[edge_ids(parent.edges, mesh.vertex_parents)] = True
-        table, codes = _carried_edge_table(
+        table = _carried_edge_table(
             parent.edges, parent.edges.of_triangle.astype(np.intp), bisected,
             parent.n_vertices, mesh.parent_of.astype(np.intp), new,
-            mesh.triangles[new].astype(np.int64), mesh.n_vertices)
-        nodes, of_triangle, want_codes = merge_carried_edge_table(
+            mesh.triangles[new].astype(np.int64))
+        nodes, of_triangle = merge_carried_edge_table(
             parent.edges, bisected, parent.n_vertices, mesh.triangles, mesh.parent_of, new,
             mesh.n_vertices)
         assert same_bits(table.nodes, nodes) and same_bits(table.of_triangle, of_triangle)
-        assert same_bits(codes, want_codes)
         assert same_bits(table.incident, _incident(of_triangle, len(nodes)))
         for name in EDGE_TABLE:
             assert same_bits(getattr(mesh.edges, name), getattr(table, name)), name
@@ -325,9 +342,10 @@ def mesh_text(vertices, triangles, boundary_edges, markers) -> str:
 
 
 def test_validate_rejects_a_wrong_boundary_list():
-    """A root mesh whose boundary list is not exactly its edges of one
-    triangle raises when built, through `read_text` as well; `validate`
-    rechecks boundary ids that were given."""
+    """A mesh whose boundary list is not exactly its edges of one triangle,
+    each once, raises when built: a root mesh, through `read_text` as
+    well, and a refined one with its carried edge table; `validate`
+    audits the vertices."""
     mesh = refine(create_initial("l_shape"), [0, 3])
     mesh.validate()
     b, marks = mesh.boundary_edges, mesh.boundary_markers
@@ -342,16 +360,25 @@ def test_validate_rejects_a_wrong_boundary_list():
         text = mesh_text(mesh.vertices, mesh.triangles, edges, markers)
         with pytest.raises(ValueError, match=mismatch):
             read_text(io.StringIO(text))
+        with pytest.raises(ValueError, match=mismatch):
+            Mesh(mesh.vertices, mesh.triangles, edges, markers, level=mesh.level,
+                 parent_of=mesh.parent_of, vertex_parents=mesh.vertex_parents,
+                 geometry=(mesh.areas, mesh.gradient_planes), edges=mesh.edges,
+                 new_triangles=mesh.new_triangles)
+    # a pair that is no edge but sorts into a boundary edge's slot, in its place
+    listed, known = list(mesh.boundary_ids), set(map(tuple, mesh.edges.nodes.tolist()))
+    for pair in itertools.combinations(range(mesh.n_vertices), 2):
+        slot = mesh.edges.codes.searchsorted(_pair_codes(pair))[0]
+        if pair not in known and slot in listed:
+            break
+    else:
+        raise AssertionError("no pair sorts into a boundary edge's slot")
+    ends = b.copy()
+    ends[listed.index(slot)] = pair
+    with pytest.raises(ValueError, match=mismatch):
+        Mesh(mesh.vertices, mesh.triangles, ends, marks)
     good = mesh_text(mesh.vertices, mesh.triangles, b, marks)
     assert np.array_equal(read_text(io.StringIO(good)).boundary_ids, mesh.boundary_ids)
-    # carried boundary ids that disagree with the list are caught by validate
-    ids = np.roll(mesh.boundary_ids, 1)
-    bad = Mesh(mesh.vertices, mesh.triangles, b, marks, boundary_ids=ids)
-    with pytest.raises(ValueError, match="boundary_ids"):
-        bad.validate()
-    bad = Mesh(mesh.vertices, mesh.triangles, *wrong[2], boundary_ids=np.append(ids, 0))
-    with pytest.raises(ValueError, match="duplicate boundary edge"):
-        bad.validate()
     with pytest.raises(ValueError, match="need one marker per boundary edge"):
         Mesh(mesh.vertices, mesh.triangles, b, marks[:-1])
     # one more vertex: a copy of the first, or a point no triangle uses
