@@ -320,8 +320,9 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
                                    f"{MAX_PCG_PER_LINEARIZATION} steps")
             state = alg.pcg_step(state, pre)
             vertex_values[dofmap.free_vertices] = x + state.iterate
-            squared = est.eval_squared(nl, vertex_values)
-            eta = float(np.sqrt(squared.sum()))
+            terms = None  # the previous step's edge terms die before this evaluation
+            terms = est.eval_squared(nl, vertex_values)
+            eta = est.eta(terms)
             alg_inc = state.increment
             pic_inc = state.norm()
             stop_alg = algebraic_stop(alg_inc, pic_inc, eta, config.lambda_alg)
@@ -354,4 +355,4 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
     if mesh.n_triangles >= config.max_elements:
         log.exit_reason = "budget"
         return pre, u, None
-    return pre, u, doerfler_mark(IndicatorField(mesh, squared), config.theta)
+    return pre, u, doerfler_mark(IndicatorField(mesh, est.scatter(terms)), config.theta)

@@ -10,10 +10,20 @@ For piecewise affine v the divergence vanishes and the flux is constant
 per element, so the volume term reduces to the f integral and edge terms
 are exact.  The data enter as `fem.Samples`, taken once per mesh and shared
 with the load vector.
+
+An evaluation (`EstimatorData.eval_squared`) takes one gradient pass and
+returns the squared edge terms, one per interior and per Neumann edge.
+The stopping tests need only eta, the square root of the sum of all
+indicators: the sum of the volume terms, which is fixed per mesh, plus
+two dot products of the edge terms with fixed weights, sqrt|T_l| +
+sqrt|T_r| for an interior edge and sqrt|T| of its triangle for a Neumann
+edge (`EstimatorData.eta`).  Only marking needs the indicators per
+triangle; `EstimatorData.scatter` sums the same terms onto the triangles.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +61,23 @@ def total(field: IndicatorField, subset=None) -> float:
     return float(np.sqrt(sq.sum()))
 
 
+EdgeTerms = namedtuple("EdgeTerms", "jump neumann")
+EdgeTerms.__doc__ = """The squared edge terms of one evaluation: ``jump``,
+length times the squared jump of the normal flux, per interior edge of
+`EstimatorData` (its ``ie_left`` order), and ``neumann``, the squared
+L2 mismatch of g and the normal flux, per Neumann edge (None without
+Neumann edges)."""
+
+
 class EstimatorData:
     """Mesh- and data-dependent precomputations for indicator evaluation.
 
     Everything that does not depend on the argument function is prepared
     once: the interior edge topology and normals from the mesh, and, as
     `sample` integrated them, the volume data integral per element and the
-    Neumann data integrals per edge.  `eval_squared` then costs a handful
-    of vectorized passes.
+    Neumann data integrals per edge; then the weights of `eta` (see the
+    module docstring).  `eval_squared` then costs one gradient pass and a
+    handful of vectorized passes over the edges.
     """
 
     def __init__(self, samples: Samples):
@@ -75,41 +94,64 @@ class EstimatorData:
         # the volume term |T| ||f||^2_{L2(T)} per element and the Neumann
         # data integrals per edge, as sampled
         self.volume_sq, self.neumann = samples.volume_sq, samples.neumann
-        self.sqrt_areas = np.sqrt(mesh.areas)
+        # the weights of eta; scatter recomputes sqrt|T| itself
+        sqrt_areas = np.sqrt(mesh.areas)
+        self.volume_total = np.add.reduce(self.volume_sq)
+        self.ie_weight = sqrt_areas.take(self.ie_left) + sqrt_areas.take(self.ie_right)
+        self.neumann_weight = None if self.neumann is None \
+            else sqrt_areas.take(self.neumann.owner)
 
-    def eval_squared(self, nl: Nonlinearity, vertex_values: np.ndarray) -> np.ndarray:
-        mesh = self.mesh
-        gx, gy = element_gradients(mesh, vertex_values)
+    def eval_squared(self, nl: Nonlinearity, vertex_values: np.ndarray) -> EdgeTerms:
+        """The squared edge terms (`EdgeTerms`) of the P1 function with these
+        vertex values, from one pass of element gradients."""
+        gx, gy = element_gradients(self.mesh, vertex_values)
         mu = np.asarray(nl.mu(gx ** 2 + gy ** 2))
         fx, fy = mu * gx, mu * gy
         del gx, gy, mu
 
-        edge_sq = np.zeros(mesh.n_triangles)
+        left, right = self.ie_left, self.ie_right
+        # gathers by take, faster than fancy indexing; numpy reuses the
+        # temporaries, and the square and the lengths go in place
+        jump = ((fx.take(left) - fx.take(right)) * self.ie_normal[0]
+                + (fy.take(left) - fy.take(right)) * self.ie_normal[1])
+        jump *= jump
+        jump *= self.ie_length
+        nm = self.neumann
+        if nm is None:
+            return EdgeTerms(jump, None)
+        owner = nm.owner
+        c = fx.take(owner) * nm.normals[:, 0] + fy.take(owner) * nm.normals[:, 1]
+        mismatch = nm.g_sq_int - 2.0 * c * nm.g_int + c ** 2 * nm.lengths
+        return EdgeTerms(jump, np.maximum(mismatch, 0.0))
+
+    def eta(self, terms: EdgeTerms) -> float:
+        """sqrt of the sum of the squared indicators whose edge terms are
+        ``terms``: the volume sum plus the dot products of the edge terms
+        with their weights."""
+        sq = self.volume_total + terms.jump @ self.ie_weight
+        if terms.neumann is not None:
+            sq += terms.neumann @ self.neumann_weight
+        return float(np.sqrt(sq))
+
+    def scatter(self, terms: EdgeTerms) -> np.ndarray:
+        """The squared indicators per triangle, (nT,), whose edge terms are
+        ``terms``: each term summed onto the triangles of its edge, times
+        sqrt|T|, plus the volume term."""
+        n = self.mesh.n_triangles
+        edge_sq = np.zeros(n)
         # no jumps without interior edges (one triangle), where np.bincount is int64
         if self.ie_left.size:
-            left, right = self.ie_left, self.ie_right
-            # gathers by take, faster than fancy indexing; numpy reuses the
-            # temporaries, and the square and the lengths go in place
-            jump = ((fx.take(left) - fx.take(right)) * self.ie_normal[0]
-                    + (fy.take(left) - fy.take(right)) * self.ie_normal[1])
-            jump *= jump
-            jump *= self.ie_length
-            edge_sq += np.bincount(left, weights=jump, minlength=mesh.n_triangles)
-            edge_sq += np.bincount(right, weights=jump, minlength=mesh.n_triangles)
-        nm = self.neumann
-        if nm is not None:
-            owner = nm.owner
-            c = fx.take(owner) * nm.normals[:, 0] + fy.take(owner) * nm.normals[:, 1]
-            mismatch = nm.g_sq_int - 2.0 * c * nm.g_int + c ** 2 * nm.lengths
-            edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
-                                   minlength=mesh.n_triangles)
-        return self.volume_sq + self.sqrt_areas * edge_sq
+            edge_sq += np.bincount(self.ie_left, weights=terms.jump, minlength=n)
+            edge_sq += np.bincount(self.ie_right, weights=terms.jump, minlength=n)
+        if terms.neumann is not None:
+            edge_sq += np.bincount(self.neumann.owner, weights=terms.neumann, minlength=n)
+        return self.volume_sq + np.sqrt(self.mesh.areas) * edge_sq
 
 
 def indicators(nl: Nonlinearity, f, g, v: FeFunction) -> IndicatorField:
     """Residual indicators of v for data (f, g); see the module docstring."""
     data = EstimatorData(sample(v.mesh, f, g))
-    return IndicatorField(v.mesh, data.eval_squared(nl, v.vertex_values()))
+    return IndicatorField(v.mesh, data.scatter(data.eval_squared(nl, v.vertex_values())))
 
 
 def doerfler_mark(field: IndicatorField, theta: float) -> np.ndarray:

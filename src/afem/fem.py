@@ -34,6 +34,9 @@ equal to it.
 The other element kernels are explicit sums over the 2 coordinates and the
 3 vertices, faster than `einsum`; each keeps the operand order of the einsum
 it replaced, so results are bitwise equal to the einsum oracles as well.
+Each numpy pass of them runs over whole columns of length n (one coordinate
+of one corner, one quadrature node or one hat function), not over a short
+trailing axis of 2, 3 or 7, which numpy walks one triangle at a time.
 The stiffness matrix is assembled over the edge graph: one sum per edge of
 `Mesh.edges` and one per vertex, in triangle order, give its n + 2 n_edges
 entries (rather than 9 per triangle).  They are handed to the CSR
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET, EDGE_ENDS, Mesh, edge_frame
+from .mesh import DIRICHLET, EDGE_ENDS, Mesh, corner_planes, edge_frame
 from .nonlinearity import Nonlinearity
 
 _A5 = (6.0 + np.sqrt(15.0)) / 21.0
@@ -78,12 +81,15 @@ _EDGE_W_END = EDGE_QUAD_W * EDGE_QUAD_X
 
 def triangle_quad_points(mesh: Mesh, rows=slice(None)) -> np.ndarray:
     """Physical coordinates of the volume quadrature nodes, (nT, 7, 2), of
-    all triangles or of those selected by ``rows``."""
-    p = mesh.vertices[mesh.triangles[rows]][:, :, None, :]
-    out = TRI_QUAD_BARY[:, 0, None] * p[:, 0]
-    for i in (1, 2):
-        out += TRI_QUAD_BARY[:, i, None] * p[:, i]
-    return out
+    all triangles or of those selected by ``rows``: a view of an x and a
+    y plane, (2, nT, 7), so that each coordinate is one contiguous block.
+    The nodes are summed as (7, nT) blocks over the `corner_planes`
+    columns, then written into the planes."""
+    p = corner_planes(mesh.vertices, mesh.triangles[rows])
+    nodes = TRI_QUAD_BARY[:, 0, None] * p[:, 0, None]
+    nodes += TRI_QUAD_BARY[:, 1, None] * p[:, 1, None]
+    nodes += TRI_QUAD_BARY[:, 2, None] * p[:, 2, None]
+    return nodes.transpose(0, 2, 1).copy().transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -160,11 +166,19 @@ def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
     """Stiffness matrix of the Laplacian on the free vertices (CSR, SPD)."""
     mesh, n = dofmap.mesh, dofmap.n_dofs
     gx, gy = mesh.gradient_planes
-    a = mesh.areas[:, None]
-    i, j = EDGE_ENDS
-    off = np.bincount(mesh.edges.of_triangle.ravel(), minlength=mesh.edges.n_edges,
-                      weights=(gx[:, i] * gx[:, j] * a + gy[:, i] * gy[:, j] * a).ravel())
-    diag = np.bincount(mesh.triangles.ravel(), weights=((gx ** 2 + gy ** 2) * a).ravel(),
+    a = mesh.areas
+    # the weight of the edge opposite vertex k, column by column
+    weights = np.empty((mesh.n_triangles, 3))
+    for k, (i, j) in enumerate(zip(*EDGE_ENDS)):
+        w = gx[:, i] * gx[:, j]
+        w *= a
+        wy = gy[:, i] * gy[:, j]
+        wy *= a
+        w += wy
+        weights[:, k] = w
+    off = np.bincount(mesh.edges.of_triangle.ravel(), weights=weights.ravel(),
+                      minlength=mesh.edges.n_edges)
+    diag = np.bincount(mesh.triangles.ravel(), weights=((gx ** 2 + gy ** 2) * a[:, None]).ravel(),
                        minlength=mesh.n_vertices)
     lo, hi = dofmap.dof_of_vertex.take(mesh.edges.nodes.T)
     keep = (lo >= 0) & (hi >= 0)
@@ -184,15 +198,19 @@ def apply_nonlinear(nl: Nonlinearity, dofmap: DofMap, vertex_values: np.ndarray)
     mesh = dofmap.mesh
     hx, hy = mesh.gradient_planes
     gx, gy = element_gradients(mesh, vertex_values)
-    ma = (np.asarray(nl.mu(gx ** 2 + gy ** 2)) * mesh.areas)[:, None]
-    # this product order keeps the bits of the former einsum; for peak
-    # memory one (nT, 3) term at a time, and none left for the scatter
-    contrib = ma * hx
-    contrib *= gx[:, None]
-    term = ma * hy
-    term *= gy[:, None]
-    contrib += term
-    del gx, gy, ma, term
+    ma = np.asarray(nl.mu(gx ** 2 + gy ** 2)) * mesh.areas
+    # column i is (ma hx_i) gx + (ma hy_i) gy, the product order of the
+    # former einsum; the columns fill a C-ordered (nT, 3) array, so the
+    # scatter ravels a view
+    contrib = np.empty((mesh.n_triangles, 3))
+    for i in range(3):
+        c = ma * hx[:, i]
+        c *= gx
+        term = ma * hy[:, i]
+        term *= gy
+        c += term
+        contrib[:, i] = c
+    del gx, gy, ma, c, term
     r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.n_vertices)
     return r[dofmap.free_vertices]
@@ -309,13 +327,21 @@ def _volume_moments(fq: np.ndarray, areas: np.ndarray) -> tuple:
     """Per-triangle integrals of f against the hat functions, (n, 3), and
     |T| times the integral of f^2, (n,), from f at the volume nodes and the
     triangle areas."""
-    # the term of node q is ((f_q w_q) bary_q) |T|, summed from 0 in node
-    # order; one (n, 3) term at a time, for peak memory
-    fw, a = fq * TRI_QUAD_W, areas[:, None]
-    f_phi = np.zeros((len(fq), 3))
-    for q, bary in enumerate(TRI_QUAD_BARY):
-        f_phi += fw[:, q, None] * bary * a
-    return f_phi, areas * np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, areas)
+    # the term of node q is ((f_q w_q) bary_q) |T| in column i of f_phi and
+    # ((f_q f_q) w_q) |T| in the f^2 integral, each summed in node order
+    # (the einsum's order) over (7, n) and (3, n) blocks of long rows
+    fq, w = fq.T.copy(), TRI_QUAD_W[:, None]
+    fw = fq * w
+    f_phi = np.zeros((3, fq.shape[1]))
+    for fw_q, bary in zip(fw, TRI_QUAD_BARY[:, :, None]):
+        term = fw_q * bary
+        term *= areas
+        f_phi += term
+    fq *= fq
+    fq *= w
+    fq *= areas
+    # the f^2 terms are >= 0, so a sum from the first is one from 0
+    return f_phi.T.copy(), areas * np.add.reduce(fq, axis=0)
 
 
 def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:

@@ -24,7 +24,7 @@ hi) on every level.  Only a root mesh sorts its vertex pairs to build its
 a copied triangle keeps its edges), so connectivity costs gathers in
 proportion to the mesh and a sort only of what changed.  Every mesh holds
 its areas and hat gradients, stored once as (2, nT, 3) x and y planes: a
-root mesh computes them when built, from the three edge vectors at once,
+root mesh computes them when built, over contiguous coordinate columns,
 and `refine` gathers those of copied triangles and computes those of new
 ones; `Mesh.new_triangles` lists the latter, for `fem.sample`.  A mesh is
 complete when built, with no lazy attribute: its edge table, boundary edge
@@ -136,16 +136,22 @@ def _carried_edge_table(parent: EdgeTable, of_triangle: np.ndarray, bisected: np
     end and lies on one of the ``new`` triangles, whose vertices are
     ``children`` (int64).  Their codes are merged into the sorted
     survivors, a copied triangle takes its parent's ``of_triangle`` row
-    through the old -> new id map, and only new triangles look edges up.
-    Equal, array for array, to `_build_edge_table` on the child."""
+    through the old -> new id map, and only new triangles look edges up,
+    by one sort of their codes.  Equal, array for array, to
+    `_build_edge_table` on the child."""
     surviving = ~bisected
     kept_codes = parent.codes.take(surviving.nonzero()[0])
     # column k: the edge opposite local vertex k of each new triangle
     ends = children[:, EDGE_ENDS[0]], children[:, EDGE_ENDS[1]]
-    hi = np.maximum(*ends)
-    new_codes = np.minimum(*ends) << 32 | hi
-    # the distinct ones with a new vertex are added, merged in sorted order
-    added = sorted_unique(new_codes[hi >= n_old])
+    new_codes = np.minimum(*ends) << 32 | np.maximum(*ends)
+    # one sort of the new triangles' codes serves both the added edges and
+    # the lookup; equal codes find the same id, so the sort need not be stable
+    order = new_codes.argsort(axis=None)
+    sc = new_codes.take(order)
+    # the distinct ones with a new vertex (hi end) are added, merged in sorted order
+    first = np.ones(len(sc), dtype=bool)
+    np.not_equal(sc[1:], sc[:-1], out=first[1:])
+    added = sc[first & (pair_ends(sc)[:, 1] >= n_old)]
     n_e = len(kept_codes) + len(added)
     at = kept_codes.searchsorted(added) + np.arange(len(added))
     is_kept = np.ones(n_e, dtype=bool)
@@ -156,7 +162,10 @@ def _carried_edge_table(parent: EdgeTable, of_triangle: np.ndarray, bisected: np
     old_to_new = np.empty(parent.n_edges, dtype=np.int32)
     old_to_new[surviving] = is_kept.nonzero()[0]
     of_triangle = old_to_new.take(of_triangle.take(parent_of, axis=0))
-    of_triangle[new] = codes.searchsorted(new_codes)
+    # sorted needles, then the permutation undone
+    ids = np.empty(len(sc), dtype=np.intp)
+    ids[order] = codes.searchsorted(sc)
+    of_triangle[new] = ids.reshape(-1, 3)
     return EdgeTable(codes=codes, of_triangle=of_triangle, incident=_incident(of_triangle, n_e))
 
 
@@ -197,22 +206,33 @@ def _boundary_ids(et: EdgeTable, boundary_edges: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _geometry(p: np.ndarray) -> tuple:
+def corner_planes(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """The x and y coordinates of the three corners of the ``triangles``,
+    (n, 3) indices into ``vertices``, as (2, 3, n): each coordinate of each
+    corner a contiguous column, so that a kernel over them makes long
+    passes, not one short pass per triangle."""
+    return vertices.take(triangles.T, axis=0).transpose(2, 0, 1).copy()
+
+
+def _geometry(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
     """Areas, (n,), and hat gradients as an x plane and a y plane, (2, n,
-    3), of triangles with vertex coordinates p, (n, 3, 2); raises unless
-    every triangle is positively oriented and non-degenerate.  The hat
-    gradient of vertex i is the edge opposite it, p[i + 2] - p[i + 1]
-    (indices mod 3), turned by -90 degrees and divided by twice the area."""
-    e = p[:, EDGE_ENDS[1]] - p[:, EDGE_ENDS[0]]
-    # e[:, 2] = p1 - p0, and e[:, 1] = p0 - p2 is exactly -(p2 - p0)
-    areas = 0.5 * (e[:, 2, 1] * e[:, 1, 0] - e[:, 2, 0] * e[:, 1, 1])
+    3), of the ``triangles``, (n, 3) indices into ``vertices``; raises
+    unless every triangle is positively oriented and non-degenerate.  The
+    hat gradient of vertex i is the edge opposite it, p[i + 2] - p[i + 1]
+    (indices mod 3), turned by -90 degrees and divided by twice the area;
+    the passes run over the `corner_planes` columns."""
+    p = corner_planes(vertices, triangles)
+    # (coordinate, edge, triangle); edge 2 is p1 - p0, edge 1 is p0 - p2
+    e = p.take(EDGE_ENDS[1], axis=1) - p.take(EDGE_ENDS[0], axis=1)
+    areas = 0.5 * (e[1, 2] * e[0, 1] - e[0, 2] * e[1, 1])
     if not np.logical_and.reduce(areas > 0.0):
         raise ValueError("triangles must be positively oriented and non-degenerate")
-    det = (2.0 * areas)[:, None]
-    g = np.empty((2, len(p), 3))
-    np.negative(e[:, :, 1], out=g[0])
-    g[0] /= det
-    np.divide(e[:, :, 0], det, out=g[1])
+    det = 2.0 * areas
+    g = np.empty((2, len(triangles), 3))
+    by_edge = g.transpose(0, 2, 1)
+    np.negative(e[1], out=by_edge[0])
+    by_edge[0] /= det
+    np.divide(e[0], det, out=by_edge[1])
     return areas, g
 
 
@@ -333,7 +353,7 @@ class Mesh:
             new_triangles = (~copied_triangles(self.parent_of)).nonzero()[0] \
                 if vertex_parents is not None else np.arange(self.n_triangles)
         self.new_triangles = new_triangles
-        self.areas, self.gradient_planes = (_geometry(self.vertices[self.triangles])
+        self.areas, self.gradient_planes = (_geometry(self.vertices, self.triangles)
                                             if geometry is None else geometry)
         self.edges = _build_edge_table(self.triangles) if edges is None else edges
         self.boundary_ids = _boundary_ids(self.edges, self.boundary_edges)
@@ -554,7 +574,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     # afresh on the new triangles
     areas = mesh.areas.take(parent_of)
     planes = mesh.gradient_planes.take(parent_of, axis=1)
-    areas[new], planes[:, new] = _geometry(vertices[children])
+    areas[new], planes[:, new] = _geometry(vertices, children)
     return Mesh(vertices, triangles, bedges, mesh.boundary_markers[keep], level=mesh.level + 1,
                 parent_of=parent_of, vertex_parents=vertex_parents, geometry=(areas, planes),
                 edges=edges, new_triangles=new)

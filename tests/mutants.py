@@ -51,6 +51,7 @@ NON_INTEGER = "tests/test_mesh.py::test_a_non_integer_index_is_rejected"
 GOLDEN_ZSHAPE = "tests/test_driver.py::test_step_log_matches_golden[zshape_diagnostics]"
 READ_TEXT = "tests/test_mesh.py::test_read_text_rejects_malformed"
 DECLARED = "tests/test_experiments.py::test_rows_hold_exactly_the_declared_columns"
+TOTAL = "tests/test_estimator.py::test_total_and_scatter_match_the_former_indicators"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -115,6 +116,15 @@ MUTANTS = [
      "return float(np.sqrt(max(self.iterate @ (self.rhs - self.residual), 0.0)))",
      "return float(np.sqrt(max(self.iterate @ self.rhs, 0.0)))",
      ["tests/test_algsolver.py::test_pcg_increment_and_update_norm_accounting"]),
+    # eta read from the edge terms by dot products
+    ("the Neumann term dropped from the total", "estimator.py",
+     "sq += terms.neumann @ self.neumann_weight",
+     "sq += 0.0",
+     [TOTAL]),
+    ("one side's sqrt|T| missing from the interior-edge weight", "estimator.py",
+     "self.ie_weight = sqrt_areas.take(self.ie_left) + sqrt_areas.take(self.ie_right)",
+     "self.ie_weight = sqrt_areas.take(self.ie_left)",
+     [TOTAL]),
     # Doerfler marking by selection
     ("the k-th largest value dropped from the candidates", "estimator.py",
      "top = np.partition(sq, n - k)[n - k:]",
@@ -172,9 +182,13 @@ MUTANTS = [
      "_CHILDREN = np.array([(3, 2, 0), (4, 3, 2), (4, 0, 3), (3, 0, 1), (5, 1, 3), (5, 3, 0)])",
      ["tests/test_mesh.py::test_refine_matches_case_table_oracle"]),
     ("a sum of the volume moments that starts at -0.0", "fem.py",
-     "f_phi = np.zeros((len(fq), 3))",
-     "f_phi = np.full((len(fq), 3), -0.0)",
+     "f_phi = np.zeros((3, fq.shape[1]))",
+     "f_phi = np.full((3, fq.shape[1]), -0.0)",
      ["tests/test_fem.py::test_volume_moments_match_loop_oracle"]),
+    ("the y plane of the volume nodes filled from the x coordinates", "fem.py",
+     "p = corner_planes(mesh.vertices, mesh.triangles[rows])",
+     "p = corner_planes(mesh.vertices, mesh.triangles[rows])[[0, 0]]",
+     ["tests/test_fem.py::test_triangle_quad_points_match_einsum_oracle"]),
     ("a driver that passes no previous samples", "driver.py",
      "samples = sample(mesh, problem.source, problem.neumann, samples)",
      "samples = sample(mesh, problem.source, problem.neumann, None)",
@@ -196,6 +210,10 @@ MUTANTS = [
      "_LO_HI = np.s_[:, ::-1] if np.little_endian else np.s_[:, :]  # their (lo, hi) columns",
      "_LO_HI = np.s_[:, :] if np.little_endian else np.s_[:, ::-1]  # their (lo, hi) columns",
      [SORT_ORACLES, PAIR_CODES]),
+    ("the edge lookup's permutation not undone", "mesh.py",
+     "ids[order] = codes.searchsorted(sc)",
+     "ids = codes.searchsorted(sc)",
+     [EDGE_TABLE]),
     ("the parent's kept codes gathered shifted", "mesh.py",
      "kept_codes = parent.codes.take(surviving.nonzero()[0])",
      "kept_codes = parent.codes.take(np.roll(surviving.nonzero()[0], 1))",

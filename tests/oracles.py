@@ -18,8 +18,9 @@ from afem import (DIRICHLET, NEUMANN, AdaptiveConfig, DofMap, FeFunction,
                   apply_nonlinear, assemble_laplacian, create_initial, doerfler_mark,
                   driver, refine)
 from afem.algsolver import Generation, MultilevelPreconditioner, coarse_inverse, solve_exact
+from afem.estimator import EstimatorData
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
-                      Samples, sample)
+                      Samples, element_gradients, sample)
 from afem.mesh import EdgeTable, Mesh
 from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
@@ -343,6 +344,34 @@ def einsum_eval_squared(samples: Samples, f, g, nl: Nonlinearity,
         edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
                                minlength=mesh.n_triangles)
     return volume_sq + np.sqrt(mesh.areas) * edge_sq
+
+
+def former_eval_squared(data: EstimatorData, nl: Nonlinearity,
+                        vertex_values: np.ndarray) -> np.ndarray:
+    """Squared indicators per triangle in the former form of
+    `EstimatorData.eval_squared`, which scattered every evaluation's edge
+    terms to the triangles: the eta of a step was the sum of this array."""
+    mesh = data.mesh
+    gx, gy = element_gradients(mesh, vertex_values)
+    mu = np.asarray(nl.mu(gx ** 2 + gy ** 2))
+    fx, fy = mu * gx, mu * gy
+    edge_sq = np.zeros(mesh.n_triangles)
+    if data.ie_left.size:
+        left, right = data.ie_left, data.ie_right
+        jump = ((fx.take(left) - fx.take(right)) * data.ie_normal[0]
+                + (fy.take(left) - fy.take(right)) * data.ie_normal[1])
+        jump *= jump
+        jump *= data.ie_length
+        edge_sq += np.bincount(left, weights=jump, minlength=mesh.n_triangles)
+        edge_sq += np.bincount(right, weights=jump, minlength=mesh.n_triangles)
+    nm = data.neumann
+    if nm is not None:
+        owner = nm.owner
+        c = fx.take(owner) * nm.normals[:, 0] + fy.take(owner) * nm.normals[:, 1]
+        mismatch = nm.g_sq_int - 2.0 * c * nm.g_int + c ** 2 * nm.lengths
+        edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
+                               minlength=mesh.n_triangles)
+    return data.volume_sq + np.sqrt(mesh.areas) * edge_sq
 
 
 # The edge table and the free-vertex numbering in their former form: a second

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afem import algsolver, driver
+from afem import algsolver, driver, estimator, fem
 from afem.algsolver import solve_exact
 from afem.driver import (AdaptiveConfig, RunLog, StepRecord, algebraic_stop,
                          field_types, picard_stop, quasi_error, run_adaptive)
@@ -349,6 +349,27 @@ def test_data_sampled_once_per_level(monkeypatch):
     assert calls == {"f": levels, "g": levels - split.count(0)}
     assert points["g"] == [(n, 3) for n in split if n]
     assert sum(split) < sum(map(len, neumann)) / 2
+
+
+@pytest.mark.parametrize("domain", ["zshape", "lshape"])
+def test_one_gradient_pass_per_step_and_per_linearization(monkeypatch, domain):
+    """A plain run takes the element gradients once per solver step (the
+    estimator's evaluation) and once per linearization (the residual), no
+    more: the marking step scatters the edge terms of the last evaluation
+    and takes no gradient pass of its own."""
+    passes = []
+    plain = fem.element_gradients
+
+    def counted(mesh, vertex_values):
+        passes.append(mesh.n_triangles)
+        return plain(mesh, vertex_values)
+
+    monkeypatch.setattr(fem, "element_gradients", counted)
+    monkeypatch.setattr(estimator, "element_gradients", counted)
+    log = run_adaptive(AdaptiveConfig(domain=domain, max_elements=2000))
+    table = log.level_table()
+    assert len(table) > 5
+    assert len(passes) == len(log.records) + sum(row["n_picard"] for row in table)
 
 
 def calls_per_level(config: AdaptiveConfig) -> float:

@@ -16,8 +16,8 @@ from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
 
 from oracles import (KERNEL_CASES, brute_force_doerfler_size, doerfler_reference,
-                     einsum_estimator_moments, einsum_eval_squared, kernel_case,
-                     one_triangle, picard_map, random_mesh)
+                     einsum_estimator_moments, einsum_eval_squared, former_eval_squared,
+                     kernel_case, one_triangle, picard_map, random_mesh, same_bits)
 
 
 def one(p):
@@ -78,12 +78,13 @@ def test_estimator_data_matches_indicators():
     dofmap = DofMap.from_mesh(mesh)
     v = FeFunction(dofmap, np.random.default_rng(1).standard_normal(dofmap.n_dofs))
     data = EstimatorData(sample(mesh, problem.source, problem.neumann))
-    sq = data.eval_squared(problem.nonlinearity, v.vertex_values())
+    sq = data.scatter(data.eval_squared(problem.nonlinearity, v.vertex_values()))
     field = indicators(problem.nonlinearity, problem.source, problem.neumann, v)
     assert np.allclose(sq, field.squared, rtol=1e-13)
     # repeated evaluation is deterministic
-    assert np.allclose(sq, data.eval_squared(problem.nonlinearity,
-                                             v.vertex_values()), rtol=0, atol=0)
+    again = data.eval_squared(problem.nonlinearity, v.vertex_values())
+    assert np.allclose(sq, data.scatter(again), rtol=0, atol=0)
+    assert data.eta(again) == pytest.approx(total(field), rel=1e-14, abs=0.0)
 
 
 def test_index_arrays_are_compact_and_shared():
@@ -116,9 +117,26 @@ def test_index_arrays_are_compact_and_shared():
 def test_eval_squared_matches_einsum_oracle(domain, seed):
     problem, _, samples, values = kernel_case(domain, seed)
     nl = problem.nonlinearity
-    assert np.array_equal(EstimatorData(samples).eval_squared(nl, values),
+    data = EstimatorData(samples)
+    assert np.array_equal(data.scatter(data.eval_squared(nl, values)),
                           einsum_eval_squared(samples, problem.source, problem.neumann, nl,
                                               values))
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_total_and_scatter_match_the_former_indicators(domain, seed):
+    """The marking step's scatter of one evaluation's edge terms has the
+    bits of the former per-triangle evaluation, and eta, read from the same
+    terms by dot products, is the square root of that array's sum up to
+    reassociation."""
+    problem, _, samples, values = kernel_case(domain, seed)
+    nl = problem.nonlinearity
+    data = EstimatorData(samples)
+    terms = data.eval_squared(nl, values)
+    former = former_eval_squared(data, nl, values)
+    assert same_bits(data.scatter(terms), former)
+    assert data.eta(terms) == pytest.approx(np.sqrt(former.sum()), rel=1e-14, abs=0.0)
+    assert (terms.neumann is None) == (samples.neumann is None)
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
@@ -327,10 +345,10 @@ def test_estimator_stability_measured():
     for _ in range(10):
         v = rng.standard_normal(dofmap.n_dofs)
         w = v + rng.standard_normal(dofmap.n_dofs) * rng.choice([1e-3, 1.0])
-        ev = np.sqrt(data.eval_squared(problem.nonlinearity,
-                                       FeFunction(dofmap, v).vertex_values()).sum())
-        ew = np.sqrt(data.eval_squared(problem.nonlinearity,
-                                       FeFunction(dofmap, w).vertex_values()).sum())
+        ev = data.eta(data.eval_squared(problem.nonlinearity,
+                                        FeFunction(dofmap, v).vertex_values()))
+        ew = data.eta(data.eval_squared(problem.nonlinearity,
+                                        FeFunction(dofmap, w).vertex_values()))
         d = energy_norm(FeFunction(dofmap, v - w))
         worst = max(worst, abs(ev - ew) / d)
     assert np.isfinite(worst)

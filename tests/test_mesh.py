@@ -316,16 +316,15 @@ def test_carried_edge_table_matches_former_merge(domain, seed, kinds):
 @given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
        seed=st.integers(0, 2 ** 32 - 1), rounds=st.integers(0, 5))
 def test_geometry_matches_loop_oracle(domain, seed, rounds):
-    """Areas and hat-gradient planes from the stacked edge vectors equal,
-    bit for bit, the former computation one vertex at a time, on a moved
+    """Areas and hat-gradient planes from coordinate columns equal, bit for
+    bit, the former computation one vertex at a time, on a moved
     root and on random refinements of it (computed or carried)."""
     rng = np.random.default_rng(seed)
     mesh = random_root(domain, rng)
     for _ in range(rounds):
         mesh = refine(mesh, rng.random(mesh.n_triangles) < rng.random())
-    p = mesh.vertices[mesh.triangles]
-    areas, planes = loop_geometry(p)
-    for got in (_geometry(p), (mesh.areas, mesh.gradient_planes)):
+    areas, planes = loop_geometry(mesh.vertices[mesh.triangles])
+    for got in (_geometry(mesh.vertices, mesh.triangles), (mesh.areas, mesh.gradient_planes)):
         assert same_bits(got[0], areas) and same_bits(got[1], planes)
 
 
