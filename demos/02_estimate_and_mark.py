@@ -13,7 +13,7 @@ import numpy as np
 from afem.algsolver import solve_exact
 from afem.estimator import doerfler_mark, indicators, total
 from afem.fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
-                      assemble_rhs, sample)
+                      assemble_rhs, element_flux, sample)
 from afem.mesh import create_initial, uniform_refine
 from afem.problems import get_problem
 
@@ -32,8 +32,8 @@ load = assemble_rhs(dofmap, sample(mesh, problem.source, problem.neumann))
 delta = nl.damping
 x = np.zeros(dofmap.n_dofs)
 for k in range(30):
-    values = FeFunction(dofmap, x).vertex_values()
-    x += solve_exact(a, delta * (load - apply_nonlinear(nl, dofmap, values)))
+    flux = element_flux(nl, mesh, FeFunction(dofmap, x).vertex_values())
+    x += solve_exact(a, delta * (load - apply_nonlinear(dofmap, flux)))
 u = FeFunction(dofmap, x)
 
 field = indicators(nl, problem.source, problem.neumann, u)

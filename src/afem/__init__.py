@@ -16,8 +16,8 @@ from .estimator import (EstimatorData, IndicatorField, doerfler_mark,
                         indicators, total)
 from .experiments import (RunResult, expected_rate, fit_rate,
                           parse_sweep_spec, robustness_grid, run_benchmark)
-from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
-                  assemble_rhs, energy_norm, interpolate, prolongate, sample)
+from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian, assemble_rhs,
+                  element_flux, energy_norm, interpolate, prolongate, sample)
 from .mesh import (DIRICHLET, NEUMANN, Mesh, create_initial,
                    overlay, read_text, refine, uniform_refine, write_text)
 from .nonlinearity import (Nonlinearity, constant_nonlinearity,
@@ -34,7 +34,7 @@ __all__ = [
     "NEUMANN", "Nonlinearity", "Problem", "RunLog", "RunResult",
     "StepRecord", "ZSHAPE_BETA", "apply_nonlinear", "assemble_laplacian",
     "assemble_rhs", "build_preconditioner", "constant_nonlinearity",
-    "create_initial", "doerfler_mark", "energy_norm",
+    "create_initial", "doerfler_mark", "element_flux", "energy_norm",
     "expected_rate", "fit_rate", "get_problem", "indicators",
     "init_solver_state", "interpolate", "lshape_nonlinearity", "overlay",
     "parse_sweep_spec", "pcg_step", "prolongate", "quasi_error",

@@ -6,8 +6,9 @@ x + e with A e = delta (load - N(x)), A the stiffness matrix.  Each such
 system is solved inexactly for the update e, one preconditioned CG step at
 a time from e = 0; the error estimator is recomputed at x + e after every
 step and drives both stopping tests and the marking of elements for
-refinement.  The contraction factor of the linearization and of the
-preconditioned solver are mesh independent, so total work stays
+refinement.  N and the estimator share one flux pass per iterate
+(`fem.element_flux`).  The contraction factor of the linearization and of
+the preconditioned solver are mesh independent, so total work stays
 proportional to the cumulative number of elements.
 
 A level samples the data, assembles, builds or extends the preconditioner,
@@ -35,7 +36,7 @@ import numpy as np
 from . import algsolver as alg
 from .estimator import EstimatorData, IndicatorField, doerfler_mark
 from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
-                  assemble_rhs, prolongate, sample)
+                  assemble_rhs, element_flux, prolongate, sample)
 from .mesh import create_initial, refine
 from .problems import ErrorData, get_problem
 
@@ -301,17 +302,16 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
     step, cumcost = len(log.records), log.records[-1].cumcost if log.records else 0
 
     x = u.coeffs
-    # one buffer for the vertex values (zero on the Dirichlet vertices) of x,
-    # for the residual, and of x + e, for the estimator and the error
-    vertex_values = np.zeros(mesh.n_vertices)
+    # the vertex values and flux of x, then of each x + e (an accepted one is the next x)
+    vertex_values = u.vertex_values()
+    flux = element_flux(nl, mesh, vertex_values)
     k = 0
     while True:
         k += 1
         if k > MAX_PICARD_PER_LEVEL:
             raise RuntimeError(f"linearization did not stop within "
                                f"{MAX_PICARD_PER_LEVEL} iterations")
-        vertex_values[dofmap.free_vertices] = x
-        rhs = damping * (load - apply_nonlinear(nl, dofmap, vertex_values))
+        rhs = damping * (load - apply_nonlinear(dofmap, flux))
         estar = lu(rhs) if lu is not None else None
         state = alg.init_solver_state(operator, rhs)
         while True:
@@ -320,8 +320,9 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
                                    f"{MAX_PCG_PER_LINEARIZATION} steps")
             state = alg.pcg_step(state, pre)
             vertex_values[dofmap.free_vertices] = x + state.iterate
-            terms = None  # the previous step's edge terms die before this evaluation
-            terms = est.eval_squared(nl, vertex_values)
+            flux = terms = None  # the previous step's die before this evaluation
+            flux = element_flux(nl, mesh, vertex_values)
+            terms = est.eval_squared(flux)
             eta = est.eta(terms)
             alg_inc = state.increment
             pic_inc = state.norm()

@@ -11,8 +11,8 @@ per element, so the volume term reduces to the f integral and edge terms
 are exact.  The data enter as `fem.Samples`, taken once per mesh and shared
 with the load vector.
 
-An evaluation (`EstimatorData.eval_squared`) takes one gradient pass and
-returns the squared edge terms, one per interior and per Neumann edge.
+An evaluation (`EstimatorData.eval_squared`) maps a flux (`fem.element_flux`)
+to the squared edge terms, one per interior and per Neumann edge.
 The stopping tests need only eta, the square root of the sum of all
 indicators: the sum of the volume terms, which is fixed per mesh, plus
 two dot products of the edge terms with fixed weights, sqrt|T_l| +
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FeFunction, Samples, element_gradients, sample
+from .fem import FeFunction, Samples, element_flux, sample
 from .mesh import Mesh, edge_frame, pair_ends, triangle_subset
 from .nonlinearity import Nonlinearity
 
@@ -76,8 +76,8 @@ class EstimatorData:
     once: the interior edge topology and normals from the mesh, and, as
     `sample` integrated them, the volume data integral per element and the
     Neumann data integrals per edge; then the weights of `eta` (see the
-    module docstring).  `eval_squared` then costs one gradient pass and a
-    handful of vectorized passes over the edges.
+    module docstring).  `eval_squared` then costs a handful of vectorized
+    passes over the edges of a given flux.
     """
 
     def __init__(self, samples: Samples):
@@ -101,14 +101,10 @@ class EstimatorData:
         self.neumann_weight = None if self.neumann is None \
             else sqrt_areas.take(self.neumann.owner)
 
-    def eval_squared(self, nl: Nonlinearity, vertex_values: np.ndarray) -> EdgeTerms:
-        """The squared edge terms (`EdgeTerms`) of the P1 function with these
-        vertex values, from one pass of element gradients."""
-        gx, gy = element_gradients(self.mesh, vertex_values)
-        mu = np.asarray(nl.mu(gx ** 2 + gy ** 2))
-        fx, fy = mu * gx, mu * gy
-        del gx, gy, mu
-
+    def eval_squared(self, flux) -> EdgeTerms:
+        """The squared edge terms (`EdgeTerms`) of the P1 function whose
+        per-triangle flux is ``flux`` = ``(fx, fy)`` (`fem.element_flux`)."""
+        fx, fy = flux
         left, right = self.ie_left, self.ie_right
         # gathers by take, faster than fancy indexing; numpy reuses the
         # temporaries, and the square and the lengths go in place
@@ -151,7 +147,8 @@ class EstimatorData:
 def indicators(nl: Nonlinearity, f, g, v: FeFunction) -> IndicatorField:
     """Residual indicators of v for data (f, g); see the module docstring."""
     data = EstimatorData(sample(v.mesh, f, g))
-    return IndicatorField(v.mesh, data.scatter(data.eval_squared(nl, v.vertex_values())))
+    flux = element_flux(nl, v.mesh, v.vertex_values())
+    return IndicatorField(v.mesh, data.scatter(data.eval_squared(flux)))
 
 
 def doerfler_mark(field: IndicatorField, theta: float) -> np.ndarray:

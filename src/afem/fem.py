@@ -1,11 +1,11 @@
 """Lowest-order conforming finite elements on triangle meshes.
 
-Assembly of the Laplace stiffness matrix, of load vectors with volume and
-Neumann data, and of the nonlinear operator application, plus energy norm,
-energy functional, prolongation between nested meshes, and the energy-norm
-distance to a known gradient field.  Functions are piecewise affine and
-vanish on the Dirichlet boundary; coefficient vectors run over the free
-(non-Dirichlet) vertices only.
+Assembly of the Laplace stiffness matrix and of load vectors with volume
+and Neumann data, the discrete flux and the nonlinear residual it gives,
+plus energy norm, energy functional, prolongation between nested meshes,
+and the energy-norm distance to a known gradient field.  Functions are
+piecewise affine and vanish on the Dirichlet boundary; coefficient vectors
+run over the free (non-Dirichlet) vertices only.
 
 Volume integrands are approximated with the symmetric 7-point rule of
 degree 5, edge integrands with 3-point Gauss, everywhere a data or
@@ -30,13 +30,17 @@ and y matrices of `Mesh.gradient_operator`, whose data are the hat gradients
 and whose indices the mesh's triangles, not copies: the compiled loop sums
 ``0 + g0 v0 + g1 v1 + g2 v2`` per row without fused multiply-adds, the
 operand order of the einsum oracle in the tests, so the result is bitwise
-equal to it.
-The other element kernels are explicit sums over the 2 coordinates and the
-3 vertices, faster than `einsum`; each keeps the operand order of the einsum
-it replaced, so results are bitwise equal to the einsum oracles as well.
-Each numpy pass of them runs over whole columns of length n (one coordinate
-of one corner, one quadrature node or one hat function), not over a short
-trailing axis of 2, 3 or 7, which numpy walks one triangle at a time.
+equal to it.  `element_flux` scales them by mu into the flux, which the
+estimator and the nonlinear residual share.  The residual is the transposed
+operator on the area-weighted flux, ``hx.T @ (fx |T|) + hy.T @ (fy |T|)``:
+each matvec adds ``h_i (f |T|)`` into vertex i from 0 in triangle order, and
+the y sum is added to the x sum at the end.  The other element kernels are
+explicit sums over the 2 coordinates and the 3 vertices, faster than
+`einsum`; each keeps the operand order of the einsum it replaced, so results
+are bitwise equal to the einsum oracles as well.  Each numpy pass of them
+runs over whole columns of length n (one coordinate of one corner, one
+quadrature node or one hat function), not over a short trailing axis of 2, 3
+or 7, which numpy walks one triangle at a time.
 The stiffness matrix is assembled over the edge graph: one sum per edge of
 `Mesh.edges` and one per vertex, in triangle order, give its n + 2 n_edges
 entries (rather than 9 per triangle).  They are handed to the CSR
@@ -192,27 +196,24 @@ def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
                          shape=(n, n))
 
 
-def apply_nonlinear(nl: Nonlinearity, dofmap: DofMap, vertex_values: np.ndarray) -> np.ndarray:
-    """Vector of <mu(|grad w|^2) grad w, grad phi_i> over the free vertices
-    of ``dofmap``, for the P1 function w with these vertex values."""
-    mesh = dofmap.mesh
-    hx, hy = mesh.gradient_planes
+def element_flux(nl: Nonlinearity, mesh: Mesh, vertex_values: np.ndarray):
+    """Per-triangle flux ``(fx, fy)`` = mu(|grad w|^2) grad w of the P1 function
+    w with these vertex values: one gradient pass, scaled in place by mu."""
     gx, gy = element_gradients(mesh, vertex_values)
-    ma = np.asarray(nl.mu(gx ** 2 + gy ** 2)) * mesh.areas
-    # column i is (ma hx_i) gx + (ma hy_i) gy, the product order of the
-    # former einsum; the columns fill a C-ordered (nT, 3) array, so the
-    # scatter ravels a view
-    contrib = np.empty((mesh.n_triangles, 3))
-    for i in range(3):
-        c = ma * hx[:, i]
-        c *= gx
-        term = ma * hy[:, i]
-        term *= gy
-        c += term
-        contrib[:, i] = c
-    del gx, gy, ma, c, term
-    r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                    minlength=mesh.n_vertices)
+    mu = np.asarray(nl.mu(gx ** 2 + gy ** 2))
+    gx *= mu
+    gy *= mu
+    return gx, gy
+
+
+def apply_nonlinear(dofmap: DofMap, flux) -> np.ndarray:
+    """Vector of <mu(|grad w|^2) grad w, grad phi_i> over the free vertices
+    of ``dofmap``, from the flux ``(fx, fy)`` of w (`element_flux`): the
+    transposed gradient operator on the area-weighted flux."""
+    hx, hy = dofmap.mesh.gradient_operator
+    areas = dofmap.mesh.areas
+    r = hx.T @ (flux[0] * areas)
+    r += hy.T @ (flux[1] * areas)
     return r[dofmap.free_vertices]
 
 

@@ -10,12 +10,17 @@ scale `test_step_log_matches_golden` uses: relative to the old entry, but
 never to less than 1e-12 of the column's largest value.  The rerun is read
 back through its CSV text first, so both sides carry the same 12 digits and
 an unchanged run reads 0.  Then it prints the sha1 of the step log of each
-benchmark workload, with the configurations of `perfbench/workloads.py`;
-running the command at two commits compares all five "same numbers" runs
-of the ROADMAP.  With ``--check`` it exits with status 1 if a golden file
-changed or a workload digest does not begin with its entry of
-`PINNED_DIGESTS`.  ``--write`` rewrites the golden files that changed and
-the entries of `PINNED_DIGESTS`, in this file, that no longer match.
+benchmark workload, with the configurations of `perfbench/workloads.py`,
+and the sha1 of its `INTEGER_COLUMNS` alone; running the command at two
+commits compares all five "same numbers" runs of the ROADMAP.  With
+``--check`` it exits with status 1 if a golden file changed or a workload
+digest does not begin with its entry of `PINNED_DIGESTS` or of
+`PINNED_INTEGER_DIGESTS`.  ``--write`` rewrites the golden files that
+changed and the entries of `PINNED_DIGESTS`, in this file, that no longer
+match; an entry of `PINNED_INTEGER_DIGESTS` only together with its full
+digest, and it prints that the integer columns moved.  A re-pin of floats
+alone thus leaves the integer pins as they were, and ``--check`` shows
+that no step, level or element count moved.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from afem.driver import AdaptiveConfig, RunLog, StepRecord, field_types, run_adaptive
+from afem.driver import AdaptiveConfig, RunLog, StepRecord, field_types, run_adaptive, write_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 GOLDEN_CONFIGS = {
@@ -39,9 +44,13 @@ GOLDEN_CONFIGS = {
     "square_linear_error": dict(domain="square_linear", max_elements=20000,
                                 track_error=True),
 }
-# leading hex digits of the sha1 of each benchmark workload's step log
-PINNED_DIGESTS = {"zshape-bulk": "adf3c8a8fd98", "zshape-fine": "68cde198edfe",
-                  "lshape-tight": "9bd5466fc6ac"}
+# leading hex digits of the sha1 of each benchmark workload's step log, and
+# of the CSV text of its integer columns alone
+PINNED_DIGESTS = {"zshape-bulk": "e37c01fae310", "zshape-fine": "f9919501cb37",
+                  "lshape-tight": "8b71750ae5fa"}
+INTEGER_COLUMNS = ["l", "k", "j", "step", "nT", "cumcost", "alg_stop", "pic_stop"]
+PINNED_INTEGER_DIGESTS = {"zshape-bulk": "2445cf54971c", "zshape-fine": "4db03c47a5fd",
+                          "lshape-tight": "0b2ead9118b1"}
 
 
 def compare(want: RunLog, got: RunLog) -> list:
@@ -102,17 +111,23 @@ def main(argv=None) -> int:
         if args.write and text != old:
             path.write_text(text)
             print("  rewritten")
+    this = Path(__file__)
     for name, config in benchmark_configs().items():
-        digest = hashlib.sha1(run_adaptive(AdaptiveConfig(**config)).to_csv().encode()).hexdigest()
-        pin = PINNED_DIGESTS[name]
-        pinned = digest.startswith(pin)
-        same &= pinned
+        log = run_adaptive(AdaptiveConfig(**config))
+        digest = hashlib.sha1(log.to_csv().encode()).hexdigest()
+        ints = hashlib.sha1(write_csv(INTEGER_COLUMNS, map(vars, log.records)).encode()).hexdigest()
+        pin, int_pin = PINNED_DIGESTS[name], PINNED_INTEGER_DIGESTS[name]
+        pinned, ints_pinned = digest.startswith(pin), ints.startswith(int_pin)
+        same &= pinned and ints_pinned
         print(f"{name}: sha1 {digest}{'' if pinned else ' (pinned ' + pin + ')'}")
+        print(f"  integer columns: sha1 {ints}{'' if ints_pinned else ' (pinned ' + int_pin + ')'}")
         if args.write and not pinned:
-            this = Path(__file__)
-            this.write_text(this.read_text().replace(f'"{name}": "{pin}"',
-                                                     f'"{name}": "{digest[:len(pin)]}"'))
-            print("  pin rewritten")
+            text = this.read_text().replace(f'"{name}": "{pin}"', f'"{name}": "{digest[:len(pin)]}"')
+            if not ints_pinned:
+                text = text.replace(f'"{name}": "{int_pin}"', f'"{name}": "{ints[:len(pin)]}"')
+            this.write_text(text)
+            print("  pin rewritten" if ints_pinned else
+                  "  pin rewritten; the integer columns MOVED, their pin rewritten too")
     return 1 if args.check and not same else 0
 
 

@@ -52,6 +52,8 @@ GOLDEN_ZSHAPE = "tests/test_driver.py::test_step_log_matches_golden[zshape_diagn
 READ_TEXT = "tests/test_mesh.py::test_read_text_rejects_malformed"
 DECLARED = "tests/test_experiments.py::test_rows_hold_exactly_the_declared_columns"
 TOTAL = "tests/test_estimator.py::test_total_and_scatter_match_the_former_indicators"
+RESIDUAL_FLUX = "tests/test_driver.py::test_residual_reads_the_flux_of_the_iterate"
+TRANSPOSED = "tests/test_fem.py::test_apply_nonlinear_matches_transposed_oracle"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -96,10 +98,15 @@ MUTANTS = [
      "x, log.state = x + state.iterate, state",
      [HANDOVER]),
     # the Picard update
-    ("the residual fed a buffer not refilled with x", "driver.py",
-     "vertex_values[dofmap.free_vertices] = x\n",
-     "pass\n",
-     [GOLDEN_ZSHAPE]),
+    ("the residual fed the flux of the level's first iterate on every linearization",
+     "driver.py",
+     "rhs = damping * (load - apply_nonlinear(dofmap, flux))",
+     "rhs = damping * (load - apply_nonlinear(dofmap, element_flux(nl, mesh, u.vertex_values())))",
+     [RESIDUAL_FLUX, GOLDEN_ZSHAPE]),
+    ("the residual without the areas", "fem.py",
+     "areas = dofmap.mesh.areas",
+     "areas = np.ones(dofmap.mesh.n_triangles)",
+     [TRANSPOSED, GOLDEN_ZSHAPE]),
     ("the estimator fed the update, not the new iterate", "driver.py",
      "vertex_values[dofmap.free_vertices] = x + state.iterate",
      "vertex_values[dofmap.free_vertices] = state.iterate",

@@ -20,7 +20,7 @@ from afem import (DIRICHLET, NEUMANN, AdaptiveConfig, DofMap, FeFunction,
 from afem.algsolver import Generation, MultilevelPreconditioner, coarse_inverse, solve_exact
 from afem.estimator import EstimatorData
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
-                      Samples, element_gradients, sample)
+                      Samples, element_flux, element_gradients, sample)
 from afem.mesh import EdgeTable, Mesh
 from afem.problems import get_problem
 from afem.driver import RunLog, algebraic_stop, picard_stop
@@ -264,6 +264,21 @@ def einsum_apply_nonlinear(nl: Nonlinearity, w: FeFunction) -> np.ndarray:
     return r[w.dofmap.free_vertices]
 
 
+def add_at_apply_nonlinear(dofmap: DofMap, flux) -> np.ndarray:
+    """The residual of the flux ``(fx, fy)`` in the association of the
+    library's transposed matvecs: the products h_i (f |T|) added into the
+    vertices by `np.add.at` in triangle order, the x products and the y
+    products apart, and the two sums added."""
+    mesh = dofmap.mesh
+    g = stacked_hat_gradients(mesh)
+    sums = []
+    for d, f in enumerate(flux):
+        r = np.zeros(mesh.n_vertices)
+        np.add.at(r, mesh.triangles.ravel(), (g[:, :, d] * (f * mesh.areas)[:, None]).ravel())
+        sums.append(r)
+    return (sums[0] + sums[1])[dofmap.free_vertices]
+
+
 def neumann_data_at_nodes(samples: Samples, g) -> np.ndarray:
     """g at the 3 nodes of each Neumann edge of ``samples`` (zero for None),
     (nN, 3), at the points and normals the library evaluates it at."""
@@ -416,7 +431,8 @@ def picard_map(nl: Nonlinearity, dofmap: DofMap, operator, load):
 
     def step(coeffs: np.ndarray) -> np.ndarray:
         values = FeFunction(dofmap, coeffs).vertex_values()
-        rhs = operator @ coeffs + damping * (load - apply_nonlinear(nl, dofmap, values))
+        flux = element_flux(nl, dofmap.mesh, values)
+        rhs = operator @ coeffs + damping * (load - apply_nonlinear(dofmap, flux))
         return solve_exact(operator, rhs)
 
     return step

@@ -15,17 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afem import algsolver, driver, estimator, fem
+from afem import algsolver, driver, fem
 from afem.algsolver import solve_exact
 from afem.driver import (AdaptiveConfig, RunLog, StepRecord, algebraic_stop,
                          field_types, picard_stop, quasi_error, run_adaptive)
 from afem.fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian,
-                      assemble_rhs, sample)
+                      assemble_rhs, element_flux, sample)
 from afem.mesh import NEUMANN, create_initial, uniform_refine
 from afem.problems import get_problem
 from golden import GOLDEN, GOLDEN_CONFIGS
 from oracles import (audit_stop_semantics, from_scratch_run, geometric_fit_ratio,
-                     late_step_growth, max_contraction_ratio, picard_map,
+                     late_step_growth, max_contraction_ratio, picard_map, same_bits,
                      window_constant)
 
 BASE_COLUMNS = ["l", "k", "j", "step", "nT", "eta", "alg_inc", "pic_inc",
@@ -59,8 +59,8 @@ def test_stopping_tests_accept_equality():
 def picard_residual(problem, dofmap, load, x):
     """The right-hand side delta (load - N(x)) of the driver's update system."""
     damping = problem.nonlinearity.damping
-    values = FeFunction(dofmap, x).vertex_values()
-    return damping * (load - apply_nonlinear(problem.nonlinearity, dofmap, values))
+    flux = element_flux(problem.nonlinearity, dofmap.mesh, FeFunction(dofmap, x).vertex_values())
+    return damping * (load - apply_nonlinear(dofmap, flux))
 
 
 def test_picard_residual_is_load_residual_for_linear_problem():
@@ -352,11 +352,12 @@ def test_data_sampled_once_per_level(monkeypatch):
 
 
 @pytest.mark.parametrize("domain", ["zshape", "lshape"])
-def test_one_gradient_pass_per_step_and_per_linearization(monkeypatch, domain):
+def test_one_gradient_pass_per_step_and_per_level(monkeypatch, domain):
     """A plain run takes the element gradients once per solver step (the
-    estimator's evaluation) and once per linearization (the residual), no
-    more: the marking step scatters the edge terms of the last evaluation
-    and takes no gradient pass of its own."""
+    flux of x + e, which the estimator reads) and once per level (the flux
+    of the level's first iterate), no more: every later linearization's
+    residual reads the flux of the step it accepted, and the marking step
+    scatters the edge terms of the last evaluation."""
     passes = []
     plain = fem.element_gradients
 
@@ -365,11 +366,54 @@ def test_one_gradient_pass_per_step_and_per_linearization(monkeypatch, domain):
         return plain(mesh, vertex_values)
 
     monkeypatch.setattr(fem, "element_gradients", counted)
-    monkeypatch.setattr(estimator, "element_gradients", counted)
     log = run_adaptive(AdaptiveConfig(domain=domain, max_elements=2000))
     table = log.level_table()
-    assert len(table) > 5
-    assert len(passes) == len(log.records) + sum(row["n_picard"] for row in table)
+    assert len(table) > 5 and sum(row["n_picard"] for row in table) > len(table)
+    assert len(passes) == len(log.records) + len(table)
+
+
+@pytest.mark.parametrize("domain", ["zshape", "lshape"])
+def test_residual_reads_the_flux_of_the_iterate(monkeypatch, domain):
+    """Every linearization's residual, the later ones fed the flux of the
+    step they accepted, is bit for bit that of a fresh flux pass at its
+    iterate x: the level's first iterate, then x plus each accepted
+    update."""
+    residuals, updates, starts = [], [], [None]
+    plain_apply, plain_prolongate, plain_step = (driver.apply_nonlinear, driver.prolongate,
+                                                 algsolver.pcg_step)
+
+    def apply(dofmap, flux):
+        residuals.append((dofmap, plain_apply(dofmap, flux)))
+        return residuals[-1][1]
+
+    def prolongate(u, dofmap):
+        starts.append(plain_prolongate(u, dofmap))
+        return starts[-1]
+
+    def step(state, pre):
+        state = plain_step(state, pre)
+        updates.append(state.iterate.copy())
+        return state
+
+    monkeypatch.setattr(driver, "apply_nonlinear", apply)
+    monkeypatch.setattr(driver, "prolongate", prolongate)
+    monkeypatch.setattr(algsolver, "pcg_step", step)
+    nl = get_problem(domain).nonlinearity
+    log = run_adaptive(AdaptiveConfig(domain=domain, max_elements=1000))
+    calls, starts = iter(residuals), iter(starts)
+    later = 0
+    for rec, e in zip(log.records, updates, strict=True):
+        if rec.j == 1:
+            dofmap, r = next(calls)
+            if rec.k == 1:
+                start = next(starts)
+                x = np.zeros(dofmap.n_dofs) if start is None else start.coeffs
+            later += rec.k > 1
+            values = FeFunction(dofmap, x).vertex_values()
+            assert same_bits(r, apply_nonlinear(dofmap, element_flux(nl, dofmap.mesh, values)))
+        if rec.alg_stop:
+            x = x + e
+    assert next(calls, None) is None and later > 5
 
 
 def calls_per_level(config: AdaptiveConfig) -> float:

@@ -15,12 +15,12 @@ from afem.algsolver import solve_exact
 from afem.mesh import Mesh
 from afem.estimator import EstimatorData
 from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
-                      _volume_moments, element_gradients, energy_error_vs_exact,
+                      _volume_moments, element_flux, element_gradients, energy_error_vs_exact,
                       energy_functional, sample, triangle_quad_points)
 from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
 
-from oracles import (KERNEL_CASES, MARKING_KINDS, einsum_apply_nonlinear,
+from oracles import (KERNEL_CASES, MARKING_KINDS, add_at_apply_nonlinear, einsum_apply_nonlinear,
                      einsum_assemble_laplacian, einsum_assemble_rhs, einsum_element_gradients,
                      einsum_triangle_quad_points, kernel_case, loop_volume_moments,
                      norm_edge_frames, one_triangle, picard_map, random_marking,
@@ -124,11 +124,32 @@ def test_stiffness_matches_einsum_oracle(domain, seed):
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
-def test_apply_nonlinear_matches_einsum_oracle(domain, seed):
+def test_element_flux_matches_einsum_oracle(domain, seed):
     problem, dofmap, _, values = kernel_case(domain, seed)
-    w = FeFunction.from_vertex_values(dofmap, values)
-    assert np.array_equal(apply_nonlinear(problem.nonlinearity, dofmap, w.vertex_values()),
-                          einsum_apply_nonlinear(problem.nonlinearity, w))
+    grads = einsum_element_gradients(dofmap.mesh, values)
+    mu = np.asarray(problem.nonlinearity.mu((grads ** 2).sum(axis=1)))
+    fx, fy = element_flux(problem.nonlinearity, dofmap.mesh, values)
+    assert np.array_equal(np.column_stack([fx, fy]), mu[:, None] * grads)
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_apply_nonlinear_matches_transposed_oracle(domain, seed):
+    """Bit for bit the sums of the transposed association: per coordinate,
+    the area-weighted flux times the hat gradients added into the vertices
+    in triangle order, then the x and the y sums added."""
+    problem, dofmap, _, values = kernel_case(domain, seed)
+    flux = element_flux(problem.nonlinearity, dofmap.mesh, values)
+    assert np.array_equal(apply_nonlinear(dofmap, flux), add_at_apply_nonlinear(dofmap, flux))
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_apply_nonlinear_matches_einsum_oracle(domain, seed):
+    """The former einsum, which sums the x and y products per triangle
+    first, agrees up to rounding: to 1e-13 of the largest entry."""
+    problem, dofmap, _, values = kernel_case(domain, seed)
+    r = apply_nonlinear(dofmap, element_flux(problem.nonlinearity, dofmap.mesh, values))
+    ref = einsum_apply_nonlinear(problem.nonlinearity, FeFunction.from_vertex_values(dofmap, values))
+    assert np.allclose(r, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
@@ -210,7 +231,7 @@ def test_apply_nonlinear_hand_value():
     mesh = one_triangle()
     dofmap = DofMap.from_mesh(mesh)
     w = FeFunction(dofmap, [0.0, 1.0, 0.0])
-    r = apply_nonlinear(zshape_nonlinearity(), dofmap, w.vertex_values())
+    r = apply_nonlinear(dofmap, element_flux(zshape_nonlinearity(), mesh, w.vertex_values()))
     mu = 2.0 + 2.0 ** -0.5
     assert np.allclose(r, mu * np.array([-0.5, 0.5, 0.0]), atol=1e-15)
 
@@ -220,8 +241,8 @@ def test_apply_nonlinear_linear_case():
     dofmap = DofMap.from_mesh(mesh)
     a = assemble_laplacian(dofmap)
     coeffs = np.random.default_rng(2).standard_normal(dofmap.n_dofs)
-    r = apply_nonlinear(constant_nonlinearity(3.5), dofmap,
-                        FeFunction(dofmap, coeffs).vertex_values())
+    r = apply_nonlinear(dofmap, element_flux(constant_nonlinearity(3.5), mesh,
+                                             FeFunction(dofmap, coeffs).vertex_values()))
     assert np.allclose(r, 3.5 * (a @ coeffs), rtol=1e-12, atol=1e-13)
 
 
