@@ -33,10 +33,10 @@ its residual is ``rhs`` itself.  `pcg_step` advances exactly one iteration
 and exposes the norms the adaptive driver's stopping tests need: the energy
 norm of the last step and, through `SolverState.norm`, of the iterate; the
 energy-norm error is non-increasing from step to step.  An ``r.z`` of
-exactly zero (an empty system, or a residual that vanishes to working
-precision) is convergence; any other non-positive or non-finite ``r.z`` or
-``p.Ap`` is a breakdown, which ends the adaptive run.  Either way the
-iterate stays put and the increment is zero.
+exactly zero (an empty system or a zero ``rhs``, or a residual that vanishes
+to working precision) is convergence; any other non-positive or non-finite
+``r.z`` or ``p.Ap`` is a breakdown, which ends the adaptive run.  Either
+way the iterate stays put and the increment is zero, at every later step.
 
 The adaptive loop needs only `scipy.sparse`.  `factorized` and
 `solve_exact`, the direct sparse solves of the diagnostics and of the
@@ -192,9 +192,10 @@ def build_preconditioner(meshes, dofmaps) -> MultilevelPreconditioner:
 class SolverState:
     """State of a one-step PCG solve of ``operator @ x = rhs`` started at 0.
 
-    ``increment`` is the energy norm of the last step.  The residual is
-    updated as ``rhs - operator @ iterate``, so `norm` reads the energy norm
-    of the iterate, ``sqrt(iterate . (rhs - residual))``, without a matvec.
+    ``increment`` is the energy norm of the last step, zero once ``r.z`` is
+    zero (convergence) or after a ``breakdown``.  The residual is updated as
+    ``rhs - operator @ iterate``, so `norm` reads the energy norm of the
+    iterate, ``sqrt(iterate . (rhs - residual))``, without a matvec.
     """
 
     operator: sp.csr_matrix
@@ -205,7 +206,6 @@ class SolverState:
     rz: float
     iterations: int
     increment: float
-    converged: bool
     breakdown: bool = False
 
     def norm(self) -> float:
@@ -217,19 +217,16 @@ def init_solver_state(operator: sp.csr_matrix, rhs: np.ndarray) -> SolverState:
     """PCG state at the zero iterate, whose residual is ``rhs`` itself."""
     rhs = np.asarray(rhs, dtype=float)
     return SolverState(operator=operator, rhs=rhs, iterate=np.zeros(rhs.size), residual=rhs,
-                       direction=None, rz=0.0, iterations=0, increment=0.0,
-                       converged=(rhs.size == 0))
+                       direction=None, rz=0.0, iterations=0, increment=0.0)
 
 
 def pcg_step(state: SolverState, precond) -> SolverState:
-    """One PCG iteration; a converged or broken-down state is a fixed point."""
-    if state.converged:
-        return replace(state, iterations=state.iterations + 1, increment=0.0)
+    """One PCG iteration; a converged (``r.z`` = 0) or broken-down state is a fixed point."""
     z = precond.apply(state.residual)
     rz = float(state.residual @ z)
     if not np.isfinite(rz) or rz <= 0.0:
         return replace(state, iterations=state.iterations + 1, increment=0.0,
-                       converged=rz == 0.0, breakdown=rz != 0.0)
+                       breakdown=rz != 0.0)
     if state.direction is None:
         p = z
     else:
@@ -244,8 +241,7 @@ def pcg_step(state: SolverState, precond) -> SolverState:
                    residual=state.residual - alpha * ap,
                    direction=p, rz=rz,
                    iterations=state.iterations + 1,
-                   increment=float(abs(alpha) * np.sqrt(pap)),
-                   converged=False)
+                   increment=float(abs(alpha) * np.sqrt(pap)))
 
 
 def coarse_inverse(operator: sp.csr_matrix) -> np.ndarray:

@@ -9,7 +9,7 @@ For a discrete function v the indicator of triangle T is
 For piecewise affine v the divergence vanishes and the flux is constant
 per element, so the volume term reduces to the f integral and edge terms
 are exact.  The data enter as `fem.Samples`, taken once per mesh and shared
-with the load vector.
+with the load vector; without Neumann edges they have zero Neumann rows.
 
 An evaluation (`EstimatorData.eval_squared`) maps a flux (`fem.element_flux`)
 to the squared edge terms, one per interior and per Neumann edge.
@@ -65,7 +65,7 @@ EdgeTerms = namedtuple("EdgeTerms", "jump neumann")
 EdgeTerms.__doc__ = """The squared edge terms of one evaluation: ``jump``,
 length times the squared jump of the normal flux, per interior edge of
 `EstimatorData` (its ``ie_left`` order), and ``neumann``, the squared
-L2 mismatch of g and the normal flux, per Neumann edge (None without
+L2 mismatch of g and the normal flux, per Neumann edge (empty without
 Neumann edges)."""
 
 
@@ -98,13 +98,15 @@ class EstimatorData:
         sqrt_areas = np.sqrt(mesh.areas)
         self.volume_total = np.add.reduce(self.volume_sq)
         self.ie_weight = sqrt_areas.take(self.ie_left) + sqrt_areas.take(self.ie_right)
-        self.neumann_weight = None if self.neumann is None \
-            else sqrt_areas.take(self.neumann.owner)
+        self.neumann_weight = sqrt_areas.take(self.neumann.owner)
 
     def eval_squared(self, flux) -> EdgeTerms:
         """The squared edge terms (`EdgeTerms`) of the P1 function whose
-        per-triangle flux is ``flux`` = ``(fx, fy)`` (`fem.element_flux`)."""
+        per-triangle flux is ``flux`` = ``(fx, fy)`` (`fem.element_flux`);
+        raises ValueError unless both have one entry per triangle."""
         fx, fy = flux
+        if fx.shape != self.mesh.areas.shape or fy.shape != fx.shape:
+            raise ValueError("need one flux value per triangle of the mesh")
         left, right = self.ie_left, self.ie_right
         # gathers by take, faster than fancy indexing; numpy reuses the
         # temporaries, and the square and the lengths go in place
@@ -113,8 +115,6 @@ class EstimatorData:
         jump *= jump
         jump *= self.ie_length
         nm = self.neumann
-        if nm is None:
-            return EdgeTerms(jump, None)
         owner = nm.owner
         c = fx.take(owner) * nm.normals[:, 0] + fy.take(owner) * nm.normals[:, 1]
         mismatch = nm.g_sq_int - 2.0 * c * nm.g_int + c ** 2 * nm.lengths
@@ -125,8 +125,7 @@ class EstimatorData:
         ``terms``: the volume sum plus the dot products of the edge terms
         with their weights."""
         sq = self.volume_total + terms.jump @ self.ie_weight
-        if terms.neumann is not None:
-            sq += terms.neumann @ self.neumann_weight
+        sq += terms.neumann @ self.neumann_weight
         return float(np.sqrt(sq))
 
     def scatter(self, terms: EdgeTerms) -> np.ndarray:
@@ -135,12 +134,9 @@ class EstimatorData:
         sqrt|T|, plus the volume term."""
         n = self.mesh.n_triangles
         edge_sq = np.zeros(n)
-        # no jumps without interior edges (one triangle), where np.bincount is int64
-        if self.ie_left.size:
-            edge_sq += np.bincount(self.ie_left, weights=terms.jump, minlength=n)
-            edge_sq += np.bincount(self.ie_right, weights=terms.jump, minlength=n)
-        if terms.neumann is not None:
-            edge_sq += np.bincount(self.neumann.owner, weights=terms.neumann, minlength=n)
+        edge_sq += np.bincount(self.ie_left, weights=terms.jump, minlength=n)
+        edge_sq += np.bincount(self.ie_right, weights=terms.jump, minlength=n)
+        edge_sq += np.bincount(self.neumann.owner, weights=terms.neumann, minlength=n)
         return self.volume_sq + np.sqrt(self.mesh.areas) * edge_sq
 
 

@@ -14,16 +14,16 @@ nonlinear integrand appears; polynomial integrands are thereby exact.
 only the integrals that the load vector and the estimator read: per
 triangle, those of f against the three hat functions and |T| times that of
 f^2; per Neumann edge, those of g against the hat functions of its two
-endpoints, of g and of g^2.  Given the samples of the parent mesh it
-evaluates f only on the new triangles and g only on the halves of split
-Neumann edges: the integrals of a copied triangle and the lengths, normals
-and integrals of an unsplit Neumann edge are gathered from the parent's
-samples, the new triangles are the mesh's `Mesh.new_triangles`, and each
-edge's owning triangle is read from the edge table that `refine` carried;
-nothing of the Neumann edges is computed, and ``g`` is not called, on a
-level where no Neumann edge was split.  Edge lengths and normals come from
-`mesh.edge_frame`, as the estimator's do.  The load vector and the
-estimator both read the same `Samples`.
+endpoints, of g and of g^2 (zero rows without Neumann edges).  Given the
+samples of the parent mesh it evaluates f only on the new triangles and g
+only on the halves of split Neumann edges: the integrals of a copied
+triangle and the lengths, normals and integrals of an unsplit Neumann edge
+are gathered from the parent's samples, the new triangles are the mesh's
+`Mesh.new_triangles`, and each edge's owning triangle is read from the edge
+table that `refine` carried; nothing of the Neumann edges is computed, and
+``g`` is not called, where no Neumann edge is new.  Edge lengths and
+normals come from `mesh.edge_frame`, as the estimator's do.  The load
+vector and the estimator both read the same `Samples`, on every domain.
 
 The element gradients of a P1 function are two sparse matvecs, with the x
 and y matrices of `Mesh.gradient_operator`, whose data are the hat gradients
@@ -228,18 +228,18 @@ class Samples:
     ``f_phi`` (nT, 3) holds, per triangle, the integrals of f against the
     three hat functions (the load), and ``volume_sq`` (nT,) |T| times the
     integral of f^2 (the estimator's volume term), from f at the 7 volume
-    nodes.  ``neumann`` is None without Neumann edges, else `NeumannSamples`
-    with fields ``edges``, endpoints (nN, 2); ``owner``, the owning triangle
-    (np.intp, which the estimator gathers by on every evaluation);
-    ``lengths``; ``normals``, outward unit; and, from g at the 3 nodes of
-    each edge, the integrals of g against the hat functions of its two
-    endpoints ``g_phi`` (nN, 2), of g ``g_int`` and of g^2 ``g_sq_int``.
+    nodes.  ``neumann`` is a `NeumannSamples`, of zero rows without Neumann
+    edges, with ``edges``, endpoints (nN, 2); ``owner``, the owning triangle
+    (contiguous np.intp, which the estimator gathers by per evaluation);
+    ``lengths``; ``normals``, outward unit (nN, 2); and, from g at the 3
+    nodes of each edge, the integrals of g against the hat functions of its
+    two endpoints ``g_phi`` (nN, 2), of g ``g_int`` and of g^2 ``g_sq_int``.
     """
 
     mesh: Mesh
     f_phi: np.ndarray
     volume_sq: np.ndarray
-    neumann: NeumannSamples | None
+    neumann: NeumannSamples
 
 
 def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
@@ -248,21 +248,19 @@ def sample(mesh: Mesh, f, g=None, previous: Samples | None = None) -> Samples:
 
     ``f`` maps (..., 2) point arrays to values; ``g`` additionally receives
     the outward unit normal (broadcast per edge).  Without ``g`` the Neumann
-    data is zero.  When ``previous`` holds the samples of the same ``f`` and
-    ``g`` on the mesh that ``mesh`` was refined from (`Mesh.refines`), what
-    did not change is gathered from it: the integrals of copied triangles
-    and the lengths, normals and integrals of unsplit Neumann edges.  ``f``
-    then sees only the nodes of the new triangles and ``g`` only those of
-    the halves of split edges, and is not called when no Neumann edge was
-    split; any other ``previous`` is ignored.
+    data is zero.  ``previous``, if given, must hold the samples of the same
+    ``f`` and ``g`` on the mesh that ``mesh`` was refined from
+    (`Mesh.refines`), else ValueError is raised; what did not change is
+    gathered from it: the integrals of copied triangles and the lengths,
+    normals and integrals of unsplit Neumann edges.  ``f`` then sees only
+    the nodes of the new triangles and ``g`` only those of the halves of
+    split edges, and is not called where no Neumann edge is new.
     """
     if previous is not None and not mesh.refines(previous.mesh):
-        previous = None
-    volume = _volume_samples(mesh, f, previous)
+        raise ValueError("previous samples were not taken on the parent mesh")
     sel = (mesh.boundary_markers != DIRICHLET).nonzero()[0]
-    if not sel.size:
-        return Samples(mesh, *volume, None)
-    return Samples(mesh, *volume, _neumann_samples(mesh, g, sel, previous))
+    return Samples(mesh, *_volume_samples(mesh, f, previous),
+                   _neumann_samples(mesh, g, sel, previous))
 
 
 def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
@@ -281,20 +279,23 @@ def _volume_samples(mesh: Mesh, f, previous: Samples | None) -> tuple:
 def _neumann_samples(mesh: Mesh, g, sel: np.ndarray, previous: Samples | None) -> NeumannSamples:
     """``Samples.neumann`` of the boundary edges ``sel``; the rows of
     unsplit edges are gathered from the parent mesh's samples ``previous``
-    and only the rest are computed."""
+    and only the rest, all rows without ``previous``, are computed."""
     edges = mesh.boundary_edges[sel]
     owner = mesh.edges.incident[mesh.boundary_ids[sel], 0].astype(np.intp)
-    if previous is None or previous.neumann is None:
-        return NeumannSamples(edges, owner, *_edge_integrals(mesh, g, edges, owner))
-    # `refine` puts the halves (a, m), (m, b) of a split edge in its place;
-    # m is new, so each second half shifts the parent rows by one
-    n_coarse = mesh.n_coarse_vertices
-    second = edges[:, 0] >= n_coarse
-    from_parent = np.arange(len(edges)) - second.cumsum()
-    p = previous.neumann
-    rows = [a.take(from_parent, axis=0)
-            for a in (p.lengths, p.normals, p.g_phi, p.g_int, p.g_sq_int)]
-    fresh = (second | (edges[:, 1] >= n_coarse)).nonzero()[0]
+    n = len(edges)
+    if previous is None:
+        rows = [np.empty(n), np.empty((n, 2)), np.empty((n, 2)), np.empty(n), np.empty(n)]
+        fresh = np.arange(n)
+    else:
+        # `refine` puts the halves (a, m), (m, b) of a split edge in its
+        # place; m is new, so each second half shifts the parent rows by one
+        n_coarse = mesh.n_coarse_vertices
+        second = edges[:, 0] >= n_coarse
+        from_parent = np.arange(n) - second.cumsum()
+        p = previous.neumann
+        rows = [a.take(from_parent, axis=0)
+                for a in (p.lengths, p.normals, p.g_phi, p.g_int, p.g_sq_int)]
+        fresh = (second | (edges[:, 1] >= n_coarse)).nonzero()[0]
     if fresh.size:
         for a, computed in zip(rows, _edge_integrals(mesh, g, edges[fresh], owner[fresh])):
             a[fresh] = computed
@@ -354,9 +355,8 @@ def assemble_rhs(dofmap: DofMap, samples: Samples) -> np.ndarray:
     rhs_v = np.bincount(mesh.triangles.ravel(), weights=samples.f_phi.ravel(),
                         minlength=mesh.n_vertices)
     nm = samples.neumann
-    if nm is not None:
-        for k in (0, 1):
-            np.add.at(rhs_v, nm.edges[:, k], nm.g_phi[:, k])
+    for k in (0, 1):
+        np.add.at(rhs_v, nm.edges[:, k], nm.g_phi[:, k])
     return rhs_v[dofmap.free_vertices]
 
 

@@ -119,6 +119,11 @@ MUTANTS = [
      "return np.linalg.inv(operator.toarray())",
      "return np.diag(1.0 / operator.diagonal())",
      ["tests/test_algsolver.py::test_coarse_solve_matches_solve_exact"]),
+    ("an r.z of exactly 0 reported as a breakdown", "algsolver.py",
+     "breakdown=rz != 0.0)",
+     "breakdown=True)",
+     ["tests/test_algsolver.py::test_pcg_zero_rhs_converges_immediately",
+      "tests/test_algsolver.py::test_empty_system_state"]),
     ("pic_inc read without the residual", "algsolver.py",
      "return float(np.sqrt(max(self.iterate @ (self.rhs - self.residual), 0.0)))",
      "return float(np.sqrt(max(self.iterate @ self.rhs, 0.0)))",
@@ -128,6 +133,14 @@ MUTANTS = [
      "sq += terms.neumann @ self.neumann_weight",
      "sq += 0.0",
      [TOTAL]),
+    ("the Neumann terms dropped from the scatter", "estimator.py",
+     "edge_sq += np.bincount(self.neumann.owner, weights=terms.neumann, minlength=n)",
+     "edge_sq += 0.0",
+     [TOTAL]),
+    ("eval_squared reads a flux of another length", "estimator.py",
+     "if fx.shape != self.mesh.areas.shape or fy.shape != fx.shape:",
+     "if False:",
+     ["tests/test_estimator.py::test_eval_squared_rejects_the_flux_of_another_mesh"]),
     ("one side's sqrt|T| missing from the interior-edge weight", "estimator.py",
      "self.ie_weight = sqrt_areas.take(self.ie_left) + sqrt_areas.take(self.ie_right)",
      "self.ie_weight = sqrt_areas.take(self.ie_left)",
@@ -239,17 +252,21 @@ MUTANTS = [
      "    return np.roll(ids, 1)\n",
      [EDGE_TABLE]),
     ("shifted boundary-parent map in the Neumann carry", "fem.py",
-     "from_parent = np.arange(len(edges)) - second.cumsum()",
-     "from_parent = np.roll(np.arange(len(edges)) - second.cumsum(), 1)",
+     "from_parent = np.arange(n) - second.cumsum()",
+     "from_parent = np.roll(np.arange(n) - second.cumsum(), 1)",
      [CARRIED]),
     ("g on every Neumann edge, not only the split ones", "fem.py",
      "fresh = (second | (edges[:, 1] >= n_coarse)).nonzero()[0]",
      "fresh = np.arange(len(edges))",
      [SAMPLED_ONCE]),
+    ("samples of another mesh sampled afresh", "fem.py",
+     'raise ValueError("previous samples were not taken on the parent mesh")',
+     "previous = None",
+     ["tests/test_fem.py::test_sample_gathers_only_from_the_parent_samples"]),
     ("g called on a level that split no Neumann edge", "fem.py",
      "if fresh.size:",
      "if True:",
-     [SAMPLED_ONCE]),
+     [SAMPLED_ONCE, "tests/test_fem.py::test_no_neumann_edge_gives_zero_rows"]),
     ("the g integrals of a split edge left as the parent's", "fem.py",
      "for a, computed in zip(rows, _edge_integrals(mesh, g, edges[fresh], owner[fresh])):",
      "for a, computed in zip(rows[:3], _edge_integrals(mesh, g, edges[fresh], owner[fresh])):",

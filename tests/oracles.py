@@ -183,9 +183,11 @@ def case_table_refine(mesh: Mesh, marked) -> Mesh:
 
 
 # (domain, seed) of the kernel oracle checks: z_shape meshes have Neumann
-# edges, l_shape meshes are Dirichlet only, None is `one_triangle`
+# edges, l_shape and unit_square meshes are Dirichlet only, None is
+# `one_triangle`
 KERNEL_CASES = [("z_shape", 0), ("z_shape", 1), ("l_shape", 2), ("l_shape", 3),
-                (None, 4)]
+                ("unit_square", 5), (None, 4)]
+DIRICHLET_ONLY = ("l_shape", "unit_square")
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +282,7 @@ def add_at_apply_nonlinear(dofmap: DofMap, flux) -> np.ndarray:
 
 
 def neumann_data_at_nodes(samples: Samples, g) -> np.ndarray:
-    """g at the 3 nodes of each Neumann edge of ``samples`` (zero for None),
+    """g at the 3 nodes of each Neumann edge of ``samples`` (zero for g None),
     (nN, 3), at the points and normals the library evaluates it at."""
     mesh = samples.mesh
     edges, normals = samples.neumann.edges, samples.neumann.normals
@@ -301,25 +303,22 @@ def einsum_assemble_rhs(dofmap: DofMap, samples: Samples, f, g) -> np.ndarray:
     rhs_v = np.zeros(mesh.n_vertices)
     rhs_v += np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                          minlength=mesh.n_vertices)
-    if samples.neumann is not None:
-        edges, lengths = samples.neumann.edges, samples.neumann.lengths
-        gq = neumann_data_at_nodes(samples, g)
-        w0 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
-        w1 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
-        np.add.at(rhs_v, edges[:, 0], w0)
-        np.add.at(rhs_v, edges[:, 1], w1)
+    edges, lengths = samples.neumann.edges, samples.neumann.lengths
+    gq = neumann_data_at_nodes(samples, g)
+    w0 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * (1.0 - EDGE_QUAD_X), gq)
+    w1 = lengths * np.einsum("q,nq->n", EDGE_QUAD_W * EDGE_QUAD_X, gq)
+    np.add.at(rhs_v, edges[:, 0], w0)
+    np.add.at(rhs_v, edges[:, 1], w1)
     return rhs_v[dofmap.free_vertices]
 
 
 def einsum_estimator_moments(samples: Samples, f, g):
     """|T| times the integral of the source ``f`` squared per element, and
-    the Neumann data moments ``(g_sq_int, g_int)`` of ``g`` per edge (None
+    the Neumann data moments ``(g_sq_int, g_int)`` of ``g`` per edge (empty
     without Neumann edges)."""
     mesh = samples.mesh
     fq = f(einsum_triangle_quad_points(mesh))
     volume_sq = mesh.areas * np.einsum("tq,q,t->t", fq ** 2, TRI_QUAD_W, mesh.areas)
-    if samples.neumann is None:
-        return volume_sq, None
     lengths = samples.neumann.lengths
     gq = neumann_data_at_nodes(samples, g)
     return volume_sq, (lengths * np.einsum("q,nq->n", EDGE_QUAD_W, gq ** 2),
@@ -350,14 +349,13 @@ def einsum_eval_squared(samples: Samples, f, g, nl: Nonlinearity,
         contrib = jump ** 2 * ie_length
         edge_sq += np.bincount(ie_left, weights=contrib, minlength=mesh.n_triangles)
         edge_sq += np.bincount(ie_right, weights=contrib, minlength=mesh.n_triangles)
-    if moments is not None:
-        nm = samples.neumann
-        owner, lengths, normals = nm.owner, nm.lengths, nm.normals
-        g_sq_int, g_int = moments
-        c = (flux[owner] * normals).sum(axis=1)
-        mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
-        edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
-                               minlength=mesh.n_triangles)
+    nm = samples.neumann
+    owner, lengths, normals = nm.owner, nm.lengths, nm.normals
+    g_sq_int, g_int = moments
+    c = (flux[owner] * normals).sum(axis=1)
+    mismatch = g_sq_int - 2.0 * c * g_int + c ** 2 * lengths
+    edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
+                           minlength=mesh.n_triangles)
     return volume_sq + np.sqrt(mesh.areas) * edge_sq
 
 
@@ -380,12 +378,11 @@ def former_eval_squared(data: EstimatorData, nl: Nonlinearity,
         edge_sq += np.bincount(left, weights=jump, minlength=mesh.n_triangles)
         edge_sq += np.bincount(right, weights=jump, minlength=mesh.n_triangles)
     nm = data.neumann
-    if nm is not None:
-        owner = nm.owner
-        c = fx.take(owner) * nm.normals[:, 0] + fy.take(owner) * nm.normals[:, 1]
-        mismatch = nm.g_sq_int - 2.0 * c * nm.g_int + c ** 2 * nm.lengths
-        edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
-                               minlength=mesh.n_triangles)
+    owner = nm.owner
+    c = fx.take(owner) * nm.normals[:, 0] + fy.take(owner) * nm.normals[:, 1]
+    mismatch = nm.g_sq_int - 2.0 * c * nm.g_int + c ** 2 * nm.lengths
+    edge_sq += np.bincount(owner, weights=np.maximum(mismatch, 0.0),
+                           minlength=mesh.n_triangles)
     return data.volume_sq + np.sqrt(mesh.areas) * edge_sq
 
 

@@ -109,8 +109,9 @@ def test_pcg_error_monotone_in_energy_norm():
         state = pcg_step(state, pre)
         d = xstar - state.iterate
         errs.append(np.sqrt(d @ (a @ d)))
-        if state.converged:
+        if state.increment == 0.0:
             break
+    assert not state.breakdown
     assert errs[-1] <= 1e-8 * errs[0]
     pairs = list(zip(errs, errs[1:]))
     assert all(b <= a_ * (1 + 1e-12) for a_, b in pairs)
@@ -136,28 +137,36 @@ def test_pcg_increment_and_update_norm_accounting():
             prev = state.iterate
 
 
+def assert_fixed_point(state, precond, steps=2):
+    """``steps`` further PCG steps from ``state`` move nothing: increment
+    0, no breakdown, the iterate and the residual unchanged."""
+    for _ in range(steps):
+        again = pcg_step(state, precond)
+        assert again.iterations == state.iterations + 1
+        assert again.increment == 0.0 and not again.breakdown
+        assert np.array_equal(again.iterate, state.iterate)
+        assert np.array_equal(again.residual, state.residual)
+        state = again
+
+
 def test_pcg_converged_state_is_a_fixed_point():
+    # stepped on, r.r underflows to zero: r.z = 0 is convergence
     _, _, a, rhs = small_system(seed=5, rounds=7)
     state = init_solver_state(a, rhs)
     pre = IdentityPreconditioner()
     for _ in range(500):
         state = pcg_step(state, pre)
-        if state.converged:
+        if state.increment == 0.0:
             break
-    assert state.converged
-    again = pcg_step(state, pre)
-    assert again.iterations == state.iterations + 1
-    assert again.increment == 0.0
-    assert np.array_equal(again.iterate, state.iterate)
+    assert state.increment == 0.0 and not state.breakdown
+    assert_fixed_point(state, pre)
 
 
 def test_pcg_zero_rhs_converges_immediately():
-    _, _, a, _ = small_system(seed=6)
-    state = init_solver_state(a, np.zeros(a.shape[0]))
-    state = pcg_step(state, IdentityPreconditioner())
-    assert state.converged and not state.breakdown
-    assert state.increment == 0.0
-    assert not state.iterate.any()
+    _, dofmap, a, _ = small_system(seed=6)
+    start = init_solver_state(a, np.zeros(a.shape[0]))
+    for pre in (IdentityPreconditioner(), build_preconditioner([dofmap.mesh], [dofmap])):
+        assert_fixed_point(start, pre)
 
 
 @pytest.mark.parametrize("sign, apply", [
@@ -171,16 +180,21 @@ def test_pcg_breakdown_is_not_convergence(sign, apply):
     x0 = np.ones_like(rhs)
     state = pcg_step(init_solver_state(sign * a, rhs - sign * a @ x0),
                      SimpleNamespace(apply=apply))
-    assert state.breakdown and not state.converged
+    assert state.breakdown
     assert state.increment == 0.0 and state.iterations == 1
     assert not state.iterate.any()
+    again = pcg_step(state, SimpleNamespace(apply=apply))
+    assert again.breakdown and again.increment == 0.0 and not again.iterate.any()
 
 
 def test_empty_system_state():
-    state = init_solver_state(sp.csr_matrix((0, 0)), np.zeros(0))
-    assert state.converged
-    state = pcg_step(state, IdentityPreconditioner())
-    assert state.iterations == 1 and state.increment == 0.0 and not state.breakdown
+    # the l_shape root has no free vertex: the driver's first level there
+    dofmap = DofMap.from_mesh(create_initial("l_shape"))
+    assert dofmap.n_dofs == 0
+    operator = assemble_laplacian(dofmap)
+    start = init_solver_state(operator, np.zeros(0))
+    for pre in (IdentityPreconditioner(), MultilevelPreconditioner(dofmap, operator)):
+        assert_fixed_point(start, pre)
 
 
 def test_exact_coarse_preconditioner_converges_in_one_step():

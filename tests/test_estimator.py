@@ -11,13 +11,14 @@ from afem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
                   create_initial, doerfler_mark, indicators, refine, total,
                   uniform_refine)
 from afem.estimator import EstimatorData, IndicatorField
-from afem.fem import element_flux, energy_norm, prolongate, sample
+from afem.fem import apply_nonlinear, element_flux, energy_norm, prolongate, sample
 from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
 
-from oracles import (KERNEL_CASES, brute_force_doerfler_size, doerfler_reference,
-                     einsum_estimator_moments, einsum_eval_squared, former_eval_squared,
-                     kernel_case, one_triangle, picard_map, random_mesh, same_bits)
+from oracles import (DIRICHLET_ONLY, KERNEL_CASES, brute_force_doerfler_size,
+                     doerfler_reference, einsum_estimator_moments, einsum_eval_squared,
+                     former_eval_squared, kernel_case, one_triangle, picard_map, random_mesh,
+                     same_bits)
 
 
 def one(p):
@@ -138,7 +139,7 @@ def test_total_and_scatter_match_the_former_indicators(domain, seed):
     former = former_eval_squared(data, nl, values)
     assert same_bits(data.scatter(terms), former)
     assert data.eta(terms) == pytest.approx(np.sqrt(former.sum()), rel=1e-14, abs=0.0)
-    assert (terms.neumann is None) == (samples.neumann is None)
+    assert terms.neumann.shape == samples.neumann.owner.shape
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)
@@ -149,10 +150,43 @@ def test_estimator_moments_match_einsum_oracle(domain, seed):
     assert data.volume_sq is samples.volume_sq and data.neumann is samples.neumann
     volume_sq, moments = einsum_estimator_moments(samples, problem.source, problem.neumann)
     assert np.array_equal(data.volume_sq, volume_sq)
-    assert (data.neumann is None) == (moments is None) == (domain == "l_shape")
-    if moments is not None:
-        assert np.array_equal(data.neumann.g_sq_int, moments[0])
-        assert np.array_equal(data.neumann.g_int, moments[1])
+    assert (len(data.neumann.owner) == 0) == (domain in DIRICHLET_ONLY)
+    assert np.array_equal(data.neumann.g_sq_int, moments[0])
+    assert np.array_equal(data.neumann.g_int, moments[1])
+
+
+@pytest.mark.parametrize("domain, seed", [c for c in KERNEL_CASES if c[0] in DIRICHLET_ONLY])
+def test_dirichlet_only_meshes_run_the_same_lines(domain, seed):
+    """Without Neumann edges an evaluation has no Neumann terms, and eta
+    keeps the bits of the former form, which skipped the Neumann lines: the
+    root of the volume sum plus the jump dot product alone.  (The scatter's
+    bits are those of the oracles on these cases too, see
+    `test_eval_squared_matches_einsum_oracle` and
+    `test_total_and_scatter_match_the_former_indicators`.)"""
+    problem, _, samples, values = kernel_case(domain, seed)
+    data = EstimatorData(samples)
+    terms = data.eval_squared(element_flux(problem.nonlinearity, samples.mesh, values))
+    assert terms.neumann.shape == (0,) and terms.neumann.dtype == np.float64
+    assert data.eta(terms) == float(np.sqrt(data.volume_total + terms.jump @ data.ie_weight))
+
+
+def test_eval_squared_rejects_the_flux_of_another_mesh():
+    """The flux of a refined mesh has more triangles than the estimator's
+    mesh; read by triangle id it would give some eta, so it is refused, as
+    the nonlinear residual refuses it."""
+    problem = get_problem("zshape")
+    nl = problem.nonlinearity
+    mesh = uniform_refine(create_initial("z_shape"))
+    fine = uniform_refine(mesh)
+    data = EstimatorData(sample(mesh, problem.source, problem.neumann))
+    flux = element_flux(nl, fine, np.linspace(0.0, 1.0, fine.n_vertices))
+    own = element_flux(nl, mesh, np.linspace(0.0, 1.0, mesh.n_vertices))
+    for wrong in (flux, (own[0], flux[1]), (flux[0], own[1]), (own[0][:-1], own[1][:-1])):
+        with pytest.raises(ValueError, match="one flux value per triangle"):
+            data.eval_squared(wrong)
+    with pytest.raises(ValueError):
+        apply_nonlinear(DofMap.from_mesh(mesh), flux)
+    data.eval_squared(own)
 
 
 def test_neumann_mismatch_toggle():

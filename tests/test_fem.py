@@ -20,12 +20,12 @@ from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
 from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
 
-from oracles import (KERNEL_CASES, MARKING_KINDS, add_at_apply_nonlinear, einsum_apply_nonlinear,
-                     einsum_assemble_laplacian, einsum_assemble_rhs, einsum_element_gradients,
-                     einsum_triangle_quad_points, kernel_case, loop_volume_moments,
-                     norm_edge_frames, one_triangle, picard_map, random_marking,
-                     random_mesh, random_root, same_bits, stacked_hat_gradients,
-                     sum_stiffness_diagonal)
+from oracles import (DIRICHLET_ONLY, KERNEL_CASES, MARKING_KINDS, add_at_apply_nonlinear,
+                     einsum_apply_nonlinear, einsum_assemble_laplacian, einsum_assemble_rhs,
+                     einsum_element_gradients, einsum_triangle_quad_points, kernel_case,
+                     loop_volume_moments, norm_edge_frames, one_triangle, picard_map,
+                     random_marking, random_mesh, random_root, same_bits,
+                     stacked_hat_gradients, sum_stiffness_diagonal)
 
 
 def zero_source(points):
@@ -222,7 +222,32 @@ def test_neumann_edge_normals():
             assert np.allclose(n, [1.0, 0.0])
         if np.isclose(a[1], -1.0) and np.isclose(b[1], -1.0):
             assert np.allclose(n, [0.0, -1.0])
-    assert sample(create_initial("unit_square"), zero_source).neumann is None
+    assert len(sample(create_initial("unit_square"), zero_source).neumann.edges) == 0
+
+
+@pytest.mark.parametrize("domain", DIRICHLET_ONLY)
+def test_no_neumann_edge_gives_zero_rows(domain):
+    """A Dirichlet-only mesh, root or refined from samples, has Neumann
+    samples of zero rows with the dtypes and trailing shapes of a z_shape
+    mesh's, and never calls g, not even with zero points."""
+    calls = []
+
+    def g(points, normals):
+        calls.append(points.shape)
+        return smooth_flux(points, normals)
+
+    rng = np.random.default_rng(11)
+    want = sample(random_mesh("z_shape", rng, rounds=2), smooth_source, smooth_flux).neumann
+    mesh = create_initial(domain)
+    samples = sample(mesh, smooth_source, g)
+    for _ in range(4):
+        for got, expected in zip(samples.neumann, want):
+            assert got.dtype == expected.dtype
+            assert got.shape == (0,) + expected.shape[1:]
+        assert samples.neumann.owner.flags.c_contiguous
+        mesh = refine(mesh, rng.random(mesh.n_triangles) < 0.5)
+        samples = sample(mesh, smooth_source, g, previous=samples)
+    assert calls == []
 
 
 def test_apply_nonlinear_hand_value():
@@ -355,10 +380,9 @@ def test_carried_arrays_match_fresh_computation(domain, seed, kinds):
         want = sample(fresh, smooth_source, smooth_flux)
         for name in SAMPLED:
             assert np.array_equal(getattr(samples, name), getattr(want, name)), name
-        assert (samples.neumann is None) == (domain != "z_shape")
-        if domain == "z_shape":
-            for got, expected in zip(samples.neumann, want.neumann):
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert (len(samples.neumann.edges) == 0) == (domain != "z_shape")
+        for got, expected in zip(samples.neumann, want.neumann):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,16 +444,19 @@ def test_sample_gathers_only_from_the_parent_samples():
 
     want = sample(child, smooth_source)
     new = int((child.triangles >= child.n_coarse_vertices).any(axis=1).sum())
-    cases = [(sample(parent, smooth_source), new)] + [
-        (previous, child.n_triangles) for previous in
-        (sample(root, smooth_source), sample(aunt, smooth_source),
-         sample(child, smooth_source), None)]
-    for previous, evaluated in cases:
+    for previous, evaluated in ((sample(parent, smooth_source), new),
+                                (None, child.n_triangles)):
         points.clear()
         got = sample(child, f, previous=previous)
         assert points == [(evaluated, 7)]
         for name in SAMPLED:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # samples of any other mesh are an error, not a reason to sample afresh
+    for other in (root, aunt, child):
+        points.clear()
+        with pytest.raises(ValueError, match="not taken on the parent mesh"):
+            sample(child, f, previous=sample(other, smooth_source))
+        assert points == []
 
 
 def test_energy_norm_matches_operator():
