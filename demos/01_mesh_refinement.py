@@ -9,8 +9,7 @@ shapes, so angles never degenerate no matter how locally we refine.
 
 import numpy as np
 
-from afem.mesh import (closure_cost, create_initial, locate, read_text, refine,
-                       write_text)
+from afem.mesh import closure_cost, create_initial, locate, refine
 
 mesh = create_initial("z_shape")
 print("initial mesh: %d vertices, %d triangles, min angle %.1f deg"
@@ -39,12 +38,3 @@ areas = final.areas
 at_corner = locate(final, np.array([[1e-9, 1e-9]]))[0]
 print("area range %.2e .. %.2e, corner element area %.2e"
       % (areas.min(), areas.max(), areas[at_corner]))
-
-# meshes serialize to a plain text format and come back bit-identical
-import io
-
-buf = io.StringIO()
-write_text(final, buf)
-again = read_text(io.StringIO(buf.getvalue()))
-assert (again.triangles == final.triangles).all()
-print("text round trip ok (%d bytes)" % len(buf.getvalue()))

@@ -18,8 +18,8 @@ from .experiments import (RunResult, expected_rate, fit_rate,
                           parse_sweep_spec, robustness_grid, run_benchmark)
 from .fem import (DofMap, FeFunction, apply_nonlinear, assemble_laplacian, assemble_rhs,
                   element_flux, energy_norm, interpolate, prolongate, sample)
-from .mesh import (DIRICHLET, NEUMANN, Mesh, create_initial,
-                   overlay, read_text, refine, uniform_refine, write_text)
+from .mesh import (DIRICHLET, NEUMANN, Mesh, create_initial, overlay, refine,
+                   uniform_refine)
 from .nonlinearity import (Nonlinearity, constant_nonlinearity,
                            lshape_nonlinearity, zshape_nonlinearity)
 from .problems import (ErrorData, ExactSolution, Problem, ZSHAPE_BETA,
@@ -38,7 +38,7 @@ __all__ = [
     "expected_rate", "fit_rate", "get_problem", "indicators",
     "init_solver_state", "interpolate", "lshape_nonlinearity", "overlay",
     "parse_sweep_spec", "pcg_step", "prolongate", "quasi_error",
-    "read_text", "refine", "robustness_grid", "run_adaptive",
-    "run_benchmark", "sample", "solve_exact", "total", "uniform_refine",
-    "write_text", "zshape_exact", "zshape_nonlinearity",
+    "refine", "robustness_grid", "run_adaptive", "run_benchmark",
+    "sample", "solve_exact", "total", "uniform_refine", "zshape_exact",
+    "zshape_nonlinearity",
 ]

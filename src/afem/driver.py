@@ -149,7 +149,8 @@ def read_csv(source, types: dict, required: Sequence[str]) -> List[dict]:
 
     Each cell is parsed by ``types[column]``, empty cells read as None.
     The header must start with ``required`` and name only columns in
-    ``types``, each once; every row must have as many cells as the header.
+    ``types``, each once; every row must have as many cells as the header,
+    and a cell that does not parse raises naming its line and column.
     """
     text = source.read() if hasattr(source, "read") else Path(source).read_text()
     reader = csv.reader(text.splitlines())
@@ -162,12 +163,19 @@ def read_csv(source, types: dict, required: Sequence[str]) -> List[dict]:
     repeated = [name for name in header if header.count(name) > 1]
     if repeated:
         raise ValueError(f"CSV header names column {repeated[0]!r} twice")
+    rows = []
     for number, row in lines[1:]:
         if len(row) != len(header):
             raise ValueError(f"CSV line {number} has {len(row)} cells, "
                              f"the header {len(header)}")
-    return [{name: None if cell == "" else types[name](cell)
-             for name, cell in zip(header, row)} for _, row in lines[1:]]
+        cells = {}
+        for name, cell in zip(header, row):
+            try:
+                cells[name] = None if cell == "" else types[name](cell)
+            except ValueError as exc:
+                raise ValueError(f"CSV line {number}, column {name!r}: {exc}") from None
+        rows.append(cells)
+    return rows
 
 
 _STEP_TYPES = field_types(StepRecord)

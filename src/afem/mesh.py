@@ -53,8 +53,6 @@ DIRICHLET = 0
 NEUMANN = 1
 _INT32_MAX = np.iinfo(np.int32).max  # connectivity is 32-bit
 
-_CHAR_TO_MARKER = {"D": DIRICHLET, "N": NEUMANN}
-
 
 # the ends of the edge opposite local vertex k, k = 0, 1, 2
 EDGE_ENDS = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -653,81 +651,3 @@ def closure_cost(levels, markings) -> float:
         raise ValueError("markings are all empty")
     return (levels[-1].n_triangles - levels[0].n_triangles) / total_marked
 
-
-def write_text(mesh: Mesh, target) -> None:
-    """Write a mesh in the plain-text exchange format.
-
-    Layout: ``vertices N`` then N lines ``x y`` (17 significant digits),
-    ``triangles M`` then M lines ``i j k`` (refinement edge opposite vertex
-    i), ``boundary B`` then B lines ``i j D|N``.  Indices are 0-based.
-    """
-    def _dump(f):
-        chars = np.where(mesh.boundary_markers == NEUMANN, "N", "D")
-        np.savetxt(f, mesh.vertices, "%.17g", header=f"vertices {mesh.n_vertices}", comments="")
-        np.savetxt(f, mesh.triangles, "%d", header=f"triangles {mesh.n_triangles}", comments="")
-        np.savetxt(f, np.column_stack((mesh.boundary_edges, chars)), "%s",
-                   header=f"boundary {len(chars)}", comments="")
-
-    if hasattr(target, "write"):
-        _dump(target)
-    else:
-        with open(target, "w") as f:
-            _dump(f)
-
-
-def read_text(source) -> Mesh:
-    """Read a mesh written by `write_text`; returns a level-0 mesh.
-
-    A header, count or row that does not read, and a non-blank line after
-    the boundary section, raise ValueError naming the 1-based line.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as f:
-            text = f.read()
-    lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), 1) if line.strip())
-
-    def parse(n, line, what, kinds):
-        """The fields of line ``n``, one read by each of ``kinds``."""
-        fields = line.split()
-        if len(fields) != len(kinds):
-            raise ValueError(f"line {n}: {what} {line!r} has {len(fields)} fields, "
-                             f"not {len(kinds)}")
-        try:
-            return [kind(field) for kind, field in zip(kinds, fields)]
-        except ValueError as exc:
-            raise ValueError(f"line {n}: {what} {line!r}: {exc}") from None
-
-    def section(name, kinds):
-        """The rows of section ``name``, each read by ``kinds``."""
-        n, head = next(lines, (0, None))
-        if head is None:
-            raise ValueError(f"missing '{name}' section")
-        fields = head.split()
-        if len(fields) != 2 or fields[0] != name:
-            raise ValueError(f"line {n}: expected '{name} N' header, got {head!r}")
-        [count] = parse(n, fields[1], f"'{name}' count", (int,))
-        if count < 0:
-            raise ValueError(f"line {n}: negative '{name}' count {count}")
-        rows = []
-        for _ in range(count):
-            # an exhausted generator stays exhausted: a short file ends in None
-            n, line = next(lines, (0, None))
-            if line is None:
-                raise ValueError("truncated mesh file")
-            rows.append(parse(n, line, f"'{name}' row", kinds))
-        return rows
-
-    def marker(char):
-        if char not in _CHAR_TO_MARKER:
-            raise ValueError(f"unknown boundary marker {char!r}")
-        return _CHAR_TO_MARKER[char]
-
-    verts = np.array(section("vertices", (float, float)), dtype=float).reshape(-1, 2)
-    tris = np.array(section("triangles", (int, int, int)), dtype=np.int64).reshape(-1, 3)
-    boundary = np.array(section("boundary", (int, int, marker)), dtype=np.int64).reshape(-1, 3)
-    extra = next(lines, None)
-    if extra is not None:
-        raise ValueError(f"line {extra[0]}: {extra[1]!r} after the boundary section")
-    return Mesh(verts, tris, boundary[:, :2], boundary[:, 2])

@@ -12,11 +12,14 @@ back through its CSV text first, so both sides carry the same 12 digits and
 an unchanged run reads 0.  Then it prints the sha1 of the step log of each
 benchmark workload, with the configurations of `perfbench/workloads.py`,
 and the sha1 of its `INTEGER_COLUMNS` alone; running the command at two
-commits compares all five "same numbers" runs of the ROADMAP.  With
-``--check`` it exits with status 1 if a golden file changed or a workload
-digest does not begin with its entry of `PINNED_DIGESTS` or of
-`PINNED_INTEGER_DIGESTS`.  ``--write`` rewrites the golden files that
-changed and the entries of `PINNED_DIGESTS`, in this file, that no longer
+commits compares all five "same numbers" runs of the ROADMAP.  Last it
+prints the sha1 of the integer columns of each member of the acceptance
+gate's `robustness_grid(40000)`.  With ``--check`` it exits with status 1
+if a golden file changed, a workload digest does not begin with its entry
+of `PINNED_DIGESTS` or of `PINNED_INTEGER_DIGESTS`, or a grid digest with
+its entry of `PINNED_GRID_DIGESTS`; it names the grid members that moved.
+``--write`` rewrites the golden files that changed and the entries of
+`PINNED_DIGESTS` and `PINNED_GRID_DIGESTS`, in this file, that no longer
 match; an entry of `PINNED_INTEGER_DIGESTS` only together with its full
 digest, and it prints that the integer columns moved.  A re-pin of floats
 alone thus leaves the integer pins as they were, and ``--check`` shows
@@ -35,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from afem.driver import AdaptiveConfig, RunLog, StepRecord, field_types, run_adaptive, write_csv
+from afem.experiments import robustness_grid, run_id_for
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 GOLDEN_CONFIGS = {
@@ -51,6 +55,31 @@ PINNED_DIGESTS = {"zshape-bulk": "e37c01fae310", "zshape-fine": "f9919501cb37",
 INTEGER_COLUMNS = ["l", "k", "j", "step", "nT", "cumcost", "alg_stop", "pic_stop"]
 PINNED_INTEGER_DIGESTS = {"zshape-bulk": "2445cf54971c", "zshape-fine": "4db03c47a5fd",
                           "lshape-tight": "0b2ead9118b1"}
+# leading hex digits of the sha1 of the integer columns of each member of
+# `robustness_grid(GRID_MAX_ELEMENTS)`, by run id.  A move of a member in
+# the paper's regime is a finding; the last four are outside it, where a
+# move under reassociation is expected.
+GRID_MAX_ELEMENTS = 40000
+PINNED_GRID_DIGESTS = {
+    "zshape_t0.5_a0.01_p0.01": "24798256a1b0",
+    "zshape_t0.5_a0.001_p0.01": "bd13a59b8c0d",
+    "zshape_t0.5_a0.0001_p0.01": "1308d279fead",
+    "zshape_t0.5_a0.01_p1": "0b009be57124",
+    "zshape_t0.5_a0.01_p0.1": "4cf1b99f0f82",
+    "zshape_t0.1_a0.01_p0.01": "b33c7acfa2d8",
+    "zshape_t0.3_a0.01_p0.01": "08af251a98a5",
+    "zshape_t0.7_a0.01_p0.01": "8aecc4688f2b",
+    # outside the paper's regime
+    "zshape_t0.5_a0.1_p0.01": "f63d7233b479",  # lambda_pic < lambda_alg
+    "zshape_t0.5_a0.01_p0.001": "2ee43cf2eaca",  # lambda_pic < lambda_alg
+    "zshape_t0.5_a0.01_p0.0001": "f873d6cb4452",  # lambda_pic < lambda_alg
+    "zshape_t0.9_a0.01_p0.01": "001c9f7afa75",  # theta = 0.9
+}
+
+
+def integer_digest(log: RunLog) -> str:
+    """sha1 of the CSV text of the step log's `INTEGER_COLUMNS` alone."""
+    return hashlib.sha1(write_csv(INTEGER_COLUMNS, map(vars, log.records)).encode()).hexdigest()
 
 
 def compare(want: RunLog, got: RunLog) -> list:
@@ -115,7 +144,7 @@ def main(argv=None) -> int:
     for name, config in benchmark_configs().items():
         log = run_adaptive(AdaptiveConfig(**config))
         digest = hashlib.sha1(log.to_csv().encode()).hexdigest()
-        ints = hashlib.sha1(write_csv(INTEGER_COLUMNS, map(vars, log.records)).encode()).hexdigest()
+        ints = integer_digest(log)
         pin, int_pin = PINNED_DIGESTS[name], PINNED_INTEGER_DIGESTS[name]
         pinned, ints_pinned = digest.startswith(pin), ints.startswith(int_pin)
         same &= pinned and ints_pinned
@@ -128,6 +157,22 @@ def main(argv=None) -> int:
             this.write_text(text)
             print("  pin rewritten" if ints_pinned else
                   "  pin rewritten; the integer columns MOVED, their pin rewritten too")
+    moved = []
+    for config in robustness_grid(GRID_MAX_ELEMENTS):
+        name = run_id_for(config)
+        ints, pin = integer_digest(run_adaptive(config)), PINNED_GRID_DIGESTS[name]
+        pinned = ints.startswith(pin)
+        print(f"grid {name}: integer columns sha1 {ints}"
+              f"{'' if pinned else ' (pinned ' + pin + ')'}")
+        if not pinned:
+            moved.append(name)
+        if args.write and not pinned:
+            this.write_text(this.read_text().replace(f'"{name}": "{pin}"',
+                                                     f'"{name}": "{ints[:len(pin)]}"'))
+    if moved:
+        print("grid members whose integer columns MOVED"
+              f"{', pins rewritten' if args.write else ''}: {', '.join(moved)}")
+    same &= not moved
     return 1 if args.check and not same else 0
 
 

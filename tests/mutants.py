@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CARRIED = "tests/test_fem.py::test_carried_arrays_match_fresh_computation"
 SAMPLED_ONCE = "tests/test_driver.py::test_data_sampled_once_per_level"
-EDGE_TABLE = "tests/test_mesh.py::test_carried_edge_table_matches_fresh_build"
 GENERATIONS = "tests/test_algsolver.py::test_extended_generations_match_regrouping"
 CONTRACTIONS = "tests/test_driver.py::test_level_table_contraction_columns"
 OPERATOR = "tests/test_fem.py::test_gradient_operator_holds_the_hat_gradients"
@@ -49,11 +48,11 @@ PAIR_CODES = "tests/test_mesh.py::test_pair_codes_round_trip_and_sort_as_pairs"
 AT_BOUND = "tests/test_mesh.py::test_an_index_at_its_bound_or_negative_is_rejected"
 NON_INTEGER = "tests/test_mesh.py::test_a_non_integer_index_is_rejected"
 GOLDEN_ZSHAPE = "tests/test_driver.py::test_step_log_matches_golden[zshape_diagnostics]"
-READ_TEXT = "tests/test_mesh.py::test_read_text_rejects_malformed"
 DECLARED = "tests/test_experiments.py::test_rows_hold_exactly_the_declared_columns"
 TOTAL = "tests/test_estimator.py::test_total_and_scatter_match_the_former_indicators"
 RESIDUAL_FLUX = "tests/test_driver.py::test_residual_reads_the_flux_of_the_iterate"
 TRANSPOSED = "tests/test_fem.py::test_apply_nonlinear_matches_transposed_oracle"
+GRID_PINS = "tests/test_acceptance.py::test_grid_integer_columns_match_their_pins"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -103,6 +102,10 @@ MUTANTS = [
      "rhs = damping * (load - apply_nonlinear(dofmap, flux))",
      "rhs = damping * (load - apply_nonlinear(dofmap, element_flux(nl, mesh, u.vertex_values())))",
      [RESIDUAL_FLUX, GOLDEN_ZSHAPE]),
+    ("the residual scaled in its last bit", "driver.py",
+     "rhs = damping * (load - apply_nonlinear(dofmap, flux))",
+     "rhs = damping * (load - apply_nonlinear(dofmap, flux)) * (1.0 + 2.0 ** -52)",
+     [GRID_PINS]),
     ("the residual without the areas", "fem.py",
      "areas = dofmap.mesh.areas",
      "areas = np.ones(dofmap.mesh.n_triangles)",
@@ -217,15 +220,15 @@ MUTANTS = [
     ("shifted parent_of in the of_triangle gather", "mesh.py",
      "of_triangle = old_to_new.take(of_triangle.take(parent_of, axis=0))",
      "of_triangle = old_to_new.take(of_triangle.take(np.roll(parent_of, 1), axis=0))",
-     [EDGE_TABLE]),
+     [CARRIED]),
     ("swapped incident columns", "mesh.py",
      "first, last = incident[:, 0], incident[:, 1]",
      "last, first = incident[:, 0], incident[:, 1]",
-     [EDGE_TABLE, SORT_ORACLES]),
+     [CARRIED, SORT_ORACLES]),
     ("off-by-one merge insertion", "mesh.py",
      "at = kept_codes.searchsorted(added) + np.arange(len(added))",
      "at = kept_codes.searchsorted(added) + np.arange(1, len(added) + 1)",
-     [EDGE_TABLE]),
+     [CARRIED]),
     ("edge ends read with lo and hi swapped", "mesh.py",
      "_LO_HI = np.s_[:, ::-1] if np.little_endian else np.s_[:, :]  # their (lo, hi) columns",
      "_LO_HI = np.s_[:, :] if np.little_endian else np.s_[:, ::-1]  # their (lo, hi) columns",
@@ -233,11 +236,11 @@ MUTANTS = [
     ("the edge lookup's permutation not undone", "mesh.py",
      "ids[order] = codes.searchsorted(sc)",
      "ids = codes.searchsorted(sc)",
-     [EDGE_TABLE]),
+     [CARRIED]),
     ("the parent's kept codes gathered shifted", "mesh.py",
      "kept_codes = parent.codes.take(surviving.nonzero()[0])",
      "kept_codes = parent.codes.take(np.roll(surviving.nonzero()[0], 1))",
-     [EDGE_TABLE]),
+     [CARRIED]),
     ("no check for an edge of three triangles", "mesh.py",
      "if 2 * n_edges - np.count_nonzero(single) != 3 * len(of_triangle):",
      "if False:",
@@ -246,11 +249,11 @@ MUTANTS = [
     ("a child mesh that rebuilds its edge table", "mesh.py",
      "edges=edges, new_triangles=new)",
      "new_triangles=new)",
-     [EDGE_TABLE]),
+     [CARRIED]),
     ("shifted boundary edge ids", "mesh.py",
      "    return ids\n",
      "    return np.roll(ids, 1)\n",
-     [EDGE_TABLE]),
+     [CARRIED]),
     ("shifted boundary-parent map in the Neumann carry", "fem.py",
      "from_parent = np.arange(n) - second.cumsum()",
      "from_parent = np.roll(np.arange(n) - second.cumsum(), 1)",
@@ -377,6 +380,15 @@ MUTANTS = [
      "if repeated:",
      "if False:",
      ["tests/test_driver.py::test_run_log_rejects_garbage"]),
+    ("a CSV cell that does not parse raised without its line and column", "driver.py",
+     "except ValueError as exc:",
+     "except KeyError as exc:",
+     ["tests/test_driver.py::test_run_log_rejects_garbage"]),
+    # the package's exports
+    ("a stale name left in __all__", "__init__.py",
+     '"zshape_nonlinearity",',
+     '"zshape_nonlinearity", "read_text",',
+     ["tests/test_experiments.py::test_package_all_lists_exactly_its_public_imports"]),
     # the run configuration and the sweep specification
     ("a configuration that keeps the domain as spelled", "driver.py",
      'object.__setattr__(self, "domain", get_problem(self.domain).name)',
@@ -404,34 +416,10 @@ MUTANTS = [
      "uniform_rate=-ZSHAPE_BETA / 2.0, neumann=neumann, exact=exact)",
      "uniform_rate=-1.0 / 3.0, neumann=neumann, exact=exact)",
      ["tests/test_experiments.py::test_expected_rates"]),
-    ("a negative section count read as no rows", "mesh.py",
-     "if count < 0:",
-     "if False:",
-     [READ_TEXT]),
     ("a mesh of no triangles", "mesh.py",
      "if not self.n_triangles:",
      "if False:",
      ["tests/test_mesh.py::test_a_mesh_without_triangles_is_rejected"]),
-    ("a mesh file read on past its end", "mesh.py",
-     "if line is None:",
-     "if False:",
-     [READ_TEXT]),
-    ("a mesh row of the wrong field count read in part", "mesh.py",
-     "if len(fields) != len(kinds):",
-     "if False:",
-     [READ_TEXT]),
-    ("a mesh field that does not read raised without its line", "mesh.py",
-     "except ValueError as exc:",
-     "except KeyError as exc:",
-     [READ_TEXT]),
-    ("a section count read without its line", "mesh.py",
-     "[count] = parse(n, fields[1], f\"'{name}' count\", (int,))",
-     "count = int(fields[1])",
-     [READ_TEXT]),
-    ("text after the boundary section ignored", "mesh.py",
-     "if extra is not None:",
-     "if False:",
-     [READ_TEXT]),
     # one declaration per CSV table, one reader of configuration text
     ("a level-table key that is no column", "driver.py",
      "rows.append(dict(dict.fromkeys(LEVEL_TYPES), l=rec.l, nT=rec.nT,",

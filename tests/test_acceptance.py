@@ -29,6 +29,7 @@ from afem.fem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
                       energy_functional, energy_norm, prolongate, sample)
 from afem.mesh import closure_cost, create_initial, overlay, refine, uniform_refine
 from afem.problems import get_problem
+from golden import GRID_MAX_ELEMENTS, PINNED_GRID_DIGESTS, integer_digest
 from oracles import (audit_stop_semantics, brute_force_doerfler_size,
                      geometric_fit_ratio, late_step_growth,
                      max_contraction_ratio, picard_map, random_mesh,
@@ -62,7 +63,7 @@ def z_adaptive():
 
 @pytest.fixture(scope="module")
 def grid_results():
-    return run_benchmark(robustness_grid(max_elements=40_000))
+    return run_benchmark(robustness_grid(max_elements=GRID_MAX_ELEMENTS))
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,16 @@ def test_criterion_3_rate_robust_across_parameters(grid_results, capsys):
     assert ok, detail
 
 
+def test_grid_integer_columns_match_their_pins(grid_results):
+    """The integer columns (steps, levels, element counts, stops) of every
+    grid member hash to its pin in `tests/golden.py`, the digest that
+    ``golden.py --check`` compares, so a moved member fails Tier-1 too."""
+    got = {r.run_id: integer_digest(r.log) for r in grid_results}
+    assert sorted(got) == sorted(PINNED_GRID_DIGESTS)
+    moved = {name: d for name, d in got.items() if not d.startswith(PINNED_GRID_DIGESTS[name])}
+    assert not moved, moved
+
+
 def test_picard_contraction_within_design_bound(grid_results):
     """The abstract's contraction claim: every observed Picard ratio of a
     theta = 0.5 member with lambda_pic >= lambda_alg stays at or below the
@@ -122,7 +133,7 @@ def test_picard_contraction_within_design_bound(grid_results):
     largest ratios are 0.521, 0.489, 0.491 and 0.398, and lambda_pic = 1 has
     none.  The other members are outside the claim: with an algebraic stop
     looser than the Picard stop (lambda_pic < lambda_alg) the ratios reach
-    1.10, 1.75 and 2.15, and theta = 0.9 reaches 0.7478 on one level."""
+    1.10, 1.75 and 2.09, and theta = 0.9 reaches 0.7478 on one level."""
     runs = [r for r in grid_results
             if r.config.theta == 0.5 and r.config.lambda_pic >= r.config.lambda_alg]
     assert len(runs) == 5

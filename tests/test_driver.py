@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import sys
 import weakref
 from collections import Counter
@@ -219,6 +220,12 @@ def test_run_log_rejects_garbage():
     for bad in (row[:-2], row + ",1"):
         with pytest.raises(ValueError, match="line 3"):
             RunLog.from_csv(io.StringIO(f"{header}\n{row}\n{bad}\n"))
+    # a cell that does not parse, named by its line and column
+    bad = row.split(",")
+    bad[BASE_COLUMNS.index("nT")] = "8x"
+    with pytest.raises(ValueError, match=re.escape("CSV line 3, column 'nT': invalid literal "
+                                                   "for int() with base 10: '8x'")):
+        RunLog.from_csv(io.StringIO(f"{header}\n{row}\n{','.join(bad)}\n"))
     # a column named twice, whose last cell would win
     with pytest.raises(ValueError, match="column 'eta' twice"):
         RunLog.from_csv(io.StringIO(f"{header},eta\n{row},0.25\n"))

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness, rate fitting, sweeps, and the CLI."""
 
+import ast
 import csv
 import dataclasses
 import math
@@ -464,3 +465,15 @@ def test_rows_hold_exactly_the_declared_columns():
     assert len(table) > 1 and table[0]["n_marked"] is not None
     assert all(list(row) == list(LEVEL_COLUMNS) for row in table)
     assert sorted(result.runs_row()) == sorted(RUNS_COLUMNS)
+
+
+def test_package_all_lists_exactly_its_public_imports():
+    """Every name in `afem.__all__` resolves on the package, once, and every
+    public name that `afem/__init__.py` imports is listed, so a stale entry
+    fails here and not only at ``from afem import *``."""
+    tree = ast.parse(Path(afem.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(afem.__all__)) == len(afem.__all__)
+    assert [name for name in afem.__all__ if not hasattr(afem, name)] == []
+    assert set(afem.__all__) == {name for name in imported if not name.startswith("_")}

@@ -1,19 +1,13 @@
-"""Mesh construction, bisection refinement, conformity, and exchange format."""
+"""Mesh construction, bisection refinement and conformity."""
 
-import io
 import itertools
-import re
-from pathlib import Path
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afem import (DIRICHLET, NEUMANN, Mesh, create_initial,
-                  overlay, read_text, refine, uniform_refine, write_text)
+from afem import DIRICHLET, NEUMANN, Mesh, create_initial, overlay, refine, uniform_refine
 from afem import mesh as mesh_module
 from afem.fem import DofMap
 from afem.mesh import (_build_edge_table, _carried_edge_table, _geometry, _incident,
@@ -253,33 +247,6 @@ def test_pair_codes_round_trip_and_sort_as_pairs(pairs):
 @settings(max_examples=60, deadline=None)
 @given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
        seed=st.integers(0, 2 ** 32 - 1),
-       kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
-def test_carried_edge_table_matches_fresh_build(domain, seed, kinds):
-    """The edge table that `refine` carries from the parent and the
-    boundary edge ids the child looks up in it equal, array for array and
-    dtype for dtype, those built from scratch on the same mesh; `refine`
-    builds no edge table from scratch."""
-    rng = np.random.default_rng(seed)
-    mesh = create_initial(domain)
-    for kind in kinds:
-        marking = random_marking(rng, mesh.n_triangles, kind)
-        with mock.patch.object(mesh_module, "_build_edge_table", side_effect=AssertionError):
-            mesh = refine(mesh, marking)
-        carried = mesh.edges
-        want = _build_edge_table(mesh.triangles)
-        for name in EDGE_TABLE:
-            a, b = getattr(carried, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
-                     mesh.boundary_markers).boundary_ids
-        got = mesh.boundary_ids
-        assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
-        assert np.array_equal(edge_ids(want, mesh.boundary_edges), fresh)
-
-
-@settings(max_examples=60, deadline=None)
-@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
-       seed=st.integers(0, 2 ** 32 - 1),
        kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=6))
 def test_carried_edge_table_matches_former_merge(domain, seed, kinds):
     """The carried edge table equals, bit for bit, that of the former merge
@@ -328,23 +295,10 @@ def test_geometry_matches_loop_oracle(domain, seed, rounds):
         assert same_bits(got[0], areas) and same_bits(got[1], planes)
 
 
-def mesh_text(vertices, triangles, boundary_edges, markers) -> str:
-    """`write_text` of the given arrays, which need not make a valid mesh."""
-    arrays = SimpleNamespace(vertices=np.reshape(vertices, (-1, 2)),
-                             triangles=np.reshape(triangles, (-1, 3)),
-                             boundary_edges=np.reshape(boundary_edges, (-1, 2)),
-                             boundary_markers=np.asarray(markers))
-    arrays.n_vertices, arrays.n_triangles = len(arrays.vertices), len(arrays.triangles)
-    buf = io.StringIO()
-    write_text(arrays, buf)
-    return buf.getvalue()
-
-
 def test_validate_rejects_a_wrong_boundary_list():
     """A mesh whose boundary list is not exactly its edges of one triangle,
-    each once, raises when built: a root mesh, through `read_text` as
-    well, and a refined one with its carried edge table; `validate`
-    audits the vertices."""
+    each once, raises when built: a root mesh and a refined one with its
+    carried edge table; `validate` audits the vertices."""
     mesh = refine(create_initial("l_shape"), [0, 3])
     mesh.validate()
     b, marks = mesh.boundary_edges, mesh.boundary_markers
@@ -356,9 +310,6 @@ def test_validate_rejects_a_wrong_boundary_list():
     for edges, markers in wrong:
         with pytest.raises(ValueError, match=mismatch):
             Mesh(mesh.vertices, mesh.triangles, edges, markers)
-        text = mesh_text(mesh.vertices, mesh.triangles, edges, markers)
-        with pytest.raises(ValueError, match=mismatch):
-            read_text(io.StringIO(text))
         with pytest.raises(ValueError, match=mismatch):
             Mesh(mesh.vertices, mesh.triangles, edges, markers, level=mesh.level,
                  parent_of=mesh.parent_of, vertex_parents=mesh.vertex_parents,
@@ -376,8 +327,8 @@ def test_validate_rejects_a_wrong_boundary_list():
     ends[listed.index(slot)] = pair
     with pytest.raises(ValueError, match=mismatch):
         Mesh(mesh.vertices, mesh.triangles, ends, marks)
-    good = mesh_text(mesh.vertices, mesh.triangles, b, marks)
-    assert np.array_equal(read_text(io.StringIO(good)).boundary_ids, mesh.boundary_ids)
+    assert np.array_equal(Mesh(mesh.vertices, mesh.triangles, b, marks).boundary_ids,
+                          mesh.boundary_ids)
     with pytest.raises(ValueError, match="need one marker per boundary edge"):
         Mesh(mesh.vertices, mesh.triangles, b, marks[:-1])
     # one more vertex: a copy of the first, or a point no triangle uses
@@ -424,13 +375,10 @@ def test_vertex_parents_are_coarse_vertices(parents):
 
 
 def test_edge_shared_by_three_triangles_is_rejected():
-    """Such a root mesh raises when built, through `read_text` as well."""
-    arrays = ([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)],
-              [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [])
+    """Such a root mesh raises when built."""
     with pytest.raises(ValueError, match="more than two triangles"):
-        Mesh(*arrays)
-    with pytest.raises(ValueError, match="more than two triangles"):
-        read_text(io.StringIO(mesh_text(*arrays)))
+        Mesh([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)],
+             [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [], [])
 
 
 def test_carried_incidence_rejects_an_edge_of_three_triangles():
@@ -560,31 +508,6 @@ def test_locate():
         locate(mesh, np.array([[-0.9, 0.0]]))  # inside the slit wedge
 
 
-def test_text_round_trip(tmp_path):
-    mesh = random_mesh("z_shape", np.random.default_rng(29), rounds=3)
-    path = tmp_path / "mesh.txt"
-    write_text(mesh, str(path))
-    back = read_text(str(path))
-    assert (back.vertices == mesh.vertices).all()
-    assert (back.triangles == mesh.triangles).all()
-    assert (back.boundary_edges == mesh.boundary_edges).all()
-    assert (back.boundary_markers == mesh.boundary_markers).all()
-    # and through a stream, byte-identical second generation
-    buf = io.StringIO()
-    write_text(back, buf)
-    buf2 = io.StringIO()
-    write_text(read_text(io.StringIO(buf.getvalue())), buf2)
-    assert buf.getvalue() == buf2.getvalue()
-
-
-def test_write_text_matches_the_readme_example():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    start = readme.index("```\nvertices 4\n") + len("```\n")
-    buf = io.StringIO()
-    write_text(create_initial("unit_square"), buf)
-    assert buf.getvalue() == readme[start:readme.index("```", start)]
-
-
 @pytest.mark.parametrize("corners", [[(0, 2, 1)], [(0, 1, 3)]], ids=["clockwise", "flat"])
 def test_clockwise_or_flat_triangles_are_rejected(corners):
     """A clockwise triangle and one of zero area (three collinear vertices)
@@ -604,16 +527,10 @@ def test_a_mesh_without_triangles_is_rejected(vertices):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_coordinates_are_rejected(bad):
-    """A vertex at nan or +-inf gives no mesh, neither through the
-    constructor nor through `read_text`."""
+    """A vertex at nan or +-inf gives no mesh."""
     vertices = [(0.0, 0.0), (1.0, 0.0), (float(bad), 1.0)]
     with pytest.raises(ValueError, match="finite"):
         Mesh(vertices, [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)], [DIRICHLET] * 3)
-    text = ("vertices 3\n0 0\n1 0\n" + bad + " 1\n"
-            "triangles 1\n0 1 2\n"
-            "boundary 3\n0 1 D\n1 2 D\n2 0 D\n")
-    with pytest.raises(ValueError, match="finite"):
-        read_text(io.StringIO(text))
 
 
 WRAPS = {"2**31": lambda v: 2 ** 31, "2**32+v": lambda v: 2 ** 32 + v,
@@ -621,7 +538,7 @@ WRAPS = {"2**31": lambda v: 2 ** 31, "2**32+v": lambda v: 2 ** 32 + v,
 
 
 @pytest.mark.parametrize("wrap", WRAPS.values(), ids=WRAPS.keys())
-@pytest.mark.parametrize("where", ["triangles", "parent_of", "vertex_parents", "read_text"])
+@pytest.mark.parametrize("where", ["triangles", "parent_of", "vertex_parents"])
 def test_indices_a_32_bit_cast_would_wrap_are_rejected(where, wrap):
     """An index past int32 raises on the input, even where the cast would
     wrap it to the valid index v (2**32 + 2 to 2)."""
@@ -635,17 +552,9 @@ def test_indices_a_32_bit_cast_would_wrap_are_rejected(where, wrap):
                     vertex_parents=given["vertex_parents"])
 
     assert make().n_triangles == 2
+    given[where].flat[-1] = wrap(given[where].flat[-1])
     with pytest.raises(ValueError, match="index out of range"):
-        if where == "read_text":
-            buf = io.StringIO()
-            write_text(square, buf)
-            i, j, k = square.triangles[0].tolist()
-            text = buf.getvalue().replace(f"\n{i} {j} {k}\n", f"\n{i} {j} {wrap(k)}\n")
-            assert text != buf.getvalue()
-            read_text(io.StringIO(text))
-        else:
-            given[where].flat[-1] = wrap(given[where].flat[-1])
-            make()
+        make()
 
 
 @pytest.mark.parametrize("offset", ["bound", "-1"])
@@ -714,36 +623,3 @@ def test_int32_limits_on_vertex_and_triangle_counts(monkeypatch):
     monkeypatch.setattr(mesh_module, "_INT32_MAX", 7)
     assert Mesh(*args).n_triangles == 2
 
-
-def test_read_text_rejects_malformed(tmp_path):
-    with pytest.raises(ValueError, match="expected 'vertices N' header, got 'triangles 1'"):
-        read_text(io.StringIO("triangles 1\n0 1 2\n"))
-    with pytest.raises(ValueError, match="truncated mesh file"):
-        read_text(io.StringIO("vertices 2\n0 0\n"))
-    with pytest.raises(ValueError, match="truncated mesh file"):
-        read_text(io.StringIO("vertices 2\n0 0\n\n  \n"))
-    text = ("vertices 3\n0 0\n1 0\n0 1\n"
-            "triangles 1\n0 1 2\n"
-            "boundary 3\n0 1 D\n1 2 X\n2 0 D\n")
-    with pytest.raises(ValueError, match="unknown boundary marker 'X'"):
-        read_text(io.StringIO(text))
-    with pytest.raises(ValueError, match="missing 'boundary' section"):
-        read_text(io.StringIO(text[:text.index("boundary")] + "\n\n"))
-    with pytest.raises(ValueError, match="negative 'vertices' count -1"):
-        read_text(io.StringIO("vertices -1\ntriangles -5\nboundary 0\n"))
-    with pytest.raises(ValueError, match="negative 'triangles' count -5"):
-        read_text(io.StringIO(text[:text.index("triangles")] + "triangles -5\nboundary 0\n"))
-    with pytest.raises(ValueError, match="at least one triangle"):
-        read_text(io.StringIO("vertices 0\ntriangles 0\nboundary 0\n"))
-    # a malformed row or count, or text after the boundary section, names its line
-    good = text.replace("1 2 X", "1 2 D")
-    assert read_text(io.StringIO(good + "\n  \n")).n_triangles == 1
-    for old, new, message in [
-            ("0 1 2\n", "0 1\n", "line 6: 'triangles' row '0 1' has 2 fields, not 3"),
-            ("1 0\n", "1 0 5\n", "line 3: 'vertices' row '1 0 5' has 3 fields, not 2"),
-            ("vertices 3", "vertices x", "line 1: 'vertices' count 'x': invalid literal"),
-            ("0 1\ntri", "0 y\ntri", "line 4: 'vertices' row '0 y': could not convert"),
-            ("0 1 2\n", "0 1 2.5\n", "line 6: 'triangles' row '0 1 2.5': invalid literal"),
-            ("2 0 D\n", "2 0 D\nextra 5\n", "line 11: 'extra 5' after the boundary section")]:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            read_text(io.StringIO(good.replace(old, new)))
