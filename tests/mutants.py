@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CARRIED = "tests/test_fem.py::test_carried_arrays_match_fresh_computation"
 SAMPLED_ONCE = "tests/test_driver.py::test_data_sampled_once_per_level"
+EDGE_TABLE = "tests/test_mesh.py::test_carried_edge_table_matches_fresh_build"
 GENERATIONS = "tests/test_algsolver.py::test_extended_generations_match_regrouping"
 CONTRACTIONS = "tests/test_driver.py::test_level_table_contraction_columns"
 OPERATOR = "tests/test_fem.py::test_gradient_operator_holds_the_hat_gradients"
@@ -220,15 +221,15 @@ MUTANTS = [
     ("shifted parent_of in the of_triangle gather", "mesh.py",
      "of_triangle = old_to_new.take(of_triangle.take(parent_of, axis=0))",
      "of_triangle = old_to_new.take(of_triangle.take(np.roll(parent_of, 1), axis=0))",
-     [CARRIED]),
+     [EDGE_TABLE]),
     ("swapped incident columns", "mesh.py",
      "first, last = incident[:, 0], incident[:, 1]",
      "last, first = incident[:, 0], incident[:, 1]",
-     [CARRIED, SORT_ORACLES]),
+     [EDGE_TABLE, SORT_ORACLES]),
     ("off-by-one merge insertion", "mesh.py",
      "at = kept_codes.searchsorted(added) + np.arange(len(added))",
      "at = kept_codes.searchsorted(added) + np.arange(1, len(added) + 1)",
-     [CARRIED]),
+     [EDGE_TABLE]),
     ("edge ends read with lo and hi swapped", "mesh.py",
      "_LO_HI = np.s_[:, ::-1] if np.little_endian else np.s_[:, :]  # their (lo, hi) columns",
      "_LO_HI = np.s_[:, :] if np.little_endian else np.s_[:, ::-1]  # their (lo, hi) columns",
@@ -236,11 +237,11 @@ MUTANTS = [
     ("the edge lookup's permutation not undone", "mesh.py",
      "ids[order] = codes.searchsorted(sc)",
      "ids = codes.searchsorted(sc)",
-     [CARRIED]),
+     [EDGE_TABLE]),
     ("the parent's kept codes gathered shifted", "mesh.py",
      "kept_codes = parent.codes.take(surviving.nonzero()[0])",
      "kept_codes = parent.codes.take(np.roll(surviving.nonzero()[0], 1))",
-     [CARRIED]),
+     [EDGE_TABLE]),
     ("no check for an edge of three triangles", "mesh.py",
      "if 2 * n_edges - np.count_nonzero(single) != 3 * len(of_triangle):",
      "if False:",
@@ -249,11 +250,11 @@ MUTANTS = [
     ("a child mesh that rebuilds its edge table", "mesh.py",
      "edges=edges, new_triangles=new)",
      "new_triangles=new)",
-     [CARRIED]),
+     [EDGE_TABLE]),
     ("shifted boundary edge ids", "mesh.py",
      "    return ids\n",
      "    return np.roll(ids, 1)\n",
-     [CARRIED]),
+     [EDGE_TABLE]),
     ("shifted boundary-parent map in the Neumann carry", "fem.py",
      "from_parent = np.arange(n) - second.cumsum()",
      "from_parent = np.roll(np.arange(n) - second.cumsum(), 1)",

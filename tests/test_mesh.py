@@ -1,6 +1,7 @@
 """Mesh construction, bisection refinement and conformity."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,6 +243,33 @@ def test_pair_codes_round_trip_and_sort_as_pairs(pairs):
     assert np.array_equal(ends, np.sort(pairs, axis=1))
     assert np.array_equal(np.argsort(codes, kind="stable"),
                           np.lexsort((ends[:, 1], ends[:, 0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(MARKING_KINDS), min_size=1, max_size=8))
+def test_carried_edge_table_matches_fresh_build(domain, seed, kinds):
+    """The edge table that `refine` carries from the parent and the
+    boundary edge ids the child looks up in it equal, array for array and
+    dtype for dtype, those built from scratch on the same mesh; `refine`
+    builds no edge table from scratch."""
+    rng = np.random.default_rng(seed)
+    mesh = create_initial(domain)
+    for kind in kinds:
+        marking = random_marking(rng, mesh.n_triangles, kind)
+        with mock.patch.object(mesh_module, "_build_edge_table", side_effect=AssertionError):
+            mesh = refine(mesh, marking)
+        carried = mesh.edges
+        want = _build_edge_table(mesh.triangles)
+        for name in EDGE_TABLE:
+            a, b = getattr(carried, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        fresh = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                     mesh.boundary_markers).boundary_ids
+        got = mesh.boundary_ids
+        assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
+        assert np.array_equal(edge_ids(want, mesh.boundary_edges), fresh)
 
 
 @settings(max_examples=60, deadline=None)
