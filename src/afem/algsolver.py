@@ -144,7 +144,7 @@ class MultilevelPreconditioner:
         smooth = [grp.smooth for grp in groups]
         dof = fine_dofmap.dof_of_vertex[np.concatenate(smooth or [_EMPTY.smooth])]
         inv_diag = 1.0 / operator.diagonal()[dof]
-        cuts = list(itertools.accumulate([len(s) for s in smooth], initial=0))
+        cuts = list(itertools.accumulate([s.shape[0] for s in smooth], initial=0))
         successor.weights = tuple(inv_diag[a:b] for a, b in zip(cuts, cuts[1:]))
         successor._free = fine_dofmap.free_vertices
         return successor

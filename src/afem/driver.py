@@ -308,6 +308,7 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
         if (config.track_error or config.diagnostics) and problem.exact is not None else None
     lu = alg.factorized(operator) if config.diagnostics else None
     step, cumcost = len(log.records), log.records[-1].cumcost if log.records else 0
+    n_t = mesh.n_triangles
 
     x = u.coeffs
     # the vertex values and flux of x, then of each x + e (an accepted one is the next x)
@@ -337,9 +338,9 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
             stop_alg = algebraic_stop(alg_inc, pic_inc, eta, config.lambda_alg)
             stop_pic = stop_alg and picard_stop(pic_inc, eta, config.lambda_pic)
             step += 1
-            cumcost += mesh.n_triangles
+            cumcost += n_t
             rec = StepRecord(l=level, k=k, j=state.iterations, step=step,
-                             nT=mesh.n_triangles, eta=eta, alg_inc=alg_inc,
+                             nT=n_t, eta=eta, alg_inc=alg_inc,
                              pic_inc=pic_inc, cumcost=cumcost,
                              alg_stop=int(stop_alg), pic_stop=int(stop_pic))
             if errdata is not None:
@@ -361,7 +362,7 @@ def _solve_level(config: AdaptiveConfig, problem, level: int, samples, u: FeFunc
     if eta <= config.eta_tol:
         log.exit_reason = "eta_zero" if eta == 0.0 else "eta_tol"
         return pre, u, None
-    if mesh.n_triangles >= config.max_elements:
+    if n_t >= config.max_elements:
         log.exit_reason = "budget"
         return pre, u, None
     return pre, u, doerfler_mark(IndicatorField(mesh, est.scatter(terms)), config.theta)

@@ -237,6 +237,15 @@ def parse_sweep_spec(text: str) -> List[AdaptiveConfig]:
     return configs
 
 
+def _read_named(read: Callable[[str], List[dict]], path: str) -> List[dict]:
+    """``read(path)``, a ValueError it raises re-raised with ``path`` in
+    front, so that in a directory of many runs the bad file is named."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def collect_rates(directory: str) -> List[dict]:
     """Summarize a benchmark output directory for reporting.
 
@@ -247,13 +256,13 @@ def collect_rates(directory: str) -> List[dict]:
     if not os.path.isfile(index):
         raise FileNotFoundError("no runs.csv in %s" % directory)
     rows = []
-    for run in read_csv(index, _RUNS_TYPES, RUNS_COLUMNS):
+    for run in _read_named(partial(read_csv, types=_RUNS_TYPES, required=RUNS_COLUMNS), index):
         config = AdaptiveConfig(**{c: run[c] for c in RUNS_COLUMNS
                                    if c in _CONFIG_TYPES})
         rate_n, rate_cost = run["rate_vs_n"], run["rate_vs_cost"]
         levels_path = os.path.join(directory, run["run_id"] + ".levels.csv")
         if os.path.isfile(levels_path):
-            rate_n, rate_cost = fit_rates(read_levels_csv(levels_path))
+            rate_n, rate_cost = fit_rates(_read_named(read_levels_csv, levels_path))
         expected = expected_rate(config)
         ok = (math.isfinite(rate_n)
               and abs(rate_n - expected) <= RATE_TOLERANCE)

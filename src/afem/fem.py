@@ -25,16 +25,28 @@ table that `refine` carried; nothing of the Neumann edges is computed, and
 normals come from `mesh.edge_frame`, as the estimator's do.  The load
 vector and the estimator both read the same `Samples`, on every domain.
 
-The element gradients of a P1 function are two sparse matvecs, with the x
-and y matrices of `Mesh.gradient_operator`, whose data are the hat gradients
-and whose indices the mesh's triangles, not copies: the compiled loop sums
-``0 + g0 v0 + g1 v1 + g2 v2`` per row without fused multiply-adds, the
-operand order of the einsum oracle in the tests, so the result is bitwise
-equal to it.  `element_flux` scales them by mu into the flux, which the
-estimator and the nonlinear residual share.  The residual is the transposed
-operator on the area-weighted flux, ``hx.T @ (fx |T|) + hy.T @ (fy |T|)``:
-each matvec adds ``h_i (f |T|)`` into vertex i from 0 in triangle order, and
-the y sum is added to the x sum at the end.  The other element kernels are
+Three of scipy's compiled sparse kernels are called directly, here and
+nowhere else, on arrays afem already holds, so no scipy object is built per
+mesh or per linearization: ``csr_matvec`` and ``csc_matvec`` on the arrays
+of `Mesh.gradient_operator` (data the hat gradient planes, indices the
+mesh's triangles, one indptr; no copies) and ``coo_tocsr`` on the stiffness
+triplets.  They are the kernels the public operators call (``A @ v``,
+``A.T @ w``, the COO constructor's ``tocsr``), with outputs filled with
+zeros as those fill them, so the numbers are the same bits.  Their module,
+``scipy.sparse._sparsetools``, is private: this was written against scipy
+1.17.1, and ``pyproject.toml`` asks only for ``scipy>=1.9``, so the tests
+compare every direct call with its public operator bit for bit, and a
+scipy whose kernels differ fails them.
+
+The element gradients of a P1 function are the two CSR matvecs, with the x
+and y matrices: the compiled loop sums ``0 + g0 v0 + g1 v1 + g2 v2`` per row
+without fused multiply-adds, the operand order of the einsum oracle in the
+tests, so the result is bitwise equal to it.  `element_flux` scales them by
+mu into the flux, which the estimator and the nonlinear residual share.
+The residual is the transposed operator on the area-weighted flux, ``hx.T
+@ (fx |T|) + hy.T @ (fy |T|)``, as two CSC matvecs: each adds ``h_i (f
+|T|)`` into vertex i from 0 in triangle order, and the y sum is added to
+the x sum at the end.  The other element kernels are
 explicit sums over the 2 coordinates and the 3 vertices, faster than
 `einsum`; each keeps the operand order of the einsum it replaced, so results
 are bitwise equal to the einsum oracles as well.  Each numpy pass of them
@@ -43,9 +55,11 @@ quadrature node or one hat function), not over a short trailing axis of 2, 3
 or 7, which numpy walks one triangle at a time.
 The stiffness matrix is assembled over the edge graph: one sum per edge of
 `Mesh.edges` and one per vertex, in triangle order, give its n + 2 n_edges
-entries (rather than 9 per triangle).  They are handed to the CSR
-conversion as entries below the diagonal, the diagonal, then entries above
-it, each in edge order, so every row arrives sorted and scipy needs no sort.
+entries (rather than 9 per triangle).  They are handed to ``coo_tocsr`` as
+entries below the diagonal, the diagonal, then entries above it, each in
+edge order, so every row arrives sorted and the result is canonical with no
+sort; one CSR object is built on its arrays, for PCG's matvec and the
+preconditioner.
 """
 
 from __future__ import annotations
@@ -55,6 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .mesh import DIRICHLET, EDGE_ENDS, Mesh, corner_planes, edge_frame
 from .nonlinearity import Nonlinearity
@@ -160,10 +175,17 @@ def interpolate(dofmap: DofMap, func) -> FeFunction:
 
 
 def element_gradients(mesh: Mesh, vertex_values: np.ndarray):
-    """Per-triangle gradient ``(gx, gy)`` of a P1 function from vertex values:
-    one matvec with each matrix of `Mesh.gradient_operator`."""
-    gx, gy = mesh.gradient_operator
-    return gx @ vertex_values, gy @ vertex_values
+    """Per-triangle gradient ``(gx, gy)`` of a P1 function from its vertex
+    values, a float array of length n_vertices: one CSR matvec with each
+    matrix of `Mesh.gradient_operator`, into two rows of zeros."""
+    data, indices, indptr = mesh.gradient_operator
+    n_t, n_v = mesh.areas.shape[0], mesh.vertices.shape[0]
+    if vertex_values.shape != (n_v,):  # the kernel reads it unchecked
+        raise ValueError("need one value per vertex")
+    g = np.zeros((2, n_t))
+    _sparsetools.csr_matvec(n_t, n_v, indptr, indices, data[0], vertex_values, g[0])
+    _sparsetools.csr_matvec(n_t, n_v, indptr, indices, data[1], vertex_values, g[1])
+    return g[0], g[1]
 
 
 def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
@@ -189,11 +211,14 @@ def assemble_laplacian(dofmap: DofMap) -> sp.csr_matrix:
     lo, hi, off, d = lo[keep], hi[keep], off[keep], np.arange(n)
     # edges are in (lo, hi) order, so row r receives its columns below r,
     # then r, then those above r, each ascending: the CSR conversion keeps
-    # that order and finds the matrix canonical, with no sort
-    return sp.csr_matrix((np.concatenate((off, diag[dofmap.free_vertices], off)),
-                          (np.concatenate((hi, d, lo), dtype=np.int32),
-                           np.concatenate((lo, d, hi), dtype=np.int32))),
-                         shape=(n, n))
+    # that order, so the matrix is canonical with no sort
+    vals = np.concatenate((off, diag[dofmap.free_vertices], off))
+    nnz = vals.shape[0]
+    indptr, indices, data = np.empty(n + 1, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
+    _sparsetools.coo_tocsr(n, n, nnz, np.concatenate((hi, d, lo), dtype=np.int32),
+                           np.concatenate((lo, d, hi), dtype=np.int32), vals,
+                           indptr, indices, data)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def element_flux(nl: Nonlinearity, mesh: Mesh, vertex_values: np.ndarray):
@@ -209,12 +234,17 @@ def element_flux(nl: Nonlinearity, mesh: Mesh, vertex_values: np.ndarray):
 def apply_nonlinear(dofmap: DofMap, flux) -> np.ndarray:
     """Vector of <mu(|grad w|^2) grad w, grad phi_i> over the free vertices
     of ``dofmap``, from the flux ``(fx, fy)`` of w (`element_flux`): the
-    transposed gradient operator on the area-weighted flux."""
-    hx, hy = dofmap.mesh.gradient_operator
+    transposed gradient operator on the area-weighted flux: a CSC matvec
+    with each matrix's transpose, into two rows of zeros, the y row added
+    to the x row at the end."""
+    data, indices, indptr = dofmap.mesh.gradient_operator
     areas = dofmap.mesh.areas
-    r = hx.T @ (flux[0] * areas)
-    r += hy.T @ (flux[1] * areas)
-    return r[dofmap.free_vertices]
+    n_t, n_v = areas.shape[0], dofmap.mesh.vertices.shape[0]
+    r = np.zeros((2, n_v))
+    _sparsetools.csc_matvec(n_v, n_t, indptr, indices, data[0], flux[0] * areas, r[0])
+    _sparsetools.csc_matvec(n_v, n_t, indptr, indices, data[1], flux[1] * areas, r[1])
+    r[0] += r[1]
+    return r[0, dofmap.free_vertices]
 
 
 NeumannSamples = namedtuple("NeumannSamples",

@@ -38,8 +38,9 @@ triangles in a deep adaptive run, where each numpy call costs more than
 its arithmetic.  So they make few calls: array methods (``a.take``,
 ``a.nonzero()``) rather than the ``np.*`` wrappers, ufunc reductions with
 ``axis=None`` rather than ``a.all()`` or ``a.min()``, no reduction over a
-short last axis (numpy loops over its rows one by one), and gathers and
-scatters by np.intp indices (int32 indices are cast on every use).
+short last axis (numpy loops over its rows one by one), gathers and
+scatters by np.intp indices (int32 indices are cast on every use), and
+sizes read from ``shape`` in `Mesh.__init__` rather than from properties.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 DIRICHLET = 0
 NEUMANN = 1
@@ -297,7 +297,8 @@ class Mesh:
         values of the attributes ``edges`` and ``new_triangles`` when the
         caller already has them, as `refine` does: it gathers the geometry
         of copied triangles from the parent mesh, carries its edge table
-        and knows which triangles it built.
+        and knows which triangles it built.  Given areas and planes must
+        have the shapes (nT,) and (2, nT, 3).
 
     A mesh is complete when built: the read-only ``areas`` (positive),
     ``gradient_planes`` (the hat gradients as x and y planes, (2, nT, 3))
@@ -306,15 +307,17 @@ class Mesh:
     copies of a triangle of the mesh this one was refined from
     (`copied_triangles`; all of a root mesh's).  So are ``boundary_ids``,
     each boundary edge's id in ``edges``, and ``gradient_operator``, the P1
-    gradient as two (nT, nV) CSR matrices of x and of y components: row t
-    holds the hat gradients of triangle t in the columns of its vertices.
-    Nothing is copied: their data are the planes, their indices
-    ``triangles`` itself (int32), and they share one ``indptr``, 0, 3, 6,
-    ...  ``n_coarse_vertices`` is derived from ``vertex_parents``.  Vertex
-    coordinates must be finite, boundary vertex indices in range and
-    markers DIRICHLET or NEUMANN; no edge may have more than two triangles,
-    and the boundary edges must be the edges of one triangle, each listed
-    once.  The connectivity (``triangles``, ``parent_of``,
+    gradient as the arrays of two (nT, nV) CSR matrices of x and of y
+    components, ``(data, indices, indptr)``: row t holds the hat gradients
+    of triangle t in the columns of its vertices.  No scipy object is built
+    and nothing is copied: ``data`` is the (2, 3 nT) view of the planes, x
+    row then y row, ``indices`` the flat view of ``triangles`` (int32), and
+    ``indptr`` (int32, 0, 3, 6, ...) serves both; `fem` hands them to
+    scipy's compiled kernels.  All are read-only.  ``n_coarse_vertices`` is
+    derived from ``vertex_parents``.  Vertex coordinates must be finite,
+    boundary vertex indices in range and markers DIRICHLET or NEUMANN; no
+    edge may have more than two triangles, and the boundary edges must be
+    the edges of one triangle, each listed once.  The connectivity (``triangles``, ``parent_of``,
     ``vertex_parents``, `EdgeTable`) is int32, so n_vertices and 3
     n_triangles + 1 must fit in int32; index arrays must hold integers in
     range before the cast, which would truncate or wrap them.
@@ -326,46 +329,47 @@ class Mesh:
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         if not np.logical_and.reduce(np.isfinite(self.vertices), axis=None):
             raise ValueError("vertex coordinates must be finite")
-        self.triangles = _indices(triangles, self.n_vertices, "triangle vertex").reshape(-1, 3)
-        if not self.n_triangles:
+        n_v = self.vertices.shape[0]
+        self.triangles = _indices(triangles, n_v, "triangle vertex").reshape(-1, 3)
+        n_t = self.triangles.shape[0]
+        if not n_t:
             raise ValueError("a mesh needs at least one triangle")
-        if self.n_vertices > _INT32_MAX or 3 * self.n_triangles + 1 > _INT32_MAX:
+        if n_v > _INT32_MAX or 3 * n_t + 1 > _INT32_MAX:
             raise ValueError("too many vertices or triangles for 32-bit indices")
-        self.boundary_edges = _indices(boundary_edges, self.n_vertices, "boundary vertex",
+        self.boundary_edges = _indices(boundary_edges, n_v, "boundary vertex",
                                        np.int64).reshape(-1, 2)
         markers = np.asarray(boundary_markers).reshape(-1)  # compared before the cast
         if not np.logical_and.reduce((markers == DIRICHLET) | (markers == NEUMANN)):
             raise ValueError("boundary markers must be DIRICHLET or NEUMANN")
         self.boundary_markers = markers.astype(np.int64)
         self.level = int(level)
-        self.parent_of = (np.arange(self.n_triangles, dtype=np.int32) if parent_of is None
-                          else _indices(parent_of, self.n_triangles, "parent triangle"))
+        self.parent_of = (np.arange(n_t, dtype=np.int32) if parent_of is None
+                          else _indices(parent_of, n_t, "parent triangle"))
         if vertex_parents is not None:  # parents are coarse vertices
             vertex_parents = np.reshape(vertex_parents, (-1, 2))
-            vertex_parents = _indices(vertex_parents, self.n_vertices - len(vertex_parents),
+            vertex_parents = _indices(vertex_parents, n_v - vertex_parents.shape[0],
                                       "vertex parent")
         self.vertex_parents = vertex_parents
         if self.boundary_markers.shape[0] != self.boundary_edges.shape[0]:
             raise ValueError("need one marker per boundary edge")
         if new_triangles is None:
             new_triangles = (~copied_triangles(self.parent_of)).nonzero()[0] \
-                if vertex_parents is not None else np.arange(self.n_triangles)
+                if vertex_parents is not None else np.arange(n_t)
         self.new_triangles = new_triangles
         self.areas, self.gradient_planes = (_geometry(self.vertices, self.triangles)
                                             if geometry is None else geometry)
+        # fem's compiled kernels read the planes unchecked
+        if self.areas.shape != (n_t,) or self.gradient_planes.shape != (2, n_t, 3):
+            raise ValueError("geometry does not match the triangles")
         self.edges = _build_edge_table(self.triangles) if edges is None else edges
         self.boundary_ids = _boundary_ids(self.edges, self.boundary_edges)
+        indptr = np.arange(0, 3 * n_t + 1, 3, dtype=np.int32)
         for a in (self.vertices, self.triangles, self.boundary_edges, self.boundary_markers,
-                  self.parent_of, self.new_triangles, self.areas, self.gradient_planes,
+                  self.parent_of, self.new_triangles, self.areas, self.gradient_planes, indptr,
                   self.boundary_ids) + (() if vertex_parents is None else (vertex_parents,)):
             a.setflags(write=False)
-        # the y matrix shares the x matrix's indices and indptr
-        gx = sp.csr_matrix((self.gradient_planes[0].reshape(-1), self.triangles.reshape(-1),
-                            np.arange(0, 3 * self.n_triangles + 1, 3, dtype=np.int32)),
-                           shape=(self.n_triangles, self.n_vertices))
-        gy = sp.csr_matrix(gx)
-        gy.data = self.gradient_planes[1].reshape(-1)
-        self.gradient_operator = gx, gy
+        self.gradient_operator = (self.gradient_planes.reshape(2, -1), self.triangles.reshape(-1),
+                                  indptr)
 
     @property
     def n_vertices(self) -> int:

@@ -54,6 +54,7 @@ TOTAL = "tests/test_estimator.py::test_total_and_scatter_match_the_former_indica
 RESIDUAL_FLUX = "tests/test_driver.py::test_residual_reads_the_flux_of_the_iterate"
 TRANSPOSED = "tests/test_fem.py::test_apply_nonlinear_matches_transposed_oracle"
 GRID_PINS = "tests/test_acceptance.py::test_grid_integer_columns_match_their_pins"
+KERNELS = "tests/test_fem.py::test_direct_kernels_equal_the_public_operators"
 
 # (name, file under src/afem, line as it is, line as mutated, tests)
 MUTANTS = [
@@ -85,8 +86,8 @@ MUTANTS = [
      "enumerate(zip(groups, cuts, cuts[1:])))",
      [GENERATIONS]),
     ("Jacobi weights paired with the wrong generation", "algsolver.py",
-     "cuts = list(itertools.accumulate([len(s) for s in smooth], initial=0))",
-     "cuts = list(itertools.accumulate([len(s) for s in smooth[::-1]], initial=0))",
+     "cuts = list(itertools.accumulate([s.shape[0] for s in smooth], initial=0))",
+     "cuts = list(itertools.accumulate([s.shape[0] for s in smooth[::-1]], initial=0))",
      [GENERATIONS]),
     # the handover between levels
     ("a preconditioner that keeps the finest DofMap", "algsolver.py",
@@ -280,16 +281,42 @@ MUTANTS = [
      "np.add.at(rhs_v, nm.edges[:, k], nm.g_phi[:, k])",
      "np.add.at(rhs_v, nm.edges[:, k], nm.g_phi[:, 1 - k])",
      [RHS_ORACLE]),
-    # the gradient operator
+    # the gradient operator, as the arrays of two CSR matrices
     ("the x plane in both matrices of the gradient operator", "mesh.py",
-     "gy.data = self.gradient_planes[1].reshape(-1)",
-     "gy.data = self.gradient_planes[0].reshape(-1)",
+     "self.gradient_operator = (self.gradient_planes.reshape(2, -1), self.triangles.reshape(-1),",
+     "self.gradient_operator = (self.gradient_planes[[0, 0]].reshape(2, -1), "
+     "self.triangles.reshape(-1),",
      [OPERATOR]),
     ("the gradient operator's indices copied", "mesh.py",
-     "gx = sp.csr_matrix((self.gradient_planes[0].reshape(-1), self.triangles.reshape(-1),",
-     "gx = sp.csr_matrix((self.gradient_planes[0].reshape(-1), "
+     "self.gradient_operator = (self.gradient_planes.reshape(2, -1), self.triangles.reshape(-1),",
+     "self.gradient_operator = (self.gradient_planes.reshape(2, -1), "
      "self.triangles.reshape(-1).astype(np.int64),",
      [OPERATOR, COMPACT]),
+    # scipy's compiled kernels, called directly
+    ("the x gradients from the y plane", "fem.py",
+     "_sparsetools.csr_matvec(n_t, n_v, indptr, indices, data[0], vertex_values, g[0])",
+     "_sparsetools.csr_matvec(n_t, n_v, indptr, indices, data[1], vertex_values, g[0])",
+     [KERNELS, OPERATOR]),
+    ("the y gradients over the first half of the triangles", "fem.py",
+     "_sparsetools.csr_matvec(n_t, n_v, indptr, indices, data[1], vertex_values, g[1])",
+     "_sparsetools.csr_matvec(n_t // 2, n_v, indptr, indices, data[1], vertex_values, g[1])",
+     [KERNELS, OPERATOR]),
+    ("the x residual from the y flux", "fem.py",
+     "_sparsetools.csc_matvec(n_v, n_t, indptr, indices, data[0], flux[0] * areas, r[0])",
+     "_sparsetools.csc_matvec(n_v, n_t, indptr, indices, data[0], flux[1] * areas, r[0])",
+     [KERNELS, TRANSPOSED]),
+    ("the y residual with the x plane", "fem.py",
+     "_sparsetools.csc_matvec(n_v, n_t, indptr, indices, data[1], flux[1] * areas, r[1])",
+     "_sparsetools.csc_matvec(n_v, n_t, indptr, indices, data[0], flux[1] * areas, r[1])",
+     [KERNELS, TRANSPOSED]),
+    ("the stiffness conversion without the diagonal block", "fem.py",
+     "np.concatenate((lo, d, hi), dtype=np.int32), vals,",
+     "np.concatenate((lo, d, hi), dtype=np.int32), np.concatenate((off, 0.0 * d, off)),",
+     [KERNELS, "tests/test_fem.py::test_stiffness_matches_einsum_oracle"]),
+    ("element gradients that read values of any length", "fem.py",
+     "if vertex_values.shape != (n_v,):  # the kernel reads it unchecked",
+     "if False:",
+     ["tests/test_fem.py::test_element_gradients_reject_values_of_another_length"]),
     # 32-bit connectivity and the per-step index arrays
     ("interior-edge triangle ids left strided", "estimator.py",
      'np.intp, order="C")',
@@ -311,6 +338,10 @@ MUTANTS = [
      "if not np.logical_and.reduce(np.isfinite(self.vertices), axis=None):",
      "if False:",
      ["tests/test_mesh.py::test_non_finite_coordinates_are_rejected"]),
+    ("given geometry of any shape accepted", "mesh.py",
+     "if self.areas.shape != (n_t,) or self.gradient_planes.shape != (2, n_t, 3):",
+     "if False:",
+     ["tests/test_mesh.py::test_geometry_of_another_shape_is_rejected"]),
     ("flat triangles accepted", "mesh.py",
      "if not np.logical_and.reduce(areas > 0.0):",
      "if not np.logical_and.reduce(areas >= 0.0):",
@@ -333,13 +364,13 @@ MUTANTS = [
      "return self.n_vertices",
      [HIERARCHY]),
     ("vertex parents checked against all vertices, not the coarse ones", "mesh.py",
-     "vertex_parents = _indices(vertex_parents, self.n_vertices - len(vertex_parents),",
-     "vertex_parents = _indices(vertex_parents, self.n_vertices,",
+     "vertex_parents = _indices(vertex_parents, n_v - vertex_parents.shape[0],",
+     "vertex_parents = _indices(vertex_parents, n_v,",
      ["tests/test_mesh.py::test_vertex_parents_are_coarse_vertices"]),
     ("no range check on boundary vertex indices", "mesh.py",
-     "self.boundary_edges = _indices(boundary_edges, self.n_vertices, \"boundary vertex\",",
-     "self.boundary_edges = _indices(np.clip(boundary_edges, 0, self.n_vertices - 1), "
-     "self.n_vertices, \"boundary vertex\",",
+     "self.boundary_edges = _indices(boundary_edges, n_v, \"boundary vertex\",",
+     "self.boundary_edges = _indices(np.clip(boundary_edges, 0, n_v - 1), "
+     "n_v, \"boundary vertex\",",
      [BOUNDARY]),
     ("no check of the boundary markers", "mesh.py",
      "if not np.logical_and.reduce((markers == DIRICHLET) | (markers == NEUMANN)):",
@@ -390,6 +421,10 @@ MUTANTS = [
      '"zshape_nonlinearity",',
      '"zshape_nonlinearity", "read_text",',
      ["tests/test_experiments.py::test_package_all_lists_exactly_its_public_imports"]),
+    ("a bad rates file raised without its path", "experiments.py",
+     'raise ValueError(f"{path}: {exc}") from exc',
+     "raise",
+     ["tests/test_experiments.py::test_collect_rates_names_the_file_of_a_bad_cell"]),
     # the run configuration and the sweep specification
     ("a configuration that keeps the domain as spelled", "driver.py",
      'object.__setattr__(self, "domain", get_problem(self.domain).name)',
@@ -418,7 +453,7 @@ MUTANTS = [
      "uniform_rate=-1.0 / 3.0, neumann=neumann, exact=exact)",
      ["tests/test_experiments.py::test_expected_rates"]),
     ("a mesh of no triangles", "mesh.py",
-     "if not self.n_triangles:",
+     "if not n_t:",
      "if False:",
      ["tests/test_mesh.py::test_a_mesh_without_triangles_is_rejected"]),
     # one declaration per CSV table, one reader of configuration text

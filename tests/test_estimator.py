@@ -11,14 +11,15 @@ from afem import (DofMap, FeFunction, assemble_laplacian, assemble_rhs,
                   create_initial, doerfler_mark, indicators, refine, total,
                   uniform_refine)
 from afem.estimator import EstimatorData, IndicatorField
-from afem.fem import apply_nonlinear, element_flux, energy_norm, prolongate, sample
+from afem.fem import (apply_nonlinear, element_flux, element_gradients, energy_norm, prolongate,
+                      sample)
 from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
 
 from oracles import (DIRICHLET_ONLY, KERNEL_CASES, brute_force_doerfler_size,
-                     doerfler_reference, einsum_estimator_moments, einsum_eval_squared,
-                     former_eval_squared, kernel_case, one_triangle, picard_map, random_mesh,
-                     same_bits)
+                     doerfler_reference, einsum_element_gradients, einsum_estimator_moments,
+                     einsum_eval_squared, former_eval_squared, kernel_case, one_triangle,
+                     picard_map, random_mesh, same_bits)
 
 
 def one(p):
@@ -92,9 +93,10 @@ def test_estimator_data_matches_indicators():
 def test_index_arrays_are_compact_and_shared():
     """On a root mesh and on refined ones (carried edge tables): the
     connectivity is int32, the edge ends a view of the int64 edge codes;
-    the gradient operator's two matrices take their
-    indices from ``triangles``, their data from ``gradient_planes`` and
-    share one indptr; the triangle ids that every estimator evaluation
+    the gradient operator's arrays take their data from
+    ``gradient_planes`` and their indices from ``triangles`` (int32, not
+    copied), with one int32 indptr, and give the einsum oracle's element
+    gradients bit for bit; the triangle ids that every estimator evaluation
     reads (interior edges and Neumann owners) are contiguous np.intp."""
     problem, rng = get_problem("zshape"), np.random.default_rng(2)
     mesh = create_initial("z_shape")
@@ -104,11 +106,14 @@ def test_index_arrays_are_compact_and_shared():
         for a in arrays + ([] if level == 0 else [mesh.vertex_parents]):
             assert a.dtype == np.int32
         assert et.codes.dtype == np.int64 and np.shares_memory(et.nodes, et.codes)
-        gx, gy = mesh.gradient_operator
-        for op, plane in ((gx, mesh.gradient_planes[0]), (gy, mesh.gradient_planes[1])):
-            assert np.shares_memory(op.indices, mesh.triangles)
-            assert np.shares_memory(op.data, plane)
-        assert np.shares_memory(gx.indptr, gy.indptr)
+        assert len(mesh.gradient_operator) == 3
+        planes, indices, indptr = mesh.gradient_operator
+        assert np.shares_memory(planes, mesh.gradient_planes)
+        assert indices.dtype == np.int32 and np.shares_memory(indices, mesh.triangles)
+        assert indptr.dtype == np.int32 and indptr.shape == (mesh.n_triangles + 1,)
+        values = np.random.default_rng(level).standard_normal(mesh.n_vertices)
+        assert same_bits(np.column_stack(element_gradients(mesh, values)),
+                         einsum_element_gradients(mesh, values))
         data = EstimatorData(sample(mesh, problem.source, problem.neumann))
         for a in (data.ie_left, data.ie_right, data.neumann.owner):
             assert a.dtype == np.intp and a.flags.c_contiguous

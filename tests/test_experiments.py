@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,28 @@ def test_cli_rates_rejects_a_truncated_index(tmp_path, capsys):
         collect_rates(str(tmp_path))
     assert main(["rates", "--in", str(tmp_path)]) == 1
     assert "line 3" in capsys.readouterr().err
+
+
+def test_collect_rates_names_the_file_of_a_bad_cell(tmp_path, capsys):
+    """A cell that does not parse, in a run's level table or in runs.csv,
+    fails naming the file it is in, its line and its column."""
+    rows = [_write_synthetic_run(str(tmp_path), run_id, 0.5, np.ones(4))
+            for run_id in ("zshape_t0.5_a0.01_p0.01", "zshape_t0.5_a0.001_p0.01")]
+    _write_runs_index(str(tmp_path), rows)
+    bad = tmp_path / "zshape_t0.5_a0.001_p0.01.levels.csv"
+    lines = bad.read_text().splitlines()
+    lines[2] = lines[2].replace(",1000,", ",10x0,", 1)
+    bad.write_text("\n".join(lines) + "\n")
+    message = f"{bad}: CSV line 3, column 'nT': "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        collect_rates(str(tmp_path))
+    assert main(["rates", "--in", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    rows[1][8] = "many"
+    _write_runs_index(str(tmp_path), rows)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'runs.csv'}: CSV line 3, "
+                                                   "column 'nT': ")):
+        collect_rates(str(tmp_path))
 
 
 def test_collect_rates_rejects_the_former_uniform_column(tmp_path, capsys):

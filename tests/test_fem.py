@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from afem import (DIRICHLET, DofMap, FeFunction, NEUMANN, apply_nonlinear,
                   assemble_laplacian, assemble_rhs, create_initial,
                   energy_norm, interpolate, prolongate, refine,
                   uniform_refine)
+from afem import fem
 from afem.algsolver import solve_exact
 from afem.mesh import Mesh
 from afem.estimator import EstimatorData
@@ -19,6 +21,7 @@ from afem.fem import (EDGE_QUAD_W, EDGE_QUAD_X, TRI_QUAD_BARY, TRI_QUAD_W,
                       energy_functional, sample, triangle_quad_points)
 from afem.nonlinearity import constant_nonlinearity, zshape_nonlinearity
 from afem.problems import get_problem
+from scipy.sparse import _sparsetools
 
 from oracles import (DIRICHLET_ONLY, KERNEL_CASES, MARKING_KINDS, add_at_apply_nonlinear,
                      einsum_apply_nonlinear, einsum_assemble_laplacian, einsum_assemble_rhs,
@@ -68,6 +71,17 @@ def test_element_gradients_match_einsum_oracle(domain, seed):
     assert energy_norm(w) == float(np.sqrt(((grads ** 2).sum(axis=1) * mesh.areas).sum()))
 
 
+def test_element_gradients_reject_values_of_another_length():
+    """The compiled matvec reads one value per vertex without a bounds
+    check, so values of another length raise before it runs."""
+    mesh = uniform_refine(create_initial("l_shape"))
+    for n in (mesh.n_vertices - 1, mesh.n_vertices + 1, 0):
+        with pytest.raises(ValueError, match="one value per vertex"):
+            element_gradients(mesh, np.zeros(n))
+    with pytest.raises(ValueError, match="one value per vertex"):
+        element_gradients(mesh, np.zeros((mesh.n_vertices, 1)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(domain=st.sampled_from(["unit_square", "l_shape", "z_shape"]),
        seed=st.integers(0, 2 ** 32 - 1),
@@ -76,8 +90,9 @@ def test_gradient_operator_holds_the_hat_gradients(domain, seed, kinds):
     """On an affine image of a root refined at random, with the hat
     gradients carried across the levels: the operator's data are the hat
     gradient planes, equal to a fresh computation and to the (nT, 3, 2)
-    oracle, its indices are the triangles and its indptr is shared, nothing
-    copied, and its matvecs are bitwise the einsum oracle."""
+    oracle, its indices are the triangles (int32) and one indptr serves the
+    x and the y matrix, nothing copied, all read-only; the gradients are
+    bitwise the CSR matrices' matvecs and the einsum oracle."""
     rng = np.random.default_rng(seed)
     mesh = random_root(domain, rng)
     for kind in kinds:
@@ -89,20 +104,76 @@ def test_gradient_operator_holds_the_hat_gradients(domain, seed, kinds):
     assert np.array_equal(planes, fresh.gradient_planes)
     assert np.array_equal(planes, stacked_hat_gradients(mesh).transpose(2, 0, 1))
     assert not planes.flags.writeable
-    ops = mesh.gradient_operator
-    assert len(ops) == 2
-    for op, plane in zip(ops, planes):
-        assert op.shape == (n, mesh.n_vertices)
-        assert np.shares_memory(op.data, plane) and np.array_equal(op.data, plane.ravel())
-        assert np.shares_memory(op.indices, mesh.triangles)
-        assert np.array_equal(op.indices, mesh.triangles.ravel())
-        assert np.shares_memory(op.indptr, ops[0].indptr)
-        assert np.array_equal(op.indptr, np.arange(0, 3 * n + 1, 3))
+    assert len(mesh.gradient_operator) == 3
+    data, indices, indptr = mesh.gradient_operator
+    assert data.shape == (2, 3 * n) and np.shares_memory(data, planes)
+    assert np.array_equal(data, planes.reshape(2, -1))
+    assert indices.dtype == np.int32 and np.shares_memory(indices, mesh.triangles)
+    assert np.array_equal(indices, mesh.triangles.ravel())
+    assert indptr.dtype == np.int32 and np.array_equal(indptr, np.arange(0, 3 * n + 1, 3))
+    assert not any(a.flags.writeable for a in (data, indices, indptr))
     values = rng.standard_normal(mesh.n_vertices)
     gx, gy = element_gradients(mesh, values)
-    assert np.array_equal(np.concatenate([gx, gy]),
-                          np.concatenate([ops[0] @ values, ops[1] @ values]))
-    assert np.array_equal(np.column_stack([gx, gy]), einsum_element_gradients(mesh, values))
+    ops = [sp.csr_matrix((d, indices, indptr), shape=(n, mesh.n_vertices)) for d in data]
+    assert same_bits(np.concatenate([gx, gy]), np.concatenate([op @ values for op in ops]))
+    assert same_bits(np.column_stack([gx, gy]), einsum_element_gradients(mesh, values))
+
+
+class KernelRecorder:
+    """Stands in for scipy's `_sparsetools` module: forwards each call and
+    records its name and arguments, arrays copied after the call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        kernel = getattr(_sparsetools, name)
+
+        def call(*args):
+            kernel(*args)
+            self.calls.append((name, [a.copy() if isinstance(a, np.ndarray) else a
+                                      for a in args]))
+        return call
+
+
+@pytest.mark.parametrize("domain, seed", KERNEL_CASES)
+def test_direct_kernels_equal_the_public_operators(domain, seed, monkeypatch):
+    """Each of the private scipy kernels that fem calls gives the bits of
+    the public operator it stands for, on the arguments fem passes: a
+    ``csr_matvec`` those of ``csr_matrix((data, indices, indptr)) @ v``, a
+    ``csc_matvec`` those of its transpose's ``.T @ w``, and ``coo_tocsr``
+    the data, indices and indptr of the COO constructor's ``tocsr()``, its
+    matrix canonical as that one is.  So a scipy whose kernels changed
+    fails here, not in a run."""
+    problem, dofmap, _, values = kernel_case(domain, seed)
+    mesh = dofmap.mesh
+    recorder = KernelRecorder()
+    monkeypatch.setattr(fem, "_sparsetools", recorder)
+    flux = element_flux(problem.nonlinearity, mesh, values)
+    r = apply_nonlinear(dofmap, flux)
+    a = assemble_laplacian(dofmap)
+    assert [name for name, _ in recorder.calls] == ["csr_matvec"] * 2 + ["csc_matvec"] * 2 \
+        + ["coo_tocsr"]
+    planes = []
+    for name, args in recorder.calls:
+        if name == "coo_tocsr":
+            n_row, n_col, nnz, rows, cols, vals, indptr, indices, data = args
+            ref = sp.coo_matrix((vals[:nnz], (rows[:nnz], cols[:nnz])),
+                                shape=(n_row, n_col)).tocsr()
+            assert same_bits(data, ref.data) and same_bits(indices, ref.indices)
+            assert same_bits(indptr, ref.indptr)
+            assert a.has_canonical_format and ref.has_canonical_format
+            assert same_bits(a.data, data) and same_bits(a.indices, indices)
+            continue
+        n_row, n_col, indptr, indices, data, x, y = args
+        if name == "csr_matvec":
+            op = sp.csr_matrix((data, indices, indptr), shape=(n_row, n_col))
+        else:
+            op = sp.csr_matrix((data, indices, indptr), shape=(n_col, n_row)).T
+            planes.append(y)
+        assert same_bits(y, op @ x)
+    # what fem returns is made of the recorded results
+    assert same_bits(r, (planes[0] + planes[1])[dofmap.free_vertices])
 
 
 @pytest.mark.parametrize("domain, seed", KERNEL_CASES)

@@ -389,6 +389,20 @@ def test_boundary_input_is_checked_at_construction(edge, marker, message):
         Mesh(square.vertices, square.triangles, edges, markers)
 
 
+def test_geometry_of_another_shape_is_rejected():
+    """Given areas and hat gradient planes must be those of the triangles,
+    one area and a (2, 3) block of planes each: the compiled kernels read
+    the planes as CSR data of 3 entries per triangle, without a check."""
+    mesh = uniform_refine(create_initial("l_shape"))
+    arrays = (mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers)
+    areas, planes = mesh.areas, mesh.gradient_planes
+    Mesh(*arrays, geometry=(areas, planes))
+    for geometry in ((areas, planes[:, :-1]), (areas[:-1], planes), (areas, planes[:, :, :2]),
+                     (areas, planes[:1]), (areas, planes.transpose(0, 2, 1))):
+        with pytest.raises(ValueError, match="geometry does not match the triangles"):
+            Mesh(*arrays, geometry=geometry)
+
+
 @pytest.mark.parametrize("parents", [[[0, 1]] * 5, [[3, 3]], [[0, 3]]],
                          ids=["more parents than vertices", "appended", "one appended"])
 def test_vertex_parents_are_coarse_vertices(parents):
